@@ -25,7 +25,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from math import comb
+from math import comb, lcm, prod
 from typing import Sequence
 
 from .algebra import (
@@ -179,6 +179,13 @@ def target_degree(e: int, f: int, r: int) -> int:
     return comb(r + 1, 2) - d + 1
 
 
+# Measured crossover on e <= 3: "lines" is faster up to 18 unknowns
+# ((3,3,3): 0.014 s against 0.24 s) and "direct" from 32 on ((3,4,3):
+# 0.079 s against 0.11 s; (3,5,3): 0.019 s against 1.7 s).  On e = 4
+# "direct" loses at every size ((4,9,1): 3.6 s against 0.003 s).
+_DIRECT_MIN_UNKNOWNS = 24
+
+
 def localization_class(
     e: int,
     f: int,
@@ -196,26 +203,32 @@ def localization_class(
                   every fixed-point term is such a product).  The symmetric
                   functions of the b-roots are carried as formal symbols of
                   bounded weight, which keeps the numerators small.
-      "lines"  -- exact evaluation of the sum at deterministic rational
+      "lines"  -- exact evaluation of the sum at deterministic integer
                   points plus reconstruction in the elementary-symmetric
                   basis forced by the (S_e x S_f)-symmetry and the
-                  homogeneity degree of every term.  Used when the common
-                  denominator is too large to expand; over-determined and
+                  homogeneity degree of every term.  At an integer point
+                  every tangent weight is an integer and h(a - w/2) has a
+                  power-of-2 denominator, so the sum is accumulated in
+                  Python ints over one common denominator (see
+                  `_localization_points`) and the interpolation system is
+                  solved by fraction-free elimination.  Over-determined and
                   re-verified at fresh points, so an inconsistency (the sum
                   failing to be polynomial) raises DenominatorSurvives.
-      "auto"   -- pick by size.
+      "auto"   -- "direct" for a source of rank e <= 3 whose interpolation
+                  basis has more than _DIRECT_MIN_UNKNOWNS elements, else
+                  "lines".  The basis size sets the number of points and
+                  the size of the solve; the symbolic denominator lattice
+                  stays small only up to rank 3.
 
     `subset_order` permutes the subset enumeration (the result must not
     depend on it; tested).
     """
     d = _check_loc_preconditions(e, f, r)
     W = sym2_weights(e)
-    n_subsets = comb(len(W), d)
     if strategy == "auto":
-        # the denominator lattice stays small enough for fully symbolic
-        # accumulation only for a rank-3 source; beyond that the
-        # evaluation/reconstruction path is exact and much faster
-        strategy = "direct" if (e <= 3 and n_subsets * d <= 200) else "lines"
+        n_unknown = len(_symmetric_basis(e, f, target_degree(e, f, r)))
+        use_direct = e <= 3 and n_unknown > _DIRECT_MIN_UNKNOWNS
+        strategy = "direct" if use_direct else "lines"
     if strategy == "direct":
         return _localization_direct(e, f, r, d, W, jobs, subset_order)
     if strategy == "lines":
@@ -377,12 +390,33 @@ def _basis_polynomial(item, e: int, f: int) -> Polynomial:
 
 
 def _elem_values(values, k: int):
-    """Elementary symmetric values e_1..e_k of a list of numbers."""
-    es = [QQ(1)] + [QQ(0)] * k
+    """Elementary symmetric values e_0..e_k of a list of integers."""
+    es = [1] + [0] * k
     for v in values:
         for i in range(min(k, len(values)), 0, -1):
-            es[i] = es[i] + v * es[i - 1]
+            es[i] += v * es[i - 1]
     return es
+
+
+def _integer_form(p: Polynomial, variables):
+    """p as (L, terms) with L*p integral: terms are (integer coefficient,
+    ((position in `variables`, exponent), ...)), for evaluation in ints."""
+    scale = lcm(*(c.denominator for c in p.terms.values()))
+    pos = {v: k for k, v in enumerate(variables)}
+    terms = [
+        (c.numerator * (scale // c.denominator), tuple((pos[v], x) for v, x in m))
+        for m, c in p.terms.items()
+    ]
+    return scale, terms
+
+
+def _eval_integer_form(terms, values) -> int:
+    total = 0
+    for c, mono in terms:
+        for k, x in mono:
+            c *= values[k] ** x
+        total += c
+    return total
 
 
 def _localization_points(e, f, r, d, W, jobs, subset_order):
@@ -390,58 +424,62 @@ def _localization_points(e, f, r, d, W, jobs, subset_order):
     h = _h_poly(r, e)
     avars = [alpha(i) for i in range(1, e + 1)]
     bvars = [beta(j) for j in range(1, f + 1)]
+    if not h.is_homogeneous():
+        raise AssertionError("the corank class h must be homogeneous")
+    # h(a - w/2) = h(2a - w) / 2^deg(h), so M * h(a - w/2) is an integer
+    hscale, hterms = _integer_form(h, avars)
+    M = hscale << h.degree()
     basis = _symmetric_basis(e, f, deg)
     n_unknown = len(basis)
     rng = random.Random(0xC0FFEE + 1000003 * e + 1009 * f + r)
-    pairs = list(_loc_terms(e, f, r, d, W, subset_order))
+    # the (H, gamma) pairs grouped by H, in enumeration order
+    by_subset: dict = {}
+    for combo, g in _loc_terms(e, f, r, d, W, subset_order):
+        by_subset.setdefault(combo, []).append(g)
+    groups = list(by_subset.items())
+    n_w = len(W)
 
     def sample_point():
         while True:
-            avals = [QQ(rng.randint(10**3, 10**6)) for _ in range(e)]
-            wvals = [wf.evaluate(dict(zip(avars, avals))) for wf in W]
+            avals = [rng.randint(10**3, 10**6) for _ in range(e)]
+            # the weights have integer coefficients, so their values are ints
+            point = dict(zip(avars, avals))
+            wvals = [wf.evaluate(point).numerator for wf in W]
             if len(set(wvals)) == len(wvals):
-                bvals = [QQ(rng.randint(10**3, 10**6)) for _ in range(f)]
+                bvals = [rng.randint(10**3, 10**6) for _ in range(f)]
                 return avals, bvals, wvals
 
     def sum_at(avals, bvals, wvals):
-        point = dict(zip(avars, avals))
-        # per-weight data reused across terms
-        bprod = []
-        for wv in wvals:
-            acc = QQ(1)
-            for bv in bvals:
-                acc *= bv - wv
-            bprod.append(acc)
-        hval = []
-        for wv in wvals:
-            shifted = {v: point[v] - wv / 2 for v in avars}
-            hval.append(h.evaluate(shifted))
-        total = QQ(0)
-        for combo, g in pairs:
-            num = hval[g]
-            for i in combo:
-                num = num * bprod[i]
-            den = QQ(1)
-            wg = wvals[g]
-            for i in range(len(W)):
-                if i != g:
-                    den *= wvals[i] - wg
-            comp = [i for i in range(len(W)) if i not in combo]
-            for i in combo:
-                if i == g:
-                    continue
-                wi = wvals[i]
-                for j in comp:
-                    den *= wvals[j] - wi
-            total += num / den
-        return total
+        """The fixed-point sum at an integer point, accumulated in ints.
+
+        The (H, gamma) denominator factors as K(H) Q_gamma(H), with
+        K(H) = prod_{i in H, k not in H}(w_k - w_i)
+             = prod_{i in H} P_i / prod_{i in H} Q_i(H),
+        P_i = prod_{k != i}(w_k - w_i), Q_i(H) = prod_{k in H, k != i}(w_k - w_i).
+        It uses each pair of weights at most once, so it divides the
+        Vandermonde product V, and the sum is one integer over V*M."""
+        diff = [[wk - wi for wk in wvals] for wi in wvals]  # w_k - w_i
+        P = [prod(row[:i] + row[i + 1:]) for i, row in enumerate(diff)]
+        V = prod(diff[i][k] for i in range(n_w) for k in range(i + 1, n_w))
+        bprod = [prod(bv - wi for bv in bvals) for wi in wvals]
+        hval = [
+            _eval_integer_form(hterms, [2 * av - wi for av in avals])
+            for wi in wvals
+        ]
+        total = 0
+        for H, gammas in groups:
+            Q = {i: prod(diff[i][k] for k in H if k != i) for i in H}
+            v_over_k = V // (prod(P[i] for i in H) // prod(Q.values()))
+            inner = sum(hval[g] * (v_over_k // Q[g]) for g in gammas)
+            total += prod(bprod[i] for i in H) * inner
+        return QQ(total, V * M)
 
     def basis_row(avals, bvals):
         ea = _elem_values(avals, e)
         eb = _elem_values(bvals, f)
         row = []
         for pa, pb in basis:
-            val = QQ(1)
+            val = 1
             for part, mult in pa:
                 val *= ea[part] ** mult
             for part, mult in pb:
@@ -475,12 +513,11 @@ def _localization_points(e, f, r, d, W, jobs, subset_order):
             result = result + c * _basis_polynomial(item, e, f)
 
     # re-verify at fresh points
+    rscale, rterms = _integer_form(result, avars + bvars)
     for _ in range(3):
         avals, bvals, wvals = sample_point()
         direct = sum_at(avals, bvals, wvals)
-        got = result.evaluate(
-            {**dict(zip(avars, avals)), **dict(zip(bvars, bvals))}
-        )
+        got = QQ(_eval_integer_form(rterms, avals + bvals), rscale)
         if direct != got:
             raise DenominatorSurvives(
                 "localization sum disagrees with reconstructed polynomial "
@@ -495,43 +532,52 @@ class _RankDeficient(Exception):
 
 
 def _solve_overdetermined(rows, rhs):
-    """Exact least-squares-free solve: Gaussian elimination on the full
-    overdetermined system; returns None if inconsistent, raises
-    _RankDeficient if the solution is not unique."""
+    """Exact solve of the full overdetermined system by fraction-free
+    (Bareiss) elimination: each equation, right-hand side included, is
+    scaled to integers by the lcm of its denominators, and every division
+    in the elimination is exact.  Returns None if inconsistent, raises
+    _RankDeficient if the solution is not unique, and otherwise returns the
+    solution as QQ values."""
     m = len(rows)
     if not m:
         return []
     n = len(rows[0])
-    aug = [list(row) + [val] for row, val in zip(rows, rhs)]
+    aug = []
+    for row, val in zip(rows, rhs):
+        entries = list(row) + [val]
+        scale = lcm(*(x.denominator for x in entries))
+        aug.append([x.numerator * (scale // x.denominator) for x in entries])
     pivots = []
-    row_at = 0
+    prev = 1  # the previous pivot, which divides every update exactly
     for col in range(n):
-        piv = None
-        for i in range(row_at, m):
-            if aug[i][col]:
-                piv = i
-                break
+        k = len(pivots)
+        piv = next((i for i in range(k, m) if aug[i][col]), None)
         if piv is None:
             continue
-        aug[row_at], aug[piv] = aug[piv], aug[row_at]
-        inv = QQ(1) / aug[row_at][col]
-        aug[row_at] = [x * inv for x in aug[row_at]]
-        for i in range(m):
-            if i != row_at and aug[i][col]:
-                factor = aug[i][col]
-                aug[i] = [x - factor * y for x, y in zip(aug[i], aug[row_at])]
+        aug[k], aug[piv] = aug[piv], aug[k]
+        top = aug[k]
+        p = top[col]
+        for i in range(k + 1, m):
+            row = aug[i]
+            a = row[col]
+            aug[i] = row[:col] + [
+                (p * x - a * y) // prev for x, y in zip(row[col:], top[col:])
+            ]
+        prev = p
         pivots.append(col)
-        row_at += 1
     # inconsistent?
-    for i in range(row_at, m):
-        if aug[i][n]:
-            return None
+    if any(aug[i][n] for i in range(len(pivots), m)):
+        return None
     if len(pivots) != n:
         raise _RankDeficient("interpolation system needs more points")
-    sol = [QQ(0)] * n
-    for i, col in enumerate(pivots):
-        sol[col] = aug[i][n]
-    return sol
+    # back substitution for det * x, integral by Cramer's rule
+    det = prev
+    y = [0] * n
+    for j in range(n - 1, -1, -1):
+        row = aug[j]
+        acc = det * row[n] - sum(row[k] * y[k] for k in range(j + 1, n))
+        y[j] = acc // row[j]
+    return [QQ(v, det) for v in y]
 
 
 _PARALLEL_FN = None

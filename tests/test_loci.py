@@ -65,11 +65,34 @@ def test_golden_classes_three_methods(efr):
     assert residue_divisor_class(e, r) == want
 
 
+def _valid_triples(max_e):
+    for e in range(2, max_e + 1):
+        w = comb(e + 1, 2)
+        for r in range(1, e + 1):
+            for d in range(1, min(comb(r + 1, 2), w - 1) + 1):
+                yield e, w - d, r
+
+
 def test_localization_strategies_agree():
-    for e, f, r in [(2, 2, 1), (3, 3, 2), (3, 4, 2), (3, 5, 1)]:
+    # every valid triple with e <= 3, which covers each one whose "auto"
+    # choice moved from "direct" to "lines" with the basis-size rule
+    triples = list(_valid_triples(3))
+    assert {(3, 1, 3), (3, 2, 3), (3, 3, 3)} <= set(triples)
+    for e, f, r in triples:
         direct = localization_class(e, f, r, strategy="direct")
         lines = localization_class(e, f, r, strategy="lines")
-        assert direct == lines
+        assert direct == lines, (e, f, r)
+
+
+def test_localization_auto_rule(monkeypatch):
+    import quadloci.loci as loci
+
+    monkeypatch.setattr(loci, "_localization_direct", lambda *a: "direct")
+    monkeypatch.setattr(loci, "_localization_points", lambda *a: "lines")
+    # interpolation basis sizes 18, 32 and 62
+    assert localization_class(3, 3, 3) == "lines"
+    assert localization_class(3, 4, 3) == "direct"
+    assert localization_class(4, 9, 3) == "lines"
 
 
 def test_localization_order_independence():
@@ -100,7 +123,7 @@ def test_localization_codim2_properties():
 def test_localization_matches_raw_term_sum_at_points():
     # end-to-end numeric check of the full fixed-point sum, both strategies
     rng = random.Random(31415)
-    for e, f, r in [(3, 4, 2), (4, 7, 2), (5, 12, 2)]:
+    for e, f, r in [(3, 4, 2), (4, 7, 2), (5, 12, 2), (4, 4, 3), (4, 8, 3)]:
         result = localization_class(e, f, r)
         W = sym2_weights(e)
         d = comb(e + 1, 2) - f
@@ -283,6 +306,57 @@ def test_target_degree():
     assert target_degree(5, 12, 2) == 1
 
 
+def test_localization_lines_detects_a_dropped_term(monkeypatch):
+    import quadloci.loci as loci
+    from quadloci.algebra import DenominatorSurvives
+
+    full = loci._loc_terms
+
+    def all_but_first(*args):
+        pairs = full(*args)
+        next(pairs)
+        yield from pairs
+
+    monkeypatch.setattr(loci, "_loc_terms", all_but_first)
+    with pytest.raises(DenominatorSurvives):
+        localization_class(4, 7, 2, strategy="lines")
+
+
+def _reference_solve(rows, rhs):
+    """Plain Fraction Gauss-Jordan with the solver's contract."""
+    from fractions import Fraction
+
+    m, n = len(rows), len(rows[0])
+    aug = [[Fraction(x) for x in row] + [Fraction(v)] for row, v in zip(rows, rhs)]
+    pivots = []
+    for col in range(n):
+        k = len(pivots)
+        piv = next((i for i in range(k, m) if aug[i][col]), None)
+        if piv is None:
+            continue
+        aug[k], aug[piv] = aug[piv], aug[k]
+        aug[k] = [x / aug[k][col] for x in aug[k]]
+        for i in range(m):
+            if i != k and aug[i][col]:
+                factor = aug[i][col]
+                aug[i] = [x - factor * y for x, y in zip(aug[i], aug[k])]
+        pivots.append(col)
+    if any(aug[i][n] for i in range(len(pivots), m)):
+        return None
+    if len(pivots) != n:
+        return "rank-deficient"
+    return [aug[i][n] for i in range(n)]
+
+
+def _solve_or_tag(rows, rhs):
+    from quadloci.loci import _RankDeficient, _solve_overdetermined
+
+    try:
+        return _solve_overdetermined(rows, rhs)
+    except _RankDeficient:
+        return "rank-deficient"
+
+
 def test_overdetermined_solver_contract():
     from quadloci.loci import _RankDeficient, _solve_overdetermined
 
@@ -296,3 +370,49 @@ def test_overdetermined_solver_contract():
     # rank-deficient
     with pytest.raises(_RankDeficient):
         _solve_overdetermined([[one, two], [two, QQ(4)]], [QQ(1), QQ(2)])
+    # rank-deficient and inconsistent: inconsistency wins
+    assert _solve_overdetermined([[one, two], [two, QQ(4)]], [QQ(1), QQ(3)]) is None
+    # non-integer rational entries, unique and overdetermined
+    rows = [[QQ(1, 2), QQ(-2, 3)], [QQ(5, 7), QQ(1, 4)], [QQ(3), QQ(-1, 6)]]
+    x = [QQ(-3, 5), QQ(7, 2)]
+    rhs = [sum(a * b for a, b in zip(row, x)) for row in rows]
+    assert _solve_overdetermined(rows, rhs) == x
+    rhs[2] += QQ(1, 9)
+    assert _solve_overdetermined(rows, rhs) is None
+    # a zero column, then the same system made inconsistent
+    rows = [[QQ(0), QQ(1, 3)], [QQ(0), QQ(2, 5)]]
+    with pytest.raises(_RankDeficient):
+        _solve_overdetermined(rows, [QQ(1), QQ(6, 5)])
+    assert _solve_overdetermined(rows, [QQ(1), QQ(1)]) is None
+
+
+@pytest.mark.parametrize("kind", ["unique", "inconsistent", "rank-deficient", "both"])
+def test_overdetermined_solver_matches_fraction_reference(kind):
+    rng = random.Random(2024 + len(kind))
+
+    def entry():
+        return QQ(rng.randint(-30, 30), rng.choice([1, 1, 2, 3, 7, 12]))
+
+    seen = set()
+    for _ in range(40):
+        n = rng.randint(1, 6)
+        m = n + rng.randint(0, 4)
+        rank = n if kind in ("unique", "inconsistent") else rng.randint(0, n - 1)
+        # rows spanned by `rank` random rows, so the rank is at most `rank`
+        basis = [[entry() for _ in range(n)] for _ in range(rank)]
+        rows = []
+        for _ in range(m):
+            coeffs = [entry() for _ in basis]
+            rows.append([sum((c * b[j] for c, b in zip(coeffs, basis)), QQ(0))
+                         for j in range(n)])
+        x = [entry() for _ in range(n)]
+        rhs = [sum((a * b for a, b in zip(row, x)), QQ(0)) for row in rows]
+        if kind in ("inconsistent", "both"):
+            rhs[rng.randrange(m)] += QQ(1, rng.randint(1, 5))
+        got = _solve_or_tag(rows, rhs)
+        assert got == _reference_solve(rows, rhs), (rows, rhs)
+        seen.add("none" if got is None else "tag" if isinstance(got, str) else "sol")
+    # the generator reached the intended outcome at least once
+    want = {"unique": "sol", "inconsistent": "none",
+            "rank-deficient": "tag", "both": "none"}[kind]
+    assert want in seen
