@@ -86,10 +86,6 @@ def zvar() -> Variable:
     return (ZVAR, 0)
 
 
-def uvar(j: int) -> Variable:
-    return (UVAR, j)
-
-
 def param(name: str) -> Variable:
     return (PARAM, name)
 
@@ -155,10 +151,9 @@ class Polynomial:
         clean = {}
         if terms:
             for m, c in terms.items():
+                c = _exact(c)
                 if c:
-                    c = QQ(c)
-                    if c:
-                        clean[m] = c
+                    clean[m] = c
         object.__setattr__(self, "terms", clean)
 
     def __setattr__(self, *a):  # pragma: no cover
@@ -171,7 +166,7 @@ class Polynomial:
 
     @staticmethod
     def const(c) -> "Polynomial":
-        return Polynomial({(): QQ(c)})
+        return Polynomial({(): _exact(c)})
 
     @staticmethod
     def variable(v: Variable) -> "Polynomial":
@@ -233,14 +228,6 @@ class Polynomial:
                 rest = tuple((w, k) for w, k in m if w != v)
                 out[rest] = out.get(rest, QQ(0)) + c
         return Polynomial._raw({m: c for m, c in out.items() if c})
-
-    def degree_in(self, v: Variable) -> int:
-        d = 0
-        for m in self.terms:
-            for w, e in m:
-                if w == v:
-                    d = max(d, e)
-        return d
 
     # -- arithmetic ---------------------------------------------------
     def __add__(self, other):
@@ -458,6 +445,14 @@ def _poly_unpickle(items):
     return Polynomial._raw(dict(items))
 
 
+def _exact(c):
+    """QQ(c), refusing floats: a binary float is not the decimal it prints,
+    so it has no place in exact arithmetic."""
+    if isinstance(c, float):
+        raise TypeError("float %r is not exact; pass an int, QQ or fraction" % c)
+    return QQ(c)
+
+
 def _coerce(x):
     if isinstance(x, Polynomial):
         return x
@@ -492,29 +487,6 @@ def _gcd(a: int, b: int) -> int:
     while b:
         a, b = b, a % b
     return abs(a)
-
-
-def poly_sum(items: Iterable[Polynomial]) -> Polynomial:
-    out: dict = {}
-    for p in items:
-        for m, c in p.terms.items():
-            s = out.get(m)
-            if s is None:
-                out[m] = c
-            else:
-                s = s + c
-                if s:
-                    out[m] = s
-                else:
-                    del out[m]
-    return Polynomial._raw(out)
-
-
-def poly_product(items: Sequence[Polynomial]) -> Polynomial:
-    out = Polynomial.const(1)
-    for p in items:
-        out = out * p
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -615,6 +587,8 @@ class RationalFunction:
 
     def __init__(self, num, den=None, den_factors=None):
         num = _coerce(num)
+        if num is NotImplemented:
+            raise TypeError("numerator must be a Polynomial, int or QQ")
         if den is None:
             den = Polynomial.const(1)
         elif not isinstance(den, Polynomial):
@@ -930,7 +904,11 @@ def symmetric_reduce(
         outside = tuple((v, e) for v, e in m if v[0] != kind)
         groups.setdefault(outside, {})[inside] = c
 
-    elem = [None] + [_elementary(roots, i) for i in range(1, n + 1)]
+    # the leading-exponent descent only uses e_k for k up to the largest
+    # degree in the alphabet of any monomial
+    top = max((monomial_degree(inside) for g in groups.values() for inside in g),
+              default=0)
+    elem = [None] + [_elementary(roots, i) for i in range(1, min(n, top) + 1)]
     out = Polynomial.zero()
     for outside, inner_terms in groups.items():
         reduced = _reduce_symmetric_part(
@@ -971,12 +949,19 @@ def _reduce_symmetric_part(p, roots, elem, symbol):
 
 def expand_symmetric(p: Polynomial, kind: int, n: int,
                      symbol: Callable[[int], Variable] | None = None) -> Polynomial:
-    """Inverse of symmetric_reduce: substitute e_i symbols by root expansions."""
+    """Inverse of symmetric_reduce: substitute e_i symbols by root expansions.
+
+    Only the symbols that occur in p are expanded."""
     if symbol is None:
         tag = _KIND_NAMES.get(kind, "x")
         symbol = lambda i: sym("e%d(%s)" % (i, tag))  # noqa: E731
     roots = [(kind, i) for i in range(1, n + 1)]
-    mapping = {symbol(i): _elementary(roots, i) for i in range(1, n + 1)}
+    present = p.variables()
+    mapping = {
+        symbol(i): _elementary(roots, i)
+        for i in range(1, n + 1)
+        if symbol(i) in present
+    }
     return p.substitute_poly(mapping)
 
 

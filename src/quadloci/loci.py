@@ -8,8 +8,10 @@ the Chern roots a_1..a_e, b_1..b_f, computed here three independent ways:
   d-subset H of the Sym^2 weight set W and a marked weight gamma in H, with
   tangent-weight denominators (d = C(e+1,2) - f).
 * ``residue_divisor_class`` -- the constant-term (residue at infinity) form
-  of the same class, expanded in auxiliary variables z, u_1..u_d; only the
-  divisorial case is needed, where the answer has degree 1.
+  of the same class in auxiliary variables z, u_1..u_d; only the divisorial
+  case is needed, where the answer has degree 1, so only two z-coefficients
+  of the shifted corank class enter, and they are read off monomial by
+  monomial rather than expanded.
 * ``closed_divisor_class``  -- the divisorial closed form
   A_e^r (c1(F) - (2f/e) c1(E)).
 
@@ -46,7 +48,6 @@ from .algebra import (
     sym,
     symmetric_reduce,
     xi,
-    zvar,
 )
 from .symfunc import ChernSeries, a_const, sym_degeneracy_class
 
@@ -639,30 +640,6 @@ def chern_difference(e: int, f: int, order: int) -> ChernSeries:
     return num.quotient_by(den, order)
 
 
-def _antisym_coeff_table(d: int):
-    """Full expansion of prod_{i<j} (1 - u_i/u_j) as exponent-vector -> coeff.
-
-    Exponents are relative: entry k of the vector is the power of u_{k+1}
-    (possibly negative).  Fine for d <= 6.
-    """
-    table = {(0,) * d: QQ(1)}
-    for i in range(d):
-        for j in range(i + 1, d):
-            new = dict(table)
-            for vec, c in table.items():
-                lst = list(vec)
-                lst[i] += 1
-                lst[j] -= 1
-                key = tuple(lst)
-                s = new.get(key, QQ(0)) - c
-                if s:
-                    new[key] = s
-                else:
-                    new.pop(key, None)
-            table = new
-    return table
-
-
 def _antisym_coeff(vec) -> QQ:
     """Coefficient of u^vec in prod_{i<j}(1 - u_i/u_j), via the Vandermonde
     determinant: the product equals det(u_j^{sigma(j)-j}) summed with signs,
@@ -688,46 +665,69 @@ def _antisym_coeff(vec) -> QQ:
     return QQ(sign)
 
 
+def _exponent_splits(caps, k: int):
+    """Tuples (j_1..j_n) with 0 <= j_i <= caps[i] and sum j_i = k."""
+    if not caps:
+        if k == 0:
+            yield ()
+        return
+    rest = caps[1:]
+    for j in range(max(0, k - sum(rest)), min(caps[0], k) + 1):
+        for tail in _exponent_splits(rest, k - j):
+            yield (j,) + tail
+
+
+def _shift_coefficient(h: Polynomial, k: int) -> Polynomial:
+    """Coefficient of z^k in h(a - z/2), read off monomial by monomial.
+
+    (a_i - z/2)^n = sum_j C(n, j) a_i^(n-j) (-z/2)^j, so a monomial's z^k
+    coefficient sums, over the ways to take j_i of the n_i factors a_i with
+    sum j_i = k, the products of C(n_i, j_i), times (-1/2)^k.  The other
+    z-powers of h(a - z/2) are never formed.
+    """
+    scale = QQ(-1, 2) ** k
+    out: dict = {}
+    for m, c in h.terms.items():
+        caps = [n if v[0] == ALPHA else 0 for v, n in m]
+        for js in _exponent_splits(caps, k):
+            mono = tuple((v, n - j) for (v, n), j in zip(m, js) if n > j)
+            w = c * scale * prod(comb(n, j) for (_, n), j in zip(m, js))
+            s = out.get(mono, 0) + w
+            if s:
+                out[mono] = s
+            else:
+                out.pop(mono, None)
+    return Polynomial._raw(out)
+
+
 def residue_divisor_class(e: int, r: int, basis: str = "chern") -> Polynomial:
     """Divisorial class via the residue-at-infinity constant-term formula.
 
-    Expands  (-1)^(d+1) { h_r|_{a -> a - z/2} * prod_{i<j}(1 - u_i/u_j)
-                          / (z^(d-1) prod_j (1 - u_j/z))
-                          * prod_j sum_i c_i(Fdual - Sym2Edual) u_j^{-i} }
-    at the constant term in z and u_1..u_d, truncated by homogeneity: the
-    answer has degree 1, so only z-powers d-1 and d of the shifted class and
-            c-series orders 0 and 1 can contribute.
+    The class is the constant term in z and u_1..u_d of
+        (-1)^(d+1) h_r|_{a -> a - z/2} * prod_{i<j}(1 - u_i/u_j)
+                   / (z^(d-1) prod_j (1 - u_j/z))
+                   * prod_j sum_i c_i(Fdual - Sym2Edual) u_j^{-i}.
+    The answer has degree 1, so by homogeneity only the z^(d-1) and z^d
+    coefficients of the shifted class and the c-series orders 0 and 1
+    contribute.  Those two coefficients are read off h directly
+    (`_shift_coefficient`); h(a - z/2) is never expanded.  The formula needs
+    at least one u_j, so r = 0 (d = 0) is rejected.
     """
-    if not 0 <= r <= e or e < 1:
-        raise PreconditionViolated("need e >= 1 and 0 <= r <= e")
+    if not 1 <= r <= e:
+        raise PreconditionViolated(
+            "need 1 <= r <= e: the residue formula needs d = C(r+1,2) >= 1"
+        )
     f = divisorial_f(e, r)
     if f < 1:
         raise NotDivisorial("not in the divisorial range")
     d = comb(e + 1, 2) - f  # = C(r+1,2)
     h = _h_poly(r, e)
-    z = zvar()
-    half = QQ(1, 2)
-    shift = {
-        alpha(i): Polynomial.variable(alpha(i)) - half * Polynomial.variable(z)
-        for i in range(1, e + 1)
-    }
-    h_sub = h.substitute_poly(shift)
-    c_series = chern_difference(e, f, 1)
-    c1 = c_series.c(1)
+    c1 = chern_difference(e, f, 1).c(1)
 
-    if d <= 6:
-        vtable = _antisym_coeff_table(d)
-        vcoeff = lambda vec: vtable.get(vec, QQ(0))  # noqa: E731
-    else:
-        vcoeff = _antisym_coeff
-
-    total = Polynomial.zero()
-    # z-power d-1 of h_sub: no u_j/z insertions, all c_0
-    p0 = h_sub.coefficient_of(z, d - 1)
-    if not p0.is_zero():
-        total = total + p0 * vcoeff((0,) * d)
+    # z-power d-1: no u_j/z insertions, all c_0
+    total = _shift_coefficient(h, d - 1) * _antisym_coeff((0,) * d)
     # z-power d: one u_{j0}/z insertion, one c_1 (u-balance kills the rest)
-    p1 = h_sub.coefficient_of(z, d)
+    p1 = _shift_coefficient(h, d)
     if not p1.is_zero():
         acc = QQ(0)
         for j0 in range(d):
@@ -735,7 +735,7 @@ def residue_divisor_class(e: int, r: int, basis: str = "chern") -> Polynomial:
                 vec = [0] * d
                 vec[m] += 1
                 vec[j0] -= 1
-                acc += vcoeff(tuple(vec))
+                acc += _antisym_coeff(tuple(vec))
         total = total + acc * (p1 * c1)
     sign = QQ(1) if (d + 1) % 2 == 0 else QQ(-1)
     result = sign * total

@@ -82,21 +82,6 @@ class ModuliDivisor:
             )
         return (rf(self.lam) / first).reduce()
 
-    def scaled(self, c) -> "ModuliDivisor":
-        c = rf(c)
-        return ModuliDivisor(
-            self.genus,
-            (rf(self.lam) * c).reduce(),
-            {i: (rf(b) * c).reduce() for i, b in self.deltas.items()},
-            self.all_equal,
-            self.ellipsis,
-            self.note,
-        )
-
-    def restricted(self) -> tuple:
-        """(lambda-coeff, delta_0-coeff) on the partial compactification."""
-        return self.lam, self.deltas.get(0)
-
     def boundary_coefficient(self, i: int):
         """b_i; raises rather than guesses when the class only publishes an
         initial segment of its boundary coefficients."""

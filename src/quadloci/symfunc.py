@@ -17,7 +17,7 @@ from __future__ import annotations
 from math import comb
 from typing import Sequence
 
-from .algebra import ALPHA, Polynomial, QQ, alpha
+from .algebra import ALPHA, Polynomial, QQ
 
 
 class TruncationTooLow(Exception):
@@ -277,7 +277,3 @@ def _int_det(rows) -> int:
                     mat[i][j] -= factor * mat[col][j]
     assert det.denominator == 1
     return int(det)
-
-
-def alpha_roots(e: int) -> list[Polynomial]:
-    return [Polynomial.variable(alpha(i)) for i in range(1, e + 1)]

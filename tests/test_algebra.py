@@ -182,6 +182,27 @@ def test_symmetric_reduce_roundtrip_randomized():
         assert expand_symmetric(reduced, ALPHA, 3) == symmed
 
 
+def test_symmetric_reduce_roundtrip_many_roots():
+    # low degree in 21 roots: only e_1 and e_2 may be built, never all 2^21
+    # monomials of e_1..e_21
+    from quadloci.algebra import sym
+
+    n = 21
+    roots = [X(alpha(i)) for i in range(1, n + 1)]
+    e1 = elementary_symmetric(ALPHA, n, 1)
+    power_sum_2 = sum((a ** 2 for a in roots), Polynomial.zero())
+    cases = (
+        (3 * e1 + X(beta(1)), 3 * X(sym("e1(a)")) + X(beta(1))),
+        (power_sum_2 - 5 * e1 * X(beta(1)),
+         X(sym("e1(a)")) ** 2 - 2 * X(sym("e2(a)"))
+         - 5 * X(sym("e1(a)")) * X(beta(1))),
+    )
+    for p, want in cases:
+        reduced = symmetric_reduce(p, ALPHA, n)
+        assert reduced == want
+        assert expand_symmetric(reduced, ALPHA, n) == p
+
+
 def test_symmetric_reduce_witness():
     p = X(alpha(1)) + 2 * X(alpha(2))
     with pytest.raises(NotSymmetric) as exc:
@@ -207,3 +228,17 @@ def test_elementary_symmetric():
         + X(alpha(2)) * X(alpha(3))
     )
     assert e2 == want
+
+
+def test_floats_are_refused():
+    with pytest.raises(TypeError):
+        Polynomial.const(0.1)
+    with pytest.raises(TypeError):
+        Polynomial({((alpha(1), 1),): 0.5})
+    with pytest.raises(TypeError):
+        RationalFunction(0.5)
+    with pytest.raises(TypeError):
+        RationalFunction(X(alpha(1)), 0.5)
+    # exact values still enter
+    assert Polynomial.const(QQ(1, 10)).constant_value() == QQ(1, 10)
+    assert RationalFunction(X(alpha(1)), 2) == RationalFunction(QQ(1, 2) * X(alpha(1)))

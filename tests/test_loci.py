@@ -189,11 +189,32 @@ def test_chern_difference_order_zero():
     assert cs.c(0) == Polynomial.const(1)
 
 
-def test_antisym_table_vs_permutation_rule():
-    from quadloci.loci import _antisym_coeff, _antisym_coeff_table
+def _antisym_table(d):
+    """Full expansion of prod_{i<j} (1 - u_i/u_j) as relative exponent
+    vector -> coefficient: the oracle for `_antisym_coeff`."""
+    table = {(0,) * d: QQ(1)}
+    for i in range(d):
+        for j in range(i + 1, d):
+            new = dict(table)
+            for vec, c in table.items():
+                lst = list(vec)
+                lst[i] += 1
+                lst[j] -= 1
+                key = tuple(lst)
+                s = new.get(key, QQ(0)) - c
+                if s:
+                    new[key] = s
+                else:
+                    new.pop(key, None)
+            table = new
+    return table
 
-    for d in (2, 3, 4):
-        table = _antisym_coeff_table(d)
+
+def test_antisym_table_vs_permutation_rule():
+    from quadloci.loci import _antisym_coeff
+
+    for d in (2, 3, 4, 5):
+        table = _antisym_table(d)
         for vec, coeff in table.items():
             assert _antisym_coeff(vec) == coeff
         # and vanishing coefficients vanish both ways
@@ -298,6 +319,47 @@ def test_triple_agreement_divisorial_small():
             want = closed_divisor_class(e, r)
             assert residue_divisor_class(e, r) == want
             assert to_chern_symbols(localization_class(e, f, r), e, f) == want
+
+
+@pytest.mark.parametrize("r,e", [(r, e) for e in range(1, 5) for r in range(e + 1)])
+def test_shift_coefficient_matches_full_substitution(r, e):
+    from quadloci.algebra import zvar
+    from quadloci.loci import _shift_coefficient
+
+    h = sym_degeneracy_class(r, e)
+    z = X(zvar())
+    shift = {alpha(i): X(alpha(i)) - QQ(1, 2) * z for i in range(1, e + 1)}
+    full = h.substitute_poly(shift)
+    for k in range(h.degree() + 1):
+        assert _shift_coefficient(h, k) == full.coefficient_of(zvar(), k)
+    assert _shift_coefficient(h, h.degree() + 1).is_zero()
+
+
+def test_residue_matches_closed_form_through_e6():
+    from quadloci.algebra import ALPHA, BETA, expand_symmetric, sym
+
+    for e in range(1, 7):
+        for r in range(1, e + 1):
+            f = divisorial_f(e, r)
+            if f < 1:
+                continue
+            want = closed_divisor_class(e, r)
+            assert residue_divisor_class(e, r) == want
+            want_roots = expand_symmetric(
+                expand_symmetric(want, ALPHA, e, symbol=lambda i: sym("c%dE" % i)),
+                BETA, f, symbol=lambda j: sym("c%dF" % j),
+            )
+            assert residue_divisor_class(e, r, basis="roots") == want_roots
+
+
+def test_residue_rejects_corank_zero():
+    # d = C(r+1,2) = 0 leaves the formula with no u_j; the closed form
+    # still covers r = 0
+    for e in range(1, 7):
+        with pytest.raises(PreconditionViolated):
+            residue_divisor_class(e, 0)
+        with pytest.raises(PreconditionViolated):
+            residue_divisor_class(e, 0, basis="roots")
 
 
 def test_target_degree():
