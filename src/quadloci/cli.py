@@ -22,6 +22,7 @@ Exit codes: 0 on success, 1 on verification failure, 2 on usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -347,18 +348,17 @@ def cmd_class_sigma(args) -> int:
             raise loci.NotDivisorial(
                 "closed/residue methods need the divisorial f = C(e+1,2)-C(r+1,2)"
             )
-        cls = (
-            loci.closed_divisor_class(e, r)
-            if args.method == "closed"
-            else loci.residue_divisor_class(e, r)
-        )
-        if args.basis == "roots":
-            from .algebra import expand_symmetric
+        if args.method == "residue":
+            cls = loci.residue_divisor_class(e, r, basis=args.basis)
+        else:
+            cls = loci.closed_divisor_class(e, r)
+            if args.basis == "roots":
+                from .algebra import expand_symmetric
 
-            cls = expand_symmetric(
-                expand_symmetric(cls, ALPHA, e, symbol=lambda i: sym("c%dE" % i)),
-                BETA, f, symbol=lambda j: sym("c%dF" % j),
-            )
+                cls = expand_symmetric(
+                    expand_symmetric(cls, ALPHA, e, symbol=lambda i: sym("c%dE" % i)),
+                    BETA, f, symbol=lambda j: sym("c%dF" % j),
+                )
     else:
         cls = loci.localization_class(e, f, r, jobs=args.jobs)
         if args.basis == "chern":
@@ -616,7 +616,7 @@ def build_parser() -> argparse.ArgumentParser:
         "their moduli-space applications",
     )
     top.add_argument("--out", help="write the JSON document to a file")
-    top.add_argument("--jobs", type=int, default=_default_jobs(),
+    top.add_argument("--jobs", type=int, default=None,
                      help="worker processes (default: QUADLOCI_JOBS or 1)")
     sub = top.add_subparsers(dest="command", required=True)
 
@@ -678,17 +678,23 @@ def build_parser() -> argparse.ArgumentParser:
     vers = ver.add_subparsers(dest="subcommand", required=True)
     verall = vers.add_parser("all")
     verall.add_argument("--max-e", type=int, default=5)
-    verall.add_argument("--jobs", type=int, default=_default_jobs())
+    # SUPPRESS keeps a top-level --jobs from being overwritten by a default
+    verall.add_argument("--jobs", type=int, default=argparse.SUPPRESS)
     verall.add_argument("--thorough", action="store_true",
                         help="include the slow high-corank agreement checks")
     verall.set_defaults(fn=cmd_verify)
     return top
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser `main` reuses: built on the first call, not at import."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if not hasattr(args, "jobs"):
+    args = _parser().parse_args(argv)
+    if args.jobs is None:
         args.jobs = _default_jobs()
     try:
         return args.fn(args)

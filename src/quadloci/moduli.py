@@ -357,6 +357,8 @@ def pelda_slope(series: int, ell, form: str = "closed") -> RationalFunction:
     6 + 12/(g+1) - correction; they agree identically.  Series 2 is
     published in deficit form only (the closed form returned here is its
     reduction)."""
+    if isinstance(ell, int) and ell < 1:
+        raise UnsupportedParam("need ell >= 1")
     l = _ell() if isinstance(ell, str) else rf(ell)
     if series == 1:
         g1 = (rf(4) * l - rf(1)) * (rf(9) * l - rf(1))

@@ -1,7 +1,9 @@
 import json
+from math import comb
 
 import pytest
 
+from quadloci import cli
 from quadloci.algebra import Polynomial, QQ, sym
 from quadloci.cli import (
     ClassSyntaxError,
@@ -254,3 +256,94 @@ def test_verify_json_document(tmp_path, capsys):
     assert doc["failures"] == []
     statuses = {row["status"] for row in doc["results"]}
     assert "PASS" in statuses and "FAIL" not in statuses
+
+
+def test_moduli_slope_rejects_ell_below_one(capsys):
+    for argv in (["--series", "1", "--ell", "0"], ["--series", "2", "--ell", "-1"]):
+        code = main(["moduli", "slope", *argv])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: need ell >= 1\n"
+
+
+def test_sigma_residue_and_closed_documents_agree(capsys):
+    for e in range(1, 6):
+        for r in range(1, e + 1):
+            f = comb(e + 1, 2) - comb(r + 1, 2)
+            if f < 1:
+                continue
+            for basis in ("chern", "roots"):
+                docs = []
+                for method in ("closed", "residue"):
+                    code, out = run_cli(
+                        capsys, "class", "sigma", "--e", str(e), "--f", str(f),
+                        "--r", str(r), "--method", method, "--basis", basis,
+                    )
+                    assert code == 0
+                    doc = json.loads(out)
+                    docs.append((doc["basis"], doc["coefficients"]))
+                assert docs[0] == docs[1], (e, r, basis)
+
+
+# -- parser reuse ----------------------------------------------------------------
+
+def _outcome(capsys, argv):
+    """(exit code, stdout, stderr) of one main call, usage errors included."""
+    try:
+        code = main(list(argv))
+    except SystemExit as stop:
+        code = stop.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_reused_parser_matches_fresh_parser(capsys, monkeypatch):
+    sequence = (
+        ["moduli", "petri", "--g", "7"],
+        ["class", "sigma", "--e", "2"],  # argparse usage error
+        ["class", "sigma", "--e", "3", "--f", "2", "--r", "1",
+         "--method", "closed"],  # domain error
+        ["moduli", "petri", "--g", "7"],
+    )
+    reused = [_outcome(capsys, argv) for argv in sequence]
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    fresh = [_outcome(capsys, argv) for argv in sequence]
+    assert reused == fresh
+    assert [code for code, _, _ in reused] == [0, 2, 2, 0]
+    assert reused[0] == reused[3]
+    assert reused[2][2].startswith("error: ") and reused[2][2].count("\n") == 1
+
+
+def _record_jobs(monkeypatch):
+    seen = []
+
+    def run_all(max_e=5, jobs=1, thorough=False):
+        seen.append(jobs)
+        return []
+
+    monkeypatch.setattr(cli.verify, "run_all", run_all)
+    return seen
+
+
+def test_jobs_environment_read_on_each_call(capsys, monkeypatch):
+    seen = _record_jobs(monkeypatch)
+    monkeypatch.delenv("QUADLOCI_JOBS", raising=False)
+    assert main(["verify", "all"]) == 0
+    monkeypatch.setenv("QUADLOCI_JOBS", "3")
+    assert main(["verify", "all"]) == 0
+    monkeypatch.setenv("QUADLOCI_JOBS", "5")
+    assert main(["moduli", "dp12"]) == 0
+    assert main(["verify", "all"]) == 0
+    capsys.readouterr()
+    assert seen == [1, 3, 5]
+
+
+def test_jobs_option_on_either_side_of_verify(capsys, monkeypatch):
+    seen = _record_jobs(monkeypatch)
+    monkeypatch.setenv("QUADLOCI_JOBS", "7")
+    assert main(["--jobs", "4", "verify", "all"]) == 0
+    assert main(["verify", "all", "--jobs", "3"]) == 0
+    assert main(["verify", "all"]) == 0
+    capsys.readouterr()
+    assert seen == [4, 3, 7]

@@ -163,6 +163,13 @@ def test_pelda_below_brill_noether():
         assert q(pelda_slope(2, ell)) < QQ(6) + QQ(12, g2 + 1)
 
 
+def test_pelda_slope_rejects_ell_below_one():
+    for series, ell in ((1, 0), (2, 0), (1, -1), (2, -1)):
+        for form in ("closed", "deficit"):
+            with pytest.raises(UnsupportedParam):
+                pelda_slope(series, ell, form)
+
+
 def test_brill_noether_bound():
     assert q(brill_noether_bound(24)) == QQ(162, 25)
 
