@@ -17,6 +17,20 @@ Polynomial = wrapper around {Monomial: coefficient}; zero coefficients are
 Coefficients are `gmpy2.mpq` when available (exact, much faster) and
 `fractions.Fraction` otherwise; both expose the same arithmetic surface.
 
+Integer kernel
+--------------
+A rational operation costs a gcd, so the hot product avoids them:
+`Polynomial.__mul__` scales each factor to integers by the lcm of its
+coefficient denominators (`integer_scaled`), accumulates the products in
+Python ints and divides once per output term.  A constant factor only
+scales the other factor's coefficients.
+
+Rational functions keep the invariant that a constant denominator is `1`
+(the constructor divides the scale into the numerator), held as one shared
+polynomial.  The constructor does not normalize that denominator again, and
+`+`, `*` and `==` of two functions over `1` act on the numerators alone, so
+polynomial-valued coefficients pay little for being rational functions.
+
 Rational functions keep an optional multiset factorization of their
 denominator into linear forms.  The fraction sums produced by fixed-point
 localization have denominators that are products of linear forms, so keeping
@@ -27,12 +41,15 @@ final exact cancellation cheap.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Iterable, Mapping, Sequence
+from math import gcd, lcm
+from typing import Callable, Collection, Iterable, Mapping, Sequence
 
 try:  # gmpy2's mpq is a drop-in exact rational, ~5x faster than Fraction
     from gmpy2 import mpq as QQ
 except ImportError:  # pragma: no cover
     from fractions import Fraction as QQ
+
+_QQ_TYPE = type(QQ(0))
 
 
 class AlgebraError(Exception):
@@ -166,7 +183,8 @@ class Polynomial:
 
     @staticmethod
     def const(c) -> "Polynomial":
-        return Polynomial({(): _exact(c)})
+        c = _exact(c)
+        return Polynomial._raw({(): c} if c else {})
 
     @staticmethod
     def variable(v: Variable) -> "Polynomial":
@@ -265,31 +283,41 @@ class Polynomial:
         return _coerce(other) + (-self)
 
     def __mul__(self, other):
-        if isinstance(other, (int, type(QQ(0)))):
-            if not other:
-                return Polynomial._raw({})
-            q = QQ(other)
-            return Polynomial._raw({m: c * q for m, c in self.terms.items()})
+        if isinstance(other, (int, _QQ_TYPE)):
+            return self._scaled(other)
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self.terms, other.terms
-        if len(a) > len(b):
-            a, b = b, a
+        x, y = self, other
+        if len(x.terms) > len(y.terms):
+            x, y = y, x
+        a, b = x.terms, y.terms
+        if not a:
+            return Polynomial._raw({})
+        if len(a) == 1 and () in a:
+            return y._scaled(a[()])
+        if len(b) == 1 and () in b:
+            return x._scaled(b[()])
+        da, ia = integer_scaled(a.values())
+        db, ib = integer_scaled(b.values())
+        ib = list(zip(b, ib))
         out: dict = {}
-        for m1, c1 in a.items():
-            for m2, c2 in b.items():
+        get = out.get
+        for m1, c1 in zip(a, ia):
+            for m2, c2 in ib:
                 m = _merge_exponents(m1, m2)
-                s = out.get(m)
-                if s is None:
-                    out[m] = c1 * c2
-                else:
-                    s = s + c1 * c2
-                    if s:
-                        out[m] = s
-                    else:
-                        del out[m]
-        return Polynomial._raw(out)
+                out[m] = get(m, 0) + c1 * c2
+        d = da * db
+        return Polynomial._raw({m: QQ(n, d) for m, n in out.items() if n})
+
+    def _scaled(self, c):
+        """c * self for a scalar c, without merging any monomials."""
+        if not c:
+            return Polynomial._raw({})
+        if c == 1:
+            return self
+        q = QQ(c)
+        return Polynomial._raw({m: x * q for m, x in self.terms.items()})
 
     __rmul__ = __mul__
 
@@ -308,12 +336,18 @@ class Polynomial:
     def __eq__(self, other):
         if isinstance(other, Polynomial):
             return self.terms == other.terms
-        if isinstance(other, (int, type(QQ(0)))):
+        if isinstance(other, (int, _QQ_TYPE)):
             return self.terms == Polynomial.const(other).terms
         return NotImplemented
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        # a constant hashes as its value, so that equal ints and QQ agree
+        t = self.terms
+        if not t:
+            return 0
+        if len(t) == 1 and () in t:
+            return hash(t[()])
+        return hash(frozenset(t.items()))
 
     def __reduce__(self):
         return (_poly_unpickle, (tuple(self.terms.items()),))
@@ -402,14 +436,9 @@ class Polynomial:
         if self.is_zero():
             return self, QQ(1)
         _, lead = self.leading()
-        nums = [abs(_numerator(c)) for c in self.terms.values()]
-        dens = [_denominator(c) for c in self.terms.values()]
-        g = 0
-        for n in nums:
-            g = _gcd(g, n)
-        l = 1
-        for d in dens:
-            l = l * d // _gcd(l, d)
+        coeffs = self.terms.values()
+        g = gcd(*(int(c.numerator) for c in coeffs))
+        l = lcm(*(int(c.denominator) for c in coeffs))
         scale = QQ(g, l) if lead > 0 else -QQ(g, l)
         inv = QQ(1) / scale
         return Polynomial._raw({m: c * inv for m, c in self.terms.items()}), scale
@@ -441,6 +470,10 @@ class Polynomial:
     __repr__ = __str__
 
 
+# the denominator of every RationalFunction whose value is a polynomial
+_ONE = Polynomial._raw({(): QQ(1)})
+
+
 def _poly_unpickle(items):
     return Polynomial._raw(dict(items))
 
@@ -448,15 +481,26 @@ def _poly_unpickle(items):
 def _exact(c):
     """QQ(c), refusing floats: a binary float is not the decimal it prints,
     so it has no place in exact arithmetic."""
+    if type(c) is _QQ_TYPE:
+        return c
     if isinstance(c, float):
         raise TypeError("float %r is not exact; pass an int, QQ or fraction" % c)
     return QQ(c)
 
 
+def integer_scaled(coeffs: Collection):
+    """(L, [L*c for c in coeffs]) with L the lcm of the denominators of the
+    rationals in coeffs, so that every L*c is an int."""
+    L = lcm(*(int(c.denominator) for c in coeffs))
+    if L == 1:
+        return 1, [int(c.numerator) for c in coeffs]
+    return L, [int(c.numerator) * (L // int(c.denominator)) for c in coeffs]
+
+
 def _coerce(x):
     if isinstance(x, Polynomial):
         return x
-    if isinstance(x, (int, type(QQ(0)))):
+    if isinstance(x, (int, _QQ_TYPE)):
         return Polynomial.const(x)
     return NotImplemented
 
@@ -473,20 +517,6 @@ def _monomial_div(m, d):
         else:
             del dd[v]
     return tuple(sorted(dd.items()))
-
-
-def _numerator(c):
-    return int(c.numerator)
-
-
-def _denominator(c):
-    return int(c.denominator)
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
 
 
 # ---------------------------------------------------------------------------
@@ -575,7 +605,9 @@ def _fden_unpickle(items, scale):
 
 class RationalFunction:
     """Quotient of polynomials, normalized so den is primitive with
-    positive graded-lex leading coefficient.
+    positive graded-lex leading coefficient.  A constant den is therefore
+    1, and it is always stored as the shared `_ONE`, so `den is _ONE`
+    tells a polynomial value apart without comparing coefficients.
 
     Reduction is lazy: `reduce()` first tries full exact division, then
     strips linear factors of the denominator when the factorization is
@@ -590,15 +622,15 @@ class RationalFunction:
         if num is NotImplemented:
             raise TypeError("numerator must be a Polynomial, int or QQ")
         if den is None:
-            den = Polynomial.const(1)
+            den = _ONE
         elif not isinstance(den, Polynomial):
             den = Polynomial.const(den)
         if den.is_zero():
             raise ZeroDivisionError("rational function with zero denominator")
         if num.is_zero():
-            den = Polynomial.const(1)
+            den = _ONE
             den_factors = FactoredDenominator()
-        else:
+        elif den is not _ONE:
             prim, scale = den.content_normalized()
             if scale != 1:
                 num = num * (QQ(1) / scale)
@@ -606,6 +638,8 @@ class RationalFunction:
                 if den_factors is not None:
                     den_factors = den_factors.copy()
                     den_factors.scale = QQ(1)
+            if den.is_constant():
+                den = _ONE
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "den_factors", den_factors)
@@ -629,14 +663,12 @@ class RationalFunction:
         return RationalFunction(Polynomial.variable(v))
 
     def is_polynomial(self) -> bool:
-        return self.den.is_constant()
+        return self.den is _ONE
 
     def as_polynomial(self) -> Polynomial:
-        if self.den.is_constant():
-            return self.num * (QQ(1) / self.den.constant_value())
         reduced = self.reduce()
-        if reduced.den.is_constant():
-            return reduced.num * (QQ(1) / reduced.den.constant_value())
+        if reduced.den is _ONE:
+            return reduced.num
         raise DenominatorSurvives(
             "denominator %s does not cancel" % reduced.den
         )
@@ -649,6 +681,8 @@ class RationalFunction:
         other = _coerce_rf(other)
         if other is NotImplemented:
             return NotImplemented
+        if self.den is _ONE and other.den is _ONE:
+            return RationalFunction(self.num + other.num, _ONE, _unit_factors(self, other))
         if self.den_factors is not None and other.den_factors is not None:
             lcm, co_s, co_o = self.den_factors.lcm_cofactors(other.den_factors)
             num = self.num * co_s + other.num * co_o
@@ -674,6 +708,8 @@ class RationalFunction:
         other = _coerce_rf(other)
         if other is NotImplemented:
             return NotImplemented
+        if self.den is _ONE and other.den is _ONE:
+            return RationalFunction(self.num * other.num, _ONE, _unit_factors(self, other))
         factors = None
         if self.den_factors is not None and other.den_factors is not None:
             factors = self.den_factors.copy()
@@ -706,10 +742,15 @@ class RationalFunction:
         other = _coerce_rf(other)
         if other is NotImplemented:
             return NotImplemented
+        if self.den is _ONE and other.den is _ONE:
+            return self.num == other.num
         return self.num * other.den == other.num * self.den
 
     def __hash__(self):
+        # a polynomial value hashes as its numerator, like the Polynomial
         r = self.reduce()
+        if r.den is _ONE:
+            return hash(r.num)
         return hash((r.num, r.den))
 
     @staticmethod
@@ -718,7 +759,7 @@ class RationalFunction:
 
     # -- reduction -----------------------------------------------------
     def reduce(self) -> "RationalFunction":
-        if self.den.is_constant():
+        if self.den is _ONE:
             return self
         if self.num.is_zero():
             return RationalFunction(Polynomial.zero())
@@ -756,13 +797,19 @@ class RationalFunction:
         return num / den
 
     def __str__(self):
-        if self.den.is_constant():
-            if self.den.constant_value() == 1:
-                return str(self.num)
-            return "(%s)/%s" % (self.num, self.den.constant_value())
+        if self.den is _ONE:
+            return str(self.num)
         return "(%s)/(%s)" % (self.num, self.den)
 
     __repr__ = __str__
+
+
+def _unit_factors(a: RationalFunction, b: RationalFunction):
+    """The factored denominator of a sum or product of two functions over 1:
+    an empty one when both operands carry one, else None."""
+    if a.den_factors is None or b.den_factors is None:
+        return None
+    return FactoredDenominator()
 
 
 def _coerce_rf(x):
@@ -770,7 +817,7 @@ def _coerce_rf(x):
         return x
     if isinstance(x, Polynomial):
         return RationalFunction(x)
-    if isinstance(x, (int, type(QQ(0)))):
+    if isinstance(x, (int, _QQ_TYPE)):
         return RationalFunction(Polynomial.const(x))
     return NotImplemented
 

@@ -453,8 +453,11 @@ def _rf_str(x):
 
 def cmd_moduli_slope(args) -> int:
     if args.custom:
-        if args.r is None or args.s is None or args.a is None:
-            raise SystemExit(2)
+        missing = [flag for flag, v in (("--r", args.r), ("--s", args.s), ("--a", args.a))
+                   if v is None]
+        if missing:
+            raise moduli.UnsupportedParam(
+                "--custom needs --r, --s and --a; missing %s" % ", ".join(missing))
         p = moduli.SeriesParams(
             r=args.r, s=args.s, a=args.a,
             g=args.r * args.s + args.s, d=args.r * args.s + args.r,

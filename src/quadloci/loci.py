@@ -25,9 +25,10 @@ restrictions, and the two presentations of the degenerate-pencil
 from __future__ import annotations
 
 import itertools
+import os
 import random
 from dataclasses import dataclass
-from math import comb, lcm, prod
+from math import comb, prod
 from typing import Sequence
 
 from .algebra import (
@@ -45,6 +46,7 @@ from .algebra import (
     beta,
     elementary_symmetric,
     gamma_var,
+    integer_scaled,
     sym,
     symmetric_reduce,
     xi,
@@ -402,12 +404,9 @@ def _elem_values(values, k: int):
 def _integer_form(p: Polynomial, variables):
     """p as (L, terms) with L*p integral: terms are (integer coefficient,
     ((position in `variables`, exponent), ...)), for evaluation in ints."""
-    scale = lcm(*(c.denominator for c in p.terms.values()))
+    scale, ints = integer_scaled(p.terms.values())
     pos = {v: k for k, v in enumerate(variables)}
-    terms = [
-        (c.numerator * (scale // c.denominator), tuple((pos[v], x) for v, x in m))
-        for m, c in p.terms.items()
-    ]
+    terms = [(n, tuple((pos[v], x) for v, x in m)) for m, n in zip(p.terms, ints)]
     return scale, terms
 
 
@@ -545,9 +544,7 @@ def _solve_overdetermined(rows, rhs):
     n = len(rows[0])
     aug = []
     for row, val in zip(rows, rhs):
-        entries = list(row) + [val]
-        scale = lcm(*(x.denominator for x in entries))
-        aug.append([x.numerator * (scale // x.denominator) for x in entries])
+        aug.append(integer_scaled(list(row) + [val])[1])
     pivots = []
     prev = 1  # the previous pivot, which divides every update exactly
     for col in range(n):
@@ -588,10 +585,21 @@ def _pool_call(item):
     return _PARALLEL_FN(item)
 
 
+def _available_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where the platform
+    has one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _parallel_map(fn, items, jobs):
     """Deterministic map: results come back in input order regardless of
-    worker scheduling.  Uses fork workers so `fn` may be a closure."""
+    worker scheduling.  Uses fork workers so `fn` may be a closure.  The
+    pool never has more workers than items or available CPUs."""
     items = list(items)
+    if jobs is not None:
+        jobs = min(jobs, len(items), _available_cpus())
     if jobs is None or jobs <= 1 or len(items) < 8:
         return [fn(x) for x in items]
     global _PARALLEL_FN

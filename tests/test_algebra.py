@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quadloci.algebra import (
     ALPHA,
@@ -11,6 +12,7 @@ from quadloci.algebra import (
     Polynomial,
     QQ,
     RationalFunction,
+    _merge_exponents,
     alpha,
     beta,
     elementary_symmetric,
@@ -239,6 +241,111 @@ def test_floats_are_refused():
         RationalFunction(0.5)
     with pytest.raises(TypeError):
         RationalFunction(X(alpha(1)), 0.5)
+    for value in (X(alpha(1)), Polynomial.const(2), RationalFunction(X(alpha(1)))):
+        with pytest.raises(TypeError):
+            value * 0.5
+        with pytest.raises(TypeError):
+            0.5 * value
     # exact values still enter
     assert Polynomial.const(QQ(1, 10)).constant_value() == QQ(1, 10)
     assert RationalFunction(X(alpha(1)), 2) == RationalFunction(QQ(1, 2) * X(alpha(1)))
+
+
+def test_constants_hash_as_their_value():
+    three = Polynomial.const(3)
+    assert three == 3 and hash(three) == hash(3)
+    assert RationalFunction(3) == three and hash(RationalFunction(3)) == hash(three)
+    assert hash(Polynomial.const(QQ(2, 7))) == hash(QQ(2, 7))
+    assert hash(Polynomial.zero()) == hash(RationalFunction(0)) == hash(0) == 0
+    # a denominator that is a constant normalizes to 1 and hashes the same way
+    half = RationalFunction(X(alpha(1)), 2)
+    assert half == QQ(1, 2) * X(alpha(1))
+    assert hash(half) == hash(QQ(1, 2) * X(alpha(1)))
+    assert half.den == 1
+    assert {three: "x"}[3] == "x"
+
+
+# -- the integer kernel against the Fraction arithmetic it replaces ------------
+
+_VARS = [alpha(1), alpha(2), beta(1)]
+_KERNEL = settings(max_examples=150, deadline=None, derandomize=True)
+
+rationals = st.fractions(max_denominator=30, min_value=-50, max_value=50).map(QQ)
+monomials = st.lists(
+    st.tuples(st.sampled_from(_VARS), st.integers(1, 3)),
+    max_size=3, unique_by=lambda vx: vx[0],
+).map(lambda vxs: tuple(sorted(vxs)))
+polynomials = st.one_of(
+    st.dictionaries(monomials, rationals, max_size=6).map(Polynomial),
+    rationals.map(Polynomial.const),
+    st.sampled_from([Polynomial.zero(), Polynomial.const(1), Polynomial.const(-1)]),
+)
+
+
+def _fraction_product(p, q):
+    """The term-by-term Fraction loop that Polynomial.__mul__ used to run."""
+    out = {}
+    for m1, c1 in p.terms.items():
+        for m2, c2 in q.terms.items():
+            m = _merge_exponents(m1, m2)
+            out[m] = out.get(m, QQ(0)) + c1 * c2
+    return {m: c for m, c in out.items() if c}
+
+
+def _same_terms(p, want):
+    assert p.terms == want
+    assert all(type(c) is type(QQ(0)) and c for c in p.terms.values())
+
+
+@_KERNEL
+@given(polynomials, polynomials)
+def test_product_matches_fraction_loop(p, q):
+    _same_terms(p * q, _fraction_product(p, q))
+    _same_terms(q * p, _fraction_product(p, q))
+    # (p + q)(p - q): the cross terms cancel inside the accumulation
+    _same_terms((p + q) * (p - q), _fraction_product(p + q, p - q))
+
+
+@_KERNEL
+@given(polynomials, st.one_of(rationals, st.integers(-20, 20)))
+def test_scalar_product_matches_fraction_loop(p, c):
+    want = _fraction_product(p, Polynomial.const(c))
+    _same_terms(p * c, want)
+    _same_terms(c * p, want)
+
+
+def _cross_sum(a, b):
+    return RationalFunction(a.num * b.den + b.num * a.den, a.den * b.den)
+
+
+def _cross_product(a, b):
+    return RationalFunction(a.num * b.num, a.den * b.den)
+
+
+def _same_function(got, want):
+    assert (got.num.terms, got.den.terms) == (want.num.terms, want.den.terms)
+
+
+rational_functions = st.one_of(
+    polynomials.map(RationalFunction),
+    st.tuples(polynomials, rationals.filter(bool)).map(lambda pc: RationalFunction(*pc)),
+    st.tuples(polynomials, polynomials.filter(lambda d: not d.is_zero())).map(
+        lambda pd: RationalFunction(*pd)),
+)
+
+
+@_KERNEL
+@given(rational_functions, rational_functions)
+def test_unit_denominator_arithmetic_matches_cross_multiplication(a, b):
+    _same_function(a + b, _cross_sum(a, b))
+    _same_function(a * b, _cross_product(a, b))
+    assert (a == b) == (a.num * b.den == b.num * a.den)
+    assert (a == b) == (b == a)
+    if a.is_polynomial():
+        assert a.den == 1
+        scaled = RationalFunction(a.num * 3, 3)
+        assert scaled == a and hash(scaled) == hash(a) == hash(a.num)
+    # the hash of a function that does not reduce to a polynomial is
+    # outside the contract checked here
+    if a == b and a.reduce().is_polynomial():
+        assert hash(a) == hash(b)

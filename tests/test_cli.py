@@ -267,6 +267,21 @@ def test_moduli_slope_rejects_ell_below_one(capsys):
         assert captured.err == "error: need ell >= 1\n"
 
 
+@pytest.mark.parametrize("given, missing", [
+    ([], "--r, --s, --a"),
+    (["--r", "7"], "--s, --a"),
+    (["--r", "7", "--s", "3"], "--a"),
+    (["--s", "3", "--a", "4"], "--r"),
+    (["--r", "7", "--a", "4"], "--s"),
+])
+def test_moduli_slope_custom_names_missing_flags(capsys, given, missing):
+    code = main(["moduli", "slope", "--custom", *given])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: --custom needs --r, --s and --a; missing %s\n" % missing
+
+
 def test_sigma_residue_and_closed_documents_agree(capsys):
     for e in range(1, 6):
         for r in range(1, e + 1):

@@ -95,6 +95,57 @@ def test_localization_auto_rule(monkeypatch):
     assert localization_class(4, 9, 3) == "lines"
 
 
+def test_parallel_map_bounds_the_pool(monkeypatch):
+    """The pool is capped at min(jobs, items, CPUs); a fake context records
+    the size asked for, so no process starts."""
+    import multiprocessing
+    import quadloci.loci as loci
+
+    asked = []
+
+    class FakePool:
+        def __init__(self, processes):
+            asked.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return [fn(x) for x in items]
+
+    class FakeContext:
+        Pool = FakePool
+
+    def get_context(method):
+        assert method == "fork"
+        return FakeContext()
+
+    monkeypatch.setattr(multiprocessing, "get_context", get_context)
+    monkeypatch.setattr(loci.os, "sched_getaffinity", lambda pid: set(range(4)),
+                        raising=False)
+    items = list(range(20))
+    squares = [x * x for x in items]
+    assert loci._parallel_map(lambda x: x * x, items, 10 ** 9) == squares
+    assert loci._parallel_map(lambda x: x * x, items, 3) == squares
+    assert loci._parallel_map(lambda x: x * x, items[:9], 9) == squares[:9]
+    assert asked == [4, 3, 4]
+    monkeypatch.setattr(loci.os, "sched_getaffinity", lambda pid: set(range(2)))
+    assert loci._parallel_map(lambda x: x * x, items, 2) == squares
+    monkeypatch.setattr(loci.os, "sched_getaffinity", lambda pid: set(range(64)))
+    assert loci._parallel_map(lambda x: x * x, items[:9], 50) == squares[:9]
+    assert asked == [4, 3, 4, 2, 9]
+    # without an affinity mask the CPU count bounds the pool
+    monkeypatch.delattr(loci.os, "sched_getaffinity")
+    monkeypatch.setattr(loci.os, "cpu_count", lambda: 6)
+    assert loci._parallel_map(lambda x: x * x, items, 100) == squares
+    monkeypatch.setattr(loci.os, "cpu_count", lambda: None)
+    assert loci._parallel_map(lambda x: x * x, items, 100) == squares
+    assert asked == [4, 3, 4, 2, 9, 6]
+
+
 def test_localization_order_independence():
     rng = random.Random(7)
     order = list(range(6))
