@@ -41,7 +41,8 @@ final exact cancellation cheap.
 from __future__ import annotations
 
 import itertools
-from math import gcd, lcm
+from collections import Counter
+from math import factorial, gcd, lcm
 from typing import Callable, Collection, Iterable, Mapping, Sequence
 
 try:  # gmpy2's mpq is a drop-in exact rational, ~5x faster than Fraction
@@ -935,14 +936,16 @@ def symmetric_reduce(
         tag = _KIND_NAMES.get(kind, "x")
         symbol = lambda i: sym("e%d(%s)" % (i, tag))  # noqa: E731
 
-    for i in range(len(roots) - 1):
-        swap = {roots[i]: roots[i + 1], roots[i + 1]: roots[i]}
-        if p.rename(swap) != p:
-            raise NotSymmetric(
-                "not symmetric under swap of %s and %s"
-                % (var_name(roots[i]), var_name(roots[i + 1])),
-                transposition=(roots[i], roots[i + 1]),
-            )
+    if not is_symmetric(p, kind, n):
+        # the adjacent transpositions generate S_n, so one of them moves p
+        for i in range(len(roots) - 1):
+            swap = {roots[i]: roots[i + 1], roots[i + 1]: roots[i]}
+            if p.rename(swap) != p:
+                raise NotSymmetric(
+                    "not symmetric under swap of %s and %s"
+                    % (var_name(roots[i]), var_name(roots[i + 1])),
+                    transposition=(roots[i], roots[i + 1]),
+                )
 
     # split monomials into alphabet part and passenger part
     groups: dict = {}
@@ -963,6 +966,35 @@ def symmetric_reduce(
         )
         out = out + reduced * Polynomial._raw({outside: QQ(1)})
     return out
+
+
+def is_symmetric(p: Polynomial, kind: int, n: int) -> bool:
+    """Whether p is invariant under every permutation of the roots
+    (kind, 1)..(kind, n), decided in one pass over its terms.
+
+    The terms are grouped by their passenger part (every other variable)
+    and their sorted root exponents.  p is symmetric exactly when each
+    group holds one coefficient and the whole orbit of n!/prod(mult!)
+    exponent vectors, the multiplicities counting the zero exponents."""
+    roots = {(kind, i) for i in range(1, n + 1)}
+    groups: dict = {}
+    for m, c in p.terms.items():
+        inside = tuple(sorted((e for v, e in m if v in roots), reverse=True))
+        outside = tuple((v, e) for v, e in m if v not in roots)
+        seen = groups.get((outside, inside))
+        if seen is None:
+            groups[(outside, inside)] = [c, 1]
+        elif seen[0] != c:
+            return False
+        else:
+            seen[1] += 1
+    for (_, inside), (_, count) in groups.items():
+        orbit = factorial(n) // factorial(n - len(inside))
+        for mult in Counter(inside).values():
+            orbit //= factorial(mult)
+        if count != orbit:
+            return False
+    return True
 
 
 def _elementary(roots: Sequence[Variable], k: int) -> Polynomial:

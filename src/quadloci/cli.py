@@ -2,7 +2,8 @@
 
 Subcommands cover every computation; all output is JSON (rationals are
 serialized as strings "p/q" or "p", never as floats), deterministic for a
-fixed input regardless of the worker count.
+fixed input.  `--jobs` and QUADLOCI_JOBS are accepted and have no effect:
+every computation runs in this process.
 
     class sigma --e E --f F --r R [--method M] [--basis roots|chern]
     class pencil --e E [--presentation sub|quot]
@@ -620,7 +621,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     top.add_argument("--out", help="write the JSON document to a file")
     top.add_argument("--jobs", type=int, default=None,
-                     help="worker processes (default: QUADLOCI_JOBS or 1)")
+                     help="accepted and ignored: everything runs in one "
+                     "process (default: QUADLOCI_JOBS or 1)")
     sub = top.add_subparsers(dest="command", required=True)
 
     pc = sub.add_parser("class", help="equivariant classes")

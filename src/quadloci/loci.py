@@ -6,7 +6,12 @@ the Chern roots a_1..a_e, b_1..b_f, computed here three independent ways:
 
 * ``localization_class``   -- the fixed-point sum over pairs (H, gamma) of a
   d-subset H of the Sym^2 weight set W and a marked weight gamma in H, with
-  tangent-weight denominators (d = C(e+1,2) - f).
+  tangent-weight denominators (d = C(e+1,2) - f).  At a point the sum is
+  evaluated in Cauchy-Binet form: the pairs of one H give a divided
+  difference of f(w) = h_r(a - w/2), the sum over all H is one d x d
+  moment determinant, and that determinant collapses to
+  sum_i f(w_i) prod_j(b_j - w_i) / prod_{k != i}(w_k - w_i), one term per
+  weight (`_fixed_point_sum`).
 * ``residue_divisor_class`` -- the constant-term (residue at infinity) form
   of the same class in auxiliary variables z, u_1..u_d; only the divisorial
   case is needed, where the answer has degree 1, so only two z-coefficients
@@ -25,10 +30,9 @@ restrictions, and the two presentations of the degenerate-pencil
 from __future__ import annotations
 
 import itertools
-import os
 import random
 from dataclasses import dataclass
-from math import comb, prod
+from math import comb, lcm, prod
 from typing import Sequence
 
 from .algebra import (
@@ -200,6 +204,16 @@ def localization_class(
     """Fixed-point sum for the corank->=r locus, as a polynomial in the
     Chern roots a_1..a_e, b_1..b_f.
 
+    The sum runs over the pairs (H, gamma) of a d-subset H of the Sym^2
+    weights W and a marked weight gamma in H, d = C(e+1,2) - f.  Write
+    B_i = prod_j(b_j - w_i), P_i = prod_{k != i}(w_k - w_i), x_i = B_i/P_i
+    and f(w) = h(a - w/2).  The terms of one H sum to
+    (-1)^(C(d,2)+d-1) Delta(H)^2 f[H] prod_{i in H} x_i, with Delta(H) the
+    Vandermonde product of the weights in H and f[H] the divided difference
+    of f over them.  By Cauchy-Binet the sum over all H is one d x d moment
+    determinant, and that determinant collapses to sum_i x_i f(w_i): one
+    term per weight instead of C(|W|, d) * d pairs (`_fixed_point_sum`).
+
     strategy:
       "direct" -- exact rational-function summation over a maintained least
                   common denominator of linear forms (the denominator of
@@ -211,31 +225,36 @@ def localization_class(
                   basis forced by the (S_e x S_f)-symmetry and the
                   homogeneity degree of every term.  At an integer point
                   every tangent weight is an integer and h(a - w/2) has a
-                  power-of-2 denominator, so the sum is accumulated in
-                  Python ints over one common denominator (see
-                  `_localization_points`) and the interpolation system is
-                  solved by fraction-free elimination.  Over-determined and
-                  re-verified at fresh points, so an inconsistency (the sum
-                  failing to be polynomial) raises DenominatorSurvives.
+                  power-of-2 denominator, so each point's sum is taken in
+                  Python ints in the collapsed form of `_fixed_point_sum`,
+                  and the interpolation system is solved by fraction-free
+                  elimination.  Over-determined and re-verified at fresh
+                  points, so an inconsistency (the sum failing to be
+                  polynomial) raises DenominatorSurvives.
       "auto"   -- "direct" for a source of rank e <= 3 whose interpolation
                   basis has more than _DIRECT_MIN_UNKNOWNS elements, else
                   "lines".  The basis size sets the number of points and
                   the size of the solve; the symbolic denominator lattice
                   stays small only up to rank 3.
 
-    `subset_order` permutes the subset enumeration (the result must not
+    `jobs` is accepted and has no effect: a point costs one sum over the
+    weights, so everything runs in this process.  `subset_order` permutes
+    the order of the weights, which reorders the subset enumeration of
+    "direct" and the sum over the weights of "lines" (the result must not
     depend on it; tested).
     """
     d = _check_loc_preconditions(e, f, r)
     W = sym2_weights(e)
+    if subset_order is not None:
+        W = WeightSet(tuple(W[i] for i in subset_order))
     if strategy == "auto":
         n_unknown = len(_symmetric_basis(e, f, target_degree(e, f, r)))
         use_direct = e <= 3 and n_unknown > _DIRECT_MIN_UNKNOWNS
         strategy = "direct" if use_direct else "lines"
     if strategy == "direct":
-        return _localization_direct(e, f, r, d, W, jobs, subset_order)
+        return _localization_direct(e, f, r, d, W)
     if strategy == "lines":
-        return _localization_points(e, f, r, d, W, jobs, subset_order)
+        return _localization_points(e, f, r, W)
     raise ValueError("unknown strategy %r" % strategy)
 
 
@@ -298,17 +317,15 @@ def _expand_fvars(p: Polynomial, f: int) -> Polynomial:
     return p.substitute_poly(mapping) if mapping else p
 
 
-def _loc_terms(e, f, r, d, W, subset_order):
-    """Yield the (H, gamma) pairs in a deterministic order."""
-    idx = list(range(len(W)))
-    if subset_order is not None:
-        idx = [idx[i] for i in subset_order]
-    for combo in itertools.combinations(idx, d):
+def _loc_terms(W, d):
+    """Yield the (H, gamma) pairs, as indices into W, in a deterministic
+    order."""
+    for combo in itertools.combinations(range(len(W)), d):
         for g in combo:
             yield combo, g
 
 
-def _localization_direct(e, f, r, d, W, jobs, subset_order):
+def _localization_direct(e, f, r, d, W):
     cap = target_degree(e, f, r)
     h = _h_poly(r, e)
     avars = [alpha(i) for i in range(1, e + 1)]
@@ -337,8 +354,7 @@ def _localization_direct(e, f, r, d, W, jobs, subset_order):
             num, FactoredDenominator.from_linear_factors(den_forms)
         )
 
-    pairs = list(_loc_terms(e, f, r, d, W, subset_order))
-    terms = _parallel_map(lambda p: make_term(*p), pairs, jobs)
+    terms = [make_term(combo, g) for combo, g in _loc_terms(W, d)]
     from .algebra import sum_fractions
 
     total = sum_fractions(terms)
@@ -419,7 +435,45 @@ def _eval_integer_form(terms, values) -> int:
     return total
 
 
-def _localization_points(e, f, r, d, W, jobs, subset_order):
+def _fixed_point_sum(wvals, bvals, fvals, scale) -> QQ:
+    """The fixed-point sum over the pairs (H, gamma) at an integer point.
+
+    `wvals` are the weight values w_1..w_n, `bvals` the b-roots, and
+    fvals[i] = scale * f(w_i) are integers, with f(w) = h(a - w/2).  For a
+    d-subset H (d = n - len(bvals)) and gamma in H, the (H, gamma) term is
+    f(w_gamma) prod_{i in H} B_i over
+    P_gamma prod_{i in H, i != gamma} prod_{k not in H}(w_k - w_i), where
+    B_i = prod_j(b_j - w_i) and P_i = prod_{k != i}(w_k - w_i).
+
+    Cauchy-Binet.  Put x_i = B_i/P_i and Delta(H) = prod_{i<k in H}(w_k - w_i).
+    The terms of one H sum to (-1)^(C(d,2)+d-1) Delta(H)^2 f[H]
+    prod_{i in H} x_i, where f[H] is the divided difference of f over the
+    weights of H, and Delta(H) f[H] is the alternant
+    det(w_i^0, .., w_i^(d-2), f(w_i))_{i in H}.  Summed over the d-subsets
+    this is (-1)^(C(d,2)+d-1) det(V^T X F): the d x d moment matrix with
+    entries m_(j+k) = sum_i x_i w_i^(j+k) for k < d-1, and
+    sum_i x_i w_i^j f(w_i) in the last column.
+
+    The determinant collapses.  m_s is (-1)^(n-1) times the divided
+    difference over all n weights of B(w) w^s, B(w) = prod_j(b_j - w), a
+    polynomial of degree n - d + s.  So m_s = 0 for s < d-1, and
+    m_(d-1) = (-1)^(d-1).  The matrix is zero above its anti-diagonal,
+    which holds sum_i x_i f(w_i) in row 0 and m_(d-1) below it, so the
+    determinant is (-1)^(C(d,2)+d-1) sum_i x_i f(w_i), the signs cancel,
+    and the sum is sum_i B_i f(w_i) / P_i.  It is accumulated in ints over
+    L = lcm|P_i| and returned as a fraction over L * scale.
+    """
+    P = [prod(wk - wi for k, wk in enumerate(wvals) if k != i)
+         for i, wi in enumerate(wvals)]
+    L = lcm(*P)
+    total = sum(
+        prod(bv - wi for bv in bvals) * fi * (L // Pi)
+        for wi, fi, Pi in zip(wvals, fvals, P)
+    )
+    return QQ(total, L * scale)
+
+
+def _localization_points(e, f, r, W):
     deg = target_degree(e, f, r)
     h = _h_poly(r, e)
     avars = [alpha(i) for i in range(1, e + 1)]
@@ -432,12 +486,6 @@ def _localization_points(e, f, r, d, W, jobs, subset_order):
     basis = _symmetric_basis(e, f, deg)
     n_unknown = len(basis)
     rng = random.Random(0xC0FFEE + 1000003 * e + 1009 * f + r)
-    # the (H, gamma) pairs grouped by H, in enumeration order
-    by_subset: dict = {}
-    for combo, g in _loc_terms(e, f, r, d, W, subset_order):
-        by_subset.setdefault(combo, []).append(g)
-    groups = list(by_subset.items())
-    n_w = len(W)
 
     def sample_point():
         while True:
@@ -450,29 +498,11 @@ def _localization_points(e, f, r, d, W, jobs, subset_order):
                 return avals, bvals, wvals
 
     def sum_at(avals, bvals, wvals):
-        """The fixed-point sum at an integer point, accumulated in ints.
-
-        The (H, gamma) denominator factors as K(H) Q_gamma(H), with
-        K(H) = prod_{i in H, k not in H}(w_k - w_i)
-             = prod_{i in H} P_i / prod_{i in H} Q_i(H),
-        P_i = prod_{k != i}(w_k - w_i), Q_i(H) = prod_{k in H, k != i}(w_k - w_i).
-        It uses each pair of weights at most once, so it divides the
-        Vandermonde product V, and the sum is one integer over V*M."""
-        diff = [[wk - wi for wk in wvals] for wi in wvals]  # w_k - w_i
-        P = [prod(row[:i] + row[i + 1:]) for i, row in enumerate(diff)]
-        V = prod(diff[i][k] for i in range(n_w) for k in range(i + 1, n_w))
-        bprod = [prod(bv - wi for bv in bvals) for wi in wvals]
-        hval = [
+        fvals = [
             _eval_integer_form(hterms, [2 * av - wi for av in avals])
             for wi in wvals
         ]
-        total = 0
-        for H, gammas in groups:
-            Q = {i: prod(diff[i][k] for k in H if k != i) for i in H}
-            v_over_k = V // (prod(P[i] for i in H) // prod(Q.values()))
-            inner = sum(hval[g] * (v_over_k // Q[g]) for g in gammas)
-            total += prod(bprod[i] for i in H) * inner
-        return QQ(total, V * M)
+        return _fixed_point_sum(wvals, bvals, fvals, M)
 
     def basis_row(avals, bvals):
         ea = _elem_values(avals, e)
@@ -488,7 +518,7 @@ def _localization_points(e, f, r, d, W, jobs, subset_order):
         return row
 
     points = [sample_point() for _ in range(n_unknown + 4)]
-    evals = _parallel_map(lambda pt: sum_at(*pt), points, jobs)
+    evals = [sum_at(*pt) for pt in points]
     rows = [basis_row(avals, bvals) for avals, bvals, _ in points]
     for _ in range(3):
         try:
@@ -497,7 +527,7 @@ def _localization_points(e, f, r, d, W, jobs, subset_order):
         except _RankDeficient:
             # a degenerate sample; widen the point set and try again
             extra = [sample_point() for _ in range(n_unknown)]
-            evals = evals + _parallel_map(lambda pt: sum_at(*pt), extra, jobs)
+            evals = evals + [sum_at(*pt) for pt in extra]
             rows = rows + [basis_row(avals, bvals) for avals, bvals, _ in extra]
             points = points + extra
     else:
@@ -576,42 +606,6 @@ def _solve_overdetermined(rows, rhs):
         acc = det * row[n] - sum(row[k] * y[k] for k in range(j + 1, n))
         y[j] = acc // row[j]
     return [QQ(v, det) for v in y]
-
-
-_PARALLEL_FN = None
-
-
-def _pool_call(item):
-    return _PARALLEL_FN(item)
-
-
-def _available_cpus() -> int:
-    """CPUs this process may run on (its affinity mask where the platform
-    has one)."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _parallel_map(fn, items, jobs):
-    """Deterministic map: results come back in input order regardless of
-    worker scheduling.  Uses fork workers so `fn` may be a closure.  The
-    pool never has more workers than items or available CPUs."""
-    items = list(items)
-    if jobs is not None:
-        jobs = min(jobs, len(items), _available_cpus())
-    if jobs is None or jobs <= 1 or len(items) < 8:
-        return [fn(x) for x in items]
-    global _PARALLEL_FN
-    _PARALLEL_FN = fn
-    try:
-        import multiprocessing as mp
-
-        chunk = max(1, len(items) // (4 * jobs))
-        with mp.get_context("fork").Pool(jobs) as pool:
-            return pool.map(_pool_call, items, chunksize=chunk)
-    finally:
-        _PARALLEL_FN = None
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Callable
 
-from .algebra import Polynomial, QQ, alpha, beta, xi
+from .algebra import ALPHA, BETA, Polynomial, QQ, alpha, beta, is_symmetric, xi
 from .grr import (
     BundleCharacter,
     TautClass,
@@ -324,9 +324,10 @@ def checks_k3():
         }
     )
     rows.append(_eq_row("rank-4 quadric divisor on surface moduli (sym g)", cls, want))
+    ranks = ((i, moduli.kosz_rank(i)) for i in range(1, 9))
     ranks_ok = all(
-        moduli.kosz_rank(i)[0] == moduli.kosz_rank(i)[1] == (i + 1) * comb(2 * i + 5, i + 2)
-        for i in range(1, 9)
+        rank_g == rank_h == (i + 1) * comb(2 * i + 5, i + 2)
+        for i, (rank_g, rank_h, _) in ranks
     )
     rows.append(_row("syzygy bundle ranks i=1..8", ranks_ok, True, ranks_ok))
     sym_ok = True
@@ -340,11 +341,8 @@ def checks_k3():
         _row("middle-syzygy class: alternating sum vs closed form (sym i)",
              sym_ok, True, sym_ok)
     )
-    num_ok = all(
-        (moduli.kosz_class(i).lam, moduli.kosz_class(i).gamma)
-        == (moduli.kosz_closed_form(i).lam, moduli.kosz_closed_form(i).gamma)
-        for i in range(1, 9)
-    )
+    pairs = ((moduli.kosz_class(i), moduli.kosz_closed_form(i)) for i in range(1, 9))
+    num_ok = all((ks.lam, ks.gamma) == (kc.lam, kc.gamma) for ks, kc in pairs)
     rows.append(_row("middle-syzygy class numeric i=1..8", num_ok, True, num_ok))
     ratio = moduli.kosz_prefactor_ratio("i")
     ii = rf_param("i")
@@ -371,19 +369,16 @@ def checks_k3():
 
 def checks_slopes():
     rows = []
-    rows.append(
-        _eq_row("slope of genus-24 rank-6 locus", moduli.pelda_slope(1, 1),
-                rf(QQ(34423, 5320)))
-    )
-    rows.append(
-        _row(
-            "first-series slope: closed vs deficit form (sym l)",
-            moduli.pelda_slope(1, "ell", "closed") == moduli.pelda_slope(1, "ell", "deficit"),
-            True,
-            moduli.pelda_slope(1, "ell", "closed") == moduli.pelda_slope(1, "ell", "deficit"),
-        )
-    )
     below = moduli.pelda_slope(1, 1)
+    rows.append(
+        _eq_row("slope of genus-24 rank-6 locus", below, rf(QQ(34423, 5320)))
+    )
+    forms_agree = (moduli.pelda_slope(1, "ell", "closed")
+                   == moduli.pelda_slope(1, "ell", "deficit"))
+    rows.append(
+        _row("first-series slope: closed vs deficit form (sym l)",
+             forms_agree, True, forms_agree)
+    )
     bound = QQ(6) + QQ(12, 25)
     v = below.num.constant_value() / below.den.constant_value()
     rows.append(_row("genus-24 slope below 6+12/25", v, "< %s" % bound, v < bound))
@@ -545,12 +540,8 @@ def checks_properties(max_e: int = 4, thorough: bool = False, jobs: int = 1):
         deg = loci.target_degree(e, f, r)
         if not p.is_homogeneous(deg):
             sym_ok = False
-        for i in range(1, e):
-            if p.rename({alpha(i): alpha(i + 1), alpha(i + 1): alpha(i)}) != p:
-                sym_ok = False
-        for j in range(1, f):
-            if p.rename({beta(j): beta(j + 1), beta(j + 1): beta(j)}) != p:
-                sym_ok = False
+        if not (is_symmetric(p, ALPHA, e) and is_symmetric(p, BETA, f)):
+            sym_ok = False
     rows.append(
         _row(
             "localization polynomial/homogeneous/bi-symmetric on %d parameter "

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -18,6 +19,7 @@ from quadloci.algebra import (
     elementary_symmetric,
     exact_divide,
     expand_symmetric,
+    is_symmetric,
     substitute,
     sum_fractions,
     symmetric_reduce,
@@ -210,6 +212,37 @@ def test_symmetric_reduce_witness():
     with pytest.raises(NotSymmetric) as exc:
         symmetric_reduce(p, ALPHA)
     assert exc.value.transposition == (alpha(1), alpha(2))
+
+
+def _swap_invariant(p, kind, n):
+    """The transposition loop `symmetric_reduce` ran before the orbit count."""
+    return all(
+        p.rename({(kind, i): (kind, i + 1), (kind, i + 1): (kind, i)}) == p
+        for i in range(1, n)
+    )
+
+
+_ROOTS = [alpha(1), alpha(2), alpha(3)]
+_sym_monomials = st.lists(
+    st.tuples(st.sampled_from(_ROOTS + [beta(1)]), st.integers(1, 3)),
+    max_size=4, unique_by=lambda vx: vx[0],
+).map(lambda vxs: tuple(sorted(vxs)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.dictionaries(_sym_monomials, st.integers(-3, 3).filter(bool), max_size=5),
+       st.booleans(), st.integers(0, 4), st.integers(0, 3))
+def test_orbit_count_matches_transposition_loop(terms, symmetrize, n, perturb):
+    p = Polynomial({m: QQ(c) for m, c in terms.items()})
+    if symmetrize:
+        # sum over S_3, so the symmetric case is reached as often as not
+        perms = itertools.permutations(_ROOTS)
+        p = sum((p.rename(dict(zip(_ROOTS, img))) for img in perms), Polynomial.zero())
+        if perturb:
+            p = p + X(alpha(perturb)) ** 2
+    assert is_symmetric(p, ALPHA, n) == _swap_invariant(p, ALPHA, n)
+    if symmetrize:
+        assert is_symmetric(p, ALPHA, 3) == (not perturb)
 
 
 def test_rational_function_normalization_and_equality():

@@ -1,5 +1,6 @@
+import itertools
 import random
-from math import comb
+from math import comb, lcm, prod
 
 import pytest
 
@@ -93,57 +94,6 @@ def test_localization_auto_rule(monkeypatch):
     assert localization_class(3, 3, 3) == "lines"
     assert localization_class(3, 4, 3) == "direct"
     assert localization_class(4, 9, 3) == "lines"
-
-
-def test_parallel_map_bounds_the_pool(monkeypatch):
-    """The pool is capped at min(jobs, items, CPUs); a fake context records
-    the size asked for, so no process starts."""
-    import multiprocessing
-    import quadloci.loci as loci
-
-    asked = []
-
-    class FakePool:
-        def __init__(self, processes):
-            asked.append(processes)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items, chunksize=1):
-            return [fn(x) for x in items]
-
-    class FakeContext:
-        Pool = FakePool
-
-    def get_context(method):
-        assert method == "fork"
-        return FakeContext()
-
-    monkeypatch.setattr(multiprocessing, "get_context", get_context)
-    monkeypatch.setattr(loci.os, "sched_getaffinity", lambda pid: set(range(4)),
-                        raising=False)
-    items = list(range(20))
-    squares = [x * x for x in items]
-    assert loci._parallel_map(lambda x: x * x, items, 10 ** 9) == squares
-    assert loci._parallel_map(lambda x: x * x, items, 3) == squares
-    assert loci._parallel_map(lambda x: x * x, items[:9], 9) == squares[:9]
-    assert asked == [4, 3, 4]
-    monkeypatch.setattr(loci.os, "sched_getaffinity", lambda pid: set(range(2)))
-    assert loci._parallel_map(lambda x: x * x, items, 2) == squares
-    monkeypatch.setattr(loci.os, "sched_getaffinity", lambda pid: set(range(64)))
-    assert loci._parallel_map(lambda x: x * x, items[:9], 50) == squares[:9]
-    assert asked == [4, 3, 4, 2, 9]
-    # without an affinity mask the CPU count bounds the pool
-    monkeypatch.delattr(loci.os, "sched_getaffinity")
-    monkeypatch.setattr(loci.os, "cpu_count", lambda: 6)
-    assert loci._parallel_map(lambda x: x * x, items, 100) == squares
-    monkeypatch.setattr(loci.os, "cpu_count", lambda: None)
-    assert loci._parallel_map(lambda x: x * x, items, 100) == squares
-    assert asked == [4, 3, 4, 2, 9, 6]
 
 
 def test_localization_order_independence():
@@ -420,19 +370,88 @@ def test_target_degree():
 
 
 def test_localization_lines_detects_a_dropped_term(monkeypatch):
+    # every point's sum loses its first (H, gamma) term, so the values are
+    # no longer those of a polynomial of the class degree
     import quadloci.loci as loci
     from quadloci.algebra import DenominatorSurvives
 
-    full = loci._loc_terms
+    full = loci._fixed_point_sum
 
-    def all_but_first(*args):
-        pairs = full(*args)
-        next(pairs)
-        yield from pairs
+    def all_but_first(wvals, bvals, fvals, scale):
+        _, first = next(_pair_terms(wvals, bvals, fvals, scale))
+        return full(wvals, bvals, fvals, scale) - first
 
-    monkeypatch.setattr(loci, "_loc_terms", all_but_first)
+    monkeypatch.setattr(loci, "_fixed_point_sum", all_but_first)
     with pytest.raises(DenominatorSurvives):
         localization_class(4, 7, 2, strategy="lines")
+
+
+def _pair_terms(wvals, bvals, fvals, scale):
+    """The literal (H, gamma) terms of the fixed-point sum at a point, with
+    fvals[i] = scale * h(a - w_i/2): the oracle for `_fixed_point_sum`."""
+    n = len(wvals)
+    d = n - len(bvals)
+    for H in itertools.combinations(range(n), d):
+        num = prod(bv - wvals[i] for i in H for bv in bvals)
+        for g in H:
+            den = scale * prod(wvals[k] - wvals[g] for k in range(n) if k != g)
+            den *= prod(wvals[k] - wvals[i] for i in H if i != g
+                        for k in range(n) if k not in H)
+            yield (H, g), QQ(fvals[g] * num, den)
+
+
+def _moment_determinant(wvals, bvals, fvals, scale):
+    """The Cauchy-Binet form of the same sum, taken literally:
+    (-1)^(C(d,2)+d-1) det(V^T X F) over the rationals."""
+    n = len(wvals)
+    d = n - len(bvals)
+    x = [QQ(prod(bv - wi for bv in bvals),
+            prod(wk - wi for k, wk in enumerate(wvals) if k != i))
+         for i, wi in enumerate(wvals)]
+    m = [[sum(xi * wi ** (j + k) for xi, wi in zip(x, wvals)) for k in range(d - 1)]
+         + [sum(xi * wi ** j * QQ(fi, scale) for xi, wi, fi in zip(x, wvals, fvals))]
+         for j in range(d)]
+    det = QQ(1)
+    for k in range(d):
+        piv = next((i for i in range(k, d) if m[i][k]), None)
+        if piv is None:
+            return QQ(0)
+        if piv != k:
+            m[k], m[piv] = m[piv], m[k]
+            det = -det
+        det *= m[k][k]
+        for i in range(k + 1, d):
+            factor = m[i][k] / m[k][k]
+            m[i] = [a - factor * b for a, b in zip(m[i], m[k])]
+    return det if (comb(d, 2) + d - 1) % 2 == 0 else -det
+
+
+def _sample_point(e, f, r, rng):
+    """Weight values at small random a-values, b-roots, and the scaled
+    values of h(a - w/2) at the weights."""
+    h = sym_degeneracy_class(r, e)
+    avars = [alpha(i) for i in range(1, e + 1)]
+    while True:
+        a = {v: QQ(rng.randint(-30, 30)) for v in avars}
+        wvals = [int(w.evaluate(a)) for w in sym2_weights(e)]
+        if len(set(wvals)) == len(wvals):
+            break
+    bvals = [rng.randint(-30, 30) for _ in range(f)]
+    fvals = [h.evaluate({v: a[v] - QQ(w, 2) for v in avars}) for w in wvals]
+    scale = lcm(*(q.denominator for q in fvals))
+    return wvals, bvals, [int(q * scale) for q in fvals], scale
+
+
+@pytest.mark.parametrize("efr", [(2, 2, 1), (3, 5, 1), (4, 1, 4), (5, 1, 5),
+                                 (4, 4, 3), (5, 7, 4), (6, 18, 3)])
+def test_fixed_point_sum_matches_pair_enumeration(efr):
+    # d = 1, d = |W| - 1 at (4,1,4) and (5,1,5), and the mid-range d
+    import quadloci.loci as loci
+
+    point = _sample_point(*efr, random.Random(sum(efr)))
+    want = sum((v for _, v in _pair_terms(*point)), QQ(0))
+    assert _moment_determinant(*point) == want
+    assert loci._fixed_point_sum(*point) == want
 
 
 def _reference_solve(rows, rhs):
