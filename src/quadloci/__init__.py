@@ -4,7 +4,6 @@ classes and slopes they induce on moduli spaces."""
 from .algebra import (
     DenominatorSurvives,
     DivisionNotExact,
-    FactoredDenominator,
     NotSymmetric,
     Polynomial,
     QQ,

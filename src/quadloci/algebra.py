@@ -30,12 +30,6 @@ Rational functions keep the invariant that a constant denominator is `1`
 polynomial.  The constructor does not normalize that denominator again, and
 `+`, `*` and `==` of two functions over `1` act on the numerators alone, so
 polynomial-valued coefficients pay little for being rational functions.
-
-Rational functions keep an optional multiset factorization of their
-denominator into linear forms.  The fraction sums produced by fixed-point
-localization have denominators that are products of linear forms, so keeping
-the factorization makes the least-common-denominator bookkeeping and the
-final exact cancellation cheap.
 """
 
 from __future__ import annotations
@@ -43,7 +37,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from math import factorial, gcd, lcm
-from typing import Callable, Collection, Iterable, Mapping, Sequence
+from typing import Callable, Collection, Mapping, Sequence
 
 try:  # gmpy2's mpq is a drop-in exact rational, ~5x faster than Fraction
     from gmpy2 import mpq as QQ
@@ -520,105 +514,20 @@ def _monomial_div(m, d):
     return tuple(sorted(dd.items()))
 
 
-# ---------------------------------------------------------------------------
-# linear forms
-# ---------------------------------------------------------------------------
-
-def normalize_linear_form(form: Polynomial):
-    """Canonical representative of a degree-1 form up to a rational scale.
-
-    Returns (key, scale) with form == scale * key_polynomial and the key's
-    coefficients primitive integers, positive on the graded-lex leading
-    variable.  Used to detect proportional linear factors in denominators.
-    """
-    if form.degree() != 1 or not form.is_homogeneous():
-        raise ValueError("not a homogeneous linear form: %s" % form)
-    prim, scale = form.content_normalized()
-    key = tuple(sorted((m[0][0], int(c)) for m, c in prim.terms.items()))
-    return key, scale, prim
-
-
-class FactoredDenominator:
-    """Multiset of normalized linear forms with a rational scale."""
-
-    __slots__ = ("forms", "scale")
-
-    def __init__(self, forms: dict | None = None, scale=1):
-        self.forms = dict(forms or {})  # key -> (multiplicity, Polynomial)
-        self.scale = QQ(scale)
-
-    def copy(self) -> "FactoredDenominator":
-        d = FactoredDenominator()
-        d.forms = dict(self.forms)
-        d.scale = self.scale
-        return d
-
-    def __reduce__(self):
-        return (_fden_unpickle, (tuple(self.forms.items()), self.scale))
-
-    @staticmethod
-    def from_linear_factors(factors: Iterable[Polynomial]) -> "FactoredDenominator":
-        den = FactoredDenominator()
-        for f in factors:
-            key, scale, prim = normalize_linear_form(f)
-            mult, _ = den.forms.get(key, (0, prim))
-            den.forms[key] = (mult + 1, prim)
-            den.scale = den.scale * scale
-        return den
-
-    def degree(self) -> int:
-        return sum(mult for mult, _ in self.forms.values())
-
-    def expand(self) -> Polynomial:
-        out = Polynomial.const(self.scale)
-        for mult, prim in self.forms.values():
-            out = out * prim ** mult
-        return out
-
-    def lcm_cofactors(self, other: "FactoredDenominator"):
-        """Return (lcm, self_cofactor_poly, other_cofactor_poly)."""
-        lcm = FactoredDenominator()
-        keys = set(self.forms) | set(other.forms)
-        co_self = Polynomial.const(1)
-        co_other = Polynomial.const(1)
-        for key in sorted(keys):
-            m1, prim = self.forms.get(key, (0, None))
-            m2, prim2 = other.forms.get(key, (0, None))
-            prim = prim if prim is not None else prim2
-            m = max(m1, m2)
-            lcm.forms[key] = (m, prim)
-            if m > m1:
-                co_self = co_self * prim ** (m - m1)
-            if m > m2:
-                co_other = co_other * prim ** (m - m2)
-        lcm.scale = QQ(1)
-        co_self = co_self * (QQ(1) / self.scale)
-        co_other = co_other * (QQ(1) / other.scale)
-        return lcm, co_self, co_other
-
-
-def _fden_unpickle(items, scale):
-    d = FactoredDenominator()
-    d.forms = dict(items)
-    d.scale = scale
-    return d
-
-
 class RationalFunction:
     """Quotient of polynomials, normalized so den is primitive with
     positive graded-lex leading coefficient.  A constant den is therefore
     1, and it is always stored as the shared `_ONE`, so `den is _ONE`
     tells a polynomial value apart without comparing coefficients.
 
-    Reduction is lazy: `reduce()` first tries full exact division, then
-    strips linear factors of the denominator when the factorization is
-    known.  Equality testing cross-multiplies, so unreduced representatives
-    still compare correctly.
+    Reduction is lazy: `reduce()` tries exact division of the numerator by
+    the denominator.  Equality testing cross-multiplies, so unreduced
+    representatives still compare correctly.
     """
 
-    __slots__ = ("num", "den", "den_factors")
+    __slots__ = ("num", "den")
 
-    def __init__(self, num, den=None, den_factors=None):
+    def __init__(self, num, den=None):
         num = _coerce(num)
         if num is NotImplemented:
             raise TypeError("numerator must be a Polynomial, int or QQ")
@@ -630,30 +539,21 @@ class RationalFunction:
             raise ZeroDivisionError("rational function with zero denominator")
         if num.is_zero():
             den = _ONE
-            den_factors = FactoredDenominator()
         elif den is not _ONE:
             prim, scale = den.content_normalized()
             if scale != 1:
                 num = num * (QQ(1) / scale)
                 den = prim
-                if den_factors is not None:
-                    den_factors = den_factors.copy()
-                    den_factors.scale = QQ(1)
             if den.is_constant():
                 den = _ONE
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
-        object.__setattr__(self, "den_factors", den_factors)
 
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError("RationalFunction is immutable")
 
     def __reduce__(self):
-        return (RationalFunction._make, (self.num, self.den, self.den_factors))
-
-    @staticmethod
-    def from_factored(num: Polynomial, den: FactoredDenominator) -> "RationalFunction":
-        return RationalFunction(num, den.expand(), den_factors=den)
+        return (RationalFunction, (self.num, self.den))
 
     @staticmethod
     def const(c) -> "RationalFunction":
@@ -683,18 +583,14 @@ class RationalFunction:
         if other is NotImplemented:
             return NotImplemented
         if self.den is _ONE and other.den is _ONE:
-            return RationalFunction(self.num + other.num, _ONE, _unit_factors(self, other))
-        if self.den_factors is not None and other.den_factors is not None:
-            lcm, co_s, co_o = self.den_factors.lcm_cofactors(other.den_factors)
-            num = self.num * co_s + other.num * co_o
-            return RationalFunction.from_factored(num, lcm)
+            return RationalFunction(self.num + other.num)
         num = self.num * other.den + other.num * self.den
         return RationalFunction(num, self.den * other.den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RationalFunction._make(-self.num, self.den, self.den_factors)
+        return RationalFunction(-self.num, self.den)
 
     def __sub__(self, other):
         other = _coerce_rf(other)
@@ -710,16 +606,8 @@ class RationalFunction:
         if other is NotImplemented:
             return NotImplemented
         if self.den is _ONE and other.den is _ONE:
-            return RationalFunction(self.num * other.num, _ONE, _unit_factors(self, other))
-        factors = None
-        if self.den_factors is not None and other.den_factors is not None:
-            factors = self.den_factors.copy()
-            for key, (mult, prim) in other.den_factors.forms.items():
-                m0, _ = factors.forms.get(key, (0, prim))
-                factors.forms[key] = (m0 + mult, prim)
-        return RationalFunction(
-            self.num * other.num, self.den * other.den, den_factors=factors
-        )
+            return RationalFunction(self.num * other.num)
+        return RationalFunction(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -754,10 +642,6 @@ class RationalFunction:
             return hash(r.num)
         return hash((r.num, r.den))
 
-    @staticmethod
-    def _make(num, den, factors):
-        return RationalFunction(num, den, den_factors=factors)
-
     # -- reduction -----------------------------------------------------
     def reduce(self) -> "RationalFunction":
         if self.den is _ONE:
@@ -765,26 +649,9 @@ class RationalFunction:
         if self.num.is_zero():
             return RationalFunction(Polynomial.zero())
         try:
-            q = self.num.divide_exact(self.den)
-            return RationalFunction(q)
+            return RationalFunction(self.num.divide_exact(self.den))
         except DivisionNotExact:
-            pass
-        if self.den_factors is None:
             return self
-        num = self.num
-        left = FactoredDenominator()
-        left.scale = self.den_factors.scale
-        for key in sorted(self.den_factors.forms):
-            mult, prim = self.den_factors.forms[key]
-            while mult > 0:
-                try:
-                    num = num.divide_exact(prim)
-                    mult -= 1
-                except DivisionNotExact:
-                    break
-            if mult:
-                left.forms[key] = (mult, prim)
-        return RationalFunction.from_factored(num, left)
 
     def evaluate(self, point: Mapping):
         d = self.den.evaluate(point)
@@ -803,14 +670,6 @@ class RationalFunction:
         return "(%s)/(%s)" % (self.num, self.den)
 
     __repr__ = __str__
-
-
-def _unit_factors(a: RationalFunction, b: RationalFunction):
-    """The factored denominator of a sum or product of two functions over 1:
-    an empty one when both operands carry one, else None."""
-    if a.den_factors is None or b.den_factors is None:
-        return None
-    return FactoredDenominator()
 
 
 def _coerce_rf(x):
@@ -882,28 +741,15 @@ def substitute(p: Polynomial, mapping: Mapping) -> RationalFunction:
 def sum_fractions(terms: Sequence[RationalFunction]) -> Polynomial:
     """Exact sum of rational functions, asserted to be a polynomial.
 
-    Terms carrying factored denominators are accumulated over an
-    incrementally maintained least common denominator of linear forms,
-    with periodic exact cancellation.  Raises DenominatorSurvives when the
-    final denominator does not divide the numerator.
+    Raises DenominatorSurvives when the final denominator does not divide
+    the numerator.
     """
     if not terms:
         raise ValueError("sum_fractions needs at least one term")
-    if all(t.den_factors is not None for t in terms):
-        acc_num = Polynomial.zero()
-        acc_den = FactoredDenominator()
-        for t in terms:
-            lcm, co_acc, co_t = acc_den.lcm_cofactors(t.den_factors)
-            acc_num = acc_num * co_acc + t.num * co_t
-            acc_den = lcm
-            if acc_num.is_zero():
-                acc_den = FactoredDenominator()
-        result = RationalFunction.from_factored(acc_num, acc_den).reduce()
-    else:
-        total = terms[0]
-        for t in terms[1:]:
-            total = total + t
-        result = total.reduce()
+    total = terms[0]
+    for t in terms[1:]:
+        total = total + t
+    result = total.reduce()
     if not result.is_polynomial():
         raise DenominatorSurvives(
             "fraction sum is not polynomial; residual denominator %s"

@@ -11,7 +11,11 @@ the Chern roots a_1..a_e, b_1..b_f, computed here three independent ways:
   difference of f(w) = h_r(a - w/2), the sum over all H is one d x d
   moment determinant, and that determinant collapses to
   sum_i f(w_i) prod_j(b_j - w_i) / prod_{k != i}(w_k - w_i), one term per
-  weight (`_fixed_point_sum`).
+  weight (`_fixed_point_sum`).  The values f(w_i) are Jacobi-Trudi
+  determinants of integers, and the class is interpolated from the point
+  values by a solve modulo word-size primes that every equation then
+  checks exactly, so no step works on polynomials in the roots until the
+  answer is assembled.
 * ``residue_divisor_class`` -- the constant-term (residue at infinity) form
   of the same class in auxiliary variables z, u_1..u_d; only the divisorial
   case is needed, where the answer has degree 1, so only two z-coefficients
@@ -29,23 +33,17 @@ restrictions, and the two presentations of the degenerate-pencil
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
-from math import comb, lcm, prod
+from math import comb, gcd, isqrt, lcm, prod
 from typing import Sequence
 
 from .algebra import (
     ALPHA,
     BETA,
-    SYM,
     DenominatorSurvives,
-    FactoredDenominator,
     Polynomial,
     QQ,
-    RationalFunction,
-    Variable,
-    _merge_exponents,
     alpha,
     beta,
     elementary_symmetric,
@@ -55,7 +53,13 @@ from .algebra import (
     symmetric_reduce,
     xi,
 )
-from .symfunc import ChernSeries, a_const, sym_degeneracy_class
+from .symfunc import (
+    ChernSeries,
+    _elem_values,
+    a_const,
+    sym_degeneracy_class,
+    sym_degeneracy_value,
+)
 
 
 class PreconditionViolated(Exception):
@@ -111,15 +115,18 @@ class ScalarData:
             raise ValueError("r_total must be nonzero")
 
 
+def _sym2_pairs(e: int) -> list:
+    """Index pairs (i, j), 0 <= i <= j < e, lexicographic: the weight
+    a_(i+1) + a_(j+1) of Sym^2 of a rank-e space."""
+    return [(i, j) for i in range(e) for j in range(i, e)]
+
+
 def sym2_weights(e: int) -> WeightSet:
     """Weights a_i + a_j (i <= j, lexicographic) of Sym^2 of a rank-e space."""
     if e < 1:
         raise PreconditionViolated("need e >= 1")
-    forms = []
-    for i in range(1, e + 1):
-        for j in range(i, e + 1):
-            forms.append(Polynomial.variable(alpha(i)) + Polynomial.variable(alpha(j)))
-    return WeightSet(tuple(forms))
+    a = [Polynomial.variable(alpha(i)) for i in range(1, e + 1)]
+    return WeightSet(tuple(a[i] + a[j] for i, j in _sym2_pairs(e)))
 
 
 def _validate_scalars(weights: WeightSet, scalars: ScalarData, vars_: list):
@@ -186,18 +193,10 @@ def target_degree(e: int, f: int, r: int) -> int:
     return comb(r + 1, 2) - d + 1
 
 
-# Measured crossover on e <= 3: "lines" is faster up to 18 unknowns
-# ((3,3,3): 0.014 s against 0.24 s) and "direct" from 32 on ((3,4,3):
-# 0.079 s against 0.11 s; (3,5,3): 0.019 s against 1.7 s).  On e = 4
-# "direct" loses at every size ((4,9,1): 3.6 s against 0.003 s).
-_DIRECT_MIN_UNKNOWNS = 24
-
-
 def localization_class(
     e: int,
     f: int,
     r: int,
-    strategy: str = "auto",
     jobs: int = 1,
     subset_order: Sequence[int] | None = None,
 ) -> Polynomial:
@@ -214,153 +213,31 @@ def localization_class(
     determinant, and that determinant collapses to sum_i x_i f(w_i): one
     term per weight instead of C(|W|, d) * d pairs (`_fixed_point_sum`).
 
-    strategy:
-      "direct" -- exact rational-function summation over a maintained least
-                  common denominator of linear forms (the denominator of
-                  every fixed-point term is such a product).  The symmetric
-                  functions of the b-roots are carried as formal symbols of
-                  bounded weight, which keeps the numerators small.
-      "lines"  -- exact evaluation of the sum at deterministic integer
-                  points plus reconstruction in the elementary-symmetric
-                  basis forced by the (S_e x S_f)-symmetry and the
-                  homogeneity degree of every term.  At an integer point
-                  every tangent weight is an integer and h(a - w/2) has a
-                  power-of-2 denominator, so each point's sum is taken in
-                  Python ints in the collapsed form of `_fixed_point_sum`,
-                  and the interpolation system is solved by fraction-free
-                  elimination.  Over-determined and re-verified at fresh
-                  points, so an inconsistency (the sum failing to be
-                  polynomial) raises DenominatorSurvives.
-      "auto"   -- "direct" for a source of rank e <= 3 whose interpolation
-                  basis has more than _DIRECT_MIN_UNKNOWNS elements, else
-                  "lines".  The basis size sets the number of points and
-                  the size of the solve; the symbolic denominator lattice
-                  stays small only up to rank 3.
+    The sum is evaluated exactly at deterministic integer points and
+    reconstructed in the elementary-symmetric basis forced by the
+    (S_e x S_f)-symmetry and the homogeneity degree of every term.  At an
+    integer point every weight is an integer, and 2^D h(a - w/2) =
+    h(2a - w) (D = C(r+1,2), the degree of h) is the Jacobi-Trudi value
+    `sym_degeneracy_value`, so each point's sum is taken in Python ints.
+    The interpolation system is over-determined and solved modulo word-size
+    primes with an exact check (`_solve_overdetermined`), and the result is
+    re-verified at fresh points, so an inconsistency (the sum failing to be
+    polynomial) raises DenominatorSurvives.
 
     `jobs` is accepted and has no effect: a point costs one sum over the
     weights, so everything runs in this process.  `subset_order` permutes
-    the order of the weights, which reorders the subset enumeration of
-    "direct" and the sum over the weights of "lines" (the result must not
-    depend on it; tested).
+    the order of the weights, which reorders the sum over the weights at
+    every point (the result must not depend on it; tested).
     """
-    d = _check_loc_preconditions(e, f, r)
-    W = sym2_weights(e)
+    _check_loc_preconditions(e, f, r)
+    pairs = _sym2_pairs(e)
     if subset_order is not None:
-        W = WeightSet(tuple(W[i] for i in subset_order))
-    if strategy == "auto":
-        n_unknown = len(_symmetric_basis(e, f, target_degree(e, f, r)))
-        use_direct = e <= 3 and n_unknown > _DIRECT_MIN_UNKNOWNS
-        strategy = "direct" if use_direct else "lines"
-    if strategy == "direct":
-        return _localization_direct(e, f, r, d, W)
-    if strategy == "lines":
-        return _localization_points(e, f, r, W)
-    raise ValueError("unknown strategy %r" % strategy)
+        pairs = [pairs[i] for i in subset_order]
+    return _localization_points(e, f, r, pairs)
 
 
 def _h_poly(r: int, e: int) -> Polynomial:
     return sym_degeneracy_class(r, e)
-
-
-def _fvar(m: int) -> Variable:
-    return sym("F%d" % m)
-
-
-def _b_factor_symbolic(delta: Polynomial, f: int, cap: int) -> Polynomial:
-    """prod_j (b_j - delta) written in the symbols F_m = e_m(b-roots),
-    keeping only F-weight <= cap (higher sectors cannot reach the answer's
-    homogeneity degree)."""
-    out = Polynomial.zero()
-    neg = -delta
-    power = [Polynomial.const(1)]
-    for _ in range(f):
-        power.append(power[-1] * neg)
-    for m in range(0, min(f, cap) + 1):
-        fm = Polynomial.variable(_fvar(m)) if m else Polynomial.const(1)
-        out = out + fm * power[f - m]
-    return out
-
-
-def _fweight(mono) -> int:
-    w = 0
-    for v, exp in mono:
-        if v[0] == SYM and v[1].startswith("F"):
-            w += int(v[1][1:]) * exp
-    return w
-
-
-def _mul_fcapped(p: Polynomial, q: Polynomial, cap: int) -> Polynomial:
-    out: dict = {}
-    for m1, c1 in p.terms.items():
-        for m2, c2 in q.terms.items():
-            m = _merge_exponents(m1, m2)
-            if _fweight(m) > cap:
-                continue
-            s = out.get(m)
-            if s is None:
-                out[m] = c1 * c2
-            else:
-                s = s + c1 * c2
-                if s:
-                    out[m] = s
-                else:
-                    del out[m]
-    return Polynomial._raw(out)
-
-
-def _expand_fvars(p: Polynomial, f: int) -> Polynomial:
-    mapping = {}
-    for v in p.variables():
-        if v[0] == SYM and v[1].startswith("F"):
-            m = int(v[1][1:])
-            mapping[v] = elementary_symmetric(BETA, f, m)
-    return p.substitute_poly(mapping) if mapping else p
-
-
-def _loc_terms(W, d):
-    """Yield the (H, gamma) pairs, as indices into W, in a deterministic
-    order."""
-    for combo in itertools.combinations(range(len(W)), d):
-        for g in combo:
-            yield combo, g
-
-
-def _localization_direct(e, f, r, d, W):
-    cap = target_degree(e, f, r)
-    h = _h_poly(r, e)
-    avars = [alpha(i) for i in range(1, e + 1)]
-    half = QQ(1, 2)
-    bfac_cache = {
-        i: _b_factor_symbolic(W[i], f, cap) for i in range(len(W))
-    }
-
-    def make_term(combo, g):
-        gam = W[g]
-        shift = {v: Polynomial.variable(v) - half * gam for v in avars}
-        num = h.substitute_poly(shift)
-        for i in combo:
-            num = _mul_fcapped(num, bfac_cache[i], cap)
-        den_forms = []
-        for i in range(len(W)):
-            if i != g:
-                den_forms.append(W[i] - gam)
-        comp = [i for i in range(len(W)) if i not in combo]
-        for i in combo:
-            if i == g:
-                continue
-            for j in comp:
-                den_forms.append(W[j] - W[i])
-        return RationalFunction.from_factored(
-            num, FactoredDenominator.from_linear_factors(den_forms)
-        )
-
-    terms = [make_term(combo, g) for combo, g in _loc_terms(W, d)]
-    from .algebra import sum_fractions
-
-    total = sum_fractions(terms)
-    result = _expand_fvars(total, f)
-    _check_class_shape(result, e, f, r)
-    return result
 
 
 def _check_class_shape(p: Polynomial, e: int, f: int, r: int):
@@ -398,35 +275,47 @@ def _symmetric_basis(e: int, f: int, deg: int):
     return basis
 
 
-def _basis_polynomial(item, e: int, f: int) -> Polynomial:
-    pa, pb = item
+def _elem_product(kind: int, n: int, parts) -> Polynomial:
+    """prod e_part(roots)^mult over the (part, mult) pairs, in the n roots
+    of one alphabet."""
     out = Polynomial.const(1)
-    for part, mult in pa:
-        out = out * elementary_symmetric(ALPHA, e, part) ** mult
-    for part, mult in pb:
-        out = out * elementary_symmetric(BETA, f, part) ** mult
+    for part, mult in parts:
+        out = out * elementary_symmetric(kind, n, part) ** mult
     return out
 
 
-def _elem_values(values, k: int):
-    """Elementary symmetric values e_0..e_k of a list of integers."""
-    es = [1] + [0] * k
-    for v in values:
-        for i in range(min(k, len(values)), 0, -1):
-            es[i] += v * es[i - 1]
-    return es
+def _class_numerators(coeffs, basis, e: int, f: int):
+    """sum_k coeffs[k] * basis[k] in the roots, as (L, {monomial: int})
+    with L the lcm of the coefficients' denominators, so that the class is
+    the int dict divided by L.
 
-
-def _integer_form(p: Polynomial, variables):
-    """p as (L, terms) with L*p integral: terms are (integer coefficient,
-    ((position in `variables`, exponent), ...)), for evaluation in ints."""
-    scale, ints = integer_scaled(p.terms.values())
-    pos = {v: k for k, v in enumerate(variables)}
-    terms = [(n, tuple((pos[v], x) for v, x in m)) for m, n in zip(p.terms, ints)]
-    return scale, terms
+    A basis element is an a-part times a b-part, polynomials in disjoint
+    alphabets with every a-variable ordered before every b-variable, so a
+    monomial of their product is the concatenation of the two.  The b-parts
+    are summed once per a-part."""
+    den, nums = integer_scaled(coeffs)
+    by_a: dict = {}
+    for (pa, pb), num in zip(basis, nums):
+        if num:
+            by_a.setdefault(pa, []).append((pb, num))
+    bparts: dict = {}
+    out: dict = {}
+    for pa, items in by_a.items():
+        inner: dict = {}
+        for pb, num in items:
+            if pb not in bparts:
+                bparts[pb] = _elem_product(BETA, f, pb).terms
+            for mb, cb in bparts[pb].items():
+                inner[mb] = inner.get(mb, 0) + num * int(cb)
+        for ma, ca in _elem_product(ALPHA, e, pa).terms.items():
+            ca = int(ca)
+            for mb, nb in inner.items():
+                out[ma + mb] = out.get(ma + mb, 0) + ca * nb
+    return den, {m: v for m, v in out.items() if v}
 
 
 def _eval_integer_form(terms, values) -> int:
+    """sum of c * prod values[k]^x over the terms (c, ((k, x), ...))."""
     total = 0
     for c, mono in terms:
         for k, x in mono:
@@ -473,16 +362,12 @@ def _fixed_point_sum(wvals, bvals, fvals, scale) -> QQ:
     return QQ(total, L * scale)
 
 
-def _localization_points(e, f, r, W):
+def _localization_points(e, f, r, pairs):
     deg = target_degree(e, f, r)
-    h = _h_poly(r, e)
     avars = [alpha(i) for i in range(1, e + 1)]
     bvars = [beta(j) for j in range(1, f + 1)]
-    if not h.is_homogeneous():
-        raise AssertionError("the corank class h must be homogeneous")
-    # h(a - w/2) = h(2a - w) / 2^deg(h), so M * h(a - w/2) is an integer
-    hscale, hterms = _integer_form(h, avars)
-    M = hscale << h.degree()
+    # M * h(a - w/2) = h(2a - w) with M = 2^deg(h), an integer at a point
+    M = 1 << comb(r + 1, 2)
     basis = _symmetric_basis(e, f, deg)
     n_unknown = len(basis)
     rng = random.Random(0xC0FFEE + 1000003 * e + 1009 * f + r)
@@ -490,16 +375,14 @@ def _localization_points(e, f, r, W):
     def sample_point():
         while True:
             avals = [rng.randint(10**3, 10**6) for _ in range(e)]
-            # the weights have integer coefficients, so their values are ints
-            point = dict(zip(avars, avals))
-            wvals = [wf.evaluate(point).numerator for wf in W]
+            wvals = [avals[i] + avals[j] for i, j in pairs]
             if len(set(wvals)) == len(wvals):
                 bvals = [rng.randint(10**3, 10**6) for _ in range(f)]
                 return avals, bvals, wvals
 
     def sum_at(avals, bvals, wvals):
         fvals = [
-            _eval_integer_form(hterms, [2 * av - wi for av in avals])
+            sym_degeneracy_value(r, [2 * av - wi for av in avals])
             for wi in wvals
         ]
         return _fixed_point_sum(wvals, bvals, fvals, M)
@@ -537,18 +420,17 @@ def _localization_points(e, f, r, W):
             "localization sum for (e,f,r)=(%d,%d,%d) is inconsistent with a "
             "polynomial of its homogeneity degree" % (e, f, r)
         )
-    result = Polynomial.zero()
-    for c, item in zip(coeffs, basis):
-        if c:
-            result = result + c * _basis_polynomial(item, e, f)
+    rscale, nums = _class_numerators(coeffs, basis, e, f)
+    result = Polynomial._raw({m: QQ(n, rscale) for m, n in nums.items()})
 
     # re-verify at fresh points
-    rscale, rterms = _integer_form(result, avars + bvars)
+    pos = {v: k for k, v in enumerate(avars + bvars)}
+    rterms = [(n, tuple((pos[v], x) for v, x in m)) for m, n in nums.items()]
     for _ in range(3):
         avals, bvals, wvals = sample_point()
-        direct = sum_at(avals, bvals, wvals)
+        value = sum_at(avals, bvals, wvals)
         got = QQ(_eval_integer_form(rterms, avals + bvals), rscale)
-        if direct != got:
+        if value != got:
             raise DenominatorSurvives(
                 "localization sum disagrees with reconstructed polynomial "
                 "at a verification point"
@@ -561,51 +443,153 @@ class _RankDeficient(Exception):
     pass
 
 
+def _word_primes():
+    """The primes below 2^61, from 2^61 - 1 (a Mersenne prime) downward.
+
+    Miller-Rabin with the first twelve primes as bases decides primality
+    exactly below 3.3 * 10^24, so the sequence is fixed."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    n = (1 << 61) - 1
+    while True:
+        d, s = n - 1, 0
+        while not d & 1:
+            d, s = d >> 1, s + 1
+        for a in bases:
+            x = pow(a, d, n)
+            if x in (1, n - 1):
+                continue
+            for _ in range(s - 1):
+                x = x * x % n
+                if x == n - 1:
+                    break
+            else:
+                break
+        else:
+            yield n
+        n -= 2
+
+
+def _ranks_and_solution(aug, n, p):
+    """Eliminate the integer rows [A | b] modulo p.  Returns
+    (rank_p(A), rank_p([A | b]), x) with x the solution modulo p when A
+    has full column rank and the system is consistent modulo p, else None."""
+    mat = [[x % p for x in row] for row in aug]
+    m = len(mat)
+    k = 0
+    for col in range(n):
+        piv = next((i for i in range(k, m) if mat[i][col]), None)
+        if piv is None:
+            continue
+        mat[k], mat[piv] = mat[piv], mat[k]
+        inv = pow(mat[k][col], -1, p)
+        top = mat[k] = [x * inv % p for x in mat[k]]
+        for i in range(k + 1, m):
+            row = mat[i]
+            a = row[col]
+            if a:
+                mat[i] = row[:col] + [
+                    (x - a * y) % p for x, y in zip(row[col:], top[col:])
+                ]
+        k += 1
+    rank_ab = k + any(mat[i][n] for i in range(k, m))
+    if k < n or rank_ab > k:
+        return k, rank_ab, None
+    x = [0] * n
+    for j in range(n - 1, -1, -1):
+        row = mat[j]
+        x[j] = (row[n] - sum(row[i] * x[i] for i in range(j + 1, n))) % p
+    return k, rank_ab, x
+
+
+def _rational_reconstruction(u, m):
+    """(num, den) with num = den * u mod m and |num|, den <= sqrt(m/2), or
+    None when no such fraction exists (Wang's half extended Euclid)."""
+    bound = isqrt(m // 2)
+    r0, r1, t0, t1 = m, u % m, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        t0, t1 = t1, t0 - q * t1
+    if abs(t1) > bound or gcd(r1, t1) != 1:
+        return None
+    return (r1, t1) if t1 > 0 else (-r1, -t1)
+
+
 def _solve_overdetermined(rows, rhs):
-    """Exact solve of the full overdetermined system by fraction-free
-    (Bareiss) elimination: each equation, right-hand side included, is
-    scaled to integers by the lcm of its denominators, and every division
-    in the elimination is exact.  Returns None if inconsistent, raises
-    _RankDeficient if the solution is not unique, and otherwise returns the
-    solution as QQ values."""
+    """Exact solve of the full overdetermined system A x = b.  Returns None
+    if it is inconsistent (checked first), raises _RankDeficient if the
+    solution is not unique, and otherwise returns the solution as QQ
+    values.
+
+    Each equation, right-hand side included, is scaled to integers by the
+    lcm of its denominators.  Then, for each prime p of `_word_primes`, the
+    rows are eliminated modulo p, which gives rank_p(A) <= rank(A) and
+    rank_p([A|b]) <= rank([A|b]):
+      (i)   A of full column rank and consistent modulo p: the solutions
+            modulo the full-rank primes so far are combined (Chinese
+            remainders) and rationally reconstructed.  The candidate is
+            returned only if every original equation holds exactly.  Full
+            column rank modulo p implies it over Q, so the candidate is the
+            unique solution: the answer elimination over Q would give.
+            Otherwise the next prime is taken.
+      (ii)  A of full column rank and inconsistent modulo p: then
+            rank([A|b]) > n = rank(A), and the answer is None.
+      (iii) otherwise the next prime is taken.
+    A prime loses rank only if it divides a nonzero minor, of absolute value
+    at most the Hadamard bound H of [A|b].  Once the product of the primes
+    exceeds 2H^2 the largest ranks seen are the ranks over Q, so an
+    inconsistent or rank-deficient system is decided as elimination over Q
+    decides it.  A system with a unique solution is returned by (i) once
+    the full-rank primes multiply past 2H^2, where reconstruction recovers
+    every coordinate (numerator and denominator are minors, by Cramer);
+    in practice one prime decides every localization system."""
     m = len(rows)
     if not m:
         return []
     n = len(rows[0])
-    aug = []
-    for row, val in zip(rows, rhs):
-        aug.append(integer_scaled(list(row) + [val])[1])
-    pivots = []
-    prev = 1  # the previous pivot, which divides every update exactly
-    for col in range(n):
-        k = len(pivots)
-        piv = next((i for i in range(k, m) if aug[i][col]), None)
-        if piv is None:
-            continue
-        aug[k], aug[piv] = aug[piv], aug[k]
-        top = aug[k]
-        p = top[col]
-        for i in range(k + 1, m):
-            row = aug[i]
-            a = row[col]
-            aug[i] = row[:col] + [
-                (p * x - a * y) // prev for x, y in zip(row[col:], top[col:])
-            ]
-        prev = p
-        pivots.append(col)
-    # inconsistent?
-    if any(aug[i][n] for i in range(len(pivots), m)):
-        return None
-    if len(pivots) != n:
-        raise _RankDeficient("interpolation system needs more points")
-    # back substitution for det * x, integral by Cramer's rule
-    det = prev
-    y = [0] * n
-    for j in range(n - 1, -1, -1):
-        row = aug[j]
-        acc = det * row[n] - sum(row[k] * y[k] for k in range(j + 1, n))
-        y[j] = acc // row[j]
-    return [QQ(v, det) for v in y]
+    aug = [integer_scaled(list(row) + [val])[1] for row, val in zip(rows, rhs)]
+    bound = None
+    product, modulus, residues = 1, 1, [0] * n
+    best_a = best_ab = 0
+    for p in _word_primes():
+        rank_a, rank_ab, x = _ranks_and_solution(aug, n, p)
+        product *= p
+        best_a, best_ab = max(best_a, rank_a), max(best_ab, rank_ab)
+        if rank_a == n and rank_ab > n:
+            return None
+        if x is not None:
+            inv = pow(modulus, -1, p)
+            residues = [u + modulus * ((v - u) * inv % p)
+                        for u, v in zip(residues, x)]
+            modulus *= p
+            solution = _certified_solution(aug, n, residues, modulus)
+            if solution is not None:
+                return solution
+        if bound is None:
+            bound = 2 * prod(isqrt(sum(row[j] ** 2 for row in aug)) + 1
+                             for j in range(n + 1)) ** 2
+        if product > bound:
+            if best_ab > best_a:
+                return None
+            if best_a < n:
+                raise _RankDeficient("interpolation system needs more points")
+
+
+def _certified_solution(aug, n, residues, modulus):
+    """The rational reconstruction of `residues` modulo `modulus`, as QQ
+    values, if it satisfies every integer equation of `aug` exactly."""
+    fractions = []
+    for u in residues:
+        got = _rational_reconstruction(u, modulus)
+        if got is None:
+            return None
+        fractions.append(got)
+    den = lcm(*(d for _, d in fractions))
+    y = [num * (den // d) for num, d in fractions]
+    for row in aug:
+        if sum(a * v for a, v in zip(row, y)) != row[n] * den:
+            return None
+    return [QQ(num, d) for num, d in fractions]
 
 
 # ---------------------------------------------------------------------------

@@ -212,6 +212,32 @@ def sym_degeneracy_class(r: int, e: int) -> Polynomial:
     return (QQ(2) ** r) * schur(Partition.staircase(r), series)
 
 
+def sym_degeneracy_value(r: int, roots: Sequence[int]) -> int:
+    """sym_degeneracy_class(r, len(roots)) at integer roots, in ints.
+
+    The class is 2^r det(e_{lam_i + j - i}(roots))_{i,j < r} with
+    lam = (r, ..., 1) (Jacobi-Trudi), and e_k(roots) is 0 for k < 0 and for
+    k > len(roots).  Only the e_k up to 2r - 1 and one r x r integer
+    determinant are formed, never the root expansion of the class.
+    """
+    if not 0 <= r <= len(roots):
+        raise ValueError("need 0 <= r <= number of roots")
+    es = _elem_values(roots, 2 * r - 1)
+    # row i holds e_k for k = lam_i - i .. lam_i - i + r - 1, lam_i = r - i
+    rows = [[es[k] if k >= 0 else 0 for k in range(r - 2 * i, 2 * r - 2 * i)]
+            for i in range(r)]
+    return _int_det(rows) << r
+
+
+def _elem_values(values: Sequence[int], k: int) -> list:
+    """Elementary symmetric values e_0..e_k of a list of integers."""
+    es = [1] + [0] * k
+    for v in values:
+        for i in range(min(k, len(values)), 0, -1):
+            es[i] += v * es[i - 1]
+    return es
+
+
 def a_const(e: int, r: int, method: str = "product"):
     """Degree of the corank->=r symmetric matrix variety.
 
@@ -253,27 +279,26 @@ def _comb0(n: int, k: int) -> int:
 
 
 def _int_det(rows) -> int:
-    """Exact determinant of an integer matrix (fraction-free enough here)."""
-    n = len(rows)
-    mat = [[QQ(x) for x in row] for row in rows]
-    det = QQ(1)
-    for col in range(n):
-        pivot = None
-        for i in range(col, n):
-            if mat[i][col]:
-                pivot = i
-                break
-        if pivot is None:
+    """Determinant of a square integer matrix by fraction-free (Bareiss)
+    elimination: after step k every entry is a (k+1) x (k+1) minor, so each
+    division by the previous pivot is exact and the entries stay integers."""
+    mat = [list(row) for row in rows]
+    n = len(mat)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        piv = next((i for i in range(k, n) if mat[i][k]), None)
+        if piv is None:
             return 0
-        if pivot != col:
-            mat[col], mat[pivot] = mat[pivot], mat[col]
-            det = -det
-        det *= mat[col][col]
-        inv = QQ(1) / mat[col][col]
-        for i in range(col + 1, n):
-            factor = mat[i][col] * inv
-            if factor:
-                for j in range(col, n):
-                    mat[i][j] -= factor * mat[col][j]
-    assert det.denominator == 1
-    return int(det)
+        if piv != k:
+            mat[k], mat[piv] = mat[piv], mat[k]
+            sign = -sign
+        top = mat[k]
+        p = top[k]
+        for i in range(k + 1, n):
+            row = mat[i]
+            a = row[k]
+            mat[i] = row[:k + 1] + [
+                (p * x - a * y) // prev for x, y in zip(row[k + 1:], top[k + 1:])
+            ]
+        prev = p
+    return sign * mat[-1][-1] if n else 1

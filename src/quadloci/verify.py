@@ -531,7 +531,7 @@ def checks_properties(max_e: int = 4, thorough: bool = False, jobs: int = 1):
                 if e >= 4 and loci.target_degree(e, wsize - d, r) > 5:
                     # the symmetric interpolation basis grows with the
                     # codimension; high-codimension checks are covered at
-                    # source rank <= 3 where the sum is fully symbolic
+                    # source rank <= 3
                     continue
                 matrix.append((e, wsize - d, r))
     sym_ok = True

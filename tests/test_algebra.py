@@ -1,4 +1,5 @@
 import itertools
+import pickle
 import random
 
 import pytest
@@ -8,7 +9,6 @@ from quadloci.algebra import (
     ALPHA,
     DenominatorSurvives,
     DivisionNotExact,
-    FactoredDenominator,
     NotSymmetric,
     Polynomial,
     QQ,
@@ -125,32 +125,26 @@ def test_substitute_rational_values():
 def test_sum_fractions_corank_one_pair():
     num1 = (X(beta(1)) - 2 * X(alpha(1))) * (X(beta(2)) - 2 * X(alpha(1)))
     num2 = (X(beta(1)) - 2 * X(alpha(2))) * (X(beta(2)) - 2 * X(alpha(2)))
-    t1 = RationalFunction.from_factored(
-        num1, FactoredDenominator.from_linear_factors([X(alpha(2)) - X(alpha(1))])
-    )
-    t2 = RationalFunction.from_factored(
-        num2, FactoredDenominator.from_linear_factors([X(alpha(1)) - X(alpha(2))])
-    )
+    t1 = RationalFunction(num1, X(alpha(2)) - X(alpha(1)))
+    t2 = RationalFunction(num2, X(alpha(1)) - X(alpha(2)))
     want = -4 * (X(alpha(1)) + X(alpha(2))) + 2 * (X(beta(1)) + X(beta(2)))
     assert sum_fractions([t1, t2]) == want
 
 
 def test_sum_fractions_trivial_and_cancel():
     assert sum_fractions([RationalFunction(X(alpha(1)))]) == X(alpha(1))
-    d = FactoredDenominator.from_linear_factors([X(alpha(1)) - X(alpha(2))])
-    plus = RationalFunction.from_factored(Polynomial.const(1), d)
-    minus = RationalFunction.from_factored(Polynomial.const(-1), d)
+    d = X(alpha(1)) - X(alpha(2))
+    plus = RationalFunction(Polynomial.const(1), d)
+    minus = RationalFunction(Polynomial.const(-1), d)
     assert sum_fractions([plus, minus]) == Polynomial.zero()
 
 
 def test_sum_fractions_survivor_raises():
-    d = FactoredDenominator.from_linear_factors([X(alpha(1)) - X(alpha(2))])
-    with pytest.raises(DenominatorSurvives):
-        sum_fractions([RationalFunction.from_factored(Polynomial.const(1), d)])
-    # generic (unfactored) path
     t = RationalFunction(Polynomial.const(1), X(alpha(1)) - X(alpha(2)))
     with pytest.raises(DenominatorSurvives):
         sum_fractions([t])
+    with pytest.raises(DenominatorSurvives):
+        sum_fractions([t, t * X(alpha(1))])
 
 
 def test_symmetric_reduce_newton():
@@ -253,6 +247,10 @@ def test_rational_function_normalization_and_equality():
     r2 = RationalFunction(X(alpha(1)) * 3, (-2 * X(alpha(1)) + 2 * X(alpha(2))) * 3)
     assert r == r2
     assert (r - r2).reduce().is_zero()
+    # a pickle round trip keeps numerator, denominator and the shared 1
+    back = pickle.loads(pickle.dumps(r))
+    assert (back.num, back.den) == (r.num, r.den)
+    assert pickle.loads(pickle.dumps(RationalFunction(X(alpha(1))))).is_polynomial()
 
 
 def test_elementary_symmetric():

@@ -66,36 +66,6 @@ def test_golden_classes_three_methods(efr):
     assert residue_divisor_class(e, r) == want
 
 
-def _valid_triples(max_e):
-    for e in range(2, max_e + 1):
-        w = comb(e + 1, 2)
-        for r in range(1, e + 1):
-            for d in range(1, min(comb(r + 1, 2), w - 1) + 1):
-                yield e, w - d, r
-
-
-def test_localization_strategies_agree():
-    # every valid triple with e <= 3, which covers each one whose "auto"
-    # choice moved from "direct" to "lines" with the basis-size rule
-    triples = list(_valid_triples(3))
-    assert {(3, 1, 3), (3, 2, 3), (3, 3, 3)} <= set(triples)
-    for e, f, r in triples:
-        direct = localization_class(e, f, r, strategy="direct")
-        lines = localization_class(e, f, r, strategy="lines")
-        assert direct == lines, (e, f, r)
-
-
-def test_localization_auto_rule(monkeypatch):
-    import quadloci.loci as loci
-
-    monkeypatch.setattr(loci, "_localization_direct", lambda *a: "direct")
-    monkeypatch.setattr(loci, "_localization_points", lambda *a: "lines")
-    # interpolation basis sizes 18, 32 and 62
-    assert localization_class(3, 3, 3) == "lines"
-    assert localization_class(3, 4, 3) == "direct"
-    assert localization_class(4, 9, 3) == "lines"
-
-
 def test_localization_order_independence():
     rng = random.Random(7)
     order = list(range(6))
@@ -122,9 +92,10 @@ def test_localization_codim2_properties():
 
 
 def test_localization_matches_raw_term_sum_at_points():
-    # end-to-end numeric check of the full fixed-point sum, both strategies
+    # end-to-end numeric check against the literal (H, gamma) term sum
     rng = random.Random(31415)
-    for e, f, r in [(3, 4, 2), (4, 7, 2), (5, 12, 2), (4, 4, 3), (4, 8, 3)]:
+    for e, f, r in [(3, 4, 2), (4, 7, 2), (5, 12, 2), (4, 4, 3), (4, 8, 3),
+                    (3, 4, 3), (3, 5, 3)]:
         result = localization_class(e, f, r)
         W = sym2_weights(e)
         d = comb(e + 1, 2) - f
@@ -383,7 +354,7 @@ def test_localization_lines_detects_a_dropped_term(monkeypatch):
 
     monkeypatch.setattr(loci, "_fixed_point_sum", all_but_first)
     with pytest.raises(DenominatorSurvives):
-        localization_class(4, 7, 2, strategy="lines")
+        localization_class(4, 7, 2)
 
 
 def _pair_terms(wvals, bvals, fvals, scale):
@@ -548,3 +519,28 @@ def test_overdetermined_solver_matches_fraction_reference(kind):
     want = {"unique": "sol", "inconsistent": "none",
             "rank-deficient": "tag", "both": "none"}[kind]
     assert want in seen
+
+
+def test_overdetermined_solver_unlucky_primes():
+    from quadloci.loci import _RankDeficient, _solve_overdetermined, _word_primes
+
+    primes = _word_primes()
+    p, q = next(primes), next(primes)
+    assert p == 2 ** 61 - 1 and q < p
+    # consistent modulo p, inconsistent over Q
+    assert _solve_overdetermined([[QQ(1)], [QQ(1)]], [QQ(0), QQ(p)]) is None
+    # rank lost modulo p, unique over Q
+    assert _solve_overdetermined([[QQ(p)]], [QQ(1)]) == [QQ(1, p)]
+    x = [QQ(1, p), QQ(-1, p * q)]
+    rows = [[QQ(p), QQ(0)], [QQ(1), QQ(q)], [QQ(1), QQ(1)]]
+    assert _solve_overdetermined(rows, [QQ(1), QQ(0), x[0] + x[1]]) == x
+    # numerators beyond 2^62 need more than one prime
+    big = [QQ(2 ** 100 + 7, 3), QQ(-(3 ** 70), 2 ** 65 + 1)]
+    rows = [[QQ(1), QQ(2)], [QQ(3), QQ(-5)], [QQ(7), QQ(1)]]
+    rhs = [sum(a * x for a, x in zip(row, big)) for row in rows]
+    assert _solve_overdetermined(rows, rhs) == big
+    # rank-deficient modulo every prime, and no unknowns at all
+    with pytest.raises(_RankDeficient):
+        _solve_overdetermined([[QQ(1), QQ(1)], [QQ(2), QQ(2)]], [QQ(1), QQ(2)])
+    assert _solve_overdetermined([[], []], [QQ(0), QQ(0)]) == []
+    assert _solve_overdetermined([[], []], [QQ(0), QQ(p)]) is None

@@ -1,15 +1,21 @@
+import itertools
+import random
+from math import prod
+
 import pytest
 
-from quadloci.algebra import ALPHA, Polynomial, alpha, elementary_symmetric, sym
+from quadloci.algebra import ALPHA, QQ, Polynomial, alpha, elementary_symmetric, sym
 from quadloci.symfunc import (
     ChernSeries,
     Partition,
     TruncationTooLow,
+    _int_det,
     a_const,
     b_const,
     gtp_class,
     schur,
     sym_degeneracy_class,
+    sym_degeneracy_value,
 )
 
 X = Polynomial.variable
@@ -116,6 +122,43 @@ def test_sym_degeneracy_degree_and_symmetry():
         assert h.is_homogeneous(r * (r + 1) // 2)
         swapped = h.rename({alpha(1): alpha(2), alpha(2): alpha(1)})
         assert swapped == h
+
+
+@pytest.mark.parametrize("e", range(1, 7))
+def test_sym_degeneracy_value_matches_root_expansion(e):
+    # the Jacobi-Trudi value at integer roots, zero and negative ones
+    # included, against the expanded class evaluated at the same roots
+    rng = random.Random(e)
+    for r in range(1, e + 1):
+        h = sym_degeneracy_class(r, e)
+        for _ in range(4):
+            roots = [rng.randint(-6, 6) for _ in range(e)]
+            want = h.evaluate({alpha(i + 1): QQ(v) for i, v in enumerate(roots)})
+            assert sym_degeneracy_value(r, roots) == want, (r, roots)
+        assert sym_degeneracy_value(r, [0] * e) == 0
+
+
+def _leibniz_det(rows):
+    n = len(rows)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        total += (-1) ** inversions * prod(rows[i][perm[i]] for i in range(n))
+    return total
+
+
+def test_int_det_matches_leibniz():
+    # zero pivots that need a row swap, and singular matrices, included
+    rng = random.Random(5)
+    assert _int_det([]) == 1
+    assert _int_det([[0, 1], [1, 0]]) == -1
+    for _ in range(200):
+        n = rng.randint(1, 5)
+        rows = [[rng.choice([0, 0, rng.randint(-9, 9)]) for _ in range(n)]
+                for _ in range(n)]
+        if n > 1 and rng.random() < 0.2:
+            rows[-1] = [2 * x for x in rows[0]]
+        assert _int_det(rows) == _leibniz_det(rows), rows
 
 
 def test_a_const_values():
