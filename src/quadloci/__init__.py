@@ -20,13 +20,13 @@ from .loci import (
     ScalarConditionViolated,
     ScalarData,
     WeightSet,
-    chern_difference,
     closed_divisor_class,
     fixed_point_restriction,
     localization_class,
     pencil_class_quot,
     pencil_class_sub,
     projectivize,
+    residue_class,
     residue_divisor_class,
     sym2_weights,
 )

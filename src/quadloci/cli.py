@@ -354,12 +354,7 @@ def cmd_class_sigma(args) -> int:
         else:
             cls = loci.closed_divisor_class(e, r)
             if args.basis == "roots":
-                from .algebra import expand_symmetric
-
-                cls = expand_symmetric(
-                    expand_symmetric(cls, ALPHA, e, symbol=lambda i: sym("c%dE" % i)),
-                    BETA, f, symbol=lambda j: sym("c%dF" % j),
-                )
+                cls = loci.to_roots(cls, e, f)
     else:
         cls = loci.localization_class(e, f, r, jobs=args.jobs)
         if args.basis == "chern":

@@ -2,29 +2,34 @@
 
 Setting: a map of bundles phi from Sym^2(E) to F, ranks e and f.  The locus
 where Ker(phi) contains a quadric of corank >= r has an equivariant class in
-the Chern roots a_1..a_e, b_1..b_f, computed here three independent ways:
+the Chern roots a_1..a_e, b_1..b_f.  Write n = C(e+1,2), d = n - f, W for the
+Sym^2 weights a_i + a_j (i <= j) and g(z) = h_r(a - z/2) prod_j(z - b_j).
+The class is (-1)^(d+1) times the divided difference of g over W, and it is
+computed two ways:
 
-* ``localization_class``   -- the fixed-point sum over pairs (H, gamma) of a
-  d-subset H of the Sym^2 weight set W and a marked weight gamma in H, with
-  tangent-weight denominators (d = C(e+1,2) - f).  At a point the sum is
-  evaluated in Cauchy-Binet form: the pairs of one H give a divided
-  difference of f(w) = h_r(a - w/2), the sum over all H is one d x d
-  moment determinant, and that determinant collapses to
-  sum_i f(w_i) prod_j(b_j - w_i) / prod_{k != i}(w_k - w_i), one term per
-  weight (`_fixed_point_sum`).  The values f(w_i) are Jacobi-Trudi
-  determinants of integers, and the class is interpolated from the point
-  values by a solve modulo word-size primes that every equation then
-  checks exactly, so no step works on polynomials in the roots until the
-  answer is assembled.
-* ``residue_divisor_class`` -- the constant-term (residue at infinity) form
-  of the same class in auxiliary variables z, u_1..u_d; only the divisorial
-  case is needed, where the answer has degree 1, so only two z-coefficients
-  of the shifted corank class enter, and they are read off monomial by
-  monomial rather than expanded.
-* ``closed_divisor_class``  -- the divisorial closed form
-  A_e^r (c1(F) - (2f/e) c1(E)).
+* ``localization_class`` -- the fixed-point sum over pairs (H, gamma) of a
+  d-subset H of W and a marked weight gamma in H, with tangent-weight
+  denominators.  At a point the sum is evaluated in Cauchy-Binet form: the
+  pairs of one H give a divided difference of f(w) = h_r(a - w/2), the sum
+  over all H is one d x d moment determinant, and that determinant
+  collapses to sum_i f(w_i) prod_j(b_j - w_i) / prod_{k != i}(w_k - w_i),
+  one term per weight (`_fixed_point_sum`).  The values f(w_i) are
+  Jacobi-Trudi determinants of integers, and the class is interpolated from
+  the point values by a solve modulo word-size primes that every equation
+  then checks exactly, so no step works on polynomials in the roots until
+  the answer is assembled.
+* ``residue_class`` -- the residue at infinity, formed in the Chern symbols
+  c_iE, c_jF: the z-coefficients of g, with h_r(a - z/2) a Jacobi-Trudi
+  determinant of the twisted Chern classes of E, against the complete
+  homogeneous functions of W.  ``residue_divisor_class`` is its divisorial
+  case.
 
-The three must agree exactly; the test suite enforces it.
+By the residue theorem the two are one identity: localization's |W| terms
+are the finite residues of g(z) / prod_{w in W}(z - w), and the residue form
+is the residue at infinity.  They do not check each other independently.
+The independent references are ``closed_divisor_class``, the divisorial
+closed form A_e^r (c1(F) - (2f/e) c1(E)), and, for general triples, the
+literal sum over the pairs (H, gamma) at points in the tests.
 
 Also here: projectivization of an invariant-cone class and its fixed-point
 restrictions, and the two presentations of the degenerate-pencil
@@ -47,17 +52,20 @@ from .algebra import (
     alpha,
     beta,
     elementary_symmetric,
+    expand_symmetric,
     gamma_var,
     integer_scaled,
     sym,
     symmetric_reduce,
     xi,
+    zvar,
 )
 from .symfunc import (
     ChernSeries,
+    Partition,
     _elem_values,
     a_const,
-    sym_degeneracy_class,
+    schur,
     sym_degeneracy_value,
 )
 
@@ -74,12 +82,20 @@ class ScalarConditionViolated(Exception):
     pass
 
 
+def _cE(i: int):
+    return sym("c%dE" % i)
+
+
+def _cF(j: int):
+    return sym("c%dF" % j)
+
+
 def c1E() -> Polynomial:
-    return Polynomial.variable(sym("c1E"))
+    return Polynomial.variable(_cE(1))
 
 
 def c1F() -> Polynomial:
-    return Polynomial.variable(sym("c1F"))
+    return Polynomial.variable(_cF(1))
 
 
 # ---------------------------------------------------------------------------
@@ -234,10 +250,6 @@ def localization_class(
     if subset_order is not None:
         pairs = [pairs[i] for i in subset_order]
     return _localization_points(e, f, r, pairs)
-
-
-def _h_poly(r: int, e: int) -> Polynomial:
-    return sym_degeneracy_class(r, e)
 
 
 def _check_class_shape(p: Polynomial, e: int, f: int, r: int):
@@ -614,127 +626,112 @@ def closed_divisor_class(e: int, r: int) -> Polynomial:
     return A * c1F() - A * QQ(2 * f, e) * c1E()
 
 
-def chern_difference(e: int, f: int, order: int) -> ChernSeries:
-    """Chern series of the virtual difference F-dual minus Sym^2(E)-dual,
-    i.e. prod_j(1 - b_j t) / prod_{w in W}(1 - w t) to the given order."""
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    bneg = [-Polynomial.variable(beta(j)) for j in range(1, f + 1)]
-    wneg = [-w for w in sym2_weights(e)]
-    num = ChernSeries.from_roots(bneg, order)
-    den = ChernSeries.from_roots(wneg, order)
-    return num.quotient_by(den, order)
+def shifted_corank_class(r: int, e: int, max_c: int) -> Polynomial:
+    """h_r(a - z/2), the corank class with every root shifted by x = -z/2,
+    in z and the symbols c_jE.
 
-
-def _antisym_coeff(vec) -> QQ:
-    """Coefficient of u^vec in prod_{i<j}(1 - u_i/u_j), via the Vandermonde
-    determinant: the product equals det(u_j^{sigma(j)-j}) summed with signs,
-    so the coefficient is the sign of j -> vec_j + j when that is a
-    permutation, else 0."""
-    d = len(vec)
-    images = [vec[j] + j for j in range(d)]
-    if sorted(images) != list(range(d)):
-        return QQ(0)
-    sign = 1
-    seen = [False] * d
-    for start in range(d):
-        if seen[start]:
-            continue
-        length = 0
-        j = start
-        while not seen[j]:
-            seen[j] = True
-            j = images[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return QQ(sign)
-
-
-def _exponent_splits(caps, k: int):
-    """Tuples (j_1..j_n) with 0 <= j_i <= caps[i] and sum j_i = k."""
-    if not caps:
-        if k == 0:
-            yield ()
-        return
-    rest = caps[1:]
-    for j in range(max(0, k - sum(rest)), min(caps[0], k) + 1):
-        for tail in _exponent_splits(rest, k - j):
-            yield (j,) + tail
-
-
-def _shift_coefficient(h: Polynomial, k: int) -> Polynomial:
-    """Coefficient of z^k in h(a - z/2), read off monomial by monomial.
-
-    (a_i - z/2)^n = sum_j C(n, j) a_i^(n-j) (-z/2)^j, so a monomial's z^k
-    coefficient sums, over the ways to take j_i of the n_i factors a_i with
-    sum j_i = k, the products of C(n_i, j_i), times (-1/2)^k.  The other
-    z-powers of h(a - z/2) are never formed.
+    The shifted roots are those of E twisted by a line bundle of first
+    Chern class x, so (Fulton, Intersection Theory, Ex. 3.2.2) its Chern
+    classes are c_k = sum_{j<=k} C(e-j, k-j) c_jE x^(k-j), and the class is
+    2^r s_(r,...,1) of that series.  Only c_jE with j <= max_c are kept:
+    the z-coefficients of c-degree <= max_c are exact, the others are not.
     """
-    scale = QQ(-1, 2) ** k
-    out: dict = {}
-    for m, c in h.terms.items():
-        caps = [n if v[0] == ALPHA else 0 for v, n in m]
-        for js in _exponent_splits(caps, k):
-            mono = tuple((v, n - j) for (v, n), j in zip(m, js) if n > j)
-            w = c * scale * prod(comb(n, j) for (_, n), j in zip(m, js))
-            s = out.get(mono, 0) + w
-            if s:
-                out[mono] = s
-            else:
-                out.pop(mono, None)
-    return Polynomial._raw(out)
+    x = QQ(-1, 2) * Polynomial.variable(zvar())
+    cE = [Polynomial.const(1)] + [
+        Polynomial.variable(_cE(j)) for j in range(1, min(e, max_c) + 1)
+    ]
+    twisted = [
+        sum((comb(e - j, k - j) * c * x ** (k - j)
+             for j, c in enumerate(cE[:k + 1])), Polynomial.zero())
+        for k in range(e + 1)
+    ]
+    series = ChernSeries(twisted, rank=e)
+    return (QQ(2) ** r) * schur(Partition.staircase(r), series)
+
+
+def _sym2_complete(e: int, top: int) -> list:
+    """h_0..h_top of the Sym^2 weights a_i + a_j (i <= j), in the c_iE.
+
+    Newton's identities give the power sums p_m of the a_i, with p_0 = e;
+    the weights' power sums are p_k(W) = (sum_m C(k,m) p_m p_(k-m)
+    + 2^k p_k) / 2, and m h_m(W) = sum_{i=1..m} p_i(W) h_(m-i)(W)."""
+    c = [Polynomial.const(1)] + [
+        Polynomial.variable(_cE(i)) if i <= e else Polynomial.zero()
+        for i in range(1, top + 1)
+    ]
+    p = [Polynomial.const(e)]
+    for m in range(1, top + 1):
+        acc = (-1) ** (m - 1) * m * c[m]
+        for i in range(1, m):
+            acc = acc + (-1) ** (i - 1) * c[i] * p[m - i]
+        p.append(acc)
+    pW = [None] + [
+        QQ(1, 2) * (sum((comb(k, m) * p[m] * p[k - m] for m in range(k + 1)),
+                        Polynomial.zero()) + 2 ** k * p[k])
+        for k in range(1, top + 1)
+    ]
+    hW = [Polynomial.const(1)]
+    for m in range(1, top + 1):
+        acc = sum((pW[i] * hW[m - i] for i in range(1, m + 1)), Polynomial.zero())
+        hW.append(QQ(1, m) * acc)
+    return hW
+
+
+def residue_class(e: int, f: int, r: int, basis: str = "chern") -> Polynomial:
+    """The corank->=r class as the residue at infinity of the localization
+    sum, in the symbols c_iE, c_jF (or, with basis="roots", in the roots).
+
+    With n = C(e+1,2), d = n - f and g(z) = h_r(a - z/2) prod_j(z - b_j),
+    localization's sum over the weights W is (-1)^(d+1) times the divided
+    difference of g over W, so by the residue theorem
+        class = (-1)^(d+1) sum_{k >= n-1} [z^k] g(z) h_(k-n+1)(W).
+    Collecting by the power z^s of the shifted corank class
+    (`shifted_corank_class`) this is
+    (-1)^(d+1) sum_s [z^s] h_r(a - z/2) q_(s-d+1), with
+    q_m = sum_j (-1)^j c_jF h_(m-j)(W) (`_sym2_complete`).  The class has
+    degree t = C(r+1,2) - d + 1, so only Chern classes of degree <= t enter.
+    The domain is localization's, plus r = d = 0, where the divided
+    difference is exact and gives c1F - (e+1) c1E.
+    """
+    n = comb(e + 1, 2)
+    d = n - f
+    if not (r == d == 0 and e >= 1):
+        _check_loc_preconditions(e, f, r)
+    t = target_degree(e, f, r)
+    h = shifted_corank_class(r, e, t)
+    hW = _sym2_complete(e, t)
+    cF = [Polynomial.const(1)] + [
+        Polynomial.variable(_cF(j)) for j in range(1, min(f, t) + 1)
+    ]
+    total = Polynomial.zero()
+    for s in range(max(d - 1, 0), comb(r + 1, 2) + 1):
+        m = s - d + 1
+        q = sum(((-1) ** j * cF[j] * hW[m - j] for j in range(min(f, m) + 1)),
+                Polynomial.zero())
+        total = total + h.coefficient_of(zvar(), s) * q
+    result = total if d % 2 else -total
+    return to_roots(result, e, f) if basis == "roots" else result
 
 
 def residue_divisor_class(e: int, r: int, basis: str = "chern") -> Polynomial:
-    """Divisorial class via the residue-at-infinity constant-term formula.
-
-    The class is the constant term in z and u_1..u_d of
-        (-1)^(d+1) h_r|_{a -> a - z/2} * prod_{i<j}(1 - u_i/u_j)
-                   / (z^(d-1) prod_j (1 - u_j/z))
-                   * prod_j sum_i c_i(Fdual - Sym2Edual) u_j^{-i}.
-    The answer has degree 1, so by homogeneity only the z^(d-1) and z^d
-    coefficients of the shifted class and the c-series orders 0 and 1
-    contribute.  Those two coefficients are read off h directly
-    (`_shift_coefficient`); h(a - z/2) is never expanded.  The formula needs
-    at least one u_j, so r = 0 (d = 0) is rejected.
-    """
-    if not 1 <= r <= e:
-        raise PreconditionViolated(
-            "need 1 <= r <= e: the residue formula needs d = C(r+1,2) >= 1"
-        )
+    """`residue_class` at the divisorial f = C(e+1,2) - C(r+1,2)."""
     f = divisorial_f(e, r)
     if f < 1:
         raise NotDivisorial("not in the divisorial range")
-    d = comb(e + 1, 2) - f  # = C(r+1,2)
-    h = _h_poly(r, e)
-    c1 = chern_difference(e, f, 1).c(1)
-
-    # z-power d-1: no u_j/z insertions, all c_0
-    total = _shift_coefficient(h, d - 1) * _antisym_coeff((0,) * d)
-    # z-power d: one u_{j0}/z insertion, one c_1 (u-balance kills the rest)
-    p1 = _shift_coefficient(h, d)
-    if not p1.is_zero():
-        acc = QQ(0)
-        for j0 in range(d):
-            for m in range(d):
-                vec = [0] * d
-                vec[m] += 1
-                vec[j0] -= 1
-                acc += _antisym_coeff(tuple(vec))
-        total = total + acc * (p1 * c1)
-    sign = QQ(1) if (d + 1) % 2 == 0 else QQ(-1)
-    result = sign * total
-    if basis == "roots":
-        return result
-    return to_chern_symbols(result, e, f)
+    return residue_class(e, f, r, basis)
 
 
 def to_chern_symbols(p: Polynomial, e: int, f: int) -> Polynomial:
     """Rewrite a bi-symmetric polynomial in the symbols ciE, cjF."""
-    p = symmetric_reduce(p, ALPHA, e, symbol=lambda i: sym("c%dE" % i))
-    p = symmetric_reduce(p, BETA, f, symbol=lambda j: sym("c%dF" % j))
-    return p
+    p = symmetric_reduce(p, ALPHA, e, symbol=_cE)
+    return symmetric_reduce(p, BETA, f, symbol=_cF)
+
+
+def to_roots(p: Polynomial, e: int, f: int) -> Polynomial:
+    """Inverse of `to_chern_symbols`: expand the symbols ciE, cjF in the
+    Chern roots a_1..a_e, b_1..b_f."""
+    p = expand_symmetric(p, ALPHA, e, symbol=_cE)
+    return expand_symmetric(p, BETA, f, symbol=_cF)
 
 
 # ---------------------------------------------------------------------------

@@ -284,7 +284,7 @@ def test_moduli_slope_custom_names_missing_flags(capsys, given, missing):
 
 def test_sigma_residue_and_closed_documents_agree(capsys):
     for e in range(1, 6):
-        for r in range(1, e + 1):
+        for r in range(e + 1):
             f = comb(e + 1, 2) - comb(r + 1, 2)
             if f < 1:
                 continue

@@ -20,7 +20,6 @@ from quadloci.loci import (
     WeightSet,
     c1E,
     c1F,
-    chern_difference,
     closed_divisor_class,
     discriminant_monomial_weight,
     divisorial_f,
@@ -30,10 +29,13 @@ from quadloci.loci import (
     pencil_class_sub,
     pencil_sub_from_quot,
     projectivize,
+    residue_class,
     residue_divisor_class,
+    shifted_corank_class,
     sym2_weights,
     target_degree,
     to_chern_symbols,
+    to_roots,
 )
 from quadloci.symfunc import sym_degeneracy_class
 
@@ -147,56 +149,21 @@ def test_closed_divisor_guards():
         residue_divisor_class(2, 2)
 
 
-def test_chern_difference_c1_identity():
-    for e, f in ((2, 2), (3, 5), (4, 7)):
-        cs = chern_difference(e, f, 1)
-        suma = sum((X(alpha(i)) for i in range(1, e + 1)), Polynomial.zero())
-        sumb = sum((X(beta(j)) for j in range(1, f + 1)), Polynomial.zero())
-        assert cs.c(0) == Polynomial.const(1)
-        assert cs.c(1) == (e + 1) * suma - sumb
+def test_sym2_complete_matches_weight_expansion():
+    # h_m of the Sym^2 weights, built one weight at a time as the
+    # coefficients of prod_w 1/(1 - w t)
+    from quadloci.algebra import ALPHA, expand_symmetric, sym
+    from quadloci.loci import _sym2_complete
 
-
-def test_chern_difference_order_zero():
-    cs = chern_difference(3, 3, 0)
-    assert cs.c(0) == Polynomial.const(1)
-
-
-def _antisym_table(d):
-    """Full expansion of prod_{i<j} (1 - u_i/u_j) as relative exponent
-    vector -> coefficient: the oracle for `_antisym_coeff`."""
-    table = {(0,) * d: QQ(1)}
-    for i in range(d):
-        for j in range(i + 1, d):
-            new = dict(table)
-            for vec, c in table.items():
-                lst = list(vec)
-                lst[i] += 1
-                lst[j] -= 1
-                key = tuple(lst)
-                s = new.get(key, QQ(0)) - c
-                if s:
-                    new[key] = s
-                else:
-                    new.pop(key, None)
-            table = new
-    return table
-
-
-def test_antisym_table_vs_permutation_rule():
-    from quadloci.loci import _antisym_coeff
-
-    for d in (2, 3, 4, 5):
-        table = _antisym_table(d)
-        for vec, coeff in table.items():
-            assert _antisym_coeff(vec) == coeff
-        # and vanishing coefficients vanish both ways
-        rng = random.Random(d)
-        for _ in range(50):
-            vec = tuple(rng.randint(-2, 2) for _ in range(d))
-            if sum(vec):
-                assert _antisym_coeff(vec) == QQ(0)
-            else:
-                assert _antisym_coeff(vec) == table.get(vec, QQ(0))
+    for e in range(1, 6):
+        want = [Polynomial.const(1)] + [Polynomial.zero()] * 4
+        for w in sym2_weights(e):
+            for m in range(1, 5):
+                want[m] = want[m] + w * want[m - 1]
+        got = _sym2_complete(e, 4)
+        for m in range(5):
+            roots = expand_symmetric(got[m], ALPHA, e, symbol=lambda i: sym("c%dE" % i))
+            assert roots == want[m], (e, m)
 
 
 def _axis_example():
@@ -295,16 +262,14 @@ def test_triple_agreement_divisorial_small():
 
 @pytest.mark.parametrize("r,e", [(r, e) for e in range(1, 5) for r in range(e + 1)])
 def test_shift_coefficient_matches_full_substitution(r, e):
-    from quadloci.algebra import zvar
-    from quadloci.loci import _shift_coefficient
+    from quadloci.algebra import ALPHA, expand_symmetric, sym, zvar
 
-    h = sym_degeneracy_class(r, e)
     z = X(zvar())
     shift = {alpha(i): X(alpha(i)) - QQ(1, 2) * z for i in range(1, e + 1)}
-    full = h.substitute_poly(shift)
-    for k in range(h.degree() + 1):
-        assert _shift_coefficient(h, k) == full.coefficient_of(zvar(), k)
-    assert _shift_coefficient(h, h.degree() + 1).is_zero()
+    full = sym_degeneracy_class(r, e).substitute_poly(shift)
+    twisted = shifted_corank_class(r, e, e)
+    roots = expand_symmetric(twisted, ALPHA, e, symbol=lambda i: sym("c%dE" % i))
+    assert roots == full
 
 
 def test_residue_matches_closed_form_through_e6():
@@ -324,14 +289,35 @@ def test_residue_matches_closed_form_through_e6():
             assert residue_divisor_class(e, r, basis="roots") == want_roots
 
 
-def test_residue_rejects_corank_zero():
-    # d = C(r+1,2) = 0 leaves the formula with no u_j; the closed form
-    # still covers r = 0
+def test_residue_corank_zero_matches_closed_form():
+    # d = 0: the divided difference over all C(e+1,2) weights is exact
     for e in range(1, 7):
+        f = divisorial_f(e, 0)
+        want = closed_divisor_class(e, 0)
+        assert want == c1F() - (e + 1) * c1E()
+        assert residue_divisor_class(e, 0) == want
+        assert residue_divisor_class(e, 0, basis="roots") == to_roots(want, e, f)
+
+
+# general triples whose localization takes well under a second
+GENERAL = [(2, 1, 2), (3, 1, 3), (3, 3, 3), (3, 5, 2), (4, 4, 4), (4, 7, 3),
+           (4, 8, 2), (4, 1, 4), (5, 1, 5), (5, 7, 4), (5, 13, 2)]
+
+
+@pytest.mark.parametrize("efr", GENERAL)
+def test_residue_class_matches_localization(efr):
+    e, f, r = efr
+    loc = localization_class(e, f, r)
+    assert residue_class(e, f, r) == to_chern_symbols(loc, e, f)
+    assert residue_class(e, f, r, basis="roots") == loc
+
+
+def test_residue_class_domain():
+    # localization's domain, plus r = d = 0
+    assert residue_class(3, 6, 0) == c1F() - 4 * c1E()
+    for e, f, r in ((3, 5, 0), (3, 6, 1), (3, 6, 4), (2, 2, 3), (3, 0, 3)):
         with pytest.raises(PreconditionViolated):
-            residue_divisor_class(e, 0)
-        with pytest.raises(PreconditionViolated):
-            residue_divisor_class(e, 0, basis="roots")
+            residue_class(e, f, r)
 
 
 def test_target_degree():
