@@ -356,9 +356,7 @@ def cmd_class_sigma(args) -> int:
             if args.basis == "roots":
                 cls = loci.to_roots(cls, e, f)
     else:
-        cls = loci.localization_class(e, f, r, jobs=args.jobs)
-        if args.basis == "chern":
-            cls = loci.to_chern_symbols(cls, e, f)
+        cls = loci.localization_class(e, f, r, jobs=args.jobs, basis=args.basis)
     doc = poly_document(
         cls,
         "class sigma",

@@ -13,11 +13,16 @@ computed two ways:
   pairs of one H give a divided difference of f(w) = h_r(a - w/2), the sum
   over all H is one d x d moment determinant, and that determinant
   collapses to sum_i f(w_i) prod_j(b_j - w_i) / prod_{k != i}(w_k - w_i),
-  one term per weight (`_fixed_point_sum`).  The values f(w_i) are
-  Jacobi-Trudi determinants of integers, and the class is interpolated from
-  the point values by a solve modulo word-size primes that every equation
-  then checks exactly, so no step works on polynomials in the roots until
-  the answer is assembled.
+  one term per weight.  That sum is linear in the c_jF: it is
+  sum_j (-1)^(f-j) c_jF S_(f-j)(a), where S_m is the moment
+  sum_i w_i^m f(w_i) / prod_{k != i}(w_k - w_i) (`_weight_moments`), an
+  S_e-symmetric polynomial of degree C(r+1,2) + m - n + 1 and 0 where that
+  degree is negative.  So only points in a are sampled: the values f(w_i)
+  are Jacobi-Trudi determinants of integers, every negative-degree S_m is
+  checked to vanish, and each other S_m is interpolated in the monomials
+  of its degree in the e_i(a) by a solve modulo word-size primes that
+  every equation then checks exactly.  The answer is assembled in the
+  symbols c_iE, c_jF, and no step works on polynomials in the roots.
 * ``residue_class`` -- the residue at infinity, formed in the Chern symbols
   c_iE, c_jF: the z-coefficients of g, with h_r(a - z/2) a Jacobi-Trudi
   determinant of the twisted Chern classes of E, against the complete
@@ -51,7 +56,6 @@ from .algebra import (
     QQ,
     alpha,
     beta,
-    elementary_symmetric,
     expand_symmetric,
     gamma_var,
     integer_scaled,
@@ -215,136 +219,85 @@ def localization_class(
     r: int,
     jobs: int = 1,
     subset_order: Sequence[int] | None = None,
+    basis: str = "roots",
 ) -> Polynomial:
     """Fixed-point sum for the corank->=r locus, as a polynomial in the
-    Chern roots a_1..a_e, b_1..b_f.
+    Chern roots a_1..a_e, b_1..b_f (or, with basis="chern", in the symbols
+    c_iE, c_jF).
 
     The sum runs over the pairs (H, gamma) of a d-subset H of the Sym^2
-    weights W and a marked weight gamma in H, d = C(e+1,2) - f.  Write
-    B_i = prod_j(b_j - w_i), P_i = prod_{k != i}(w_k - w_i), x_i = B_i/P_i
-    and f(w) = h(a - w/2).  The terms of one H sum to
-    (-1)^(C(d,2)+d-1) Delta(H)^2 f[H] prod_{i in H} x_i, with Delta(H) the
-    Vandermonde product of the weights in H and f[H] the divided difference
-    of f over them.  By Cauchy-Binet the sum over all H is one d x d moment
-    determinant, and that determinant collapses to sum_i x_i f(w_i): one
-    term per weight instead of C(|W|, d) * d pairs (`_fixed_point_sum`).
+    weights W and a marked weight gamma in H, d = C(e+1,2) - f.  By
+    Cauchy-Binet it collapses to sum_i B_i f(w_i) / P_i, one term per
+    weight, with B_i = prod_j(b_j - w_i), P_i = prod_{k != i}(w_k - w_i)
+    and f(w) = h(a - w/2) (`_weight_moments`).
 
-    The sum is evaluated exactly at deterministic integer points and
-    reconstructed in the elementary-symmetric basis forced by the
-    (S_e x S_f)-symmetry and the homogeneity degree of every term.  At an
-    integer point every weight is an integer, and 2^D h(a - w/2) =
-    h(2a - w) (D = C(r+1,2), the degree of h) is the Jacobi-Trudi value
-    `sym_degeneracy_value`, so each point's sum is taken in Python ints.
-    The interpolation system is over-determined and solved modulo word-size
-    primes with an exact check (`_solve_overdetermined`), and the result is
-    re-verified at fresh points, so an inconsistency (the sum failing to be
-    polynomial) raises DenominatorSurvives.
+    B_i is multilinear in the b_j: B_i = sum_j (-1)^(f-j) c_jF w_i^(f-j).
+    So the class is linear in the c_jF,
+        class = sum_{j=0..f} c_jF (-1)^(f-j) S_(f-j)(a),
+    with S_m(a) = sum_i w_i^m f(w_i) / P_i, and only points in a are
+    sampled.  S_m is (-1)^(n-1) times the divided difference of z^m f(z)
+    over the n = |W| weights: an S_e-symmetric polynomial of degree
+    D + m - n + 1, D = C(r+1,2) the degree of h, and 0 where that degree is
+    negative.  Each S_m of nonnegative degree is its own block, solved in
+    the monomials of that degree in the e_i(a).
+
+    At an integer point every weight is an integer, and 2^D h(a - w/2) =
+    h(2a - w) is the Jacobi-Trudi value `sym_degeneracy_value`, so every
+    S_m is taken in Python ints.  Each block's system is over-determined
+    and solved modulo word-size primes with an exact check
+    (`_solve_overdetermined`), and re-verified at fresh points.  A nonzero
+    S_m of negative degree, an inconsistent block or a fresh-point mismatch
+    (the sum failing to be polynomial) raises DenominatorSurvives.
 
     `jobs` is accepted and has no effect: a point costs one sum over the
     weights, so everything runs in this process.  `subset_order` permutes
     the order of the weights, which reorders the sum over the weights at
     every point (the result must not depend on it; tested).
     """
+    _check_basis(basis)
     _check_loc_preconditions(e, f, r)
     pairs = _sym2_pairs(e)
     if subset_order is not None:
         pairs = [pairs[i] for i in subset_order]
-    return _localization_points(e, f, r, pairs)
+    chern = _localization_points(e, f, r, pairs)
+    return to_roots(chern, e, f) if basis == "roots" else chern
 
 
-def _check_class_shape(p: Polynomial, e: int, f: int, r: int):
-    deg = target_degree(e, f, r)
-    if not p.is_homogeneous(deg) and not p.is_zero():
-        raise AssertionError(
-            "class for (e,f,r)=(%d,%d,%d) is not homogeneous of degree %d"
-            % (e, f, r, deg)
-        )
+def _check_basis(basis: str):
+    if basis not in ("roots", "chern"):
+        raise PreconditionViolated(
+            "basis must be 'roots' or 'chern', not %r" % (basis,))
 
 
-def _symmetric_basis(e: int, f: int, deg: int):
-    """Monomials in e_i(alpha), e_j(beta) of total weighted degree `deg`."""
+def _partitions(total: int, largest: int):
+    """Partitions of `total` into parts <= `largest`, as sorted
+    (part, multiplicity) tuples: the monomials of degree `total` in the
+    elementary symmetric functions e_1..e_largest."""
 
-    def weighted(parts_max: int, total: int):
-        # partitions of `total` into parts <= parts_max, as multiplicity dicts
-        def rec(remaining, largest):
-            if remaining == 0:
-                yield {}
-                return
-            for part in range(min(largest, remaining), 0, -1):
-                for rest in rec(remaining - part, part):
-                    out = dict(rest)
-                    out[part] = out.get(part, 0) + 1
-                    yield out
+    def rec(remaining, top):
+        if remaining == 0:
+            yield {}
+            return
+        for part in range(min(top, remaining), 0, -1):
+            for rest in rec(remaining - part, part):
+                out = dict(rest)
+                out[part] = out.get(part, 0) + 1
+                yield out
 
-        yield from rec(total, parts_max)
-
-    basis = []
-    for p in range(deg + 1):
-        q = deg - p
-        for pa in weighted(e, p):
-            for pb in weighted(f, q):
-                basis.append((tuple(sorted(pa.items())), tuple(sorted(pb.items()))))
-    return basis
+    return [tuple(sorted(p.items())) for p in rec(total, largest)]
 
 
-def _elem_product(kind: int, n: int, parts) -> Polynomial:
-    """prod e_part(roots)^mult over the (part, mult) pairs, in the n roots
-    of one alphabet."""
-    out = Polynomial.const(1)
-    for part, mult in parts:
-        out = out * elementary_symmetric(kind, n, part) ** mult
-    return out
+def _weight_moments(wvals, fvals, count):
+    """(L, [s_0..s_(count-1)]) with s_m / L = sum_i w_i^m fvals[i] / P_i,
+    P_i = prod_{k != i}(w_k - w_i) and L = lcm|P_i|, all in ints.
 
-
-def _class_numerators(coeffs, basis, e: int, f: int):
-    """sum_k coeffs[k] * basis[k] in the roots, as (L, {monomial: int})
-    with L the lcm of the coefficients' denominators, so that the class is
-    the int dict divided by L.
-
-    A basis element is an a-part times a b-part, polynomials in disjoint
-    alphabets with every a-variable ordered before every b-variable, so a
-    monomial of their product is the concatenation of the two.  The b-parts
-    are summed once per a-part."""
-    den, nums = integer_scaled(coeffs)
-    by_a: dict = {}
-    for (pa, pb), num in zip(basis, nums):
-        if num:
-            by_a.setdefault(pa, []).append((pb, num))
-    bparts: dict = {}
-    out: dict = {}
-    for pa, items in by_a.items():
-        inner: dict = {}
-        for pb, num in items:
-            if pb not in bparts:
-                bparts[pb] = _elem_product(BETA, f, pb).terms
-            for mb, cb in bparts[pb].items():
-                inner[mb] = inner.get(mb, 0) + num * int(cb)
-        for ma, ca in _elem_product(ALPHA, e, pa).terms.items():
-            ca = int(ca)
-            for mb, nb in inner.items():
-                out[ma + mb] = out.get(ma + mb, 0) + ca * nb
-    return den, {m: v for m, v in out.items() if v}
-
-
-def _eval_integer_form(terms, values) -> int:
-    """sum of c * prod values[k]^x over the terms (c, ((k, x), ...))."""
-    total = 0
-    for c, mono in terms:
-        for k, x in mono:
-            c *= values[k] ** x
-        total += c
-    return total
-
-
-def _fixed_point_sum(wvals, bvals, fvals, scale) -> QQ:
-    """The fixed-point sum over the pairs (H, gamma) at an integer point.
-
-    `wvals` are the weight values w_1..w_n, `bvals` the b-roots, and
-    fvals[i] = scale * f(w_i) are integers, with f(w) = h(a - w/2).  For a
-    d-subset H (d = n - len(bvals)) and gamma in H, the (H, gamma) term is
-    f(w_gamma) prod_{i in H} B_i over
-    P_gamma prod_{i in H, i != gamma} prod_{k not in H}(w_k - w_i), where
-    B_i = prod_j(b_j - w_i) and P_i = prod_{k != i}(w_k - w_i).
+    With fvals[i] = scale * f(w_i), f(w) = h(a - w/2), the fixed-point sum
+    over the pairs (H, gamma) at the point is
+    sum_m (-1)^m e_(f-m)(b) s_m / (L * scale), where the (H, gamma) term,
+    for a d-subset H (d = n - f) and gamma in H, is f(w_gamma)
+    prod_{i in H} B_i over
+    P_gamma prod_{i in H, i != gamma} prod_{k not in H}(w_k - w_i), with
+    B_i = prod_j(b_j - w_i).
 
     Cauchy-Binet.  Put x_i = B_i/P_i and Delta(H) = prod_{i<k in H}(w_k - w_i).
     The terms of one H sum to (-1)^(C(d,2)+d-1) Delta(H)^2 f[H]
@@ -361,94 +314,93 @@ def _fixed_point_sum(wvals, bvals, fvals, scale) -> QQ:
     m_(d-1) = (-1)^(d-1).  The matrix is zero above its anti-diagonal,
     which holds sum_i x_i f(w_i) in row 0 and m_(d-1) below it, so the
     determinant is (-1)^(C(d,2)+d-1) sum_i x_i f(w_i), the signs cancel,
-    and the sum is sum_i B_i f(w_i) / P_i.  It is accumulated in ints over
-    L = lcm|P_i| and returned as a fraction over L * scale.
+    and the sum is sum_i B_i f(w_i) / P_i.  Expanding
+    B_i = sum_m (-1)^m e_(f-m)(b) w_i^m gives the moments s_m.
     """
     P = [prod(wk - wi for k, wk in enumerate(wvals) if k != i)
          for i, wi in enumerate(wvals)]
     L = lcm(*P)
-    total = sum(
-        prod(bv - wi for bv in bvals) * fi * (L // Pi)
-        for wi, fi, Pi in zip(wvals, fvals, P)
-    )
-    return QQ(total, L * scale)
+    terms = [fi * (L // Pi) for fi, Pi in zip(fvals, P)]
+    sums = []
+    for _ in range(count):
+        sums.append(sum(terms))
+        terms = [t * wi for t, wi in zip(terms, wvals)]
+    return L, sums
 
 
 def _localization_points(e, f, r, pairs):
-    deg = target_degree(e, f, r)
-    avars = [alpha(i) for i in range(1, e + 1)]
-    bvars = [beta(j) for j in range(1, f + 1)]
-    # M * h(a - w/2) = h(2a - w) with M = 2^deg(h), an integer at a point
-    M = 1 << comb(r + 1, 2)
-    basis = _symmetric_basis(e, f, deg)
-    n_unknown = len(basis)
+    """The class in the symbols c_iE, c_jF, one block S_m at a time (see
+    `localization_class`)."""
+    n = len(pairs)
+    D = comb(r + 1, 2)
+    # M * h(a - w/2) = h(2a - w) with M = 2^D, an integer at a point
+    M = 1 << D
+    degrees = [D + m - n + 1 for m in range(f + 1)]
+    blocks = {m: _partitions(deg, e) for m, deg in enumerate(degrees) if deg >= 0}
+    size = max(len(parts) for parts in blocks.values())
     rng = random.Random(0xC0FFEE + 1000003 * e + 1009 * f + r)
 
     def sample_point():
+        """(e_0..e_e of a, L * M, [s_0..s_f]) at a fresh point in a."""
         while True:
             avals = [rng.randint(10**3, 10**6) for _ in range(e)]
             wvals = [avals[i] + avals[j] for i, j in pairs]
-            if len(set(wvals)) == len(wvals):
-                bvals = [rng.randint(10**3, 10**6) for _ in range(f)]
-                return avals, bvals, wvals
+            if len(set(wvals)) == n:
+                break
+        fvals = [sym_degeneracy_value(r, [2 * av - wi for av in avals])
+                 for wi in wvals]
+        L, sums = _weight_moments(wvals, fvals, f + 1)
+        for m, deg in enumerate(degrees):
+            if deg < 0 and sums[m]:
+                raise DenominatorSurvives(
+                    "localization sum for (e,f,r)=(%d,%d,%d): S_%d has "
+                    "negative degree %d but is not 0" % (e, f, r, m, deg))
+        return _elem_values(avals, e), L * M, sums
 
-    def sum_at(avals, bvals, wvals):
-        fvals = [
-            sym_degeneracy_value(r, [2 * av - wi for av in avals])
-            for wi in wvals
-        ]
-        return _fixed_point_sum(wvals, bvals, fvals, M)
+    def basis_row(ea, parts):
+        return [prod(ea[part] ** mult for part, mult in mono) for mono in parts]
 
-    def basis_row(avals, bvals):
-        ea = _elem_values(avals, e)
-        eb = _elem_values(bvals, f)
-        row = []
-        for pa, pb in basis:
-            val = 1
-            for part, mult in pa:
-                val *= ea[part] ** mult
-            for part, mult in pb:
-                val *= eb[part] ** mult
-            row.append(val)
-        return row
-
-    points = [sample_point() for _ in range(n_unknown + 4)]
-    evals = [sum_at(*pt) for pt in points]
-    rows = [basis_row(avals, bvals) for avals, bvals, _ in points]
-    for _ in range(3):
-        try:
-            coeffs = _solve_overdetermined(rows, evals)
-            break
-        except _RankDeficient:
-            # a degenerate sample; widen the point set and try again
-            extra = [sample_point() for _ in range(n_unknown)]
-            evals = evals + [sum_at(*pt) for pt in extra]
-            rows = rows + [basis_row(avals, bvals) for avals, bvals, _ in extra]
-            points = points + extra
-    else:
-        raise AssertionError("interpolation system stayed rank-deficient")
-    if coeffs is None:
-        raise DenominatorSurvives(
-            "localization sum for (e,f,r)=(%d,%d,%d) is inconsistent with a "
-            "polynomial of its homogeneity degree" % (e, f, r)
-        )
-    rscale, nums = _class_numerators(coeffs, basis, e, f)
-    result = Polynomial._raw({m: QQ(n, rscale) for m, n in nums.items()})
-
-    # re-verify at fresh points
-    pos = {v: k for k, v in enumerate(avars + bvars)}
-    rterms = [(n, tuple((pos[v], x) for v, x in m)) for m, n in nums.items()]
-    for _ in range(3):
-        avals, bvals, wvals = sample_point()
-        value = sum_at(avals, bvals, wvals)
-        got = QQ(_eval_integer_form(rterms, avals + bvals), rscale)
-        if value != got:
+    points = [sample_point() for _ in range(size + 4)]
+    solved = {}
+    for m, parts in blocks.items():
+        for _ in range(3):
+            try:
+                coeffs = _solve_overdetermined(
+                    [basis_row(ea, parts) for ea, _, _ in points],
+                    [QQ(sums[m], den) for _, den, sums in points])
+                break
+            except _RankDeficient:
+                # a degenerate sample; widen the point set and try again
+                points += [sample_point() for _ in range(size)]
+        else:
+            raise AssertionError("interpolation system stayed rank-deficient")
+        if coeffs is None:
             raise DenominatorSurvives(
-                "localization sum disagrees with reconstructed polynomial "
-                "at a verification point"
-            )
-    _check_class_shape(result, e, f, r)
-    return result
+                "localization sum for (e,f,r)=(%d,%d,%d): S_%d is inconsistent "
+                "with a polynomial of degree %d" % (e, f, r, m, degrees[m]))
+        solved[m] = integer_scaled(coeffs)
+
+    # re-verify every block at fresh points
+    for _ in range(3):
+        ea, den, sums = sample_point()
+        for m, parts in blocks.items():
+            scale, nums = solved[m]
+            got = sum(c * v for c, v in zip(nums, basis_row(ea, parts)))
+            if got * den != sums[m] * scale:
+                raise DenominatorSurvives(
+                    "localization sum disagrees with reconstructed polynomial "
+                    "at a verification point")
+
+    # class = sum_m (-1)^m c_(f-m)F S_m
+    terms = {}
+    for m, parts in blocks.items():
+        scale, nums = solved[m]
+        cF = ((_cF(f - m), 1),) if m < f else ()
+        for mono, num in zip(parts, nums):
+            if num:
+                key = tuple(sorted(cF + tuple((_cE(i), x) for i, x in mono)))
+                terms[key] = QQ(-num if m % 2 else num, scale)
+    return Polynomial._raw(terms)
 
 
 class _RankDeficient(Exception):
@@ -462,7 +414,10 @@ def _word_primes():
     exactly below 3.3 * 10^24, so the sequence is fixed."""
     bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
     n = (1 << 61) - 1
+    # every solve starts here, and this one is known to be prime
+    yield n
     while True:
+        n -= 2
         d, s = n - 1, 0
         while not d & 1:
             d, s = d >> 1, s + 1
@@ -478,7 +433,6 @@ def _word_primes():
                 break
         else:
             yield n
-        n -= 2
 
 
 def _ranks_and_solution(aug, n, p):
@@ -693,6 +647,7 @@ def residue_class(e: int, f: int, r: int, basis: str = "chern") -> Polynomial:
     The domain is localization's, plus r = d = 0, where the divided
     difference is exact and gives c1F - (e+1) c1E.
     """
+    _check_basis(basis)
     n = comb(e + 1, 2)
     d = n - f
     if not (r == d == 0 and e >= 1):

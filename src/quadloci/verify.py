@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Callable
 
-from .algebra import ALPHA, BETA, Polynomial, QQ, alpha, beta, is_symmetric, xi, zvar
+from .algebra import Polynomial, QQ, alpha, beta, xi, zvar
 from .grr import (
     BundleCharacter,
     TautClass,
@@ -67,9 +67,7 @@ def checks_divisor_classes(jobs: int = 1):
     rows = []
     for (e, f, r), (ce, cf) in GOLDEN_DIVISOR_CLASSES.items():
         want = cf * loci.c1F() + ce * loci.c1E()
-        got_loc = loci.to_chern_symbols(
-            loci.localization_class(e, f, r, jobs=jobs), e, f
-        )
+        got_loc = loci.localization_class(e, f, r, jobs=jobs, basis="chern")
         got_closed = loci.closed_divisor_class(e, r)
         got_res = loci.residue_divisor_class(e, r)
         rows.append(
@@ -470,13 +468,14 @@ def checks_properties(max_e: int = 4, thorough: bool = False, jobs: int = 1):
     ok = True
     for e, r in pairs:
         f = loci.divisorial_f(e, r)
-        loc = loci.to_chern_symbols(loci.localization_class(e, f, r, jobs=jobs), e, f)
+        loc = loci.localization_class(e, f, r, jobs=jobs, basis="chern")
         if not (loc == loci.closed_divisor_class(e, r) == loci.residue_divisor_class(e, r)):
             ok = False
     rows.append(
         _row("triple agreement on divisorial pairs %s" % pairs, ok, True, ok)
     )
-    # localization polynomiality/homogeneity/bi-symmetry on a parameter matrix
+    # localization on a parameter matrix: its Chern form (symmetric by
+    # construction) has the class degree and equals the residue form
     matrix = []
     for e in range(2, min(max_e, 5) + 1):
         wsize = comb(e + 1, 2)
@@ -487,18 +486,19 @@ def checks_properties(max_e: int = 4, thorough: bool = False, jobs: int = 1):
                 if e >= 4 and comb(wsize, d) * d > (40000 if thorough else 4000):
                     continue
                 if e >= 4 and loci.target_degree(e, wsize - d, r) > 5:
-                    # the symmetric interpolation basis grows with the
-                    # codimension; high-codimension checks are covered at
-                    # source rank <= 3
+                    # high-codimension checks are covered at source
+                    # rank <= 3
                     continue
                 matrix.append((e, wsize - d, r))
     sym_ok = True
     for e, f, r in matrix:
-        p = loci.localization_class(e, f, r, jobs=jobs)
-        deg = loci.target_degree(e, f, r)
-        if not p.is_homogeneous(deg):
+        p = loci.localization_class(e, f, r, jobs=jobs, basis="chern")
+        # the symbol c_iE (c_jF) has degree i (j)
+        degrees = {sum(int(name[1:-1]) * x for (_, name), x in mono)
+                   for mono in p.terms}
+        if not degrees <= {loci.target_degree(e, f, r)}:
             sym_ok = False
-        if not (is_symmetric(p, ALPHA, e) and is_symmetric(p, BETA, f)):
+        if p != loci.residue_class(e, f, r):
             sym_ok = False
     rows.append(
         _row(
@@ -513,7 +513,8 @@ def checks_properties(max_e: int = 4, thorough: bool = False, jobs: int = 1):
     rng = random.Random(99)
     order = list(range(6))
     rng.shuffle(order)
-    ok = loci.localization_class(3, 3, 2, subset_order=order) == loci.localization_class(3, 3, 2)
+    ok = (loci.localization_class(3, 3, 2, subset_order=order, basis="chern")
+          == loci.localization_class(3, 3, 2, basis="chern"))
     rows.append(_row("localization order-independence", ok, True, ok))
     # beta cancellation in the slope machinery
     try:

@@ -1,0 +1,49 @@
+"""Write general_classes.json: the Chern-form class of every localization
+triple (e, f, r) with e <= 6 whose largest interpolation block has at most
+150 unknowns, computed by `residue_class` and `localization_class` and
+written only where the two agree.
+
+    PYTHONPATH=src python tests/data/make_general_classes.py
+"""
+
+import json
+import os
+from math import comb
+
+from quadloci import loci
+from quadloci.cli import poly_document
+
+MAX_E, MAX_BLOCK = 6, 150
+
+
+def triples():
+    """(e, f, r, largest block) over localization's domain, in order."""
+    for e in range(1, MAX_E + 1):
+        n = comb(e + 1, 2)
+        for r in range(1, e + 1):
+            for d in range(1, min(comb(r + 1, 2), n - 1) + 1):
+                f = n - d
+                block = len(loci._partitions(loci.target_degree(e, f, r), e))
+                if block <= MAX_BLOCK:
+                    yield e, f, r, block
+
+
+def main():
+    entries = []
+    for e, f, r, block in triples():
+        residue = loci.residue_class(e, f, r)
+        if loci.localization_class(e, f, r, basis="chern") != residue:
+            raise SystemExit("producers disagree at (%d,%d,%d)" % (e, f, r))
+        doc = poly_document(residue, "class sigma", {})
+        entries.append({"e": e, "f": f, "r": r, "largest_block": block,
+                        "class": doc["coefficients"]})
+    path = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                        "general_classes.json")
+    with open(path, "w") as fh:
+        json.dump(entries, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    print("%d classes written to %s" % (len(entries), path))
+
+
+if __name__ == "__main__":
+    main()

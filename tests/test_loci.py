@@ -1,4 +1,6 @@
 import itertools
+import json
+import os
 import random
 from math import comb, lcm, prod
 
@@ -37,7 +39,7 @@ from quadloci.loci import (
     to_chern_symbols,
     to_roots,
 )
-from quadloci.symfunc import sym_degeneracy_class
+from quadloci.symfunc import _elem_values, sym_degeneracy_class
 
 X = Polynomial.variable
 
@@ -250,14 +252,16 @@ def test_pencil_homogeneous_symmetric():
 
 
 def test_triple_agreement_divisorial_small():
-    for e in range(2, 5):
+    # the closed form is the independent reference for the sign of every
+    # divisorial block
+    for e in range(2, 7):
         for r in range(1, e):
             f = divisorial_f(e, r)
             if f < 1:
                 continue
             want = closed_divisor_class(e, r)
             assert residue_divisor_class(e, r) == want
-            assert to_chern_symbols(localization_class(e, f, r), e, f) == want
+            assert localization_class(e, f, r, basis="chern") == want, (e, r)
 
 
 @pytest.mark.parametrize("r,e", [(r, e) for e in range(1, 5) for r in range(e + 1)])
@@ -299,17 +303,53 @@ def test_residue_corank_zero_matches_closed_form():
         assert residue_divisor_class(e, 0, basis="roots") == to_roots(want, e, f)
 
 
-# general triples whose localization takes well under a second
+# general triples whose localization takes well under a second; the last
+# four were out of reach before the per-block solve
 GENERAL = [(2, 1, 2), (3, 1, 3), (3, 3, 3), (3, 5, 2), (4, 4, 4), (4, 7, 3),
-           (4, 8, 2), (4, 1, 4), (5, 1, 5), (5, 7, 4), (5, 13, 2)]
+           (4, 8, 2), (4, 1, 4), (5, 1, 5), (5, 7, 4), (5, 13, 2),
+           (5, 14, 4), (6, 15, 4), (6, 20, 4), (5, 14, 5)]
 
 
 @pytest.mark.parametrize("efr", GENERAL)
 def test_residue_class_matches_localization(efr):
     e, f, r = efr
-    loc = localization_class(e, f, r)
-    assert residue_class(e, f, r) == to_chern_symbols(loc, e, f)
-    assert residue_class(e, f, r, basis="roots") == loc
+    chern = localization_class(e, f, r, basis="chern")
+    assert residue_class(e, f, r) == chern
+    if f <= 13:
+        # the roots form of the f >= 14 classes has 10^4 terms or more
+        loc = localization_class(e, f, r)
+        assert to_chern_symbols(loc, e, f) == chern
+        assert residue_class(e, f, r, basis="roots") == loc
+
+
+def test_basis_must_be_roots_or_chern():
+    for bad in ("Chern", "elementary", ""):
+        with pytest.raises(PreconditionViolated):
+            localization_class(2, 2, 1, basis=bad)
+        with pytest.raises(PreconditionViolated):
+            residue_class(2, 2, 1, basis=bad)
+        with pytest.raises(PreconditionViolated):
+            residue_divisor_class(2, 1, basis=bad)
+
+
+def test_general_classes_golden_file():
+    # tests/data/make_general_classes.py wrote the Chern-form class of every
+    # triple with e <= 6 and largest block <= 150 where both producers agree
+    from quadloci.cli import poly_document
+
+    path = os.path.join(os.path.dirname(__file__), "data", "general_classes.json")
+    with open(path) as fh:
+        entries = json.load(fh)
+    assert len(entries) == 115
+    for ent in entries:
+        e, f, r = ent["e"], ent["f"], ent["r"]
+        want = ent["class"]
+        got = poly_document(residue_class(e, f, r), "class sigma", {})
+        assert got["coefficients"] == want, (e, f, r)
+        if ent["largest_block"] <= 20:
+            got = poly_document(localization_class(e, f, r, basis="chern"),
+                                "class sigma", {})
+            assert got["coefficients"] == want, (e, f, r)
 
 
 def test_residue_class_domain():
@@ -327,25 +367,43 @@ def test_target_degree():
 
 
 def test_localization_lines_detects_a_dropped_term(monkeypatch):
-    # every point's sum loses its first (H, gamma) term, so the values are
-    # no longer those of a polynomial of the class degree
+    # every S_m at every point loses weight 0's term, so the values are no
+    # longer those of polynomials of the block degrees
     import quadloci.loci as loci
     from quadloci.algebra import DenominatorSurvives
 
-    full = loci._fixed_point_sum
+    full = loci._weight_moments
 
-    def all_but_first(wvals, bvals, fvals, scale):
-        _, first = next(_pair_terms(wvals, bvals, fvals, scale))
-        return full(wvals, bvals, fvals, scale) - first
+    def all_but_first(wvals, fvals, count):
+        L, sums = full(wvals, fvals, count)
+        first = fvals[0] * (L // prod(wk - wvals[0] for wk in wvals[1:]))
+        return L, [s - first * wvals[0] ** m for m, s in enumerate(sums)]
 
-    monkeypatch.setattr(loci, "_fixed_point_sum", all_but_first)
+    monkeypatch.setattr(loci, "_weight_moments", all_but_first)
     with pytest.raises(DenominatorSurvives):
+        localization_class(4, 7, 2)
+
+
+def test_localization_detects_a_nonzero_negative_degree_moment(monkeypatch):
+    # at (4,7,2) S_0 has degree 3 + 0 - 10 + 1 < 0, so it must vanish; the
+    # blocks of nonnegative degree are left intact
+    import quadloci.loci as loci
+    from quadloci.algebra import DenominatorSurvives
+
+    full = loci._weight_moments
+
+    def shifted(wvals, fvals, count):
+        L, sums = full(wvals, fvals, count)
+        return L, [sums[0] + 1] + sums[1:]
+
+    monkeypatch.setattr(loci, "_weight_moments", shifted)
+    with pytest.raises(DenominatorSurvives, match="S_0 has negative degree"):
         localization_class(4, 7, 2)
 
 
 def _pair_terms(wvals, bvals, fvals, scale):
     """The literal (H, gamma) terms of the fixed-point sum at a point, with
-    fvals[i] = scale * h(a - w_i/2): the oracle for `_fixed_point_sum`."""
+    fvals[i] = scale * h(a - w_i/2): the oracle for `_weight_moments`."""
     n = len(wvals)
     d = n - len(bvals)
     for H in itertools.combinations(range(n), d):
@@ -408,7 +466,13 @@ def test_fixed_point_sum_matches_pair_enumeration(efr):
     point = _sample_point(*efr, random.Random(sum(efr)))
     want = sum((v for _, v in _pair_terms(*point)), QQ(0))
     assert _moment_determinant(*point) == want
-    assert loci._fixed_point_sum(*point) == want
+    # the class is linear in the c_jF: sum_m (-1)^m e_(f-m)(b) S_m
+    wvals, bvals, fvals, scale = point
+    f = len(bvals)
+    L, sums = loci._weight_moments(wvals, fvals, f + 1)
+    eb = _elem_values(bvals, f)
+    got = sum(QQ((-1) ** m * eb[f - m] * s, L * scale) for m, s in enumerate(sums))
+    assert got == want
 
 
 def _reference_solve(rows, rhs):
