@@ -559,9 +559,11 @@ class RationalFunction:
     def const(c) -> "RationalFunction":
         return RationalFunction(Polynomial.const(c))
 
-    @staticmethod
-    def of_var(v: Variable) -> "RationalFunction":
-        return RationalFunction(Polynomial.variable(v))
+    def constant_value(self):
+        """The value of a constant, as `Polynomial.constant_value`;
+        ValueError when the numerator or the denominator is not constant
+        (`reduce` first to cancel a quotient such as 2x/x)."""
+        return self.num.constant_value() / self.den.constant_value()
 
     def is_polynomial(self) -> bool:
         return self.den is _ONE

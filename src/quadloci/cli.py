@@ -2,8 +2,11 @@
 
 Subcommands cover every computation; all output is JSON (rationals are
 serialized as strings "p/q" or "p", never as floats), deterministic for a
-fixed input.  `--jobs` and QUADLOCI_JOBS are accepted and have no effect:
-every computation runs in this process.
+fixed input.  Every computation runs in this process: `--jobs J` is
+still accepted before the subcommand and after `verify all`, and nothing
+reads it.  `class sigma` answers in the Chern symbols c_iE, c_jF;
+`--basis roots` expands that answer in the Chern roots with `loci.to_roots`,
+whatever the method.
 
     class sigma --e E --f F --r R [--method M] [--basis roots|chern]
     class pencil --e E [--presentation sub|quot]
@@ -17,7 +20,8 @@ every computation runs in this process.
     hurwitz [--k K]
     verify all [--max-e N] [--jobs J] [--thorough]
 
-Exit codes: 0 on success, 1 on verification failure, 2 on usage error.
+Exit codes: 0 on success, 1 on verification failure, 2 on usage error
+(with one line on stderr).
 """
 
 from __future__ import annotations
@@ -25,7 +29,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 from math import comb
 
@@ -34,6 +37,7 @@ from .algebra import (
     BETA,
     Polynomial,
     QQ,
+    RationalFunction,
     alpha,
     gamma_var,
     param,
@@ -268,10 +272,8 @@ def _eval_node(node, resolver, assignments=None) -> Polynomial:
 # ---------------------------------------------------------------------------
 
 def q_str(x) -> str:
-    if isinstance(x, Polynomial):
+    if isinstance(x, (Polynomial, RationalFunction)):
         x = x.constant_value()
-    if hasattr(x, "num") and hasattr(x, "den"):  # RationalFunction
-        x = x.num.constant_value() / x.den.constant_value()
     q = QQ(x)
     if q.denominator == 1:
         return str(q.numerator)
@@ -327,16 +329,6 @@ def _emit(doc, args) -> None:
         print(text)
 
 
-def _default_jobs() -> int:
-    env = os.environ.get("QUADLOCI_JOBS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -350,13 +342,13 @@ def cmd_class_sigma(args) -> int:
                 "closed/residue methods need the divisorial f = C(e+1,2)-C(r+1,2)"
             )
         if args.method == "residue":
-            cls = loci.residue_divisor_class(e, r, basis=args.basis)
+            cls = loci.residue_divisor_class(e, r)
         else:
             cls = loci.closed_divisor_class(e, r)
-            if args.basis == "roots":
-                cls = loci.to_roots(cls, e, f)
     else:
-        cls = loci.localization_class(e, f, r, jobs=args.jobs, basis=args.basis)
+        cls = loci.localization_class(e, f, r)
+    if args.basis == "roots":
+        cls = loci.to_roots(cls, e, f)
     doc = poly_document(
         cls,
         "class sigma",
@@ -415,7 +407,7 @@ def cmd_moduli_petri(args) -> int:
     cls = moduli.petri_class(args.g)
     coeffs = {"lambda": q_str(cls.lam)}
     for i, b in sorted(cls.deltas.items()):
-        coeffs["delta%d" % i] = q_str(-_qq(b))
+        coeffs["delta%d" % i] = q_str(-b)
     doc = {
         "basis": sorted(coeffs),
         "coefficients": {k: coeffs[k] for k in sorted(coeffs)},
@@ -428,14 +420,6 @@ def cmd_moduli_petri(args) -> int:
     }
     _emit(doc, args)
     return 0
-
-
-def _qq(x):
-    if isinstance(x, Polynomial):
-        return x.constant_value()
-    if hasattr(x, "num"):
-        return x.num.constant_value() / x.den.constant_value()
-    return QQ(x)
 
 
 def _rf_str(x):
@@ -580,8 +564,7 @@ def cmd_hurwitz(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    results = verify.run_all(max_e=args.max_e, jobs=args.jobs,
-                             thorough=args.thorough)
+    results = verify.run_all(max_e=args.max_e, thorough=args.thorough)
     table = verify.render_table(results)
     fails = verify.failures(results)
     if getattr(args, "out", None):
@@ -606,16 +589,24 @@ def cmd_verify(args) -> int:
     return 0 if not fails else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are one line on stderr: the
+    last line argparse would print, without the usage block above it."""
+
+    def error(self, message):
+        self.exit(2, "%s: error: %s\n" % (self.prog, message))
+
+
 def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
+    top = _Parser(
         prog="quadloci",
         description="exact divisor classes of quadric degeneracy loci and "
         "their moduli-space applications",
     )
     top.add_argument("--out", help="write the JSON document to a file")
-    top.add_argument("--jobs", type=int, default=None,
+    top.add_argument("--jobs", type=int,
                      help="accepted and ignored: everything runs in one "
-                     "process (default: QUADLOCI_JOBS or 1)")
+                     "process")
     sub = top.add_subparsers(dest="command", required=True)
 
     pc = sub.add_parser("class", help="equivariant classes")
@@ -676,8 +667,7 @@ def build_parser() -> argparse.ArgumentParser:
     vers = ver.add_subparsers(dest="subcommand", required=True)
     verall = vers.add_parser("all")
     verall.add_argument("--max-e", type=int, default=5)
-    # SUPPRESS keeps a top-level --jobs from being overwritten by a default
-    verall.add_argument("--jobs", type=int, default=argparse.SUPPRESS)
+    verall.add_argument("--jobs", type=int, help="accepted and ignored")
     verall.add_argument("--thorough", action="store_true",
                         help="include the slow high-corank agreement checks")
     verall.set_defaults(fn=cmd_verify)
@@ -692,8 +682,6 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    if args.jobs is None:
-        args.jobs = _default_jobs()
     try:
         return args.fn(args)
     except (

@@ -351,15 +351,6 @@ class BundleCharacter:
         return BundleCharacter(rf(1), ch)
 
     @staticmethod
-    def from_chern(rank, c1: TagExpr, c2: TagExpr, c3: TagExpr) -> "BundleCharacter":
-        ch1 = c1
-        ch2 = (c1 * c1).scale(QQ(1, 2)) - c2
-        ch3 = ((c1 * c1 * c1).scale(QQ(1, 6))
-               - (c1 * c2).scale(QQ(1, 2))
-               + c3.scale(QQ(1, 2)))
-        return BundleCharacter(rf(rank), {1: ch1, 2: ch2, 3: ch3})
-
-    @staticmethod
     def direct_sum(a: "BundleCharacter", b: "BundleCharacter") -> "BundleCharacter":
         ch = {}
         for k in set(a.ch) | set(b.ch):

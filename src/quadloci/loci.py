@@ -36,6 +36,10 @@ The independent references are ``closed_divisor_class``, the divisorial
 closed form A_e^r (c1(F) - (2f/e) c1(E)), and, for general triples, the
 literal sum over the pairs (H, gamma) at points in the tests.
 
+All three answer in the symbols c_iE, c_jF, as the paper states the class.
+``to_roots`` expands such a class in the roots a_i, b_j, and
+``to_chern_symbols`` is its inverse.
+
 Also here: projectivization of an invariant-cone class and its fixed-point
 restrictions, and the two presentations of the degenerate-pencil
 (discriminant) divisor class.
@@ -214,16 +218,10 @@ def target_degree(e: int, f: int, r: int) -> int:
 
 
 def localization_class(
-    e: int,
-    f: int,
-    r: int,
-    jobs: int = 1,
-    subset_order: Sequence[int] | None = None,
-    basis: str = "roots",
+    e: int, f: int, r: int, subset_order: Sequence[int] | None = None
 ) -> Polynomial:
-    """Fixed-point sum for the corank->=r locus, as a polynomial in the
-    Chern roots a_1..a_e, b_1..b_f (or, with basis="chern", in the symbols
-    c_iE, c_jF).
+    """Fixed-point sum for the corank->=r locus, in the symbols c_iE, c_jF
+    (`to_roots` expands it in the Chern roots).
 
     The sum runs over the pairs (H, gamma) of a d-subset H of the Sym^2
     weights W and a marked weight gamma in H, d = C(e+1,2) - f.  By
@@ -249,24 +247,15 @@ def localization_class(
     S_m of negative degree, an inconsistent block or a fresh-point mismatch
     (the sum failing to be polynomial) raises DenominatorSurvives.
 
-    `jobs` is accepted and has no effect: a point costs one sum over the
-    weights, so everything runs in this process.  `subset_order` permutes
-    the order of the weights, which reorders the sum over the weights at
-    every point (the result must not depend on it; tested).
+    `subset_order` permutes the order of the weights, which reorders the
+    sum over the weights at every point (the result must not depend on it;
+    tested).
     """
-    _check_basis(basis)
     _check_loc_preconditions(e, f, r)
     pairs = _sym2_pairs(e)
     if subset_order is not None:
         pairs = [pairs[i] for i in subset_order]
-    chern = _localization_points(e, f, r, pairs)
-    return to_roots(chern, e, f) if basis == "roots" else chern
-
-
-def _check_basis(basis: str):
-    if basis not in ("roots", "chern"):
-        raise PreconditionViolated(
-            "basis must be 'roots' or 'chern', not %r" % (basis,))
+    return _localization_points(e, f, r, pairs)
 
 
 def _partitions(total: int, largest: int):
@@ -631,9 +620,9 @@ def _sym2_complete(e: int, top: int) -> list:
     return hW
 
 
-def residue_class(e: int, f: int, r: int, basis: str = "chern") -> Polynomial:
+def residue_class(e: int, f: int, r: int) -> Polynomial:
     """The corank->=r class as the residue at infinity of the localization
-    sum, in the symbols c_iE, c_jF (or, with basis="roots", in the roots).
+    sum, in the symbols c_iE, c_jF.
 
     With n = C(e+1,2), d = n - f and g(z) = h_r(a - z/2) prod_j(z - b_j),
     localization's sum over the weights W is (-1)^(d+1) times the divided
@@ -647,7 +636,6 @@ def residue_class(e: int, f: int, r: int, basis: str = "chern") -> Polynomial:
     The domain is localization's, plus r = d = 0, where the divided
     difference is exact and gives c1F - (e+1) c1E.
     """
-    _check_basis(basis)
     n = comb(e + 1, 2)
     d = n - f
     if not (r == d == 0 and e >= 1):
@@ -664,16 +652,15 @@ def residue_class(e: int, f: int, r: int, basis: str = "chern") -> Polynomial:
         q = sum(((-1) ** j * cF[j] * hW[m - j] for j in range(min(f, m) + 1)),
                 Polynomial.zero())
         total = total + h.coefficient_of(zvar(), s) * q
-    result = total if d % 2 else -total
-    return to_roots(result, e, f) if basis == "roots" else result
+    return total if d % 2 else -total
 
 
-def residue_divisor_class(e: int, r: int, basis: str = "chern") -> Polynomial:
+def residue_divisor_class(e: int, r: int) -> Polynomial:
     """`residue_class` at the divisorial f = C(e+1,2) - C(r+1,2)."""
     f = divisorial_f(e, r)
     if f < 1:
         raise NotDivisorial("not in the divisorial range")
-    return residue_class(e, f, r, basis)
+    return residue_class(e, f, r)
 
 
 def to_chern_symbols(p: Polynomial, e: int, f: int) -> Polynomial:

@@ -20,7 +20,7 @@ from .grr import (
     rf,
     rf_param,
 )
-from .symfunc import Partition, a_const
+from .symfunc import Partition, _comb0, a_const
 
 
 class UnsupportedParam(Exception):
@@ -69,7 +69,7 @@ class ModuliDivisor:
             raise BoundaryCoefficientNonpositive("no boundary coefficient present")
         values = list(self.deltas.values())
         if all(_is_number(b) for b in values):
-            numbers = [_as_q(b) for b in values]
+            numbers = [rf(b).constant_value() for b in values]
             if min(numbers) <= 0:
                 raise BoundaryCoefficientNonpositive(
                     "boundary coefficients must be positive, got %s" % numbers
@@ -104,14 +104,6 @@ def _is_number(x) -> bool:
     if isinstance(x, Polynomial):
         return x.is_constant()
     return False
-
-
-def _as_q(x):
-    if isinstance(x, RationalFunction):
-        return x.num.constant_value() / x.den.constant_value()
-    if isinstance(x, Polynomial):
-        return x.constant_value()
-    return QQ(x)
 
 
 def slope(cls: ModuliDivisor):
@@ -264,8 +256,7 @@ def petri_decomposition_report(g: int) -> PetriDecomposition:
 
 
 def _slope_q(cls: ModuliDivisor):
-    s = cls.slope()
-    return s.num.constant_value() / s.den.constant_value()
+    return cls.slope().constant_value()
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +424,7 @@ class PushforwardTable:
     c1E: tuple
 
     @staticmethod
-    def build(p: SeriesParams, delta0_sign_flips: frozenset = frozenset()) -> "PushforwardTable":
+    def build(p: SeriesParams) -> "PushforwardTable":
         g, d, r, s = p.g, p.d, p.r, p.s
         beta = rf_param("beta")
         a_l = beta * rf(QQ(d, (g - 1) * (g - 2))) * rf(
@@ -470,24 +461,16 @@ class PushforwardTable:
                 6 * den,
             )
         )
-        flip = lambda name, pair: (  # noqa: E731
-            (pair[0], -pair[1]) if name in delta0_sign_flips else pair
-        )
         return PushforwardTable(
-            p,
-            frak_a=flip("frak_a", (a_l, a_d)),
-            frak_b=flip("frak_b", (b_l, b_d)),
-            c1E=flip("c1E", (e_l, e_d)),
+            p, frak_a=(a_l, a_d), frak_b=(b_l, b_d), c1E=(e_l, e_d)
         )
 
 
 @dataclass(frozen=True)
 class Calibration:
-    """Multiplier N/beta for sigma_* sigma^* lambda, plus optional sign
-    flips of the delta_0 parts of the table entries."""
+    """Multiplier N/beta for sigma_* sigma^* lambda."""
 
     n_over_beta: object
-    delta0_sign_flips: frozenset = frozenset()
 
 
 @dataclass(frozen=True)
@@ -513,7 +496,7 @@ def virtual_slope_from_pushforward(
     otherwise).  A delta_0 coefficient with the non-effective sign is
     reported through `boundary_effective`, not raised.
     """
-    table = PushforwardTable.build(p, calibration.delta0_sign_flips)
+    table = PushforwardTable.build(p)
     e = p.r + 1
     f = 2 * p.d + 1 - p.g
     if class_scales is None:
@@ -531,7 +514,7 @@ def virtual_slope_from_pushforward(
         raise BetaDidNotCancel(str(s))
     lam_red = (lam / beta).reduce()
     dl_red = (dl / beta).reduce()
-    effective = _is_number(dl_red) and _as_q(dl_red) < 0
+    effective = _is_number(dl_red) and dl_red.constant_value() < 0
     return VirtualSlopeResult(slope=s, lam=lam_red, delta0=dl_red,
                               boundary_effective=effective)
 
@@ -579,7 +562,7 @@ def fit_calibration() -> CalibrationReport:
         pdp, cal, class_scales=(6, 38)
     ).slope
     want3 = rf(QQ(373, 54))
-    positive = _is_number(x) and _as_q(x) > 0
+    positive = _is_number(x) and x.constant_value() > 0
     notes = []
     if not positive:
         notes.append(
@@ -798,10 +781,6 @@ def kosz_class(i="i") -> KoszulClass:
         raise IdentityFailed("syzygy-bundle alternating sum does not match "
                              "its closed form")
     return closed
-
-
-def _comb0(n: int, k: int) -> int:
-    return comb(n, k) if 0 <= k <= n else 0
 
 
 def _kosz_numeric(i: int) -> KoszulClass:

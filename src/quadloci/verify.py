@@ -63,11 +63,11 @@ GOLDEN_DIVISOR_CLASSES = {
 }
 
 
-def checks_divisor_classes(jobs: int = 1):
+def checks_divisor_classes():
     rows = []
     for (e, f, r), (ce, cf) in GOLDEN_DIVISOR_CLASSES.items():
         want = cf * loci.c1F() + ce * loci.c1E()
-        got_loc = loci.localization_class(e, f, r, jobs=jobs, basis="chern")
+        got_loc = loci.localization_class(e, f, r)
         got_closed = loci.closed_divisor_class(e, r)
         got_res = loci.residue_divisor_class(e, r)
         rows.append(
@@ -336,7 +336,7 @@ def checks_slopes():
              forms_agree, True, forms_agree)
     )
     bound = QQ(6) + QQ(12, 25)
-    v = below.num.constant_value() / below.den.constant_value()
+    v = below.constant_value()
     rows.append(_row("genus-24 slope below 6+12/25", v, "< %s" % bound, v < bound))
     dp = moduli.dp12_slope()
     rows.append(_eq_row("degenerate-pencil slope genus 12", dp.slope, QQ(373, 54)))
@@ -360,8 +360,7 @@ def checks_slopes():
     for l in range(1, 11):
         for ser, genus in ((1, (4 * l - 1) * (9 * l - 1)), (2, 4 * (3 * l + 1) * (2 * l + 1))):
             val = moduli.pelda_slope(ser, l)
-            vq = val.num.constant_value() / val.den.constant_value()
-            if not vq < QQ(6) + QQ(12, genus + 1):
+            if not val.constant_value() < QQ(6) + QQ(12, genus + 1):
                 bounds_ok = False
     rows.append(
         _row("series slopes below 6+12/(g+1), l=1..10", bounds_ok, True, bounds_ok)
@@ -458,7 +457,7 @@ def checks_hurwitz():
     return rows
 
 
-def checks_properties(max_e: int = 4, thorough: bool = False, jobs: int = 1):
+def checks_properties(max_e: int = 4, thorough: bool = False):
     rows = []
     # triple agreement for divisorial pairs
     pairs = [(e, r) for e in range(2, min(max_e, 5) + 1) for r in range(1, e)
@@ -468,7 +467,7 @@ def checks_properties(max_e: int = 4, thorough: bool = False, jobs: int = 1):
     ok = True
     for e, r in pairs:
         f = loci.divisorial_f(e, r)
-        loc = loci.localization_class(e, f, r, jobs=jobs, basis="chern")
+        loc = loci.localization_class(e, f, r)
         if not (loc == loci.closed_divisor_class(e, r) == loci.residue_divisor_class(e, r)):
             ok = False
     rows.append(
@@ -492,7 +491,7 @@ def checks_properties(max_e: int = 4, thorough: bool = False, jobs: int = 1):
                 matrix.append((e, wsize - d, r))
     sym_ok = True
     for e, f, r in matrix:
-        p = loci.localization_class(e, f, r, jobs=jobs, basis="chern")
+        p = loci.localization_class(e, f, r)
         # the symbol c_iE (c_jF) has degree i (j)
         degrees = {sum(int(name[1:-1]) * x for (_, name), x in mono)
                    for mono in p.terms}
@@ -513,8 +512,8 @@ def checks_properties(max_e: int = 4, thorough: bool = False, jobs: int = 1):
     rng = random.Random(99)
     order = list(range(6))
     rng.shuffle(order)
-    ok = (loci.localization_class(3, 3, 2, subset_order=order, basis="chern")
-          == loci.localization_class(3, 3, 2, basis="chern"))
+    ok = (loci.localization_class(3, 3, 2, subset_order=order)
+          == loci.localization_class(3, 3, 2))
     rows.append(_row("localization order-independence", ok, True, ok))
     # beta cancellation in the slope machinery
     try:
@@ -551,8 +550,11 @@ def checks_calibration():
 
 
 def run_all(max_e: int = 5, jobs: int = 1, thorough: bool = False):
+    """Every check group's rows, as (group, row) pairs.  `jobs` is accepted
+    and ignored, as everything runs in this process; it stays because
+    `perfbench/worker.py` calls `run_all(max_e=..., jobs=...)`."""
     groups: list[tuple[str, Callable]] = [
-        ("divisor classes", lambda: checks_divisor_classes(jobs)),
+        ("divisor classes", checks_divisor_classes),
         ("intersection constants", checks_constants),
         ("shift coefficients", checks_shift_coefficients),
         ("projectivization", checks_projectivization),
@@ -563,7 +565,7 @@ def run_all(max_e: int = 5, jobs: int = 1, thorough: bool = False):
         ("slopes", checks_slopes),
         ("rank-3 quadric divisor", checks_petri),
         ("cover spaces", checks_hurwitz),
-        ("property suite", lambda: checks_properties(max_e, thorough, jobs)),
+        ("property suite", lambda: checks_properties(max_e, thorough)),
         ("calibration", checks_calibration),
     ]
     results = []

@@ -32,7 +32,7 @@ def main():
     entries = []
     for e, f, r, block in triples():
         residue = loci.residue_class(e, f, r)
-        if loci.localization_class(e, f, r, basis="chern") != residue:
+        if loci.localization_class(e, f, r) != residue:
             raise SystemExit("producers disagree at (%d,%d,%d)" % (e, f, r))
         doc = poly_document(residue, "class sigma", {})
         entries.append({"e": e, "f": f, "r": r, "largest_block": block,

@@ -31,7 +31,7 @@ def test_criterion_01_divisor_class_golden_set():
     }
     for (e, f, r), (ce, cf) in golden.items():
         want = cf * loci.c1F() + ce * loci.c1E()
-        assert loci.to_chern_symbols(loci.localization_class(e, f, r), e, f) == want
+        assert loci.localization_class(e, f, r) == want
         assert loci.closed_divisor_class(e, r) == want
         assert loci.residue_divisor_class(e, r) == want
     _report("criterion 1: golden divisor classes, three methods, exact")
@@ -188,7 +188,7 @@ def test_criterion_10_property_suites():
                     continue
                 tested.append((e, wsize - d, r))
     for e, f, r in tested:
-        p = loci.localization_class(e, f, r)
+        p = loci.to_roots(loci.localization_class(e, f, r), e, f)
         assert p.is_homogeneous(loci.target_degree(e, f, r))
         for i in range(1, e):
             assert p.rename({alpha(i): alpha(i + 1), alpha(i + 1): alpha(i)}) == p
@@ -199,7 +199,7 @@ def test_criterion_10_property_suites():
         f = loci.divisorial_f(e, r)
         want = loci.closed_divisor_class(e, r)
         assert loci.residue_divisor_class(e, r) == want
-        assert loci.to_chern_symbols(loci.localization_class(e, f, r), e, f) == want
+        assert loci.localization_class(e, f, r) == want
     # twist invariance on both sides
     k, g = rf_param("k"), rf_param("g")
     assert grr.hurwitz_twist(grr.gamma_hurwitz(k), k) == grr.gamma_hurwitz(k)

@@ -282,6 +282,16 @@ def test_floats_are_refused():
     assert RationalFunction(X(alpha(1)), 2) == RationalFunction(QQ(1, 2) * X(alpha(1)))
 
 
+def test_rational_function_constant_value():
+    x = X(alpha(1))
+    assert RationalFunction(3, 4).constant_value() == QQ(3, 4)
+    assert RationalFunction(0, x).constant_value() == 0
+    assert RationalFunction(2 * x, x).reduce().constant_value() == 2
+    for value in (RationalFunction(x), RationalFunction(1, x), RationalFunction(2 * x, x)):
+        with pytest.raises(ValueError):
+            value.constant_value()
+
+
 def test_constants_hash_as_their_value():
     three = Polynomial.const(3)
     assert three == 3 and hash(three) == hash(3)

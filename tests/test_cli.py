@@ -102,19 +102,33 @@ def test_sigma_method_agreement(capsys):
 
 
 def test_sigma_roots_json_roundtrip(capsys):
-    code, out = run_cli(
-        capsys, "class", "sigma", "--e", "2", "--f", "2", "--r", "1",
-        "--basis", "roots",
-    )
-    assert code == 0
-    doc = json.loads(out)
-    rebuilt = Polynomial.zero()
-    for key, coeff in doc["coefficients"].items():
-        mono = parse_class(key).evaluate() if key != "1" else Polynomial.const(1)
-        rebuilt = rebuilt + parse_q(coeff) * mono
-    from quadloci.loci import localization_class
+    from quadloci.loci import localization_class, to_roots
 
-    assert rebuilt == localization_class(2, 2, 1)
+    want = to_roots(localization_class(2, 2, 1), 2, 2)
+    # every method's answer is expanded in the roots, not only localization's
+    for method in ("localization", "closed", "residue"):
+        code, out = run_cli(
+            capsys, "class", "sigma", "--e", "2", "--f", "2", "--r", "1",
+            "--method", method, "--basis", "roots",
+        )
+        assert code == 0
+        doc = json.loads(out)
+        rebuilt = Polynomial.zero()
+        for key, coeff in doc["coefficients"].items():
+            mono = parse_class(key).evaluate() if key != "1" else Polynomial.const(1)
+            rebuilt = rebuilt + parse_q(coeff) * mono
+        assert rebuilt == want, method
+
+
+def test_sigma_rejects_unknown_basis(capsys):
+    for method in ("localization", "closed", "residue"):
+        code, out, err = _outcome(capsys, [
+            "class", "sigma", "--e", "2", "--f", "2", "--r", "1",
+            "--method", method, "--basis", "elementary"])
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1
+        assert err.startswith("quadloci class sigma: error: argument --basis")
+        assert "'elementary'" in err
 
 
 def test_sigma_deterministic_across_jobs(capsys):
@@ -330,35 +344,27 @@ def test_reused_parser_matches_fresh_parser(capsys, monkeypatch):
     assert reused[2][2].startswith("error: ") and reused[2][2].count("\n") == 1
 
 
-def _record_jobs(monkeypatch):
-    seen = []
-
-    def run_all(max_e=5, jobs=1, thorough=False):
-        seen.append(jobs)
-        return []
-
-    monkeypatch.setattr(cli.verify, "run_all", run_all)
-    return seen
-
-
 def test_jobs_environment_read_on_each_call(capsys, monkeypatch):
-    seen = _record_jobs(monkeypatch)
+    # QUADLOCI_JOBS is read on no call: setting it between calls, even to
+    # junk, leaves every byte of the output as it was
     monkeypatch.delenv("QUADLOCI_JOBS", raising=False)
-    assert main(["verify", "all"]) == 0
-    monkeypatch.setenv("QUADLOCI_JOBS", "3")
-    assert main(["verify", "all"]) == 0
-    monkeypatch.setenv("QUADLOCI_JOBS", "5")
-    assert main(["moduli", "dp12"]) == 0
-    assert main(["verify", "all"]) == 0
-    capsys.readouterr()
-    assert seen == [1, 3, 5]
+    runs = (["verify", "all", "--max-e", "2"],
+            ["class", "sigma", "--e", "3", "--f", "4", "--r", "2"])
+    plain = [_outcome(capsys, argv) for argv in runs]
+    assert [code for code, _, _ in plain] == [0, 0]
+    for value in ("3", "junk"):
+        monkeypatch.setenv("QUADLOCI_JOBS", value)
+        assert [_outcome(capsys, argv) for argv in runs] == plain
 
 
 def test_jobs_option_on_either_side_of_verify(capsys, monkeypatch):
-    seen = _record_jobs(monkeypatch)
+    # --jobs is accepted before the subcommand and after `verify all`, and
+    # changes no byte of the output
     monkeypatch.setenv("QUADLOCI_JOBS", "7")
-    assert main(["--jobs", "4", "verify", "all"]) == 0
-    assert main(["verify", "all", "--jobs", "3"]) == 0
-    assert main(["verify", "all"]) == 0
-    capsys.readouterr()
-    assert seen == [4, 3, 7]
+    verify_all = ["verify", "all", "--max-e", "2"]
+    sigma = ["class", "sigma", "--e", "3", "--f", "4", "--r", "2"]
+    plain = _outcome(capsys, verify_all)
+    assert plain[0] == 0
+    for argv in (["--jobs", "4"] + verify_all, verify_all + ["--jobs", "3"]):
+        assert _outcome(capsys, argv) == plain
+    assert _outcome(capsys, ["--jobs", "2"] + sigma) == _outcome(capsys, sigma)

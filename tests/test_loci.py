@@ -65,7 +65,7 @@ def test_golden_classes_three_methods(efr):
     e, f, r = efr
     ce, cf = GOLDEN[efr]
     want = cf * c1F() + ce * c1E()
-    assert to_chern_symbols(localization_class(e, f, r), e, f) == want
+    assert localization_class(e, f, r) == want
     assert closed_divisor_class(e, r) == want
     assert residue_divisor_class(e, r) == want
 
@@ -78,7 +78,7 @@ def test_localization_order_independence():
 
 
 def test_localization_codim2_properties():
-    p = localization_class(3, 4, 2)
+    p = to_roots(localization_class(3, 4, 2), 3, 4)
     assert p.is_homogeneous(2)
     assert p.rename({alpha(1): alpha(3), alpha(3): alpha(1)}) == p
     assert p.rename({beta(2): beta(4), beta(4): beta(2)}) == p
@@ -100,7 +100,7 @@ def test_localization_matches_raw_term_sum_at_points():
     rng = random.Random(31415)
     for e, f, r in [(3, 4, 2), (4, 7, 2), (5, 12, 2), (4, 4, 3), (4, 8, 3),
                     (3, 4, 3), (3, 5, 3)]:
-        result = localization_class(e, f, r)
+        result = to_roots(localization_class(e, f, r), e, f)
         W = sym2_weights(e)
         d = comb(e + 1, 2) - f
         h = sym_degeneracy_class(r, e)
@@ -261,7 +261,7 @@ def test_triple_agreement_divisorial_small():
                 continue
             want = closed_divisor_class(e, r)
             assert residue_divisor_class(e, r) == want
-            assert localization_class(e, f, r, basis="chern") == want, (e, r)
+            assert localization_class(e, f, r) == want, (e, r)
 
 
 @pytest.mark.parametrize("r,e", [(r, e) for e in range(1, 5) for r in range(e + 1)])
@@ -290,7 +290,7 @@ def test_residue_matches_closed_form_through_e6():
                 expand_symmetric(want, ALPHA, e, symbol=lambda i: sym("c%dE" % i)),
                 BETA, f, symbol=lambda j: sym("c%dF" % j),
             )
-            assert residue_divisor_class(e, r, basis="roots") == want_roots
+            assert to_roots(residue_divisor_class(e, r), e, f) == want_roots
 
 
 def test_residue_corank_zero_matches_closed_form():
@@ -300,7 +300,7 @@ def test_residue_corank_zero_matches_closed_form():
         want = closed_divisor_class(e, 0)
         assert want == c1F() - (e + 1) * c1E()
         assert residue_divisor_class(e, 0) == want
-        assert residue_divisor_class(e, 0, basis="roots") == to_roots(want, e, f)
+        assert to_roots(residue_divisor_class(e, 0), e, f) == to_roots(want, e, f)
 
 
 # general triples whose localization takes well under a second; the last
@@ -313,23 +313,13 @@ GENERAL = [(2, 1, 2), (3, 1, 3), (3, 3, 3), (3, 5, 2), (4, 4, 4), (4, 7, 3),
 @pytest.mark.parametrize("efr", GENERAL)
 def test_residue_class_matches_localization(efr):
     e, f, r = efr
-    chern = localization_class(e, f, r, basis="chern")
+    chern = localization_class(e, f, r)
     assert residue_class(e, f, r) == chern
     if f <= 13:
         # the roots form of the f >= 14 classes has 10^4 terms or more
-        loc = localization_class(e, f, r)
+        loc = to_roots(chern, e, f)
         assert to_chern_symbols(loc, e, f) == chern
-        assert residue_class(e, f, r, basis="roots") == loc
-
-
-def test_basis_must_be_roots_or_chern():
-    for bad in ("Chern", "elementary", ""):
-        with pytest.raises(PreconditionViolated):
-            localization_class(2, 2, 1, basis=bad)
-        with pytest.raises(PreconditionViolated):
-            residue_class(2, 2, 1, basis=bad)
-        with pytest.raises(PreconditionViolated):
-            residue_divisor_class(2, 1, basis=bad)
+        assert to_roots(residue_class(e, f, r), e, f) == loc
 
 
 def test_general_classes_golden_file():
@@ -347,7 +337,7 @@ def test_general_classes_golden_file():
         got = poly_document(residue_class(e, f, r), "class sigma", {})
         assert got["coefficients"] == want, (e, f, r)
         if ent["largest_block"] <= 20:
-            got = poly_document(localization_class(e, f, r, basis="chern"),
+            got = poly_document(localization_class(e, f, r),
                                 "class sigma", {})
             assert got["coefficients"] == want, (e, f, r)
 

@@ -38,7 +38,7 @@ I = rf_param("i")
 
 
 def q(x):
-    return x.num.constant_value() / x.den.constant_value()
+    return x.constant_value()
 
 
 # -- rank-3 quadric divisor -------------------------------------------------
