@@ -25,11 +25,18 @@ coefficient denominators (`integer_scaled`), accumulates the products in
 Python ints and divides once per output term.  A constant factor only
 scales the other factor's coefficients.
 
-Rational functions keep the invariant that a constant denominator is `1`
-(the constructor divides the scale into the numerator), held as one shared
-polynomial.  The constructor does not normalize that denominator again, and
-`+`, `*` and `==` of two functions over `1` act on the numerators alone, so
-polynomial-valued coefficients pay little for being rational functions.
+Rational functions keep the invariant that a denominator is primitive (an
+integer polynomial of content 1) with a positive graded-lex leading
+coefficient, so a constant denominator is `1`, held as one shared
+polynomial.  Only a denominator that comes from outside is normalized: the
+public constructor, `/` and negative powers.  A sum, product, positive power
+or negation forms its denominator as a product of stored ones, and that
+product is already normal: by Gauss's lemma a product of primitive
+polynomials is primitive, and the leading coefficient of a product is the
+product of the leading coefficients (Knuth, TAOCP vol. 2, sec. 4.6.1).  Those
+results skip the constructor.  `+`, `*` and `==` of two functions over `1`
+act on the numerators alone, so polynomial-valued coefficients pay little
+for being rational functions.
 """
 
 from __future__ import annotations
@@ -178,7 +185,8 @@ class Polynomial:
 
     @staticmethod
     def const(c) -> "Polynomial":
-        c = _exact(c)
+        if type(c) is not _QQ_TYPE:
+            c = _exact(c)
         return Polynomial._raw({(): c} if c else {})
 
     @staticmethod
@@ -311,7 +319,7 @@ class Polynomial:
             return Polynomial._raw({})
         if c == 1:
             return self
-        q = QQ(c)
+        q = c if type(c) is _QQ_TYPE else QQ(c)
         return Polynomial._raw({m: x * q for m, x in self.terms.items()})
 
     __rmul__ = __mul__
@@ -556,8 +564,18 @@ class RationalFunction:
         return (RationalFunction, (self.num, self.den))
 
     @staticmethod
+    def _raw(num: Polynomial, den: Polynomial = _ONE) -> "RationalFunction":
+        """Wrap a pair already in normal form, without normalizing: den is
+        `_ONE` or a product of stored denominators, and `_ONE` when num is
+        zero."""
+        r = RationalFunction.__new__(RationalFunction)
+        object.__setattr__(r, "num", num)
+        object.__setattr__(r, "den", den if num.terms else _ONE)
+        return r
+
+    @staticmethod
     def const(c) -> "RationalFunction":
-        return RationalFunction(Polynomial.const(c))
+        return RationalFunction._raw(Polynomial.const(c))
 
     def constant_value(self):
         """The value of a constant, as `Polynomial.constant_value`;
@@ -585,14 +603,14 @@ class RationalFunction:
         if other is NotImplemented:
             return NotImplemented
         if self.den is _ONE and other.den is _ONE:
-            return RationalFunction(self.num + other.num)
+            return RationalFunction._raw(self.num + other.num)
         num = self.num * other.den + other.num * self.den
-        return RationalFunction(num, self.den * other.den)
+        return RationalFunction._raw(num, self.den * other.den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RationalFunction(-self.num, self.den)
+        return RationalFunction._raw(-self.num, self.den)
 
     def __sub__(self, other):
         other = _coerce_rf(other)
@@ -608,8 +626,8 @@ class RationalFunction:
         if other is NotImplemented:
             return NotImplemented
         if self.den is _ONE and other.den is _ONE:
-            return RationalFunction(self.num * other.num)
-        return RationalFunction(self.num * other.num, self.den * other.den)
+            return RationalFunction._raw(self.num * other.num)
+        return RationalFunction._raw(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -627,7 +645,9 @@ class RationalFunction:
     def __pow__(self, n: int):
         if n < 0:
             return RationalFunction(self.den ** (-n), self.num ** (-n))
-        return RationalFunction(self.num ** n, self.den ** n)
+        if self.den is _ONE or n == 0:
+            return RationalFunction._raw(self.num ** n)
+        return RationalFunction._raw(self.num ** n, self.den ** n)
 
     def __eq__(self, other):
         other = _coerce_rf(other)
@@ -648,10 +668,8 @@ class RationalFunction:
     def reduce(self) -> "RationalFunction":
         if self.den is _ONE:
             return self
-        if self.num.is_zero():
-            return RationalFunction(Polynomial.zero())
         try:
-            return RationalFunction(self.num.divide_exact(self.den))
+            return RationalFunction._raw(self.num.divide_exact(self.den))
         except DivisionNotExact:
             return self
 
@@ -678,9 +696,9 @@ def _coerce_rf(x):
     if isinstance(x, RationalFunction):
         return x
     if isinstance(x, Polynomial):
-        return RationalFunction(x)
+        return RationalFunction._raw(x)
     if isinstance(x, (int, _QQ_TYPE)):
-        return RationalFunction(Polynomial.const(x))
+        return RationalFunction._raw(Polynomial.const(x))
     return NotImplemented
 
 

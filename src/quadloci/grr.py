@@ -7,7 +7,9 @@ the degree-2 Todd term of a curve fibration, v1/v2 for classes pulled back
 from the base), and a ``FiberRuleTable`` records what the fibration
 integrates each monomial to.  ``grr_c1`` then computes the first Chern
 class of a pushforward sheaf by multiplying a Chern character by the Todd
-factor of the fibration and integrating the top-degree part.
+factor of the fibration and integrating the top-degree part; of the
+products of a term of ch with a term of Todd it forms only those whose
+degrees sum to that top degree.
 
 Outputs live in ``TautClass``: linear combinations of named divisor classes
 (lambda, boundary classes, kappa classes, ...) whose coefficients are exact
@@ -19,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .algebra import Polynomial, QQ, RationalFunction, param
+from .algebra import _ONE, Polynomial, QQ, RationalFunction, param
 
 
 class MissingRule(Exception):
@@ -30,8 +32,8 @@ def rf(x) -> RationalFunction:
     if isinstance(x, RationalFunction):
         return x
     if isinstance(x, Polynomial):
-        return RationalFunction(x)
-    return RationalFunction(Polynomial.const(x))
+        return RationalFunction._raw(x)
+    return RationalFunction._raw(Polynomial.const(x))
 
 
 def rf_param(name: str) -> RationalFunction:
@@ -59,12 +61,17 @@ class TautClass:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Mapping[str, RationalFunction] | None = None):
-        clean = {}
+        clean: dict = {}
         for s, c in (coeffs or {}).items():
-            c = rf(c)
-            if not c.is_zero():
-                clean[s] = c.reduce()
+            _put_reduced(clean, s, c if type(c) is RationalFunction else rf(c))
         object.__setattr__(self, "coeffs", clean)
+
+    @staticmethod
+    def _raw(coeffs: dict) -> "TautClass":
+        """Wrap coefficients that are already nonzero and reduced."""
+        t = TautClass.__new__(TautClass)
+        object.__setattr__(t, "coeffs", coeffs)
+        return t
 
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError("TautClass is immutable")
@@ -78,22 +85,29 @@ class TautClass:
         return TautClass()
 
     def coefficient(self, name: str) -> RationalFunction:
-        return self.coeffs.get(name, rf(0))
+        return self.coeffs.get(name, _ZERO)
 
     def symbols(self):
         return set(self.coeffs)
 
     def __add__(self, other: "TautClass") -> "TautClass":
+        # only a coefficient both sides carry changes; the others are
+        # stored reduced already
         out = dict(self.coeffs)
         for s, c in other.coeffs.items():
-            out[s] = out.get(s, rf(0)) + c
-        return TautClass(out)
+            prev = out.get(s)
+            if prev is None:
+                out[s] = c
+            else:
+                _put_reduced(out, s, prev + c)
+        return TautClass._raw(out)
 
     def __sub__(self, other: "TautClass") -> "TautClass":
         return self + (-other)
 
     def __neg__(self) -> "TautClass":
-        return TautClass({s: -c for s, c in self.coeffs.items()})
+        # -n/d reduces exactly when n/d does
+        return TautClass._raw({s: -c for s, c in self.coeffs.items()})
 
     def scale(self, c) -> "TautClass":
         c = rf(c)
@@ -103,7 +117,7 @@ class TautClass:
         if name not in self.coeffs:
             return self
         c = self.coeffs[name]
-        rest = TautClass({s: v for s, v in self.coeffs.items() if s != name})
+        rest = TautClass._raw({s: v for s, v in self.coeffs.items() if s != name})
         return rest + value.scale(c)
 
     def subs_params(self, assignment: Mapping) -> "TautClass":
@@ -136,6 +150,23 @@ class TautClass:
         return " + ".join(bits)
 
     __repr__ = __str__
+
+
+_ZERO = RationalFunction.const(0)
+
+
+def _put_reduced(out: dict, key, c: RationalFunction):
+    """out[key] = c reduced, or no entry for key when c is zero."""
+    if c.num.terms:
+        out[key] = c if c.den is _ONE else c.reduce()
+    else:
+        out.pop(key, None)
+
+
+def _accumulate(out: dict, key, c: RationalFunction):
+    """out[key] += c, with no zero formed for a new key."""
+    prev = out.get(key)
+    out[key] = c if prev is None else prev + c
 
 
 def _as_poly(v):
@@ -172,8 +203,9 @@ class TagExpr:
     def __init__(self, terms=None):
         clean = {}
         for m, c in (terms or {}).items():
-            c = rf(c)
-            if not c.is_zero():
+            if type(c) is not RationalFunction:
+                c = rf(c)
+            if c.num.terms:
                 clean[m] = c
         object.__setattr__(self, "terms", clean)
 
@@ -191,7 +223,7 @@ class TagExpr:
     def __add__(self, other):
         out = dict(self.terms)
         for m, c in other.terms.items():
-            out[m] = out.get(m, rf(0)) + c
+            _accumulate(out, m, c)
         return TagExpr(out)
 
     def __sub__(self, other):
@@ -205,8 +237,19 @@ class TagExpr:
         out: dict = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                m = _merge_tag(m1, m2)
-                out[m] = out.get(m, rf(0)) + c1 * c2
+                _accumulate(out, _merge_tag(m1, m2), c1 * c2)
+        return TagExpr(out)
+
+    def graded_product(self, other: "TagExpr", deg: int) -> "TagExpr":
+        """The degree-deg part of self * other, forming only the products
+        of terms whose degrees sum to deg (in the order `*` forms them)."""
+        by_degree: dict = {}
+        for m2, c2 in other.terms.items():
+            by_degree.setdefault(_tag_mono_degree(m2), []).append((m2, c2))
+        out: dict = {}
+        for m1, c1 in self.terms.items():
+            for m2, c2 in by_degree.get(deg - _tag_mono_degree(m1), ()):
+                _accumulate(out, _merge_tag(m1, m2), c1 * c2)
         return TagExpr(out)
 
     def graded_part(self, deg: int) -> "TagExpr":
@@ -250,7 +293,7 @@ class FiberRuleTable:
         return out
 
     def push_scalar(self, expr: TagExpr) -> RationalFunction:
-        out = rf(0)
+        out = _ZERO
         for m, c in expr.graded_part(self.relative_dim).terms.items():
             rule = self.scalar_rules.get(m)
             if rule is None:
@@ -367,15 +410,17 @@ class BundleCharacter:
 
 def grr_c1(chr: BundleCharacter, rules: FiberRuleTable) -> TautClass:
     """First Chern class of the derived pushforward: integrate the
-    degree-(relative_dim + 1) part of ch * Todd."""
-    integrand = chr.full(rules.relative_dim) * rules.todd
-    return rules.push_top(integrand)
+    degree-(relative_dim + 1) part of ch * Todd.  Only the products of
+    terms of ch and Todd whose degrees sum to relative_dim + 1 are formed."""
+    d = rules.relative_dim
+    return rules.push_top(chr.full(d).graded_product(rules.todd, d + 1))
 
 
 def grr_rank(chr: BundleCharacter, rules: FiberRuleTable) -> RationalFunction:
-    """Rank of the derived pushforward (degree-relative_dim part)."""
-    integrand = chr.full(rules.relative_dim) * rules.todd
-    return rules.push_scalar(integrand)
+    """Rank of the derived pushforward: integrate the degree-relative_dim
+    part of ch * Todd, forming only the products that land there."""
+    d = rules.relative_dim
+    return rules.push_scalar(chr.full(d).graded_product(rules.todd, d))
 
 
 # ---------------------------------------------------------------------------

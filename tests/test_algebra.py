@@ -13,6 +13,7 @@ from quadloci.algebra import (
     Polynomial,
     QQ,
     RationalFunction,
+    _ONE,
     _merge_exponents,
     alpha,
     beta,
@@ -390,3 +391,40 @@ def test_unit_denominator_arithmetic_matches_cross_multiplication(a, b):
     # outside the contract checked here
     if a == b and a.reduce().is_polynomial():
         assert hash(a) == hash(b)
+
+
+def _cross_power(a, n):
+    out = RationalFunction(1)
+    for _ in range(abs(n)):
+        out = _cross_product(out, a)
+    return out if n >= 0 else RationalFunction(out.den, out.num)
+
+
+def _in_normal_form(r):
+    """r's pair is what the public constructor makes of it, and a constant
+    denominator is the shared `_ONE`."""
+    want = RationalFunction(r.num, r.den)
+    assert (r.num.terms, r.den.terms) == (want.num.terms, want.den.terms)
+    if r.den.is_constant():
+        assert r.den is _ONE
+
+
+@_KERNEL
+@given(rational_functions, rational_functions, rational_functions, st.integers(-3, 3))
+def test_results_keep_the_constructor_normal_form(a, b, c, n):
+    # sums, products and positive powers skip the constructor, as a product
+    # of stored denominators is already primitive with a positive leading
+    # coefficient; the denominators here are multivariate
+    results = [-a, a + b, a - b, a * b, (a + b) * c, a * b - c, (a - b) * (a + c)]
+    if not b.is_zero():
+        results.append(a / b)
+        assert (a / b) * b == a
+    if n >= 0 or not a.is_zero():
+        results.append(a ** n)
+        assert a ** n == _cross_power(a, n)
+    for r in results:
+        _in_normal_form(r)
+    _same_function(-a, RationalFunction(-a.num, a.den))
+    _same_function(a - b, _cross_sum(a, -b))
+    _same_function((a + b) * c, _cross_product(_cross_sum(a, b), c))
+    assert (a - b) + b == a and -a + a == 0

@@ -1,5 +1,6 @@
 import json
 from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -368,3 +369,17 @@ def test_jobs_option_on_either_side_of_verify(capsys, monkeypatch):
     for argv in (["--jobs", "4"] + verify_all, verify_all + ["--jobs", "3"]):
         assert _outcome(capsys, argv) == plain
     assert _outcome(capsys, ["--jobs", "2"] + sigma) == _outcome(capsys, sigma)
+
+
+def test_moduli_documents_replay_byte_for_byte(capsys):
+    """Every moduli, K3 and Hurwitz document written by
+    tests/data/make_moduli_documents.py prints the same bytes again."""
+    path = Path(__file__).parent / "data" / "moduli_documents.json"
+    entries = json.loads(path.read_text())
+    assert len(entries) == 101
+    differ = []
+    for entry in entries:
+        code, out = run_cli(capsys, *entry["argv"])
+        if (code, out) != (entry["exit"], entry["stdout"]):
+            differ.append(" ".join(entry["argv"]))
+    assert not differ

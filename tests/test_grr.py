@@ -175,3 +175,42 @@ def test_tautclass_arithmetic():
     assert a.subs_params({"g": 5}) == a
     c = TautClass({"lambda": G})
     assert c.subs_params({"g": 5}) == TautClass({"lambda": 5})
+
+
+def _products_then_graded_c1(chr, rules):
+    """grr_c1 as it was once written: the whole product, then its part."""
+    d = rules.relative_dim
+    return rules.push_top((chr.full(d) * rules.todd).graded_part(d + 1))
+
+
+def _products_then_graded_rank(chr, rules):
+    d = rules.relative_dim
+    return rules.push_scalar((chr.full(d) * rules.todd).graded_part(d))
+
+
+def _same_rf(got, want):
+    assert (got.num.terms, got.den.terms) == (want.num.terms, want.den.terms)
+
+
+_TABLES = {
+    **{"curve %s %s" % (boundary, kind): curve_rules(genus, degL, boundary)
+       for boundary in ("delta", "delta0", "D0")
+       for kind, genus, degL in (("symbolic", G, K), ("numeric", 5, 3))},
+    "k3 symbolic": k3_rules(G),
+    "k3 numeric": k3_rules(11),
+}
+
+
+@pytest.mark.parametrize("table", sorted(_TABLES))
+def test_top_degree_products_match_the_whole_product(table):
+    rules = _TABLES[table]
+    chars = [BundleCharacter.line_bundle(a, b)
+             for a in range(-2, 3) for b in range(-2, 3)]
+    chars.append(BundleCharacter.direct_sum(
+        BundleCharacter.line_bundle(-1, 1), BundleCharacter.line_bundle(2, 0)))
+    for chr in chars:
+        got, want = grr_c1(chr, rules), _products_then_graded_c1(chr, rules)
+        assert list(got.coeffs) == list(want.coeffs)
+        for s in want.coeffs:
+            _same_rf(got.coeffs[s], want.coeffs[s])
+        _same_rf(grr_rank(chr, rules), _products_then_graded_rank(chr, rules))
