@@ -371,12 +371,15 @@ def test_jobs_option_on_either_side_of_verify(capsys, monkeypatch):
     assert _outcome(capsys, ["--jobs", "2"] + sigma) == _outcome(capsys, sigma)
 
 
-def test_moduli_documents_replay_byte_for_byte(capsys):
-    """Every moduli, K3 and Hurwitz document written by
-    tests/data/make_moduli_documents.py prints the same bytes again."""
-    path = Path(__file__).parent / "data" / "moduli_documents.json"
-    entries = json.loads(path.read_text())
-    assert len(entries) == 101
+def test_moduli_documents_replay_byte_for_byte(capsys, monkeypatch):
+    """Every moduli, K3, Hurwitz, class sigma, pencil and projectivize
+    document written by tests/data/make_moduli_documents.py prints the same
+    bytes again.  The requests run in tests/data, as they were written,
+    because projectivize echoes its relative --weights path."""
+    data = Path(__file__).parent / "data"
+    entries = json.loads((data / "moduli_documents.json").read_text())
+    assert len(entries) == 190
+    monkeypatch.chdir(data)
     differ = []
     for entry in entries:
         code, out = run_cli(capsys, *entry["argv"])
