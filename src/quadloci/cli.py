@@ -122,10 +122,10 @@ class ClassExpr:
     def to_text(self) -> str:
         return _print_node(self.node)
 
-    def evaluate(self, resolver=None, assignments=None) -> Polynomial:
+    def evaluate(self, assignments=None) -> Polynomial:
         """Evaluate to a Polynomial; `assignments` maps symbol names to
         rational values substituted before resolution."""
-        return _eval_node(self.node, resolver or resolve_symbol, assignments)
+        return _eval_node(self.node, assignments)
 
 
 def parse_class(text: str) -> ClassExpr:
@@ -246,20 +246,20 @@ def resolve_symbol(name: str):
     raise UnknownSymbol(name)
 
 
-def _eval_node(node, resolver, assignments=None) -> Polynomial:
+def _eval_node(node, assignments=None) -> Polynomial:
     tag = node[0]
     if tag == "num":
         return Polynomial.const(node[1])
     if tag == "sym":
         if assignments and node[1] in assignments:
             return Polynomial.const(QQ(assignments[node[1]]))
-        return Polynomial.variable(resolver(node[1]))
+        return Polynomial.variable(resolve_symbol(node[1]))
     if tag == "neg":
-        return -_eval_node(node[1], resolver, assignments)
+        return -_eval_node(node[1], assignments)
     if tag == "pow":
-        return _eval_node(node[1], resolver, assignments) ** node[2]
-    a = _eval_node(node[1], resolver, assignments)
-    b = _eval_node(node[2], resolver, assignments)
+        return _eval_node(node[1], assignments) ** node[2]
+    a = _eval_node(node[1], assignments)
+    b = _eval_node(node[2], assignments)
     if tag == "add":
         return a + b
     if tag == "sub":
@@ -287,6 +287,25 @@ def parse_q(s: str):
     return QQ(int(s))
 
 
+def _rf_str(x) -> str:
+    """A constant as q_str renders it, anything else as its str."""
+    try:
+        return q_str(x)
+    except ValueError:
+        return str(x)
+
+
+def document(coefficients: dict, **metadata) -> dict:
+    """The JSON document of a class: its sorted basis, the coefficient of
+    each basis element, and the metadata."""
+    basis = sorted(coefficients)
+    return {
+        "basis": basis,
+        "coefficients": {k: coefficients[k] for k in basis},
+        "metadata": metadata,
+    }
+
+
 def poly_document(p: Polynomial, command: str, parameters: dict, notes=()) -> dict:
     coeffs = {}
     for mono, c in p.terms.items():
@@ -294,30 +313,8 @@ def poly_document(p: Polynomial, command: str, parameters: dict, notes=()) -> di
             "%s^%d" % (var_name(v), e) if e > 1 else var_name(v) for v, e in mono
         ) or "1"
         coeffs[key] = q_str(c)
-    basis = sorted(coeffs)
-    return {
-        "basis": basis,
-        "coefficients": {k: coeffs[k] for k in basis},
-        "metadata": {"command": command, "parameters": parameters,
-                     "notes": list(notes)},
-    }
-
-
-def taut_document(cls, command: str, parameters: dict, notes=()) -> dict:
-    coeffs = {}
-    for s, c in cls.coeffs.items():
-        c = c.reduce()
-        if c.is_polynomial() and c.as_polynomial().is_constant():
-            coeffs[s] = q_str(c)
-        else:
-            coeffs[s] = str(c)
-    basis = sorted(coeffs)
-    return {
-        "basis": basis,
-        "coefficients": {k: coeffs[k] for k in basis},
-        "metadata": {"command": command, "parameters": parameters,
-                     "notes": list(notes)},
-    }
+    return document(coeffs, command=command, parameters=parameters,
+                    notes=list(notes))
 
 
 def _emit(doc, args) -> None:
@@ -408,25 +405,11 @@ def cmd_moduli_petri(args) -> int:
     coeffs = {"lambda": q_str(cls.lam)}
     for i, b in sorted(cls.deltas.items()):
         coeffs["delta%d" % i] = q_str(-b)
-    doc = {
-        "basis": sorted(coeffs),
-        "coefficients": {k: coeffs[k] for k in sorted(coeffs)},
-        "metadata": {
-            "command": "moduli petri",
-            "parameters": {"g": args.g},
-            "slope": _rf_str(cls.slope()),
-            "notes": [cls.note] if cls.note else [],
-        },
-    }
+    doc = document(coeffs, command="moduli petri", parameters={"g": args.g},
+                   slope=_rf_str(cls.slope()),
+                   notes=[cls.note] if cls.note else [])
     _emit(doc, args)
     return 0
-
-
-def _rf_str(x):
-    try:
-        return q_str(x)
-    except Exception:
-        return str(x)
 
 
 def cmd_moduli_slope(args) -> int:
@@ -460,9 +443,7 @@ def cmd_moduli_slope(args) -> int:
             "command": "moduli slope",
             "parameters": {"series": args.series, "ell": args.ell,
                            "form": args.form},
-            "genus": (4 * args.ell - 1) * (9 * args.ell - 1)
-            if args.series == 1
-            else 4 * (3 * args.ell + 1) * (2 * args.ell + 1),
+            "genus": moduli.series_genus(args.series, args.ell),
         },
     }
     _emit(doc, args)
@@ -494,7 +475,8 @@ def cmd_k3_rank4(args) -> int:
     notes = ["coefficients are in units of the prefactor A_(g+1)^(g-3)"]
     if args.g is not None:
         notes.append("prefactor value %s" % q_str(a_const(args.g + 1, args.g - 3)))
-    doc = taut_document(cls, "k3 rank4", params, notes)
+    coeffs = {s: _rf_str(c) for s, c in cls.coeffs.items()}
+    doc = document(coeffs, command="k3 rank4", parameters=params, notes=notes)
     _emit(doc, args)
     return 0
 
@@ -502,25 +484,19 @@ def cmd_k3_rank4(args) -> int:
 def cmd_k3_kosz(args) -> int:
     i = args.i if args.i is not None else "i"
     cls = moduli.kosz_class(i)
-    rg, rh, closed = moduli.kosz_rank(i if isinstance(i, int) else "i")
-    doc = {
-        "basis": ["gamma", "lambda"],
-        "coefficients": {
-            "lambda": _rf_str(cls.lam),
-            "gamma": _rf_str(cls.gamma),
+    rg, rh, closed = moduli.kosz_rank(i)
+    doc = document(
+        {"lambda": _rf_str(cls.lam), "gamma": _rf_str(cls.gamma)},
+        command="k3 kosz",
+        parameters={"i": args.i if args.i is not None else "symbolic"},
+        units=cls.prefactor_units,
+        unknown_term="alpha * D11 with alpha undetermined",
+        ranks={
+            "syzygy_side": _rf_str(rg),
+            "polynomial_side": _rf_str(rh),
+            "closed_count": _rf_str(closed),
         },
-        "metadata": {
-            "command": "k3 kosz",
-            "parameters": {"i": args.i if args.i is not None else "symbolic"},
-            "units": cls.prefactor_units,
-            "unknown_term": "alpha * D11 with alpha undetermined",
-            "ranks": {
-                "syzygy_side": _rf_str(rg),
-                "polynomial_side": _rf_str(rh),
-                "closed_count": _rf_str(closed),
-            },
-        },
-    }
+    )
     _emit(doc, args)
     return 0
 
@@ -529,10 +505,10 @@ def cmd_hurwitz(args) -> int:
     rep = moduli.hurwitz_report()
     doc = {
         "canonical_class": {
-            s: str(c.reduce()) for s, c in rep.canonical_in_gamma.coeffs.items()
+            s: str(c) for s, c in rep.canonical_in_gamma.coeffs.items()
         },
         "rank4_class_units_A": {
-            s: str(c.reduce()) for s, c in rep.rank4_class.coeffs.items()
+            s: str(c) for s, c in rep.rank4_class.coeffs.items()
         },
         "structural_identity": {
             "lhs": str(rep.structural_lhs),

@@ -13,12 +13,16 @@ degrees sum to that top degree.
 
 Outputs live in ``TautClass``: linear combinations of named divisor classes
 (lambda, boundary classes, kappa classes, ...) whose coefficients are exact
-rational functions in the formal parameters (g, k, n, i, ...).
+rational functions in the formal parameters (g, k, n, i, ...).  ``rf`` lifts
+a number, a polynomial or a parameter name to a rational function:
+``rf("g")`` is the parameter g, so a genus, degree or index may be passed
+as an int or by name alike.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Mapping
 
 from .algebra import _ONE, Polynomial, QQ, RationalFunction, param
@@ -29,15 +33,14 @@ class MissingRule(Exception):
 
 
 def rf(x) -> RationalFunction:
+    """x as a rational function; a string names a formal parameter."""
     if isinstance(x, RationalFunction):
         return x
     if isinstance(x, Polynomial):
         return RationalFunction._raw(x)
+    if isinstance(x, str):
+        return RationalFunction._raw(Polynomial.variable(param(x)))
     return RationalFunction._raw(Polynomial.const(x))
-
-
-def rf_param(name: str) -> RationalFunction:
-    return RationalFunction(Polynomial.variable(param(name)))
 
 
 _SYMBOL_ORDER = [
@@ -341,11 +344,16 @@ def curve_rules(genus, degL, boundary: str = "delta") -> FiberRuleTable:
     return FiberRuleTable(1, top, scalar, todd)
 
 
+@cache
 def k3_rules(genus) -> FiberRuleTable:
     """Pushforward table for a polarized K3 fibration of genus g: the
     relative dualizing sheaf is pulled back from the base (so its square
     integrates to zero against degree-1 classes), the relative Euler number
-    is 24, and the polarization has self-intersection 2g-2 on fibers."""
+    is 24, and the polarization has self-intersection 2g-2 on fibers.
+
+    One table is built per genus: a genus is an int or a polynomial in the
+    parameters, whose stored form is canonical, so equal genera give the
+    same table."""
     g = rf(genus)
     lam = TautClass.symbol("lambda")
     two_g_2 = rf(2) * g - rf(2)
@@ -451,19 +459,20 @@ def gamma_k3(genus) -> TautClass:
     )
 
 
+def _twist(cls: TautClass, shifts) -> TautClass:
+    """cls with each symbol s of the (s, c) pairs replaced by s + c twist."""
+    t = TautClass.symbol("twist")
+    for name, shift in shifts:
+        cls = cls.substitute_symbol(name, TautClass.symbol(name) + t.scale(shift))
+    return cls
+
+
 def hurwitz_twist(cls: TautClass, k) -> TautClass:
     """Effect on (frak_a, frak_b) of twisting the degree-k pencil by a class
     pulled back from the base (symbol "twist"): frak_a shifts by 2k twist,
     frak_b by (2g-2) twist with g = 2k-1."""
     k = rf(k)
-    t = TautClass.symbol("twist")
-    cls = cls.substitute_symbol(
-        "frak_a", TautClass.symbol("frak_a") + t.scale(rf(2) * k)
-    )
-    cls = cls.substitute_symbol(
-        "frak_b", TautClass.symbol("frak_b") + t.scale(rf(4) * k - rf(4))
-    )
-    return cls
+    return _twist(cls, (("frak_a", rf(2) * k), ("frak_b", rf(4) * k - rf(4))))
 
 
 def k3_twist(cls: TautClass, genus) -> TautClass:
@@ -471,14 +480,16 @@ def k3_twist(cls: TautClass, genus) -> TautClass:
     pulled back from the base: kappa30 shifts by 6(g-1) twist, kappa11 by
     24 twist."""
     g = rf(genus)
-    t = TautClass.symbol("twist")
-    cls = cls.substitute_symbol(
-        "kappa30", TautClass.symbol("kappa30") + t.scale(rf(6) * (g - rf(1)))
-    )
-    cls = cls.substitute_symbol(
-        "kappa11", TautClass.symbol("kappa11") + t.scale(24)
-    )
-    return cls
+    return _twist(cls, (("kappa30", rf(6) * (g - rf(1))), ("kappa11", 24)))
+
+
+def _cover_space(k):
+    """The pushforward table of the space of degree-k covers of the line by
+    genus-(2k-1) curves (boundary D0), and c1(V) = frak_a / k of its rank-2
+    pencil bundle V."""
+    kk = rf(k)
+    rules = curve_rules(genus=rf(2) * kk - rf(1), degL=kk, boundary="D0")
+    return rules, TautClass.symbol("frak_a", rf(1) / kk)
 
 
 def hurwitz_sheaf_chern(k="k"):
@@ -493,12 +504,9 @@ def hurwitz_sheaf_chern(k="k"):
     frak_a = k c1(V) (push of the Porteous class of the base-point-free
     evaluation) eliminates c1(V).
     """
-    kk = rf_param(k) if isinstance(k, str) else rf(k)
-    g = rf(2) * kk - rf(1)
-    rules = curve_rules(genus=g, degL=kk, boundary="D0")
+    rules, c1V = _cover_space(k)
     c1F = grr_c1(BundleCharacter.line_bundle(-2, 2), rules)
     c1E_virtual = grr_c1(BundleCharacter.line_bundle(-1, 1), rules)
-    c1V = TautClass.symbol("frak_a", rf(1) / kk)
     c1E = c1E_virtual - c1V
     c1E = c1E.substitute_symbol("c1V", c1V)
     c1F = c1F.substitute_symbol("c1V", c1V)
@@ -515,9 +523,7 @@ def jet_porteous_d3(k="k"):
     Returns (d3, intermediates) where intermediates records the pushforward
     of c2 of the jet quotient before boundary correction.
     """
-    kk = rf_param(k) if isinstance(k, str) else rf(k)
-    g = rf(2) * kk - rf(1)
-    rules = curve_rules(genus=g, degL=kk, boundary="D0")
+    rules, c1V = _cover_space(k)
     c1J = TagExpr.tag("c1L", 3) + TagExpr.tag("c1omega", 3)
     c2J = (
         TagExpr({_mono(("c1L", 2)): rf(3)})
@@ -526,9 +532,7 @@ def jet_porteous_d3(k="k"):
     )
     v1 = TagExpr.tag("v1")
     c2_quotient = c2J - c1J * v1 + v1 * v1 - TagExpr.tag("v2")
-    pushed = rules.push_top(c2_quotient)
-    c1V = TautClass.symbol("frak_a", rf(1) / kk)
-    pushed = pushed.substitute_symbol("c1V", c1V)
+    pushed = rules.push_top(c2_quotient).substitute_symbol("c1V", c1V)
     d3 = pushed - TautClass.symbol("D0")
     return d3, {"push_c2_jet_quotient": pushed}
 
@@ -573,7 +577,7 @@ def lm_lambda_relation(i="i") -> LambdaTorsionReport:
     integral a strict multiple of lambda, which is all the conclusion needs;
     both are reported.
     """
-    ii = rf_param(i) if isinstance(i, str) else rf(i)
+    ii = rf(i)
     g = rf(2) * ii
     rules = k3_rules(g)
     k20 = rules.push_scalar(TagExpr({_mono(("c1L", 2)): rf(1)}))   # 2g-2

@@ -153,29 +153,31 @@ def sym2_weights(e: int) -> WeightSet:
     return WeightSet(tuple(a[i] + a[j] for i, j in _sym2_pairs(e)))
 
 
-def _validate_scalars(weights: WeightSet, scalars: ScalarData, vars_: list):
+def _validate_scalars(weights: WeightSet, scalars: ScalarData):
     for w in weights:
         total = 0
         terms = dict(w.terms)
-        for rv, v in zip(scalars.r_weights, vars_):
-            coeff = terms.get(((v, 1),), QQ(0))
-            total += rv * coeff
+        for i, rv in enumerate(scalars.r_weights, start=1):
+            total += rv * terms.get(((alpha(i), 1),), QQ(0))
         if total != scalars.r_total:
             raise ScalarConditionViolated(
                 "weight %s pairs to %s, expected %s" % (w, total, scalars.r_total)
             )
 
 
-def projectivize(cls: Polynomial, scalars: ScalarData, weights: WeightSet) -> Polynomial:
-    """Class of the projectivized cone: substitute a_i -> a_i - (r_i/r) xi."""
-    vars_ = [alpha(i) for i in range(1, len(scalars.r_weights) + 1)]
-    _validate_scalars(weights, scalars, vars_)
-    xv = Polynomial.variable(xi())
+def _shift_roots(cls: Polynomial, scalars: ScalarData, x: Polynomial) -> Polynomial:
+    """cls with a_i -> a_i - (r_i/r) x."""
     mapping = {
-        v: Polynomial.variable(v) - QQ(rv, scalars.r_total) * xv
-        for v, rv in zip(vars_, scalars.r_weights)
+        alpha(i): Polynomial.variable(alpha(i)) - QQ(rv, scalars.r_total) * x
+        for i, rv in enumerate(scalars.r_weights, start=1)
     }
     return cls.substitute_poly(mapping)
+
+
+def projectivize(cls: Polynomial, scalars: ScalarData, weights: WeightSet) -> Polynomial:
+    """Class of the projectivized cone: substitute a_i -> a_i - (r_i/r) xi."""
+    _validate_scalars(weights, scalars)
+    return _shift_roots(cls, scalars, Polynomial.variable(xi()))
 
 
 def fixed_point_restriction(
@@ -183,14 +185,8 @@ def fixed_point_restriction(
 ) -> Polynomial:
     """Restriction to the j-th coordinate fixed point: xi specializes to the
     j-th weight, so a_i -> a_i - (r_i/r) w_j."""
-    vars_ = [alpha(i) for i in range(1, len(scalars.r_weights) + 1)]
-    _validate_scalars(weights, scalars, vars_)
-    wj = weights[j]
-    mapping = {
-        v: Polynomial.variable(v) - QQ(rv, scalars.r_total) * wj
-        for v, rv in zip(vars_, scalars.r_weights)
-    }
-    return cls.substitute_poly(mapping)
+    _validate_scalars(weights, scalars)
+    return _shift_roots(cls, scalars, weights[j])
 
 
 # ---------------------------------------------------------------------------
@@ -680,16 +676,17 @@ def to_roots(p: Polynomial, e: int, f: int) -> Polynomial:
 # degenerate pencils (discriminant loci)
 # ---------------------------------------------------------------------------
 
+def _root_sum(var, n: int) -> Polynomial:
+    """var(1) + ... + var(n)."""
+    return sum((Polynomial.variable(var(i)) for i in range(1, n + 1)), Polynomial.zero())
+
+
 def pencil_class_sub(e: int) -> Polynomial:
     """Class of tangent 2-planes in the sub-bundle presentation:
     (e-1)(4 sum a_i - e (g_1 + g_2))."""
     if e < 2:
         raise PreconditionViolated("need e >= 2")
-    suma = sum(
-        (Polynomial.variable(alpha(i)) for i in range(1, e + 1)), Polynomial.zero()
-    )
-    sumg = Polynomial.variable(gamma_var(1)) + Polynomial.variable(gamma_var(2))
-    return (e - 1) * (4 * suma - e * sumg)
+    return (e - 1) * (4 * _root_sum(alpha, e) - e * _root_sum(gamma_var, 2))
 
 
 def pencil_class_quot(e: int) -> Polynomial:
@@ -698,13 +695,7 @@ def pencil_class_quot(e: int) -> Polynomial:
     if e < 2:
         raise PreconditionViolated("need e >= 2")
     n_beta = comb(e + 1, 2) - 2
-    suma = sum(
-        (Polynomial.variable(alpha(i)) for i in range(1, e + 1)), Polynomial.zero()
-    )
-    sumb = sum(
-        (Polynomial.variable(beta(j)) for j in range(1, n_beta + 1)),
-        Polynomial.zero(),
-    )
+    suma, sumb = _root_sum(alpha, e), _root_sum(beta, n_beta)
     return (e - 1) * (e * sumb - (e * e + e - 4) * suma)
 
 
@@ -712,19 +703,10 @@ def pencil_sub_from_quot(e: int) -> Polynomial:
     """Rewrite the sub-presentation using g_1 + g_2 =
     (e+1) sum a_i - sum b_j (exactness of 0 -> S -> Sym^2 E -> Q -> 0)."""
     n_beta = comb(e + 1, 2) - 2
-    suma = sum(
-        (Polynomial.variable(alpha(i)) for i in range(1, e + 1)), Polynomial.zero()
-    )
-    sumb = sum(
-        (Polynomial.variable(beta(j)) for j in range(1, n_beta + 1)),
-        Polynomial.zero(),
-    )
-    g1 = gamma_var(1)
-    g2 = gamma_var(2)
     # split the gamma-sum between the two roots; only the sum matters
     mapping = {
-        g1: (e + 1) * suma - sumb,
-        g2: Polynomial.zero(),
+        gamma_var(1): (e + 1) * _root_sum(alpha, e) - _root_sum(beta, n_beta),
+        gamma_var(2): Polynomial.zero(),
     }
     return pencil_class_sub(e).substitute_poly(mapping)
 

@@ -18,7 +18,6 @@ from .grr import (
     gamma_k3,
     in_gamma_basis,
     rf,
-    rf_param,
 )
 from .symfunc import Partition, _comb0, a_const
 
@@ -129,7 +128,7 @@ def petri_class(g) -> ModuliDivisor:
         lam = rf(A * QQ(7 * g + 6, g))
         deltas = {i: rf(A) for i in range(0, g // 2 + 1)}
         return ModuliDivisor(g, lam, deltas, all_equal=True)
-    gg = rf_param(g) if isinstance(g, str) else rf(g)
+    gg = rf(g)
     lam = (rf(7) * gg + rf(6)) / gg
     return ModuliDivisor(
         gg, lam, {0: rf(1)}, all_equal=True,
@@ -318,13 +317,18 @@ def series_params(series: int, ell: int) -> SeriesParams:
     return SeriesParams(r=r, s=s, a=a, g=r * s + s, d=r * s + r)
 
 
-def _ell() -> RationalFunction:
-    return rf_param("ell")
+def series_genus(series: int, ell):
+    """Genus of the series: (4l-1)(9l-1) for series 1, 4(3l+1)(2l+1) for
+    series 2; an int for an int ell, a rational function for a rational
+    function ell."""
+    if series == 1:
+        return (4 * ell - 1) * (9 * ell - 1)
+    return 4 * (3 * ell + 1) * (2 * ell + 1)
 
 
 def _poly_in_ell(coeffs: Iterable[int]) -> RationalFunction:
     """Rational function sum c_k ell^k from low to high degree."""
-    l = _ell()
+    l = rf("ell")
     total = rf(0)
     p = rf(1)
     for c in coeffs:
@@ -350,13 +354,11 @@ def pelda_slope(series: int, ell, form: str = "closed") -> RationalFunction:
     reduction)."""
     if isinstance(ell, int) and ell < 1:
         raise UnsupportedParam("need ell >= 1")
-    l = _ell() if isinstance(ell, str) else rf(ell)
+    l = rf(ell)
     if series == 1:
-        g1 = (rf(4) * l - rf(1)) * (rf(9) * l - rf(1))
+        b = rf(2) * (rf(9) * l - rf(2)) * (rf(9) * l - rf(1)) * _subs_ell(_SER1_B6, l)
         if form == "closed":
-            a = _subs_ell(_SER1_A, l)
-            b = rf(2) * (rf(9) * l - rf(2)) * (rf(9) * l - rf(1)) * _subs_ell(_SER1_B6, l)
-            return (a / b).reduce()
+            return (_subs_ell(_SER1_A, l) / b).reduce()
         if form == "deficit":
             num = (
                 (rf(13) * l - rf(2))
@@ -364,17 +366,10 @@ def pelda_slope(series: int, ell, form: str = "closed") -> RationalFunction:
                 * (rf(27) * l * l - rf(19) * l + rf(2))
                 * (rf(36) * l * l - rf(13) * l - rf(1))
             )
-            den = (
-                rf(2)
-                * (rf(9) * l - rf(2))
-                * (rf(9) * l - rf(1))
-                * _subs_ell(_SER1_B6, l)
-                * (rf(36) * l * l - rf(13) * l + rf(2))
-            )
-            return (rf(6) + rf(12) / (g1 + rf(1)) - num / den).reduce()
+            den = b * (rf(36) * l * l - rf(13) * l + rf(2))
+            return (brill_noether_bound(series_genus(1, l)) - num / den).reduce()
         raise UnsupportedParam("form must be 'closed' or 'deficit'")
     if series == 2:
-        g2 = rf(4) * (rf(3) * l + rf(1)) * (rf(2) * l + rf(1))
         num = (
             (rf(11) * l + rf(5))
             * (rf(2) * l - rf(1))
@@ -387,13 +382,12 @@ def pelda_slope(series: int, ell, form: str = "closed") -> RationalFunction:
             * _subs_ell(_SER2_C6, l)
             * (rf(24) * l * l + rf(20) * l + rf(5))
         )
-        val = (rf(6) + rf(12) / (g2 + rf(1)) - num / den).reduce()
-        return val
+        return (brill_noether_bound(series_genus(2, l)) - num / den).reduce()
     raise UnsupportedParam("series must be 1 or 2")
 
 
 def _subs_ell(expr: RationalFunction, l: RationalFunction) -> RationalFunction:
-    if l == _ell():
+    if l == rf("ell"):
         return expr
     return expr.substitute({param("ell"): l})
 
@@ -426,7 +420,7 @@ class PushforwardTable:
     @staticmethod
     def build(p: SeriesParams) -> "PushforwardTable":
         g, d, r, s = p.g, p.d, p.r, p.s
-        beta = rf_param("beta")
+        beta = rf("beta")
         a_l = beta * rf(QQ(d, (g - 1) * (g - 2))) * rf(
             d * g * g - 2 * g * g + 8 * d - 8 * g + 4
         )
@@ -503,7 +497,7 @@ def virtual_slope_from_pushforward(
         scaleF, scaleE = rf(1), rf(QQ(2 * f, e))
     else:
         scaleF, scaleE = rf(class_scales[0]), rf(class_scales[1])
-    beta = rf_param("beta")
+    beta = rf("beta")
     n_lambda = rf(calibration.n_over_beta) * beta
     lam = scaleF * (n_lambda - table.frak_b[0] + rf(2) * table.frak_a[0]) - scaleE * table.c1E[0]
     dl = scaleF * (-table.frak_b[1] + rf(2) * table.frak_a[1]) - scaleE * table.c1E[1]
@@ -635,11 +629,8 @@ def k3_rank4_class(g="g") -> TautClass:
     and rewriting the kappa classes in the twist-invariant basis.  Raises
     IdentityFailed if the derivation does not reproduce the closed form.
     """
-    gg = rf_param(g) if isinstance(g, str) else rf(g)
-    c1 = chern_of_power_pushforward(1, gg)
-    c2 = chern_of_power_pushforward(2, gg)
-    combo = c2 - c1.scale((rf(8) * gg - rf(4)) / (gg + rf(1)))
-    result = in_gamma_basis(combo, gamma_k3(gg), pivot="kappa30")
+    gg = rf(g)
+    result = in_gamma_basis(_k3_rank4_combination(gg), gamma_k3(gg), pivot="kappa30")
     expected = TautClass(
         {
             "lambda": (rf(2) * gg * gg - rf(13) * gg + rf(9)) / (gg + rf(1)),
@@ -654,11 +645,15 @@ def k3_rank4_class(g="g") -> TautClass:
 def k3_rank4_kappa11_coefficient(g="g") -> RationalFunction:
     """kappa11-coefficient of the rank-4 combination before the basis
     change: -(g-1)/(2(g+1)) (in units of the prefactor)."""
-    gg = rf_param(g) if isinstance(g, str) else rf(g)
-    c1 = chern_of_power_pushforward(1, gg)
-    c2 = chern_of_power_pushforward(2, gg)
-    combo = c2 - c1.scale((rf(8) * gg - rf(4)) / (gg + rf(1)))
-    return combo.coefficient("kappa11").reduce()
+    return _k3_rank4_combination(rf(g)).coefficient("kappa11").reduce()
+
+
+def _k3_rank4_combination(g: RationalFunction) -> TautClass:
+    """The divisorial class c1(U_2) - ((8g-4)/(g+1)) c1(U_1) in the kappa
+    classes, U_n the pushforward of the n-th power of the polarization."""
+    c1 = chern_of_power_pushforward(1, g)
+    c2 = chern_of_power_pushforward(2, g)
+    return c2 - c1.scale((rf(8) * g - rf(4)) / (g + rf(1)))
 
 
 # ---------------------------------------------------------------------------
@@ -758,7 +753,7 @@ def kosz_class(i="i") -> KoszulClass:
     """
     if isinstance(i, int):
         return _kosz_numeric(i)
-    ii = rf_param(i)
+    ii = rf(i)
     g = rf(2) * ii + rf(3)
     T, U = _alternating_sums(ii)
     c1U1 = chern_of_power_pushforward(1, g)
@@ -813,7 +808,7 @@ def _kosz_numeric(i: int) -> KoszulClass:
 
 def kosz_closed_form(i="i") -> KoszulClass:
     """(4/(i+2)) ((i^2-4i-3) lambda + gamma/2), in units of C(2i-1, i)."""
-    ii = rf_param(i) if isinstance(i, str) else rf(i)
+    ii = rf(i)
     pre = rf(4) / (ii + rf(2))
     return KoszulClass(
         i=ii,
@@ -828,7 +823,7 @@ def kosz_intro_form(i="i") -> KoszulClass:
     units of C(2i-1, i).  Its inner (lambda : gamma) vector matches the
     closed form exactly; the binomial prefactor differs by the ratio
     C(2i+1, i)/C(2i-1, i) = 2(2i+1)/(i+1)."""
-    ii = rf_param(i) if isinstance(i, str) else rf(i)
+    ii = rf(i)
     g = rf(2) * ii + rf(3)
     ratio = _binom_shift(1, 0, ii)  # C(2i+1, i) / C(2i-1, i)
     lam = ratio * rf(2) * (g * g - rf(14) * g + rf(21)) / (g + rf(1))
@@ -838,7 +833,7 @@ def kosz_intro_form(i="i") -> KoszulClass:
 
 def kosz_prefactor_ratio(i="i") -> RationalFunction:
     """Ratio intro-form / closed-form = 2(2i+1)/(i+1)."""
-    ii = rf_param(i) if isinstance(i, str) else rf(i)
+    ii = rf(i)
     return _binom_shift(1, 0, ii)
 
 
@@ -857,7 +852,7 @@ def kosz_rank(i) -> tuple:
         )
         closed = (i + 1) * comb(2 * i + 5, i + 2)
         return rank_g, rank_h, closed
-    ii = rf_param(i) if isinstance(i, str) else rf(i)
+    ii = rf(i)
     g = rf(2) * ii + rf(3)
     _, U = _alternating_sums(ii)
     rank_g = (rf(2) * U[0] + (g - rf(1)) * U[2]).reduce()
@@ -885,24 +880,13 @@ def hodge_admissible_coeff(i: int, mu: Partition, k: int):
     for part in mu.parts:
         m = m * part // gcd(m, part)
     inv_sum = sum(QQ(1, part) for part in mu.parts)
-    return m * (
-        QQ(i * (6 * k - 4 - i), 8 * (6 * k - 5)) - QQ(1, 12) * (k - inv_sum)
-    )
+    return _hodge_coeff(i, m, inv_sum, QQ(k))
 
 
-def _hodge_coeff_symbolic(i_val: int, mu_kind: str):
-    """Same coefficient for the three boundary partitions at symbolic k:
-    mu_kind in {"1^k", "3,1^(k-3)", "2,2,1^(k-4)"}; i_val = 2 throughout."""
-    k = rf_param("k")
-    lcm_mu = {"1^k": rf(1), "3,1^(k-3)": rf(3), "2,2,1^(k-4)": rf(2)}[mu_kind]
-    inv_sum = {
-        "1^k": k,
-        "3,1^(k-3)": k - rf(3) + rf(QQ(1, 3)),
-        "2,2,1^(k-4)": k - rf(3),
-    }[mu_kind]
-    six_k_5 = rf(6) * k - rf(5)
-    first = rf(i_val) * (rf(6) * k - rf(4) - rf(i_val)) / (rf(8) * six_k_5)
-    return (lcm_mu * (first - rf(QQ(1, 12)) * (k - inv_sum))).reduce()
+def _hodge_coeff(i: int, lcm_mu: int, inv_sum, k):
+    """lcm(mu) ( i(6k-4-i)/(8(6k-5)) - (1/12)(k - sum 1/mu_j) ), for a
+    rational k or a rational-function k alike."""
+    return lcm_mu * (i * (6 * k - 4 - i) / (8 * (6 * k - 5)) - QQ(1, 12) * (k - inv_sum))
 
 
 @dataclass(frozen=True)
@@ -936,13 +920,15 @@ def hurwitz_report(k="k") -> HurwitzReport:
     the two published normalizations of the rank-4-quadric term."""
     from .grr import gamma_hurwitz, hurwitz_sheaf_chern, jet_porteous_d3
 
-    kk = rf_param(k) if isinstance(k, str) else rf(k)
-    # boundary coefficients of the Hodge class, from the ordered-cover ones;
-    # the unordered D0 and D3 absorb a factor 2 under the quotient by the
+    kk = rf(k)
+    # boundary coefficients of the Hodge class at symbolic k and i = 2, from
+    # the ordered-cover ones for mu = 1^k, 2,2,1^(k-4) and 3,1^(k-3); the
+    # unordered D0 and D3 absorb a factor 2 under the quotient by the
     # symmetric group, D2 does not (its generic cover has extra automorphisms)
-    c_d0 = (_hodge_coeff_symbolic(2, "1^k") / rf(2)).reduce()
-    c_d2 = _hodge_coeff_symbolic(2, "2,2,1^(k-4)").reduce()
-    c_d3 = (_hodge_coeff_symbolic(2, "3,1^(k-3)") / rf(2)).reduce()
+    ks = rf("k")
+    c_d0 = (_hodge_coeff(2, 1, ks, ks) / rf(2)).reduce()
+    c_d2 = _hodge_coeff(2, 2, ks - rf(3), ks).reduce()
+    c_d3 = (_hodge_coeff(2, 3, ks - rf(3) + rf(QQ(1, 3)), ks) / rf(2)).reduce()
     published_d2 = (rf(-1) / (rf(4) * (rf(6) * kk - rf(5)))).reduce()
 
     canonical = TautClass({"lambda": 8, "D3": QQ(1, 6), "D0": QQ(-3, 2)})

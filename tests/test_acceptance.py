@@ -10,7 +10,7 @@ are never silently absorbed.
 from math import comb
 
 from quadloci.algebra import Polynomial, QQ, alpha, beta, param
-from quadloci.grr import TautClass, rf, rf_param
+from quadloci.grr import TautClass, rf
 from quadloci import grr, loci, moduli, symfunc, verify
 
 X = Polynomial.variable
@@ -73,7 +73,7 @@ def test_criterion_04_pencil_classes():
 
 
 def test_criterion_05_pushforward_engine():
-    g, n, k = rf_param("g"), rf_param("n"), rf_param("k")
+    g, n, k = rf("g"), rf("n"), rf("k")
     # (a) power pushforward for symbolic n, g
     assert grr.chern_of_power_pushforward(n, g) == TautClass(
         {
@@ -94,7 +94,7 @@ def test_criterion_05_pushforward_engine():
     )
     assert c1F == TautClass({"lambda": 13, "frak_a": 2, "frak_b": -3, "D0": -1})
     # (d) squared bundle on the linear-series space
-    rules2 = grr.curve_rules(genus=g, degL=rf_param("d"))
+    rules2 = grr.curve_rules(genus=g, degL=rf("d"))
     assert grr.grr_c1(grr.BundleCharacter.line_bundle(2, 0), rules2) == TautClass(
         {"lambda": 1, "frak_a": 2, "frak_b": -1}
     )
@@ -109,7 +109,7 @@ def test_criterion_05_pushforward_engine():
 
 
 def test_criterion_06_rank4_identity():
-    g = rf_param("g")
+    g = rf("g")
     cls = moduli.k3_rank4_class()
     assert cls.coefficient("lambda") == (rf(2) * g * g - rf(13) * g + rf(9)) / (
         g + rf(1)
@@ -130,7 +130,7 @@ def test_criterion_07_koszul():
     # the alternating sum itself matches the first display, so the second
     # display's prefactor carries a documented normalization discrepancy.
     ki = moduli.kosz_intro_form("i")
-    ii = rf_param("i")
+    ii = rf("i")
     ratio = moduli.kosz_prefactor_ratio("i")
     assert ratio == rf(2) * (rf(2) * ii + rf(1)) / (ii + rf(1))
     assert ki.lam == (kc.lam * ratio).reduce()
@@ -157,7 +157,7 @@ def test_criterion_08_slope_series():
 
 def test_criterion_09_hurwitz():
     rep = moduli.hurwitz_report()
-    k = rf_param("k")
+    k = rf("k")
     assert rep.canonical_in_gamma == TautClass({"lambda": 12, "gamma": 1, "D0": -2})
     assert rep.structural_identity_holds
     assert rep.structural_rhs == TautClass(
@@ -201,7 +201,7 @@ def test_criterion_10_property_suites():
         assert loci.residue_divisor_class(e, r) == want
         assert loci.localization_class(e, f, r) == want
     # twist invariance on both sides
-    k, g = rf_param("k"), rf_param("g")
+    k, g = rf("k"), rf("g")
     assert grr.hurwitz_twist(grr.gamma_hurwitz(k), k) == grr.gamma_hurwitz(k)
     assert grr.k3_twist(grr.gamma_k3(g), g) == grr.gamma_k3(g)
     # overall-constant cancellation in the slope machinery

@@ -6,6 +6,7 @@ import pytest
 
 from quadloci import cli
 from quadloci.algebra import Polynomial, QQ, sym
+from quadloci.grr import rf
 from quadloci.cli import (
     ClassSyntaxError,
     UnknownSymbol,
@@ -69,6 +70,18 @@ def test_parse_unknown_symbol():
 def test_q_str_roundtrip():
     for value in (QQ(3), QQ(-4, 7), QQ(0), QQ(34423, 5320)):
         assert parse_q(q_str(value)) == value
+
+
+def test_rf_str_renders_values_and_lets_bugs_through():
+    """A constant renders as q_str, a non-constant rational function as its
+    str; a value that is no number at all raises instead of being printed."""
+    g = rf("g")
+    assert cli._rf_str(rf(QQ(-4, 7))) == "-4/7"
+    assert cli._rf_str(rf(12)) == "12"
+    assert cli._rf_str(rf(2) / (g + rf(1))) == "(2)/(g + 1)"
+    assert cli._rf_str(g * g - rf(1)) == "g^2 - 1"
+    with pytest.raises(TypeError):
+        cli._rf_str(object())
 
 
 # -- subcommands ---------------------------------------------------------------

@@ -21,21 +21,20 @@ from quadloci.grr import (
     k3_twist,
     lm_lambda_relation,
     rf,
-    rf_param,
 )
 
-G = rf_param("g")
-K = rf_param("k")
-N = rf_param("n")
-I = rf_param("i")
+G = rf("g")
+K = rf("k")
+N = rf("n")
+I = rf("i")
 
 
 def test_curve_table_entries():
-    rules = curve_rules(genus=G, degL=rf_param("d"))
+    rules = curve_rules(genus=G, degL=rf("d"))
     assert rules.top_rules[_mono(("c1omega", 2))] == TautClass(
         {"lambda": 12, "delta": -1}
     )
-    assert rules.scalar_rules[_mono(("c1L", 1))] == rf_param("d")
+    assert rules.scalar_rules[_mono(("c1L", 1))] == rf("d")
     assert rules.scalar_rules[_mono(("c1omega", 1))] == rf(2) * G - rf(2)
     assert rules.push_top(TagExpr.const(1)) == TautClass.zero()
     assert rules.push_scalar(TagExpr.const(1)) == rf(0)
@@ -86,7 +85,7 @@ def test_quadratic_differentials():
 
 
 def test_squared_bundle_pushforward():
-    rules = curve_rules(genus=G, degL=rf_param("d"))
+    rules = curve_rules(genus=G, degL=rf("d"))
     got = grr_c1(BundleCharacter.line_bundle(2, 0), rules)
     assert got == TautClass({"lambda": 1, "frak_a": 2, "frak_b": -1})
 

@@ -1,7 +1,7 @@
 import pytest
 
 from quadloci.algebra import QQ, param
-from quadloci.grr import TautClass, rf, rf_param
+from quadloci.grr import TautClass, rf
 from quadloci.moduli import (
     BoundaryCoefficientNonpositive,
     Calibration,
@@ -32,9 +32,9 @@ from quadloci.moduli import (
 )
 from quadloci.symfunc import Partition
 
-G = rf_param("g")
-K = rf_param("k")
-I = rf_param("i")
+G = rf("g")
+K = rf("k")
+I = rf("i")
 
 
 def q(x):
