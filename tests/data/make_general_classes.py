@@ -1,5 +1,5 @@
 """Write general_classes.json: the Chern-form class of every localization
-triple (e, f, r) with e <= 6 whose largest interpolation block has at most
+triple (e, f, r) with e <= 7 whose largest interpolation block has at most
 150 unknowns, computed by `residue_class` and `localization_class` and
 written only where the two agree.
 
@@ -13,7 +13,7 @@ from math import comb
 from quadloci import loci
 from quadloci.cli import poly_document
 
-MAX_E, MAX_BLOCK = 6, 150
+MAX_E, MAX_BLOCK = 7, 150
 
 
 def triples():

@@ -324,13 +324,13 @@ def test_residue_class_matches_localization(efr):
 
 def test_general_classes_golden_file():
     # tests/data/make_general_classes.py wrote the Chern-form class of every
-    # triple with e <= 6 and largest block <= 150 where both producers agree
+    # triple with e <= 7 and largest block <= 150 where both producers agree
     from quadloci.cli import poly_document
 
     path = os.path.join(os.path.dirname(__file__), "data", "general_classes.json")
     with open(path) as fh:
         entries = json.load(fh)
-    assert len(entries) == 115
+    assert len(entries) == 179
     for ent in entries:
         e, f, r = ent["e"], ent["f"], ent["r"]
         want = ent["class"]
