@@ -26,8 +26,11 @@ computed two ways:
 * ``residue_class`` -- the residue at infinity, formed in the Chern symbols
   c_iE, c_jF: the z-coefficients of g, with h_r(a - z/2) a Jacobi-Trudi
   determinant of the twisted Chern classes of E, against the complete
-  homogeneous functions of W.  ``residue_divisor_class`` is its divisorial
-  case.
+  homogeneous functions of W.  Both pieces and their products are formed
+  in Python ints on graded arrays (dicts from packed exponents of the c_iE
+  to ints, one per c-degree), only up to the class degree, and the class
+  becomes a Polynomial once, at the end.  ``residue_divisor_class`` is its
+  divisorial case.
 
 By the residue theorem the two are one identity: localization's |W| terms
 are the finite residues of g(z) / prod_{w in W}(z - w), and the residue form
@@ -68,14 +71,7 @@ from .algebra import (
     xi,
     zvar,
 )
-from .symfunc import (
-    ChernSeries,
-    Partition,
-    _elem_values,
-    a_const,
-    schur,
-    sym_degeneracy_value,
-)
+from .symfunc import _elem_values, a_const, sym_degeneracy_value
 
 
 class PreconditionViolated(Exception):
@@ -186,6 +182,9 @@ def fixed_point_restriction(
     """Restriction to the j-th coordinate fixed point: xi specializes to the
     j-th weight, so a_i -> a_i - (r_i/r) w_j."""
     _validate_scalars(weights, scalars)
+    if not 0 <= j < len(weights):
+        raise PreconditionViolated(
+            "fixed point %d is not in 0..%d" % (j, len(weights) - 1))
     return _shift_roots(cls, scalars, weights[j])
 
 
@@ -565,54 +564,161 @@ def closed_divisor_class(e: int, r: int) -> Polynomial:
     return A * c1F() - A * QQ(2 * f, e) * c1E()
 
 
+# The residue producer works on integer graded arrays.  A class in z and
+# the c_jE that is homogeneous of degree D is a list over the c-degree g
+# (c_jE has degree j) of dicts from packed exponents to ints; each term of
+# part g carries z^(D-g).  The exponent of c_jE sits in bits
+# [(j-1)w, jw) of one int, with 2^w above every exponent that occurs, so
+# the product of two monomials is the sum of their keys.
+
+def _slot_bits(bound: int) -> int:
+    """The slot width w for exponents up to `bound`."""
+    return max(bound, 1).bit_length()
+
+
+def _mul_into(acc: dict, x: dict, y: dict, scale: int = 1) -> None:
+    """acc += scale * x * y, for dicts from packed exponents to ints."""
+    get = acc.get
+    for kx, vx in x.items():
+        vx *= scale
+        for ky, vy in y.items():
+            k = kx + ky
+            acc[k] = get(k, 0) + vx * vy
+
+
+def _chern_monomials(e: int, w: int):
+    """The function from a packed c_jE exponent key (slot width w) and
+    sorted (variable, exponent) pairs `extra` to the Polynomial monomial of
+    their product."""
+    names = [_cE(j) for j in range(1, e + 1)]
+    mask = (1 << w) - 1
+
+    def monomial(key: int, extra=()) -> tuple:
+        out = list(extra)
+        for name in names:
+            if not key:
+                break
+            if key & mask:
+                out.append((name, key & mask))
+            key >>= w
+        return tuple(sorted(out))
+
+    return monomial
+
+
+def _twisted_corank(r: int, e: int, max_c: int, w: int) -> list:
+    """2^(D-r) h_r(a - z/2), D = C(r+1,2), as a graded array in z and the
+    c_jE (slot width w) holding only the parts of c-degree <= max_c.
+
+    h is homogeneous of degree D in the roots, so 2^D h(a - z/2) =
+    h(2a - z) = 2^r s_(r,...,1) of the Chern classes of the roots 2a - z.
+    Those are E twisted by a line bundle of first Chern class -z, with E's
+    classes scaled by 2^j, so (Fulton, Intersection Theory, Ex. 3.2.2) they
+    are c_k = sum_{j<=k} C(e-j, k-j) 2^j c_jE (-z)^(k-j): integers.  The
+    Jacobi-Trudi determinant det(c_(r-2i+j))_(i,j<r) is expanded by minors
+    memoized on column subsets, as `symfunc.schur` does, and a product
+    term of c-degree above max_c is never formed: c-degree only adds up.
+    """
+    top = min(max_c, comb(r + 1, 2))
+    unit = [0] + [1 << w * (j - 1) for j in range(1, e + 1)]
+
+    def entry(k):
+        if not 0 <= k <= e:
+            return None
+        return [{unit[j]: (-1) ** (k - j) * comb(e - j, k - j) << j}
+                for j in range(min(k, top) + 1)]
+
+    rows = [[entry(r - 2 * i + j) for j in range(r)] for i in range(r)]
+    cache: dict = {}
+
+    def minor(i, cols):
+        """The minor of rows i.. on the columns of the bit set cols."""
+        if i == r:
+            return [{0: 1}]
+        got = cache.get(cols)
+        if got is not None:
+            return got
+        total = [{} for _ in range(top + 1)]
+        sign = 1
+        for j in range(r):
+            if not cols >> j & 1:
+                continue
+            if rows[i][j] is not None:
+                sub = minor(i + 1, cols & ~(1 << j))
+                for ge, x in enumerate(rows[i][j]):
+                    for gs in range(min(len(sub), top - ge + 1)):
+                        _mul_into(total[ge + gs], x, sub[gs], sign)
+            sign = -sign
+        total = [{k: v for k, v in part.items() if v} for part in total]
+        cache[cols] = total
+        return total
+
+    return minor(0, (1 << r) - 1)
+
+
 def shifted_corank_class(r: int, e: int, max_c: int) -> Polynomial:
     """h_r(a - z/2), the corank class with every root shifted by x = -z/2,
-    in z and the symbols c_jE.
+    in z and the symbols c_jE, with only its terms of c-degree <= max_c
+    formed (c_jE has degree j, z has degree 1, and every term has degree
+    D = C(r+1,2)); max_c >= D gives the whole class.
 
     The shifted roots are those of E twisted by a line bundle of first
-    Chern class x, so (Fulton, Intersection Theory, Ex. 3.2.2) its Chern
-    classes are c_k = sum_{j<=k} C(e-j, k-j) c_jE x^(k-j), and the class is
-    2^r s_(r,...,1) of that series.  Only c_jE with j <= max_c are kept:
-    the z-coefficients of c-degree <= max_c are exact, the others are not.
+    Chern class x, and the class is 2^r s_(r,...,1) of their Chern series
+    (`_twisted_corank`, in ints).
     """
-    x = QQ(-1, 2) * Polynomial.variable(zvar())
-    cE = [Polynomial.const(1)] + [
-        Polynomial.variable(_cE(j)) for j in range(1, min(e, max_c) + 1)
-    ]
-    twisted = [
-        sum((comb(e - j, k - j) * c * x ** (k - j)
-             for j, c in enumerate(cE[:k + 1])), Polynomial.zero())
-        for k in range(e + 1)
-    ]
-    series = ChernSeries(twisted, rank=e)
-    return (QQ(2) ** r) * schur(Partition.staircase(r), series)
+    D = comb(r + 1, 2)
+    w = _slot_bits(max_c)
+    monomial = _chern_monomials(e, w)
+    terms = {}
+    for g, part in enumerate(_twisted_corank(r, e, max_c, w)):
+        z = ((zvar(), D - g),) if g < D else ()
+        for key, v in part.items():
+            terms[monomial(key, z)] = QQ(v, 1 << (D - r))
+    return Polynomial._raw(terms)
 
 
-def _sym2_complete(e: int, top: int) -> list:
-    """h_0..h_top of the Sym^2 weights a_i + a_j (i <= j), in the c_iE.
+def _sym2_complete(e: int, top: int, w: int) -> list:
+    """h_0..h_top of the Sym^2 weights a_i + a_j (i <= j), each a dict from
+    packed c_iE exponents (slot width w) to ints.
 
-    Newton's identities give the power sums p_m of the a_i, with p_0 = e;
-    the weights' power sums are p_k(W) = (sum_m C(k,m) p_m p_(k-m)
-    + 2^k p_k) / 2, and m h_m(W) = sum_{i=1..m} p_i(W) h_(m-i)(W)."""
-    c = [Polynomial.const(1)] + [
-        Polynomial.variable(_cE(i)) if i <= e else Polynomial.zero()
-        for i in range(1, top + 1)
-    ]
-    p = [Polynomial.const(e)]
+    Newton's identities give the power sums p_m of the a_i, with p_0 = e.
+    The weights' power sums are
+        p_k(W) = (sum_m C(k,m) p_m p_(k-m) + 2^k p_k) / 2
+               = sum_(m<k/2) C(k,m) p_m p_(k-m) + C(k-1,k/2-1) p_(k/2)^2
+                 + 2^(k-1) p_k,
+    the middle term only for even k (pairing m with k-m, and
+    C(k,k/2) = 2 C(k-1,k/2-1)).  Then m h_m(W) = sum_(i=1..m) p_i(W)
+    h_(m-i)(W), and the division by m is exact: h_m(W) is an integer
+    polynomial in the c_iE.
+    """
+    c = [{0: 1}] + [{1 << w * (i - 1): 1} for i in range(1, min(e, top) + 1)]
+    p = [{0: e}]
     for m in range(1, top + 1):
-        acc = (-1) ** (m - 1) * m * c[m]
-        for i in range(1, m):
-            acc = acc + (-1) ** (i - 1) * c[i] * p[m - i]
-        p.append(acc)
-    pW = [None] + [
-        QQ(1, 2) * (sum((comb(k, m) * p[m] * p[k - m] for m in range(k + 1)),
-                        Polynomial.zero()) + 2 ** k * p[k])
-        for k in range(1, top + 1)
-    ]
-    hW = [Polynomial.const(1)]
+        acc = {k: (-1) ** (m - 1) * m * v for k, v in c[m].items()} if m <= e else {}
+        for i in range(1, min(m - 1, e) + 1):
+            _mul_into(acc, c[i], p[m - i], (-1) ** (i - 1))
+        p.append({k: v for k, v in acc.items() if v})
+    pW = [None]
+    for k in range(1, top + 1):
+        acc = {key: (e + (1 << (k - 1))) * v for key, v in p[k].items()}
+        for m in range(1, (k + 1) // 2):
+            _mul_into(acc, p[m], p[k - m], comb(k, m))
+        if k % 2 == 0:
+            _mul_into(acc, p[k // 2], p[k // 2], comb(k - 1, k // 2 - 1))
+        pW.append({key: v for key, v in acc.items() if v})
+    hW = [{0: 1}]
     for m in range(1, top + 1):
-        acc = sum((pW[i] * hW[m - i] for i in range(1, m + 1)), Polynomial.zero())
-        hW.append(QQ(1, m) * acc)
+        acc = {}
+        for i in range(1, m + 1):
+            _mul_into(acc, pW[i], hW[m - i])
+        part = {}
+        for key, v in acc.items():
+            q, rem = divmod(v, m)
+            if rem:
+                raise AssertionError("m h_m(W) is not divisible by m")
+            if q:
+                part[key] = q
+        hW.append(part)
     return hW
 
 
@@ -624,31 +730,41 @@ def residue_class(e: int, f: int, r: int) -> Polynomial:
     localization's sum over the weights W is (-1)^(d+1) times the divided
     difference of g over W, so by the residue theorem
         class = (-1)^(d+1) sum_{k >= n-1} [z^k] g(z) h_(k-n+1)(W).
-    Collecting by the power z^s of the shifted corank class
-    (`shifted_corank_class`) this is
+    Collecting by the power z^s of the shifted corank class this is
     (-1)^(d+1) sum_s [z^s] h_r(a - z/2) q_(s-d+1), with
-    q_m = sum_j (-1)^j c_jF h_(m-j)(W) (`_sym2_complete`).  The class has
-    degree t = C(r+1,2) - d + 1, so only Chern classes of degree <= t enter.
+    q_m = sum_j (-1)^j c_jF h_(m-j)(W).  The class has degree
+    t = C(r+1,2) - d + 1, so only Chern classes of degree <= t enter.
     The domain is localization's, plus r = d = 0, where the divided
     difference is exact and gives c1F - (e+1) c1E.
+
+    Everything is formed in ints on graded arrays: 2^(D-r) h_r(a - z/2),
+    D = C(r+1,2), up to c-degree t (`_twisted_corank`), and h_m(W) up to
+    m = t (`_sym2_complete`).  The coefficient of (-1)^j c_jF is
+    sum_g [c-degree g of h] h_(t-j-g)(W), and the class is converted to a
+    Polynomial once, at the end, with the one division by 2^(D-r).
     """
     n = comb(e + 1, 2)
     d = n - f
     if not (r == d == 0 and e >= 1):
         _check_loc_preconditions(e, f, r)
     t = target_degree(e, f, r)
-    h = shifted_corank_class(r, e, t)
-    hW = _sym2_complete(e, t)
-    cF = [Polynomial.const(1)] + [
-        Polynomial.variable(_cF(j)) for j in range(1, min(f, t) + 1)
-    ]
-    total = Polynomial.zero()
-    for s in range(max(d - 1, 0), comb(r + 1, 2) + 1):
-        m = s - d + 1
-        q = sum(((-1) ** j * cF[j] * hW[m - j] for j in range(min(f, m) + 1)),
-                Polynomial.zero())
-        total = total + h.coefficient_of(zvar(), s) * q
-    return total if d % 2 else -total
+    w = _slot_bits(t)
+    h = _twisted_corank(r, e, t, w)
+    hW = _sym2_complete(e, t, w)
+    den = 1 << (comb(r + 1, 2) - r)
+    monomial = _chern_monomials(e, w)
+    terms = {}
+    for j in range(min(f, t) + 1):
+        acc = {}
+        for g, part in enumerate(h[:t - j + 1]):
+            _mul_into(acc, part, hW[t - j - g])
+        # (-1)^(d+1) (-1)^j c_jF
+        sign = -1 if (d + j) % 2 == 0 else 1
+        cF = ((_cF(j), 1),) if j else ()
+        for key, v in acc.items():
+            if v:
+                terms[monomial(key, cF)] = QQ(sign * v, den)
+    return Polynomial._raw(terms)
 
 
 def residue_divisor_class(e: int, r: int) -> Polynomial:

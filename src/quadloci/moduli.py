@@ -921,14 +921,13 @@ def hurwitz_report(k="k") -> HurwitzReport:
     from .grr import gamma_hurwitz, hurwitz_sheaf_chern, jet_porteous_d3
 
     kk = rf(k)
-    # boundary coefficients of the Hodge class at symbolic k and i = 2, from
-    # the ordered-cover ones for mu = 1^k, 2,2,1^(k-4) and 3,1^(k-3); the
+    # boundary coefficients of the Hodge class at k and i = 2, from the
+    # ordered-cover ones for mu = 1^k, 2,2,1^(k-4) and 3,1^(k-3); the
     # unordered D0 and D3 absorb a factor 2 under the quotient by the
     # symmetric group, D2 does not (its generic cover has extra automorphisms)
-    ks = rf("k")
-    c_d0 = (_hodge_coeff(2, 1, ks, ks) / rf(2)).reduce()
-    c_d2 = _hodge_coeff(2, 2, ks - rf(3), ks).reduce()
-    c_d3 = (_hodge_coeff(2, 3, ks - rf(3) + rf(QQ(1, 3)), ks) / rf(2)).reduce()
+    c_d0 = (_hodge_coeff(2, 1, kk, kk) / rf(2)).reduce()
+    c_d2 = _hodge_coeff(2, 2, kk - rf(3), kk).reduce()
+    c_d3 = (_hodge_coeff(2, 3, kk - rf(3) + rf(QQ(1, 3)), kk) / rf(2)).reduce()
     published_d2 = (rf(-1) / (rf(4) * (rf(6) * kk - rf(5)))).reduce()
 
     canonical = TautClass({"lambda": 8, "D3": QQ(1, 6), "D0": QQ(-3, 2)})

@@ -181,6 +181,17 @@ def test_projectivize_command(tmp_path, capsys):
     assert json.loads(out)["coefficients"] == {}
 
 
+def test_projectivize_fixed_point_out_of_range(capsys):
+    # weights_a.json has two weights, so the fixed points are 0 and 1
+    weights = str(Path(__file__).parents[1] / "perfbench" / "data" / "weights_a.json")
+    for j in ("5", "2", "-1"):
+        code = main(["class", "projectivize", "--class", "a1", "--weights",
+                     weights, "--fixed-point", j])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == "", j
+        assert err == "error: fixed point %s is not in 0..1\n" % j
+
+
 def test_moduli_petri(capsys):
     code, out = run_cli(capsys, "moduli", "petri", "--g", "4")
     assert code == 0

@@ -155,16 +155,20 @@ def test_sym2_complete_matches_weight_expansion():
     # h_m of the Sym^2 weights, built one weight at a time as the
     # coefficients of prod_w 1/(1 - w t)
     from quadloci.algebra import ALPHA, expand_symmetric, sym
-    from quadloci.loci import _sym2_complete
+    from quadloci.loci import _chern_monomials, _slot_bits, _sym2_complete
 
-    for e in range(1, 6):
-        want = [Polynomial.const(1)] + [Polynomial.zero()] * 4
+    top = 6
+    bits = _slot_bits(top)
+    for e in range(1, 7):
+        want = [Polynomial.const(1)] + [Polynomial.zero()] * top
         for w in sym2_weights(e):
-            for m in range(1, 5):
+            for m in range(1, top + 1):
                 want[m] = want[m] + w * want[m - 1]
-        got = _sym2_complete(e, 4)
-        for m in range(5):
-            roots = expand_symmetric(got[m], ALPHA, e, symbol=lambda i: sym("c%dE" % i))
+        got = _sym2_complete(e, top, bits)
+        monomial = _chern_monomials(e, bits)
+        for m in range(top + 1):
+            chern = Polynomial({monomial(k): v for k, v in got[m].items()})
+            roots = expand_symmetric(chern, ALPHA, e, symbol=lambda i: sym("c%dE" % i))
             assert roots == want[m], (e, m)
 
 
@@ -271,9 +275,32 @@ def test_shift_coefficient_matches_full_substitution(r, e):
     z = X(zvar())
     shift = {alpha(i): X(alpha(i)) - QQ(1, 2) * z for i in range(1, e + 1)}
     full = sym_degeneracy_class(r, e).substitute_poly(shift)
-    twisted = shifted_corank_class(r, e, e)
+    # every term has degree C(r+1,2), so that bound keeps the whole class
+    twisted = shifted_corank_class(r, e, comb(r + 1, 2))
     roots = expand_symmetric(twisted, ALPHA, e, symbol=lambda i: sym("c%dE" % i))
     assert roots == full
+
+
+def _c_degree(mono):
+    """Degree of a monomial in the c_jE, c_jE having degree j."""
+    from quadloci.algebra import zvar
+
+    return sum(int(v[1][1:-1]) * k for v, k in mono if v != zvar())
+
+
+@pytest.mark.parametrize("e", range(1, 9))
+def test_shifted_corank_class_truncation(e):
+    # the bound max_c forms exactly the terms of c-degree <= max_c
+    from quadloci.algebra import zvar
+
+    for r in range(e + 1):
+        D = comb(r + 1, 2)
+        full = shifted_corank_class(r, e, D)
+        degree = {m: _c_degree(m) for m in full.terms}
+        assert all(degree[m] + dict(m).get(zvar(), 0) == D for m in full.terms)
+        for max_c in range(D + 1):
+            want = {m: c for m, c in full.terms.items() if degree[m] <= max_c}
+            assert shifted_corank_class(r, e, max_c).terms == want, (r, max_c)
 
 
 def test_residue_matches_closed_form_through_e6():

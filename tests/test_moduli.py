@@ -318,6 +318,32 @@ def test_hurwitz_hodge_coefficients():
     assert rep.hodge_d2_factor_two
 
 
+def test_hurwitz_report_at_integer_k_specializes_every_field():
+    # the report at an integer k0 is the symbolic report at k = k0, the
+    # Hodge boundary coefficients included
+    sym_rep = hurwitz_report()
+    at = lambda c, k0: c.substitute({param("k"): k0})
+    for k0 in range(4, 15):
+        if k0 == 6:
+            # the gamma coefficient (k - 6)/k of the rank-4 class vanishes,
+            # so gamma cannot be eliminated
+            with pytest.raises(ZeroDivisionError):
+                hurwitz_report(k0)
+            continue
+        rep = hurwitz_report(k0)
+        for name in ("hodge_d0", "hodge_d2_derived", "hodge_d2_published",
+                     "hodge_d3", "hrk4_unit_coeff", "alpha_solved"):
+            got, want = getattr(rep, name), getattr(sym_rep, name)
+            assert got.is_polynomial() and got == at(want, k0), (k0, name)
+        for name in ("canonical", "canonical_in_gamma", "structural_lhs",
+                     "structural_rhs", "rank4_class"):
+            got, want = getattr(rep, name), getattr(sym_rep, name)
+            assert set(got.coeffs) <= set(want.coeffs), (k0, name)
+            for s, c in want.coeffs.items():
+                assert got.coefficient(s) == at(c, k0), (k0, name, s)
+        assert rep.hodge_d2_factor_two and rep.structural_identity_holds
+
+
 def test_hurwitz_published_coefficient_differs():
     rep = hurwitz_report()
     # k / A_k^(k-4) never equals the published 1/6 on the sampled range
