@@ -588,8 +588,8 @@ def _mul_into(acc: dict, x: dict, y: dict, scale: int = 1) -> None:
 
 def _chern_monomials(e: int, w: int):
     """The function from a packed c_jE exponent key (slot width w) and
-    sorted (variable, exponent) pairs `extra` to the Polynomial monomial of
-    their product."""
+    (variable, exponent) pairs `extra` to the Polynomial monomial of their
+    product."""
     names = [_cE(j) for j in range(1, e + 1)]
     mask = (1 << w) - 1
 

@@ -917,7 +917,9 @@ class HurwitzReport:
 
 def hurwitz_report(k="k") -> HurwitzReport:
     """Derive the canonical-class identities of the cover space and compare
-    the two published normalizations of the rank-4-quadric term."""
+    the two published normalizations of the rank-4-quadric term.  Every
+    field is formed at k: symbolic for a parameter name, the specialization
+    for an integer."""
     from .grr import gamma_hurwitz, hurwitz_sheaf_chern, jet_porteous_d3
 
     kk = rf(k)

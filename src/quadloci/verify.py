@@ -102,8 +102,7 @@ def checks_shift_coefficients():
     """Top two coefficients of the corank class under the diagonal shift
     a_i -> a_i - z/2 equal (-1)^C(r+1,2) (A, B c1E), read fully
     symbolically from the twisted determinant for e <= 8.  They have
-    c-degree 0 and 1, so the series with c_0 and c_1 of E alone is exact
-    for them."""
+    c-degree 0 and 1, so only the terms of c-degree <= 1 are formed."""
     rows = []
     detail = []
     for e in range(1, 9):
