@@ -21,6 +21,8 @@ from .loci import (
     ScalarData,
     WeightSet,
     closed_divisor_class,
+    divisorial_combination,
+    divisorial_f,
     fixed_point_restriction,
     localization_class,
     pencil_class_quot,

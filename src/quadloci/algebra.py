@@ -287,7 +287,7 @@ class Polynomial:
 
     def __mul__(self, other):
         if isinstance(other, (int, _QQ_TYPE)):
-            return self._scaled(other)
+            return self.scale(other)
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
@@ -298,9 +298,9 @@ class Polynomial:
         if not a:
             return Polynomial._raw({})
         if len(a) == 1 and () in a:
-            return y._scaled(a[()])
+            return y.scale(a[()])
         if len(b) == 1 and () in b:
-            return x._scaled(b[()])
+            return x.scale(b[()])
         da, ia = integer_scaled(a.values())
         db, ib = integer_scaled(b.values())
         ib = list(zip(b, ib))
@@ -313,7 +313,7 @@ class Polynomial:
         d = da * db
         return Polynomial._raw({m: QQ(n, d) for m, n in out.items() if n})
 
-    def _scaled(self, c):
+    def scale(self, c):
         """c * self for a scalar c, without merging any monomials."""
         if not c:
             return Polynomial._raw({})
@@ -673,12 +673,6 @@ class RationalFunction:
         except DivisionNotExact:
             return self
 
-    def evaluate(self, point: Mapping):
-        d = self.den.evaluate(point)
-        if not d:
-            raise ZeroDivisionError("denominator vanishes at point")
-        return self.num.evaluate(point) / d
-
     def substitute(self, mapping: Mapping) -> "RationalFunction":
         num = substitute(self.num, mapping)
         den = substitute(self.den, mapping)
@@ -908,8 +902,3 @@ def expand_symmetric(p: Polynomial, kind: int, n: int,
         if symbol(i) in present
     }
     return p.substitute_poly(mapping)
-
-
-def elementary_symmetric(kind: int, n: int, k: int) -> Polynomial:
-    """e_k of the first n roots of an alphabet."""
-    return _elementary([(kind, i) for i in range(1, n + 1)], k)

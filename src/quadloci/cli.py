@@ -30,7 +30,6 @@ import argparse
 import functools
 import json
 import sys
-from math import comb
 
 from .algebra import (
     ALPHA,
@@ -119,9 +118,6 @@ class ClassExpr:
     def __eq__(self, other):
         return isinstance(other, ClassExpr) and self.node == other.node
 
-    def to_text(self) -> str:
-        return _print_node(self.node)
-
     def evaluate(self, assignments=None) -> Polynomial:
         """Evaluate to a Polynomial; `assignments` maps symbol names to
         rational values substituted before resolution."""
@@ -203,30 +199,6 @@ def parse_class(text: str) -> ClassExpr:
     return ClassExpr(node)
 
 
-def _print_node(node) -> str:
-    tag = node[0]
-    if tag == "num":
-        v = node[1]
-        return str(v)
-    if tag == "sym":
-        return node[1]
-    if tag == "neg":
-        return "-%s" % _wrap(node[1])
-    if tag == "pow":
-        return "%s^%d" % (_wrap(node[1]), node[2])
-    op = {"add": " + ", "sub": " - ", "mul": "*"}[tag]
-    lhs, rhs = _print_node(node[1]), _print_node(node[2])
-    if tag == "mul":
-        lhs, rhs = _wrap(node[1]), _wrap(node[2])
-    return "%s%s%s" % (lhs, op, rhs)
-
-
-def _wrap(node) -> str:
-    if node[0] in ("num", "sym", "pow"):
-        return _print_node(node)
-    return "(%s)" % _print_node(node)
-
-
 def resolve_symbol(name: str):
     """Map a CLI symbol name to a polynomial variable."""
     if len(name) >= 2 and name[0] in "ab" and name[1:].isdigit():
@@ -280,13 +252,6 @@ def q_str(x) -> str:
     return "%s/%s" % (q.numerator, q.denominator)
 
 
-def parse_q(s: str):
-    if "/" in s:
-        a, b = s.split("/")
-        return QQ(int(a), int(b))
-    return QQ(int(s))
-
-
 def _rf_str(x) -> str:
     """A constant as q_str renders it, anything else as its str."""
     try:
@@ -334,7 +299,7 @@ def cmd_class_sigma(args) -> int:
     e, f, r = args.e, args.f, args.r
     notes = []
     if args.method in ("closed", "residue"):
-        if comb(e + 1, 2) - f != comb(r + 1, 2):
+        if f != loci.divisorial_f(e, r):
             raise loci.NotDivisorial(
                 "closed/residue methods need the divisorial f = C(e+1,2)-C(r+1,2)"
             )

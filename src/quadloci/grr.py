@@ -123,15 +123,6 @@ class TautClass:
         rest = TautClass._raw({s: v for s, v in self.coeffs.items() if s != name})
         return rest + value.scale(c)
 
-    def subs_params(self, assignment: Mapping) -> "TautClass":
-        poly_map = {param(k): _as_poly(v) for k, v in assignment.items()}
-        out = {}
-        for s, c in self.coeffs.items():
-            num = c.num.substitute_poly(poly_map)
-            den = c.den.substitute_poly(poly_map)
-            out[s] = RationalFunction(num, den)
-        return TautClass(out)
-
     def __eq__(self, other):
         if not isinstance(other, TautClass):
             return NotImplemented
@@ -170,14 +161,6 @@ def _accumulate(out: dict, key, c: RationalFunction):
     """out[key] += c, with no zero formed for a new key."""
     prev = out.get(key)
     out[key] = c if prev is None else prev + c
-
-
-def _as_poly(v):
-    if isinstance(v, Polynomial):
-        return v
-    if isinstance(v, RationalFunction):
-        return v.as_polynomial()
-    return Polynomial.const(v)
 
 
 # ---------------------------------------------------------------------------
@@ -400,13 +383,6 @@ class BundleCharacter:
             factorial *= k
             ch[k] = power.scale(QQ(1, factorial))
         return BundleCharacter(rf(1), ch)
-
-    @staticmethod
-    def direct_sum(a: "BundleCharacter", b: "BundleCharacter") -> "BundleCharacter":
-        ch = {}
-        for k in set(a.ch) | set(b.ch):
-            ch[k] = a.ch.get(k, TagExpr()) + b.ch.get(k, TagExpr())
-        return BundleCharacter(a.rank + b.rank, ch)
 
     def full(self, reldim: int) -> TagExpr:
         expr = TagExpr.const(self.rank)

@@ -39,6 +39,13 @@ The independent references are ``closed_divisor_class``, the divisorial
 closed form A_e^r (c1(F) - (2f/e) c1(E)), and, for general triples, the
 literal sum over the pairs (H, gamma) at points in the tests.
 
+``divisorial_combination`` is the one home of the divisorial class
+c1(F) - (2f/e) c1(E), in units of A_e^r, at f = ``divisorial_f``(e, r)
+for ints or rational functions.  Its five callers are
+``closed_divisor_class`` and the four moduli applications in ``moduli``:
+``petri_class``, ``k3_rank4_class``, ``hurwitz_report`` and
+``virtual_slope_from_pushforward``.
+
 All three answer in the symbols c_iE, c_jF, as the paper states the class.
 ``to_roots`` expands such a class in the roots a_i, b_j, and
 ``to_chern_symbols`` is its inverse.
@@ -546,8 +553,23 @@ def _certified_solution(aug, n, residues, modulus):
 # divisorial closed form and residue form
 # ---------------------------------------------------------------------------
 
-def divisorial_f(e: int, r: int) -> int:
-    return comb(e + 1, 2) - comb(r + 1, 2)
+def divisorial_f(e, r):
+    """f = C(e+1,2) - C(r+1,2), the rank of F at which the corank-r locus
+    is a divisor: an int for ints e and r, a rational function for rational
+    functions, and never a float."""
+    if isinstance(e, int) and isinstance(r, int):
+        return comb(e + 1, 2) - comb(r + 1, 2)
+    return (e * (e + 1) - r * (r + 1)) * QQ(1, 2)
+
+
+def divisorial_combination(e, f, c1E, c1F):
+    """c1F - (2f/e) c1E: the divisorial class in units of A_e^r.
+
+    The one place 2f/e is formed.  e and f are ints (the ratio is then a
+    rational) or rational functions; c1E and c1F are classes of one type
+    with a `scale` (a Polynomial in c1E, c1F, or a TautClass).  A caller
+    with a corank r passes f = `divisorial_f(e, r)`."""
+    return c1F - c1E.scale(f * QQ(2) / e)
 
 
 def closed_divisor_class(e: int, r: int) -> Polynomial:
@@ -560,8 +582,7 @@ def closed_divisor_class(e: int, r: int) -> Polynomial:
             "f = C(e+1,2) - C(r+1,2) = %d is not >= 1; the locus is not a "
             "virtual divisor" % f
         )
-    A = a_const(e, r)
-    return A * c1F() - A * QQ(2 * f, e) * c1E()
+    return divisorial_combination(e, f, c1E(), c1F()).scale(a_const(e, r))
 
 
 # The residue producer works on integer graded arrays.  A class in z and

@@ -19,6 +19,7 @@ from .grr import (
     in_gamma_basis,
     rf,
 )
+from .loci import divisorial_combination, divisorial_f
 from .symfunc import Partition, _comb0, a_const
 
 
@@ -51,16 +52,11 @@ class ModuliDivisor:
     """a*lambda - sum b_i delta_i with exact (possibly symbolic) coefficients.
 
     `deltas` maps boundary index -> b_i (the positive-sign convention).
-    `all_equal` marks classes whose higher boundary coefficients all equal
-    b_0 (total-boundary classes); `ellipsis` marks classes whose higher
-    coefficients are intentionally omitted and must not be asked for.
     """
 
     genus: object
     lam: RationalFunction
     deltas: dict
-    all_equal: bool = False
-    ellipsis: bool = False
     note: str = ""
 
     def slope(self) -> RationalFunction:
@@ -81,19 +77,6 @@ class ModuliDivisor:
             )
         return (rf(self.lam) / first).reduce()
 
-    def boundary_coefficient(self, i: int):
-        """b_i; raises rather than guesses when the class only publishes an
-        initial segment of its boundary coefficients."""
-        if i in self.deltas:
-            return self.deltas[i]
-        if self.all_equal and self.deltas:
-            return next(iter(self.deltas.values()))
-        if self.ellipsis:
-            raise UnsupportedParam(
-                "boundary coefficient %d is not part of the published class" % i
-            )
-        return rf(0)
-
 
 def _is_number(x) -> bool:
     if isinstance(x, (int, type(QQ(0)))):
@@ -113,25 +96,36 @@ def slope(cls: ModuliDivisor):
 # the rank-3 quadric (Petri) divisor
 # ---------------------------------------------------------------------------
 
+# c1 of the bundle of quadratic differentials pi_* omega^2 on the moduli of
+# curves (Mumford); the verify row "quadratic differentials" checks it
+# against the pushforward engine
+C1_QUADRATIC_DIFFERENTIALS = TautClass({"lambda": 13, "delta": -1})
+
+
 def petri_class(g) -> ModuliDivisor:
     """Class of the locus of curves whose canonical model lies on a rank-3
-    quadric: A_g^{g-3} ((7g+6)/g lambda - delta), all boundary classes with
-    equal coefficient.
+    quadric, all boundary classes with equal coefficient.
 
-    For symbolic g the positive prefactor A_g^{g-3} (not a rational function
-    of g) is dropped; it does not affect the slope.
+    It is the divisorial class of the multiplication map
+    Sym^2 pi_* omega -> pi_* omega^2 at corank g-3: e = g, c1E = lambda,
+    f = 3g-3 and c1F = 13 lambda - delta, which gives
+    A_g^{g-3} ((7g+6)/g lambda - delta).  For symbolic g the positive
+    prefactor A_g^{g-3} (not a rational function of g) is dropped; it does
+    not affect the slope.
     """
+    if isinstance(g, int) and g < 4:
+        raise UnsupportedParam("need g >= 4")
+    gg = g if isinstance(g, int) else rf(g)
+    cls = divisorial_combination(gg, divisorial_f(gg, gg - 3),
+                                 TautClass.symbol("lambda"),
+                                 C1_QUADRATIC_DIFFERENTIALS)
     if isinstance(g, int):
-        if g < 4:
-            raise UnsupportedParam("need g >= 4")
-        A = a_const(g, g - 3)
-        lam = rf(A * QQ(7 * g + 6, g))
-        deltas = {i: rf(A) for i in range(0, g // 2 + 1)}
-        return ModuliDivisor(g, lam, deltas, all_equal=True)
-    gg = rf(g)
-    lam = (rf(7) * gg + rf(6)) / gg
+        cls = cls.scale(a_const(g, g - 3))
+        b = -cls.coefficient("delta")
+        return ModuliDivisor(g, cls.coefficient("lambda"),
+                             {i: b for i in range(0, g // 2 + 1)})
     return ModuliDivisor(
-        gg, lam, {0: rf(1)}, all_equal=True,
+        gg, cls.coefficient("lambda"), {0: -cls.coefficient("delta")},
         note="prefactor A_g^(g-3) omitted for symbolic genus",
     )
 
@@ -178,9 +172,7 @@ def known_divisor(kind: str, k_or_g: int):
             0: pre * k * (k + 1),
             1: pre * (2 * k - 1) * (3 * k + 1),
         }
-        return ModuliDivisor(
-            g, rf(lam), {i: rf(b) for i, b in deltas.items()}, ellipsis=True
-        )
+        return ModuliDivisor(g, rf(lam), {i: rf(b) for i, b in deltas.items()})
     if kind == "next_gonality":
         k = k_or_g
         if k < 2:
@@ -292,12 +284,6 @@ class SeriesParams:
             raise UnsupportedParam("no rank parameter on this locus")
         return self.r - self.a - 1
 
-    @property
-    def rank_bound(self) -> int:
-        if self.a is None:
-            raise UnsupportedParam("no rank parameter on this locus")
-        return self.a + 2
-
 
 def series_params(series: int, ell: int) -> SeriesParams:
     """The two infinite families of quadric-rank divisors:
@@ -407,15 +393,15 @@ class PushforwardTable:
     """Images under the forgetful map sigma of the tautological classes of
     the linear-series space, on the (lambda, delta_0) compactification.
 
-    Each entry is a (lambda, delta_0) coefficient pair carrying the overall
+    Each entry is a class in lambda and delta0 carrying the overall
     positive constant beta as a formal factor.  The remaining multiplier
     sigma_* sigma^* lambda = N lambda lives in Calibration.
     """
 
     params: SeriesParams
-    frak_a: tuple
-    frak_b: tuple
-    c1E: tuple
+    frak_a: TautClass
+    frak_b: TautClass
+    c1E: TautClass
 
     @staticmethod
     def build(p: SeriesParams) -> "PushforwardTable":
@@ -456,7 +442,10 @@ class PushforwardTable:
             )
         )
         return PushforwardTable(
-            p, frak_a=(a_l, a_d), frak_b=(b_l, b_d), c1E=(e_l, e_d)
+            p,
+            frak_a=TautClass({"lambda": a_l, "delta0": a_d}),
+            frak_b=TautClass({"lambda": b_l, "delta0": b_d}),
+            c1E=TautClass({"lambda": e_l, "delta0": e_d}),
         )
 
 
@@ -477,30 +466,23 @@ class VirtualSlopeResult:
 
 
 def virtual_slope_from_pushforward(
-    p: SeriesParams,
-    calibration: Calibration,
-    class_scales: tuple | None = None,
+    p: SeriesParams, calibration: Calibration
 ) -> VirtualSlopeResult:
     """Push the virtual quadric-rank class through the table and take the
-    slope.  The class is scaleF*c1(F) - scaleE*c1(E) with
-    c1(F) = sigma^* lambda - frak_b + 2 frak_a; the default scales are the
-    divisorial combination (1, 2f/e).
+    slope.  The class is the divisorial combination c1(F) - (2f/e) c1(E)
+    at e = r+1 and f = 2d+1-g, the ranks of E and F for a g^r_d, with
+    c1(F) = sigma^* lambda - frak_b + 2 frak_a.
 
     The formal constant beta must cancel in the slope (BetaDidNotCancel
     otherwise).  A delta_0 coefficient with the non-effective sign is
     reported through `boundary_effective`, not raised.
     """
     table = PushforwardTable.build(p)
-    e = p.r + 1
-    f = 2 * p.d + 1 - p.g
-    if class_scales is None:
-        scaleF, scaleE = rf(1), rf(QQ(2 * f, e))
-    else:
-        scaleF, scaleE = rf(class_scales[0]), rf(class_scales[1])
     beta = rf("beta")
-    n_lambda = rf(calibration.n_over_beta) * beta
-    lam = scaleF * (n_lambda - table.frak_b[0] + rf(2) * table.frak_a[0]) - scaleE * table.c1E[0]
-    dl = scaleF * (-table.frak_b[1] + rf(2) * table.frak_a[1]) - scaleE * table.c1E[1]
+    n_lambda = TautClass.symbol("lambda", rf(calibration.n_over_beta) * beta)
+    c1F = n_lambda - table.frak_b + table.frak_a.scale(2)
+    cls = divisorial_combination(p.r + 1, 2 * p.d + 1 - p.g, table.c1E, c1F)
+    lam, dl = cls.coefficient("lambda"), cls.coefficient("delta0")
     if dl.is_zero():
         raise BoundaryCoefficientNonpositive("delta_0 coefficient vanished")
     s = (lam / (-dl)).reduce()
@@ -551,10 +533,10 @@ def fit_calibration() -> CalibrationReport:
     p2 = series_params(2, 1)
     got2 = virtual_slope_from_pushforward(p2, cal).slope
     want2 = pelda_slope(2, 1)
+    # the e = 6 degenerate pencil, (e-1)(6 c1F - 38 c1E): f = 19 and
+    # 38/6 = 2f/e, so its slope is that of the divisorial combination
     pdp = SeriesParams(r=5, s=2, a=None, g=12, d=15)
-    got3 = virtual_slope_from_pushforward(
-        pdp, cal, class_scales=(6, 38)
-    ).slope
+    got3 = virtual_slope_from_pushforward(pdp, cal).slope
     want3 = rf(QQ(373, 54))
     positive = _is_number(x) and x.constant_value() > 0
     notes = []
@@ -624,9 +606,10 @@ def k3_rank4_class(g="g") -> TautClass:
 
         ((2g^2 - 13g + 9)/(g+1)) lambda + (2/(g+1)) gamma.
 
-    Derived by pushing the divisorial class c1(U_2) - ((8g-4)/(g+1)) c1(U_1)
-    of the multiplication map Sym^2(U_1) -> U_2 through the fibration engine
-    and rewriting the kappa classes in the twist-invariant basis.  Raises
+    Derived by pushing the divisorial class of the multiplication map
+    Sym^2(U_1) -> U_2 (e = g+1 and corank g-3, so f = 4g-2) through the
+    fibration engine and rewriting the kappa classes in the twist-invariant
+    basis.  Raises
     IdentityFailed if the derivation does not reproduce the closed form.
     """
     gg = rf(g)
@@ -642,18 +625,13 @@ def k3_rank4_class(g="g") -> TautClass:
     return result
 
 
-def k3_rank4_kappa11_coefficient(g="g") -> RationalFunction:
-    """kappa11-coefficient of the rank-4 combination before the basis
-    change: -(g-1)/(2(g+1)) (in units of the prefactor)."""
-    return _k3_rank4_combination(rf(g)).coefficient("kappa11").reduce()
-
-
 def _k3_rank4_combination(g: RationalFunction) -> TautClass:
-    """The divisorial class c1(U_2) - ((8g-4)/(g+1)) c1(U_1) in the kappa
-    classes, U_n the pushforward of the n-th power of the polarization."""
+    """The divisorial class of Sym^2(U_1) -> U_2 in the kappa classes, U_n
+    the pushforward of the n-th power of the polarization (rank
+    2 + n^2 (g-1)), at e = g+1 and corank g-3."""
     c1 = chern_of_power_pushforward(1, g)
     c2 = chern_of_power_pushforward(2, g)
-    return c2 - c1.scale((rf(8) * g - rf(4)) / (g + rf(1)))
+    return divisorial_combination(g + 1, divisorial_f(g + 1, g - 3), c1, c2)
 
 
 # ---------------------------------------------------------------------------
@@ -940,13 +918,16 @@ def hurwitz_report(k="k") -> HurwitzReport:
     )
 
     c1E, c1F = hurwitz_sheaf_chern(k)
-    f_rank = rf(4) * kk - rf(6)
-    combo = c1F - c1E.scale(rf(2) * f_rank / kk)
+    combo = divisorial_combination(kk, divisorial_f(kk, kk - 4), c1E, c1F)
     rank4 = in_gamma_basis(combo, gam, pivot="frak_b")
 
     # eliminate gamma between K = 12 lambda + gamma - 2 D0 and the rank-4
     # class: gamma = (Hrk4 - (rank4 without its gamma term)) / gamma-coeff
     gcoef = rank4.coefficient("gamma")
+    if gcoef.is_zero():
+        raise UnsupportedParam(
+            "hurwitz report at k = %s: the gamma coefficient (k-6)/k of the "
+            "rank-4 class vanishes, so gamma cannot be eliminated" % k)
     rank4_rest = rank4 - TautClass.symbol("gamma", gcoef)
     gamma_expr = (TautClass.symbol("Hrk4") - rank4_rest).scale(rf(1) / gcoef)
     lhs = can_gamma.substitute_symbol("gamma", gamma_expr).scale(kk - rf(6))

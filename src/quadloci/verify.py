@@ -206,7 +206,7 @@ def checks_grr():
         _eq_row(
             "quadratic differentials: 13 lambda - delta",
             c1F,
-            TautClass({"lambda": 13, "delta": -1}),
+            moduli.C1_QUADRATIC_DIFFERENTIALS,
         )
     )
     c1E, c1Fh = hurwitz_sheaf_chern()

@@ -107,11 +107,18 @@ def test_power_pushforward_symbolic():
     )
 
 
+def _direct_sum(a, b):
+    """The Chern character of a direct sum: ranks and ch_k add."""
+    ch = {k: a.ch.get(k, TagExpr()) + b.ch.get(k, TagExpr())
+          for k in set(a.ch) | set(b.ch)}
+    return BundleCharacter(a.rank + b.rank, ch)
+
+
 def test_grr_additivity_in_character():
     rules = k3_rules(G)
     a = BundleCharacter.line_bundle(1, 0)
     b = BundleCharacter.line_bundle(3, 1)
-    s = BundleCharacter.direct_sum(a, b)
+    s = _direct_sum(a, b)
     assert grr_c1(s, rules) == grr_c1(a, rules) + grr_c1(b, rules)
     assert grr_rank(s, rules) == grr_rank(a, rules) + grr_rank(b, rules)
 
@@ -171,9 +178,6 @@ def test_tautclass_arithmetic():
     assert a.substitute_symbol("D0", b) == TautClass(
         {"lambda": 1, "gamma": QQ(-1, 3)}
     )
-    assert a.subs_params({"g": 5}) == a
-    c = TautClass({"lambda": G})
-    assert c.subs_params({"g": 5}) == TautClass({"lambda": 5})
 
 
 def _products_then_graded_c1(chr, rules):
@@ -205,7 +209,7 @@ def test_top_degree_products_match_the_whole_product(table):
     rules = _TABLES[table]
     chars = [BundleCharacter.line_bundle(a, b)
              for a in range(-2, 3) for b in range(-2, 3)]
-    chars.append(BundleCharacter.direct_sum(
+    chars.append(_direct_sum(
         BundleCharacter.line_bundle(-1, 1), BundleCharacter.line_bundle(2, 0)))
     for chr in chars:
         got, want = grr_c1(chr, rules), _products_then_graded_c1(chr, rules)

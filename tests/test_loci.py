@@ -12,6 +12,7 @@ from quadloci.algebra import (
     alpha,
     beta,
     gamma_var,
+    sym,
     xi,
 )
 from quadloci.loci import (
@@ -24,6 +25,7 @@ from quadloci.loci import (
     c1F,
     closed_divisor_class,
     discriminant_monomial_weight,
+    divisorial_combination,
     divisorial_f,
     fixed_point_restriction,
     localization_class,
@@ -39,7 +41,7 @@ from quadloci.loci import (
     to_chern_symbols,
     to_roots,
 )
-from quadloci.symfunc import _elem_values, sym_degeneracy_class
+from quadloci.symfunc import _elem_values, a_const, sym_degeneracy_class
 
 X = Polynomial.variable
 
@@ -328,6 +330,67 @@ def test_residue_corank_zero_matches_closed_form():
         assert want == c1F() - (e + 1) * c1E()
         assert residue_divisor_class(e, 0) == want
         assert to_roots(residue_divisor_class(e, 0), e, f) == to_roots(want, e, f)
+
+
+def test_divisorial_f_at_symbolic_and_integer_arguments():
+    from quadloci.grr import rf
+
+    g, k = rf("g"), rf("k")
+    assert divisorial_f(g + 1, g - 3) == rf(4) * g - rf(2)   # K3 rank 4
+    assert divisorial_f(k, k - 4) == rf(4) * k - rf(6)       # covers
+    assert divisorial_f(g, g - 3) == rf(3) * g - rf(3)       # Petri
+    for e in range(1, 10):
+        for r in range(e + 1):
+            got = divisorial_f(e, r)
+            assert type(got) is int and got == comb(e + 1, 2) - comb(r + 1, 2)
+
+
+def test_divisorial_combination_matches_residue_class():
+    # the residue producer is independent of the closed form
+    for e in range(1, 9):
+        for r in range(e + 1):
+            f = divisorial_f(e, r)
+            if f < 1:
+                continue
+            got = divisorial_combination(e, f, c1E(), c1F()).scale(a_const(e, r))
+            assert got == residue_class(e, f, r), (e, r)
+
+
+def _veronese_class(e, f):
+    """The corank-(e-1) class: a quadric of rank <= 1 is a square l^2, so
+    the locus is the zero set on P(E) of O(-2) -> Sym^2 E -> F pushed down,
+        sum_{j >= e-1} 2^j c_(f-j)F (-1)^(j-e+1) h_(j-e+1)(a),
+    with h_k(a) = sum_i (-1)^(i-1) c_iE h_(k-i)(a)."""
+    def c(i, side, rank):
+        if i == 0:
+            return Polynomial.const(1)
+        return X(sym("c%d%s" % (i, side))) if i <= rank else Polynomial.zero()
+
+    h = [Polynomial.const(1)]
+    for k in range(1, f - e + 2):
+        h.append(sum(((-1) ** (i - 1) * c(i, "E", e) * h[k - i]
+                      for i in range(1, k + 1)), Polynomial.zero()))
+    return sum((2 ** j * (-1) ** (j - e + 1) * c(f - j, "F", f) * h[j - e + 1]
+                for j in range(e - 1, f + 1)), Polynomial.zero())
+
+
+def test_veronese_reference_at_corank_e_minus_1():
+    # every triple with r = e - 1 in the producer's domain, e <= 7, and
+    # e = 8 up to f = 30
+    n_checked = 0
+    for e in range(2, 9):
+        n = comb(e + 1, 2)
+        for f in range(n - comb(e, 2), min(n - 1, 30) + 1):
+            assert residue_class(e, f, e - 1) == _veronese_class(e, f), (e, f)
+            n_checked += 1
+    assert n_checked == 56 + 23
+
+
+def test_corank_e_class_is_zero():
+    # a quadric of corank e is the zero form, not a point of P(Sym^2 E)
+    for e in (7, 9):
+        assert residue_class(e, 1, e).is_zero()
+        assert localization_class(e, 1, e).is_zero()
 
 
 # general triples whose localization takes well under a second; the last
