@@ -681,29 +681,36 @@ _J2_BINOMIAL = {
     3: [8, 19, 18, 6],
 }
 
+_T_SIDE, _U_SIDE = 0, 1
 
-def _alternating_sums(i: RationalFunction):
-    """Closed forms, in units of C(2i-1, i), of the alternating binomial
-    sums driving the syzygy-bundle recursion at g = 2i+3:
 
-      T_p = sum_j (-1)^j (j+2)^p C(g, i-1-j)
-      U_p = sum_j (-1)^j (j+2)^p C(g+1, i-j)
+def _shift_key(side: int, t: int) -> tuple:
+    """(c, cp) of the t-th term of T_p or U_p (see `_alternating_sum`)."""
+    return (2 + side - t, side - 1 - t)
 
-    via sum_j (-1)^j C(j,t) C(n, K-j) = (-1)^t C(n-t-1, K-t).
+
+def _sum_keys(sums) -> set:
+    """The shift keys read by the alternating sums (p, side)."""
+    return {_shift_key(side, t) for p, side in sums for t in range(p + 1)}
+
+
+def _alternating_sum(p: int, side: int, shifts: dict) -> RationalFunction:
+    """Closed form, in units of C(2i-1, i), of one alternating binomial sum
+    driving the syzygy-bundle recursion at g = 2i+3:
+
+      T_p = sum_j (-1)^j (j+2)^p C(g, i-1-j)      (side _T_SIDE)
+      U_p = sum_j (-1)^j (j+2)^p C(g+1, i-j)      (side _U_SIDE)
+
+    via sum_j (-1)^j C(j,t) C(n, K-j) = (-1)^t C(n-t-1, K-t): the t-th term
+    is C(2i + (2-t), i + (-1-t)) for T_p and C(2i + (3-t), i - t) for U_p.
+    `shifts` maps each key (c, cp) of `_sum_keys` to its `_binom_shift`;
+    given the numerators over a shared denominator D instead, the result
+    is the sum times D.
     """
-    # C(g - t - 1, i - 1 - t) = C(2i + (2-t), i + (-1-t))
-    T = {}
-    U = {}
-    for p, coeffs in _J2_BINOMIAL.items():
-        tp = rf(0)
-        up = rf(0)
-        for t, a in enumerate(coeffs):
-            s = rf(a) if t % 2 == 0 else rf(-a)
-            tp = tp + s * _binom_shift(2 - t, -1 - t, i)
-            up = up + s * _binom_shift(3 - t, -t, i)
-        T[p] = tp.reduce()
-        U[p] = up.reduce()
-    return T, U
+    out = rf(0)
+    for t, a in enumerate(_J2_BINOMIAL[p]):
+        out = out + (a if t % 2 == 0 else -a) * shifts[_shift_key(side, t)]
+    return out.reduce()
 
 
 @dataclass(frozen=True)
@@ -728,12 +735,32 @@ def kosz_class(i="i") -> KoszulClass:
     (4/(i+2)) ((i^2-4i-3) lambda + gamma/2) in units of C(2i-1, i); the
     symbolic road asserts that equality (IdentityFailed otherwise) and
     returns the canonical form.
+
+    Every shift key (c, cp) the symbolic road reads has c - cp = 3, so the
+    (i-1)!/(i+3)! factor of `_binom_shift` stores each shifted binomial
+    over the same D = i(i+1)(i+2)(i+3).  The identity is therefore checked
+    on the numerators over D: the sums times D are polynomials, and the
+    (lambda, gamma) coefficients are compared with the closed form times D.
+    A shift stored over any other denominator raises IdentityFailed.
+    `kosz_rank` still adds the shifted binomials as rational functions,
+    because it prints those sums unreduced; they move to lowest terms with
+    the canonical gcd of ROADMAP item 2.
     """
     if isinstance(i, int):
         return _kosz_numeric(i)
     ii = rf(i)
     g = rf(2) * ii + rf(3)
-    T, U = _alternating_sums(ii)
+    d = ii * (ii + rf(1)) * (ii + rf(2)) * (ii + rf(3))
+    used = ((0, _T_SIDE), (2, _T_SIDE)) + tuple((p, _U_SIDE) for p in range(4))
+    over_d = {}
+    for key in _sum_keys(used):
+        shift = _binom_shift(*key, ii)
+        if shift.den != d.num:
+            raise IdentityFailed("shifted binomial C(2i%+d, i%+d) is not stored "
+                                 "over i(i+1)(i+2)(i+3)" % key)
+        over_d[key] = rf(shift.num)
+    T = {p: _alternating_sum(p, _T_SIDE, over_d) for p in (0, 2)}
+    U = {p: _alternating_sum(p, _U_SIDE, over_d) for p in range(4)}
     c1U1 = chern_of_power_pushforward(1, g)
     # G-side: sum_j (-1)^j [rk(U_{2+j}) C(g, i-1-j) c1U1 + C(g+1, i-j) c1U_{2+j}]
     rank_weight = rf(2) * T[0] + (g - rf(1)) * T[2]
@@ -745,12 +772,12 @@ def kosz_class(i="i") -> KoszulClass:
         }
     )
     # H-side: the double alternating sum telescopes to (g+2) C(g, i) c1U1
-    h_weight = (g + rf(2)) * _binom_shift(3, 0, ii)
+    h_weight = (g + rf(2)) * over_d[(3, 0)]
     cH = c1U1.scale(h_weight)
     diff = in_gamma_basis(cG - cH, gamma_k3(g), pivot="kappa30")
     closed = kosz_closed_form(i)
-    if (diff.coefficient("lambda") != closed.lam
-            or diff.coefficient("gamma") != closed.gamma):
+    if (diff.coefficient("lambda") != closed.lam * d
+            or diff.coefficient("gamma") != closed.gamma * d):
         raise IdentityFailed("syzygy-bundle alternating sum does not match "
                              "its closed form")
     return closed
@@ -832,8 +859,10 @@ def kosz_rank(i) -> tuple:
         return rank_g, rank_h, closed
     ii = rf(i)
     g = rf(2) * ii + rf(3)
-    _, U = _alternating_sums(ii)
-    rank_g = (rf(2) * U[0] + (g - rf(1)) * U[2]).reduce()
+    printed = ((0, _U_SIDE), (2, _U_SIDE))
+    shifts = {key: _binom_shift(*key, ii) for key in _sum_keys(printed)}
+    u0, u2 = (_alternating_sum(p, side, shifts) for p, side in printed)
+    rank_g = (rf(2) * u0 + (g - rf(1)) * u2).reduce()
     # H-side rank sum closes to (g+1) C(g+1, i+1) - C(g+1, i+2)
     rank_h = ((g + rf(1)) * _binom_shift(4, 1, ii) - _binom_shift(4, 2, ii)).reduce()
     closed = ((ii + rf(1)) * _binom_shift(5, 2, ii)).reduce()

@@ -1,10 +1,16 @@
+from collections import Counter
+from dataclasses import replace
+from math import comb
+
 import pytest
 
-from quadloci.algebra import QQ, param
+from quadloci import moduli
+from quadloci.algebra import QQ, RationalFunction, param
 from quadloci.grr import TautClass, rf
 from quadloci.moduli import (
     BoundaryCoefficientNonpositive,
     Calibration,
+    IdentityFailed,
     InvariantViolated,
     ModuliDivisor,
     NotPartitionOfK,
@@ -292,6 +298,90 @@ def test_kosz_ranks():
 def test_kosz_guard():
     with pytest.raises(UnsupportedParam):
         kosz_class(0)
+
+
+def _at(r, i):
+    point = {param("i"): i}
+    return r.num.evaluate(point) / r.den.evaluate(point)
+
+
+def test_kosz_alternating_sums_match_their_defining_sums():
+    """T_p and U_p, as the rational-function sums and as the sums of the
+    numerators over D, against the defining sums in math.comb."""
+    sums = [(p, side) for p in range(4) for side in (moduli._T_SIDE, moduli._U_SIDE)]
+    shifts = {key: moduli._binom_shift(*key, I) for key in moduli._sum_keys(sums)}
+    d = I * (I + rf(1)) * (I + rf(2)) * (I + rf(3))
+    over_d = {key: rf(s.num) for key, s in shifts.items()}
+    for i in range(1, 9):
+        g = 2 * i + 3
+        for p in range(4):
+            want = {
+                moduli._T_SIDE: sum((-1) ** j * (j + 2) ** p * comb(g, i - 1 - j)
+                                    for j in range(i)),
+                moduli._U_SIDE: sum((-1) ** j * (j + 2) ** p * comb(g + 1, i - j)
+                                    for j in range(i + 1)),
+            }
+            for side, total in want.items():
+                expected = QQ(total, comb(2 * i - 1, i))
+                assert _at(moduli._alternating_sum(p, side, shifts), i) == expected
+                assert _at(moduli._alternating_sum(p, side, over_d), i) == expected * _at(d, i)
+
+
+def _count_shift_keys(monkeypatch):
+    calls = Counter()
+    shift = moduli._binom_shift
+
+    def counted(c, cp, i):
+        calls[(c, cp)] += 1
+        return shift(c, cp, i)
+
+    monkeypatch.setattr(moduli, "_binom_shift", counted)
+    return calls
+
+
+@pytest.mark.parametrize("fn", [kosz_class, kosz_rank])
+def test_kosz_symbolic_forms_each_shifted_binomial_once(monkeypatch, fn):
+    calls = _count_shift_keys(monkeypatch)
+    fn("i")
+    assert calls and max(calls.values()) == 1
+
+
+def test_kosz_symbolic_rejects_a_wrong_closed_form(monkeypatch):
+    closed = moduli.kosz_closed_form
+
+    def off_by_one(i="i"):
+        c = closed(i)
+        return replace(c, lam=c.lam + rf(1))
+
+    monkeypatch.setattr(moduli, "kosz_closed_form", off_by_one)
+    with pytest.raises(IdentityFailed):
+        kosz_class("i")
+
+
+@pytest.mark.parametrize("p, t", [(p, t) for p in range(4) for t in range(p + 1)])
+def test_kosz_symbolic_rejects_a_wrong_binomial_coefficient(monkeypatch, p, t):
+    coeffs = list(moduli._J2_BINOMIAL[p])
+    coeffs[t] += 1
+    monkeypatch.setitem(moduli._J2_BINOMIAL, p, coeffs)
+    with pytest.raises((IdentityFailed, AssertionError)):
+        kosz_class("i")
+
+
+def test_kosz_symbolic_rejects_a_shift_over_another_denominator(monkeypatch):
+    """The same value stored over D (i+5) is refused, not summed some other
+    way."""
+    shift = moduli._binom_shift
+    extra = (I + rf(5)).num
+
+    def widened(c, cp, i):
+        s = shift(c, cp, i)
+        if (c, cp) == (2, -1):
+            return RationalFunction._raw(s.num * extra, s.den * extra)
+        return s
+
+    monkeypatch.setattr(moduli, "_binom_shift", widened)
+    with pytest.raises(IdentityFailed, match="C\\(2i\\+2, i-1\\)"):
+        kosz_class("i")
 
 
 # -- cover spaces -----------------------------------------------------------
