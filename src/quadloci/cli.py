@@ -633,6 +633,7 @@ def main(argv=None) -> int:
         loci.ScalarConditionViolated,
         moduli.UnsupportedParam,
         moduli.InvariantViolated,
+        moduli.BoundaryCoefficientNonpositive,
         FileNotFoundError,
         KeyError,
     ) as exc:

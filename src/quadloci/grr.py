@@ -21,9 +21,8 @@ as an int or by name alike.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .algebra import _ONE, Polynomial, QQ, RationalFunction, param
 
@@ -255,8 +254,7 @@ class TagExpr:
     __repr__ = __str__
 
 
-@dataclass(frozen=True)
-class FiberRuleTable:
+class FiberRuleTable(NamedTuple):
     """Pushforward rules for one fibration type.
 
     top_rules:    monomials of degree relative_dim + 1  ->  TautClass
@@ -364,8 +362,7 @@ def k3_rules(genus) -> FiberRuleTable:
     return FiberRuleTable(2, top, scalar, todd)
 
 
-@dataclass(frozen=True)
-class BundleCharacter:
+class BundleCharacter(NamedTuple):
     """Chern character data of a sheaf on the total space, through ch_3."""
 
     rank: RationalFunction
@@ -528,8 +525,7 @@ def in_gamma_basis(cls: TautClass, gamma_def: TautClass, pivot: str) -> TautClas
     return rest + TautClass.symbol("gamma", c)
 
 
-@dataclass(frozen=True)
-class LambdaTorsionReport:
+class LambdaTorsionReport(NamedTuple):
     """Outcome of the rank-2 endomorphism pushforward on the even-genus
     locus with a distinguished rank-2 stable bundle: c1(pushforward) equals
     lambda on the nose, while the fiber integral evaluates to a multiple of

@@ -58,7 +58,7 @@ restrictions, and the two presentations of the degenerate-pencil
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from math import comb, gcd, isqrt, lcm, prod
 from typing import Sequence
 
@@ -113,33 +113,33 @@ def c1F() -> Polynomial:
 # weight sets and scalar data
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class WeightSet:
-    """Ordered list of degree-1 weight forms of a torus representation."""
+class WeightSet(tuple):
+    """Ordered list of degree-1 weight forms of a torus representation: a
+    tuple of the forms, which `forms` also returns."""
 
-    forms: tuple
+    __slots__ = ()
 
-    def __len__(self):
-        return len(self.forms)
+    def __new__(cls, forms: tuple):
+        return super().__new__(cls, forms)
 
-    def __iter__(self):
-        return iter(self.forms)
+    @property
+    def forms(self) -> tuple:
+        return tuple(self)
 
-    def __getitem__(self, i):
-        return self.forms[i]
+    def __repr__(self):
+        return "WeightSet(forms=%r)" % (self.forms,)
 
 
-@dataclass(frozen=True)
-class ScalarData:
+class ScalarData(namedtuple("ScalarData", "r_weights r_total")):
     """Integers r_1..r_k and r_total witnessing that a representation
     contains the scalars: sum_i r_i s_{j,i} = r_total for every weight j."""
 
-    r_weights: tuple
-    r_total: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.r_total == 0:
+    def __new__(cls, r_weights: tuple, r_total: int):
+        if r_total == 0:
             raise ValueError("r_total must be nonzero")
+        return super().__new__(cls, r_weights, r_total)
 
 
 def _sym2_pairs(e: int) -> list:

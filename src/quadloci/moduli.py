@@ -7,9 +7,9 @@ compared through slopes only, never through raw coefficients.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from math import comb, factorial, gcd
-from typing import Iterable
+from collections import namedtuple
+from math import comb, factorial, gcd, prod
+from typing import Iterable, NamedTuple
 
 from .algebra import Polynomial, QQ, RationalFunction, param
 from .grr import (
@@ -47,8 +47,7 @@ class NotPartitionOfK(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class ModuliDivisor:
+class ModuliDivisor(NamedTuple):
     """a*lambda - sum b_i delta_i with exact (possibly symbolic) coefficients.
 
     `deltas` maps boundary index -> b_i (the positive-sign convention).
@@ -181,8 +180,7 @@ def known_divisor(kind: str, k_or_g: int):
     raise UnsupportedParam("unknown divisor kind %r" % kind)
 
 
-@dataclass(frozen=True)
-class PetriDecomposition:
+class PetriDecomposition(NamedTuple):
     genus: int
     petri_slope: object
     components: tuple         # (name, conjectured weight 4^(g-1-k), slope)
@@ -254,29 +252,23 @@ def _slope_q(cls: ModuliDivisor):
 # small-slope series
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SeriesParams:
+class SeriesParams(namedtuple("SeriesParams", "r s a g d")):
     """Linear-series data with vanishing Brill-Noether number: g = rs+s,
     d = rs+r.  `a` is the quadric-rank parameter (rank bound a+2); it is
     None for the degenerate-pencil application, which has no rank condition.
     """
 
-    r: int
-    s: int
-    a: int | None
-    g: int
-    d: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.g != self.r * self.s + self.s or self.d != self.r * self.s + self.r:
+    def __new__(cls, r: int, s: int, a: int | None, g: int, d: int):
+        if g != r * s + s or d != r * s + r:
             raise InvariantViolated("g = rs+s and d = rs+r must hold")
-        if self.a is not None and 2 * (self.r - 1) * self.s != self.a * (
-            2 * self.r - 1 - self.a
-        ):
+        if a is not None and 2 * (r - 1) * s != a * (2 * r - 1 - a):
             raise InvariantViolated("2(r-1)s = a(2r-1-a) must hold")
-        rho = self.g - (self.r + 1) * (self.g - self.d + self.r)
+        rho = g - (r + 1) * (g - d + r)
         if rho != 0:
             raise InvariantViolated("the Brill-Noether number must vanish")
+        return super().__new__(cls, r, s, a, g, d)
 
     @property
     def corank(self) -> int:
@@ -388,8 +380,7 @@ def brill_noether_bound(g) -> RationalFunction:
 # pushforwards to the moduli of curves and the fitted multiplier
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PushforwardTable:
+class PushforwardTable(NamedTuple):
     """Images under the forgetful map sigma of the tautological classes of
     the linear-series space, on the (lambda, delta_0) compactification.
 
@@ -406,6 +397,10 @@ class PushforwardTable:
     @staticmethod
     def build(p: SeriesParams) -> "PushforwardTable":
         g, d, r, s = p.g, p.d, p.r, p.s
+        if (g - 1) * (g - 2) * (r + s + 1) == 0:
+            raise UnsupportedParam(
+                "no pushforward table at g = %d, r + s = %d: its denominators "
+                "carry (g-1)(g-2)(r+s+1), which vanishes" % (g, r + s))
         beta = rf("beta")
         a_l = beta * rf(QQ(d, (g - 1) * (g - 2))) * rf(
             d * g * g - 2 * g * g + 8 * d - 8 * g + 4
@@ -449,15 +444,13 @@ class PushforwardTable:
         )
 
 
-@dataclass(frozen=True)
-class Calibration:
+class Calibration(NamedTuple):
     """Multiplier N/beta for sigma_* sigma^* lambda."""
 
     n_over_beta: object
 
 
-@dataclass(frozen=True)
-class VirtualSlopeResult:
+class VirtualSlopeResult(NamedTuple):
     slope: RationalFunction
     lam: RationalFunction
     delta0: RationalFunction
@@ -495,8 +488,7 @@ def virtual_slope_from_pushforward(
                               boundary_effective=effective)
 
 
-@dataclass(frozen=True)
-class CalibrationReport:
+class CalibrationReport(NamedTuple):
     fitted: Calibration
     fit_target: object
     fit_point: SeriesParams
@@ -565,8 +557,7 @@ def fit_calibration() -> CalibrationReport:
     )
 
 
-@dataclass(frozen=True)
-class Dp12Result:
+class Dp12Result(NamedTuple):
     slope: object
     below_bound: bool
     pencil_coefficients: tuple   # (e c1F, (e^2+e-4) c1E) at e = 6
@@ -642,35 +633,20 @@ def _binom_shift(c: int, cp: int, i: RationalFunction) -> RationalFunction:
     """C(2i + c, i + cp) / C(2i - 1, i) as a rational function of i.
 
     Expands the three factorial quotients as finite products of linear
-    factors; valid for all large integers i, hence as an identity of
-    rational functions.
+    factors, multiplied into one numerator and one denominator polynomial;
+    valid for all large integers i, hence as an identity of rational
+    functions.
     """
-    two_i = rf(2) * i
-
-    def rising_ratio(base: RationalFunction, lo: int, hi: int) -> RationalFunction:
-        # product of (base + t) for t in [lo, hi); empty product when lo >= hi
-        out = rf(1)
-        for t in range(lo, hi):
-            out = out * (base + rf(t))
-        return out
-
-    # (2i+c)! / (2i-1)!  for c >= -1
-    if c >= -1:
-        top = rising_ratio(two_i, 0, c + 1)
-    else:
-        top = rf(1) / rising_ratio(two_i, c + 1, 0)
-    # i! / (i+cp)!
-    if cp >= 0:
-        mid = rf(1) / rising_ratio(i, 1, cp + 1)
-    else:
-        mid = rising_ratio(i, cp + 1, 1)
-    # (i-1)! / (i + c - cp)!
+    x = i.as_polynomial()
     q = c - cp
-    if q >= 0:
-        bot = rf(1) / rising_ratio(i, 0, q + 1)
-    else:
-        bot = rising_ratio(i, q + 1, 0)
-    return (top * mid * bot).reduce()
+    # (2i+c)!/(2i-1)!, i!/(i+cp)! and (i-1)!/(i+q)!: each quotient has its
+    # linear factors on one side only, so one range of each pair is empty
+    num = ([2 * x + t for t in range(c + 1)] + [x + t for t in range(cp + 1, 1)]
+           + [x + t for t in range(q + 1, 0)])
+    den = ([2 * x + t for t in range(c + 1, 0)] + [x + t for t in range(1, cp + 1)]
+           + [x + t for t in range(q + 1)])
+    one = Polynomial.const(1)
+    return RationalFunction(prod(num, start=one), prod(den, start=one)).reduce()
 
 
 # (j+2)^p expanded in the binomial basis C(j, t): coefficients a[p][t]
@@ -713,8 +689,7 @@ def _alternating_sum(p: int, side: int, shifts: dict) -> RationalFunction:
     return out.reduce()
 
 
-@dataclass(frozen=True)
-class KoszulClass:
+class KoszulClass(NamedTuple):
     """Class of the middle-syzygy divisor in genus 2i+3, in units of the
     binomial C(2i-1, i), plus an undetermined multiple of the non-globally-
     generated locus D11."""
@@ -896,8 +871,7 @@ def _hodge_coeff(i: int, lcm_mu: int, inv_sum, k):
     return lcm_mu * (i * (6 * k - 4 - i) / (8 * (6 * k - 5)) - QQ(1, 12) * (k - inv_sum))
 
 
-@dataclass(frozen=True)
-class HurwitzReport:
+class HurwitzReport(NamedTuple):
     """Divisor-class identities on the space of degree-k covers of the line
     from genus 2k-1 curves (symbolic k).
 

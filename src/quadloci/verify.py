@@ -9,9 +9,8 @@ anything else that disagrees is a FAIL.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from math import comb
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .algebra import Polynomial, QQ, alpha, beta, xi, zvar
 from .grr import (
@@ -34,8 +33,7 @@ from . import loci, moduli, symfunc
 PASS, WARN, FAIL = "PASS", "WARN", "FAIL"
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     tag: str
     computed: str
     expected: str

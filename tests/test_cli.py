@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 from math import comb
 from pathlib import Path
 
@@ -318,6 +320,31 @@ def test_moduli_slope_custom_names_missing_flags(capsys, given, missing):
     assert code == 2
     assert captured.out == ""
     assert captured.err == "error: --custom needs --r, --s and --a; missing %s\n" % missing
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--r", "1", "--s", "1", "--a", "0"],
+     "no pushforward table at g = 2, r + s = 2: its denominators carry "
+     "(g-1)(g-2)(r+s+1), which vanishes"),
+    (["--r", "0", "--s", "0", "--a", "0"], "delta_0 coefficient vanished"),
+])
+def test_moduli_slope_custom_degenerate_series_exit_two(capsys, argv, message):
+    code = main(["moduli", "slope", "--custom", *argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: %s\n" % message
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    """The library's records are NamedTuples, so a one-shot CLI call does
+    not pay for the dataclasses -> inspect import chain."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = ("import sys; sys.path.insert(0, %r); import quadloci.cli, quadloci.verify; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))" % src)
+    out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
+                         text=True, check=True).stdout
+    assert out == "[]\n"
 
 
 def test_sigma_residue_and_closed_documents_agree(capsys):

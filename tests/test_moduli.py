@@ -1,5 +1,4 @@
 from collections import Counter
-from dataclasses import replace
 from math import comb
 
 import pytest
@@ -7,11 +6,13 @@ import pytest
 from quadloci import moduli
 from quadloci.algebra import QQ, RationalFunction, param
 from quadloci.grr import TautClass, rf
+from quadloci.loci import ScalarData, WeightSet
 from quadloci.moduli import (
     BoundaryCoefficientNonpositive,
     Calibration,
     IdentityFailed,
     InvariantViolated,
+    KoszulClass,
     ModuliDivisor,
     NotPartitionOfK,
     SeriesParams,
@@ -37,6 +38,7 @@ from quadloci.moduli import (
     virtual_slope_from_pushforward,
 )
 from quadloci.symfunc import Partition
+from quadloci.verify import CheckResult
 
 G = rf("g")
 K = rf("k")
@@ -143,6 +145,40 @@ def test_series_params_guards():
         SeriesParams(r=7, s=3, a=3, g=24, d=28)
     with pytest.raises(InvariantViolated):
         SeriesParams(r=7, s=3, a=4, g=25, d=28)
+
+
+def test_records_are_immutable_values():
+    """The records keep the keyword construction, defaults, immutability,
+    value equality, repr and constructor checks they had as dataclasses."""
+    kc = KoszulClass(i=2, lam=rf(1), gamma=rf(QQ(1, 2)))
+    assert (kc.prefactor_units, kc.unknown_d11) == ("C(2i-1, i)", "alpha")
+    assert ModuliDivisor(4, rf(34), {0: rf(4)}).note == ""
+    assert CheckResult("t", "1", "1", "PASS").note == ""
+    records = [
+        (kc, KoszulClass(2, rf(1), rf(QQ(1, 2)), "C(2i-1, i)", "alpha"), "i"),
+        (ModuliDivisor(genus=4, lam=rf(34), deltas={0: rf(4)}),
+         ModuliDivisor(4, rf(34), {0: rf(4)}, ""), "genus"),
+        (SeriesParams(r=7, s=3, a=4, g=24, d=28), series_params(1, 1), "r"),
+        (ScalarData(r_weights=(2, 1, 1), r_total=6), ScalarData((2, 1, 1), 6), "r_weights"),
+        (WeightSet(forms=(rf(1), rf(2))), WeightSet((rf(1), rf(2))), "forms"),
+        (CheckResult(tag="t", computed="1", expected="1", status="PASS"),
+         CheckResult("t", "1", "1", "PASS", ""), "tag"),
+    ]
+    for record, same, field in records:  # field: the first field
+        assert record == same
+        assert repr(record).startswith("%s(%s=" % (type(record).__name__, field))
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+        with pytest.raises(AttributeError):
+            record.extra = None
+    assert repr(ScalarData((2, 1, 1), 6)) == "ScalarData(r_weights=(2, 1, 1), r_total=6)"
+    assert repr(WeightSet((rf(1),))) == "WeightSet(forms=(1,))"
+    assert hash(series_params(1, 1)) == hash(SeriesParams(7, 3, 4, 24, 28))
+    assert kc != kc._replace(lam=rf(2))
+    with pytest.raises(InvariantViolated):
+        SeriesParams(r=7, s=3, a=4, g=25, d=29)
+    with pytest.raises(ValueError, match="r_total must be nonzero"):
+        ScalarData(r_weights=(1, 1), r_total=0)
 
 
 def test_pelda_slope_values():
@@ -351,7 +387,7 @@ def test_kosz_symbolic_rejects_a_wrong_closed_form(monkeypatch):
 
     def off_by_one(i="i"):
         c = closed(i)
-        return replace(c, lam=c.lam + rf(1))
+        return c._replace(lam=c.lam + rf(1))
 
     monkeypatch.setattr(moduli, "kosz_closed_form", off_by_one)
     with pytest.raises(IdentityFailed):
