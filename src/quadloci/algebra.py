@@ -11,19 +11,30 @@ Variable   = (kind, index) tuple.  Kinds give the fixed global ordering used
              alphabets and strings for named parameters / formal symbols.
 Monomial   = tuple of ((kind, index), exponent) pairs, sorted by variable,
              with no zero exponents.  The empty tuple is the unit monomial.
-Polynomial = wrapper around {Monomial: coefficient}; zero coefficients are
-             never stored, so structural equality is semantic equality.
+Polynomial = {Monomial: nonzero int} numerators over one positive int
+             denominator, in lowest terms, so structural equality is
+             semantic equality.
 
-Coefficients are `gmpy2.mpq` when available (exact, much faster) and
+Rationals at the boundary are `gmpy2.mpq` when available and
 `fractions.Fraction` otherwise; both expose the same arithmetic surface.
 
 Integer kernel
 --------------
-A rational operation costs a gcd, so the hot product avoids them:
-`Polynomial.__mul__` scales each factor to integers by the lcm of its
-coefficient denominators (`integer_scaled`), accumulates the products in
-Python ints and divides once per output term.  A constant factor only
-scales the other factor's coefficients.
+A rational operation costs a gcd per coefficient, so a polynomial keeps
+none: it is the content/primitive-part form of Knuth, TAOCP vol. 2,
+sec. 4.6.1, with gcd(denominator, all numerators) = 1.  `+`, `-`, `*`,
+`scale`, `coefficient_of`, `rename`, `substitute_poly` and
+`content_normalized` work on Python ints and normalize once per result, with
+one `math.gcd` over the denominator and the numerators; `**` needs none, as a
+power of numerators prime to the denominator stays prime to its power.  QQ
+values appear only at the boundary: the `terms` view, `constant_value`,
+`leading`, `evaluate` and `str`.
+
+`divide_exact` divides the integer numerator by the primitive part of the
+divisor, over Z.  By Gauss's lemma a primitive q divides p over Q exactly
+when it divides p's integer numerator over Z, so every quotient coefficient
+is an int, and the first leading coefficient that does not divide ends a
+failed division.
 
 Rational functions keep the invariant that a denominator is primitive (an
 integer polynomial of content 1) with a positive graded-lex leading
@@ -162,18 +173,19 @@ def _grlex_key(m):
 
 
 class Polynomial:
-    """Immutable sparse polynomial with exact rational coefficients."""
+    """Immutable sparse polynomial with exact rational coefficients, stored
+    as nonzero int numerators over one positive int denominator, in lowest
+    terms (see "Integer kernel" above)."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("_num", "_den")
 
     def __init__(self, terms: Mapping | None = None):
-        clean = {}
-        if terms:
-            for m, c in terms.items():
-                c = _exact(c)
-                if c:
-                    clean[m] = c
-        object.__setattr__(self, "terms", clean)
+        exact = ((m, _exact(c)) for m, c in (terms or {}).items())
+        coeffs = {m: c for m, c in exact if c}
+        # the lcm of reduced denominators shares no prime with every numerator
+        den, nums = integer_scaled(coeffs.values())
+        _set_num(self, dict(zip(coeffs, nums)))
+        _set_den(self, den)
 
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError("Polynomial is immutable")
@@ -181,100 +193,116 @@ class Polynomial:
     # -- constructors -------------------------------------------------
     @staticmethod
     def zero() -> "Polynomial":
-        return Polynomial()
+        return Polynomial._make({})
 
     @staticmethod
     def const(c) -> "Polynomial":
-        if type(c) is not _QQ_TYPE:
-            c = _exact(c)
-        return Polynomial._raw({(): c} if c else {})
+        if type(c) is int:
+            return Polynomial._make({(): c} if c else {})
+        c = _exact(c)
+        return Polynomial._make({(): int(c.numerator)} if c else {}, int(c.denominator))
 
     @staticmethod
     def variable(v: Variable) -> "Polynomial":
-        return Polynomial({((v, 1),): QQ(1)})
+        return Polynomial._make({((v, 1),): 1})
 
     @staticmethod
-    def _raw(terms: dict) -> "Polynomial":
-        """Wrap an already-normalized dict without copying."""
-        p = Polynomial.__new__(Polynomial)
-        object.__setattr__(p, "terms", terms)
+    def _make(num: dict, den: int = 1) -> "Polynomial":
+        """Wrap nonzero int numerators over den > 0, already in lowest
+        terms, without copying."""
+        p = _new(Polynomial)
+        _set_num(p, num)
+        _set_den(p, den)
         return p
 
+    @staticmethod
+    def _normal(num: dict, den: int) -> "Polynomial":
+        """num/den in lowest terms, for nonzero int numerators and den > 0:
+        the one gcd of a result."""
+        if den != 1:
+            g = gcd(den, *num.values())
+            if g != 1:
+                num = {m: c // g for m, c in num.items()}
+                den //= g
+        return Polynomial._make(num, den)
+
     # -- basic queries ------------------------------------------------
+    @property
+    def terms(self) -> dict:
+        """A fresh {monomial: QQ coefficient} dict."""
+        d = self._den
+        return {m: QQ(n, d) for m, n in self._num.items()}
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._num
 
     def is_constant(self) -> bool:
-        return all(m == () for m in self.terms)
+        n = self._num
+        return not n or (len(n) == 1 and () in n)
 
     def constant_value(self):
         if not self.is_constant():
             raise ValueError("not a constant polynomial")
-        return self.terms.get((), QQ(0))
+        return QQ(self._num.get((), 0), self._den)
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        if not self.terms:
+        if not self._num:
             return -1
-        return max(monomial_degree(m) for m in self.terms)
+        return max(monomial_degree(m) for m in self._num)
 
     def is_homogeneous(self, deg: int | None = None) -> bool:
-        if not self.terms:
+        if not self._num:
             return True
-        degs = {monomial_degree(m) for m in self.terms}
+        degs = {monomial_degree(m) for m in self._num}
         if len(degs) > 1:
             return False
         return deg is None or degs == {deg}
 
     def variables(self) -> set:
         out = set()
-        for m in self.terms:
+        for m in self._num:
             for v, _ in m:
                 out.add(v)
         return out
 
     def leading(self):
         """(monomial, coefficient) largest in graded-lex order."""
-        if not self.terms:
+        if not self._num:
             raise ValueError("zero polynomial has no leading term")
-        m = min(self.terms, key=_grlex_key)
-        return m, self.terms[m]
+        m = min(self._num, key=_grlex_key)
+        return m, QQ(self._num[m], self._den)
 
     def coefficient_of(self, v: Variable, power: int) -> "Polynomial":
         """Coefficient of v**power, as a polynomial in the other variables."""
-        out = {}
-        for m, c in self.terms.items():
-            e = dict(m).get(v, 0)
-            if e == power:
-                rest = tuple((w, k) for w, k in m if w != v)
-                out[rest] = out.get(rest, QQ(0)) + c
-        return Polynomial._raw({m: c for m, c in out.items() if c})
+        # distinct monomials with one power of v have distinct rests
+        out = {tuple((w, k) for w, k in m if w != v): c
+               for m, c in self._num.items() if dict(m).get(v, 0) == power}
+        return Polynomial._normal(out, self._den)
 
     # -- arithmetic ---------------------------------------------------
     def __add__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        big, small = self.terms, other.terms
-        if len(big) < len(small):
-            big, small = small, big
-        out = dict(big)
-        for m, c in small.items():
-            s = out.get(m)
-            if s is None:
-                out[m] = c
+        (a, da), (b, db) = (self._num, self._den), (other._num, other._den)
+        if len(a) < len(b):
+            a, da, b, db = b, db, a, da
+        den = da if da == db else lcm(da, db)
+        out = dict(a) if den == da else {m: c * (den // da) for m, c in a.items()}
+        k = den // db
+        for m, c in b.items():
+            s = out.get(m, 0) + c * k
+            if s:
+                out[m] = s
             else:
-                s = s + c
-                if s:
-                    out[m] = s
-                else:
-                    del out[m]
-        return Polynomial._raw(out)
+                del out[m]
+        return Polynomial._normal(out, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial._raw({m: -c for m, c in self.terms.items()})
+        return Polynomial._make({m: -c for m, c in self._num.items()}, self._den)
 
     def __sub__(self, other):
         other = _coerce(other)
@@ -286,77 +314,74 @@ class Polynomial:
         return _coerce(other) + (-self)
 
     def __mul__(self, other):
-        if isinstance(other, (int, _QQ_TYPE)):
-            return self.scale(other)
-        other = _coerce(other)
-        if other is NotImplemented:
+        if not isinstance(other, Polynomial):
+            if isinstance(other, (int, _QQ_TYPE)):
+                return self.scale(other)
             return NotImplemented
         x, y = self, other
-        if len(x.terms) > len(y.terms):
+        if len(x._num) > len(y._num):
             x, y = y, x
-        a, b = x.terms, y.terms
+        a, b = x._num, y._num
         if not a:
-            return Polynomial._raw({})
+            return x
         if len(a) == 1 and () in a:
-            return y.scale(a[()])
+            return y._scaled(a[()], x._den)
         if len(b) == 1 and () in b:
-            return x.scale(b[()])
-        da, ia = integer_scaled(a.values())
-        db, ib = integer_scaled(b.values())
-        ib = list(zip(b, ib))
-        out: dict = {}
-        get = out.get
-        for m1, c1 in zip(a, ia):
-            for m2, c2 in ib:
-                m = _merge_exponents(m1, m2)
-                out[m] = get(m, 0) + c1 * c2
-        d = da * db
-        return Polynomial._raw({m: QQ(n, d) for m, n in out.items() if n})
+            return x._scaled(b[()], y._den)
+        return Polynomial._normal(_int_product(a, b), x._den * y._den)
 
     def scale(self, c):
         """c * self for a scalar c, without merging any monomials."""
         if not c:
-            return Polynomial._raw({})
+            return Polynomial._make({})
         if c == 1:
             return self
-        q = c if type(c) is _QQ_TYPE else QQ(c)
-        return Polynomial._raw({m: x * q for m, x in self.terms.items()})
+        if type(c) is int:
+            return self._scaled(c, 1)
+        c = _exact(c)
+        return self._scaled(int(c.numerator), int(c.denominator))
+
+    def _scaled(self, n: int, d: int) -> "Polynomial":
+        """self * n/d for ints n != 0 and d > 0."""
+        return Polynomial._normal({m: c * n for m, c in self._num.items()}, self._den * d)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        result = Polynomial.const(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+        # a power of a numerator prime to den is prime to den**n (Gauss's
+        # lemma), so the result needs no gcd
+        num, base, k = {(): 1}, self._num, n
+        while k:
+            if k & 1:
+                num = _int_product(num, base)
+            k >>= 1
+            if k:
+                base = _int_product(base, base)
+        return Polynomial._make(num, self._den ** n)
 
     def __eq__(self, other):
         if isinstance(other, Polynomial):
-            return self.terms == other.terms
+            return self._den == other._den and self._num == other._num
         if isinstance(other, (int, _QQ_TYPE)):
-            return self.terms == Polynomial.const(other).terms
+            return self == Polynomial.const(other)
         return NotImplemented
 
     def __hash__(self):
         # a constant hashes as its value, so that equal ints and QQ agree
-        t = self.terms
-        if not t:
+        n = self._num
+        if not n:
             return 0
-        if len(t) == 1 and () in t:
-            return hash(t[()])
-        return hash(frozenset(t.items()))
+        if len(n) == 1 and () in n:
+            return hash(QQ(n[()], self._den))
+        return hash((frozenset(n.items()), self._den))
 
     def __reduce__(self):
-        return (_poly_unpickle, (tuple(self.terms.items()),))
+        return (Polynomial._make, (self._num, self._den))
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self._num)
 
     # -- substitution and evaluation -----------------------------------
     def substitute_poly(self, mapping: Mapping) -> "Polynomial":
@@ -371,88 +396,93 @@ class Polynomial:
                 cache[key] = got
             return got
 
-        out = Polynomial.zero()
-        for m, c in self.terms.items():
-            piece = Polynomial.const(c)
+        out = Polynomial._make({})
+        for m, c in self._num.items():
+            piece = Polynomial._make({(): c})
             for v, e in m:
-                if v in mapping:
-                    piece = piece * power(v, e)
-                else:
-                    piece = piece * Polynomial._raw({((v, e),): QQ(1)})
+                piece = piece * (power(v, e) if v in mapping
+                                 else Polynomial._make({((v, e),): 1}))
             out = out + piece
-        return out
+        return out._scaled(1, self._den)
 
     def evaluate(self, point: Mapping):
         """Evaluate at a rational point; every variable must be assigned."""
-        total = QQ(0)
-        for m, c in self.terms.items():
-            val = c
+        total = 0
+        for m, c in self._num.items():
             for v, e in m:
-                val = val * point[v] ** e
-            total += val
-        return total
+                c = c * point[v] ** e
+            total += c
+        return QQ(total) / self._den
 
     def rename(self, mapping: Mapping) -> "Polynomial":
         """Substitute variables by variables (bijective on its support)."""
         out = {}
-        for m, c in self.terms.items():
+        for m, c in self._num.items():
             m2 = tuple(sorted(((mapping.get(v, v), e) for v, e in m)))
-            out[m2] = out.get(m2, QQ(0)) + c
-        return Polynomial({m: c for m, c in out.items()})
+            out[m2] = out.get(m2, 0) + c
+        return Polynomial._normal({m: c for m, c in out.items() if c}, self._den)
 
     # -- exact division -------------------------------------------------
     def divide_exact(self, q: "Polynomial") -> "Polynomial":
-        """Return p/q when q divides exactly; raise DivisionNotExact otherwise."""
-        if q.is_zero():
+        """Return p/q when q divides exactly; raise DivisionNotExact otherwise.
+
+        The division runs on ints: p's numerator is divided by the
+        primitive part of q's, and a leading coefficient that does not
+        divide ends it (Gauss's lemma, see "Integer kernel" above)."""
+        qnum = q._num
+        if not qnum:
             raise ZeroDivisionError("division by zero polynomial")
         if q.is_constant():
-            inv = QQ(1) / q.constant_value()
-            return self * inv
-        if self.is_zero():
-            return Polynomial.zero()
-        qm, qc = q.leading()
+            n = qnum[()]
+            return self._scaled(q._den, n) if n > 0 else self._scaled(-q._den, -n)
+        if not self._num:
+            return self
+        content = gcd(*qnum.values())
+        if content != 1:
+            qnum = {m: c // content for m, c in qnum.items()}
+        qm = min(qnum, key=_grlex_key)
+        qc = qnum[qm]
         quot: dict = {}
-        rem = dict(self.terms)
+        rem = dict(self._num)
         while rem:
             m = min(rem, key=_grlex_key)
-            c = rem[m]
             mm = _monomial_div(m, qm)
-            if mm is None:
+            cc, r = divmod(rem[m], qc)
+            if mm is None or r:
                 raise DivisionNotExact("leading term %s not divisible" % (m,))
-            cc = c / qc
-            quot[mm] = quot.get(mm, QQ(0)) + cc
+            quot[mm] = cc
             # rem -= cc * mm * q
-            for m2, c2 in q.terms.items():
+            for m2, c2 in qnum.items():
                 key = _merge_exponents(mm, m2)
-                s = rem.get(key, QQ(0)) - cc * c2
+                s = rem.get(key, 0) - cc * c2
                 if s:
                     rem[key] = s
                 else:
-                    rem.pop(key, None)
-        return Polynomial({m: c for m, c in quot.items()})
+                    del rem[key]
+        # p / q = (quot / p._den) / (content / q._den)
+        return Polynomial._normal({m: c * q._den for m, c in quot.items()},
+                                  self._den * content)
 
     def content_normalized(self):
         """Return (primitive polynomial with positive leading coeff, scale).
 
         self == scale * primitive.
         """
-        if self.is_zero():
+        if not self._num:
             return self, QQ(1)
-        _, lead = self.leading()
-        coeffs = self.terms.values()
-        g = gcd(*(int(c.numerator) for c in coeffs))
-        l = lcm(*(int(c.denominator) for c in coeffs))
-        scale = QQ(g, l) if lead > 0 else -QQ(g, l)
-        inv = QQ(1) / scale
-        return Polynomial._raw({m: c * inv for m, c in self.terms.items()}), scale
+        g = gcd(*self._num.values())
+        if self._num[min(self._num, key=_grlex_key)] < 0:
+            g = -g
+        prim = Polynomial._make({m: c // g for m, c in self._num.items()})
+        return prim, QQ(g, self._den)
 
     # -- display --------------------------------------------------------
     def __str__(self):
-        if not self.terms:
+        if not self._num:
             return "0"
         bits = []
-        for m in sorted(self.terms, key=_grlex_key):
-            c = self.terms[m]
+        for m in sorted(self._num, key=_grlex_key):
+            c = QQ(self._num[m], self._den)
             mono = "*".join(
                 var_name(v) + ("^%d" % e if e > 1 else "") for v, e in m
             )
@@ -473,12 +503,25 @@ class Polynomial:
     __repr__ = __str__
 
 
+# results are built through the slots' own setters, past the immutability
+# guard of __setattr__ and without its name lookup
+_new = object.__new__
+_set_num, _set_den = Polynomial._num.__set__, Polynomial._den.__set__
+
 # the denominator of every RationalFunction whose value is a polynomial
-_ONE = Polynomial._raw({(): QQ(1)})
+_ONE = Polynomial._make({(): 1})
 
 
-def _poly_unpickle(items):
-    return Polynomial._raw(dict(items))
+def _int_product(a: dict, b: dict) -> dict:
+    """The product of two int numerator dicts, without its zero terms."""
+    out: dict = {}
+    get = out.get
+    items = list(b.items())
+    for m1, c1 in a.items():
+        for m2, c2 in items:
+            m = _merge_exponents(m1, m2)
+            out[m] = get(m, 0) + c1 * c2
+    return {m: n for m, n in out.items() if n}
 
 
 def _exact(c):
@@ -530,7 +573,9 @@ class RationalFunction:
 
     Reduction is lazy: `reduce()` tries exact division of the numerator by
     the denominator.  Equality testing cross-multiplies, so unreduced
-    representatives still compare correctly.
+    representatives still compare correctly, and the hash is that of the
+    pair in lowest terms, which needs a univariate denominator when the
+    division fails (AlgebraError otherwise).
     """
 
     __slots__ = ("num", "den")
@@ -568,9 +613,9 @@ class RationalFunction:
         """Wrap a pair already in normal form, without normalizing: den is
         `_ONE` or a product of stored denominators, and `_ONE` when num is
         zero."""
-        r = RationalFunction.__new__(RationalFunction)
-        object.__setattr__(r, "num", num)
-        object.__setattr__(r, "den", den if num.terms else _ONE)
+        r = _new(RationalFunction)
+        _set_rf_num(r, num)
+        _set_rf_den(r, den if num._num else _ONE)
         return r
 
     @staticmethod
@@ -658,11 +703,12 @@ class RationalFunction:
         return self.num * other.den == other.num * self.den
 
     def __hash__(self):
-        # a polynomial value hashes as its numerator, like the Polynomial
+        # a polynomial value hashes as its numerator, like the Polynomial;
+        # any other value as its pair in lowest terms
         r = self.reduce()
         if r.den is _ONE:
             return hash(r.num)
-        return hash((r.num, r.den))
+        return hash(_lowest_terms(r.num, r.den))
 
     # -- reduction -----------------------------------------------------
     def reduce(self) -> "RationalFunction":
@@ -684,6 +730,41 @@ class RationalFunction:
         return "(%s)/(%s)" % (self.num, self.den)
 
     __repr__ = __str__
+
+
+def _lowest_terms(num: Polynomial, den: Polynomial):
+    """(num/g, den/g) for g = gcd(num, den).  den must be univariate in some
+    x; then g is the gcd over Q[x] of den and the coefficients of num as a
+    polynomial in its other variables."""
+    xs = den.variables()
+    if len(xs) != 1:
+        raise AlgebraError("no lowest terms over the denominator %s" % den)
+    (x,) = xs
+    parts: dict = {}
+    for m, c in num._num.items():
+        rest = tuple(ve for ve in m if ve[0] != x)
+        parts.setdefault(rest, {})[tuple(ve for ve in m if ve[0] == x)] = c
+    g = den
+    for part in parts.values():
+        g = _gcd_in(x, g, Polynomial._make(part))
+    if g.is_constant():
+        return num, den
+    return num.divide_exact(g), den.divide_exact(g)
+
+
+def _gcd_in(x: Variable, a: Polynomial, b: Polynomial) -> Polynomial:
+    """The gcd of two nonzero polynomials in x alone, primitive with a
+    positive leading coefficient: Euclid on primitive parts (Knuth, TAOCP
+    vol. 2, sec. 4.6.1)."""
+    while b:
+        while a and a.degree() >= b.degree():  # a <- a pseudo-reduced by b
+            x_k = Polynomial.variable(x) ** (a.degree() - b.degree())
+            a = a.scale(b.leading()[1]) - b.scale(a.leading()[1]) * x_k
+        a, b = b, a.content_normalized()[0]
+    return a.content_normalized()[0]
+
+
+_set_rf_num, _set_rf_den = RationalFunction.num.__set__, RationalFunction.den.__set__
 
 
 def _coerce_rf(x):
@@ -747,7 +828,7 @@ def substitute(p: Polynomial, mapping: Mapping) -> RationalFunction:
             if v in rf_map:
                 piece = piece * power(v, e)
             else:
-                piece = piece * RationalFunction(Polynomial._raw({((v, e),): QQ(1)}))
+                piece = piece * RationalFunction._raw(Polynomial._make({((v, e),): 1}))
         total = total + piece
     return total.reduce()
 
@@ -809,7 +890,7 @@ def symmetric_reduce(
 
     # split monomials into alphabet part and passenger part
     groups: dict = {}
-    for m, c in p.terms.items():
+    for m, c in p._num.items():
         inside = tuple((v, e) for v, e in m if v[0] == kind)
         outside = tuple((v, e) for v, e in m if v[0] != kind)
         groups.setdefault(outside, {})[inside] = c
@@ -822,9 +903,9 @@ def symmetric_reduce(
     out = Polynomial.zero()
     for outside, inner_terms in groups.items():
         reduced = _reduce_symmetric_part(
-            Polynomial(inner_terms), roots, elem, symbol
+            Polynomial._normal(inner_terms, p._den), roots, elem, symbol
         )
-        out = out + reduced * Polynomial._raw({outside: QQ(1)})
+        out = out + reduced * Polynomial._make({outside: 1})
     return out
 
 
@@ -838,7 +919,7 @@ def is_symmetric(p: Polynomial, kind: int, n: int) -> bool:
     exponent vectors, the multiplicities counting the zero exponents."""
     roots = {(kind, i) for i in range(1, n + 1)}
     groups: dict = {}
-    for m, c in p.terms.items():
+    for m, c in p._num.items():
         inside = tuple(sorted((e for v, e in m if v in roots), reverse=True))
         outside = tuple((v, e) for v, e in m if v not in roots)
         seen = groups.get((outside, inside))
@@ -860,8 +941,8 @@ def is_symmetric(p: Polynomial, kind: int, n: int) -> bool:
 def _elementary(roots: Sequence[Variable], k: int) -> Polynomial:
     terms = {}
     for combo in itertools.combinations(roots, k):
-        terms[tuple((v, 1) for v in combo)] = QQ(1)
-    return Polynomial._raw(terms)
+        terms[tuple((v, 1) for v in combo)] = 1
+    return Polynomial._make(terms)
 
 
 def _reduce_symmetric_part(p, roots, elem, symbol):

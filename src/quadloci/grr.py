@@ -129,7 +129,7 @@ class TautClass:
         return all(self.coefficient(s) == other.coefficient(s) for s in keys)
 
     def __hash__(self):
-        return hash(frozenset((s, str(c.reduce())) for s, c in self.coeffs.items()))
+        return hash(frozenset(self.coeffs.items()))
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -150,7 +150,7 @@ _ZERO = RationalFunction.const(0)
 
 def _put_reduced(out: dict, key, c: RationalFunction):
     """out[key] = c reduced, or no entry for key when c is zero."""
-    if c.num.terms:
+    if c.num:
         out[key] = c if c.den is _ONE else c.reduce()
     else:
         out.pop(key, None)
@@ -190,7 +190,7 @@ class TagExpr:
         for m, c in (terms or {}).items():
             if type(c) is not RationalFunction:
                 c = rf(c)
-            if c.num.terms:
+            if c.num:
                 clean[m] = c
         object.__setattr__(self, "terms", clean)
 

@@ -382,16 +382,18 @@ def _localization_points(e, f, r, pairs):
                     "localization sum disagrees with reconstructed polynomial "
                     "at a verification point")
 
-    # class = sum_m (-1)^m c_(f-m)F S_m
+    # class = sum_m (-1)^m c_(f-m)F S_m, over the lcm of the block scales
+    den = lcm(*(scale for scale, _ in solved.values()))
     terms = {}
     for m, parts in blocks.items():
         scale, nums = solved[m]
+        k = -(den // scale) if m % 2 else den // scale
         cF = ((_cF(f - m), 1),) if m < f else ()
         for mono, num in zip(parts, nums):
             if num:
                 key = tuple(sorted(cF + tuple((_cE(i), x) for i, x in mono)))
-                terms[key] = QQ(-num if m % 2 else num, scale)
-    return Polynomial._raw(terms)
+                terms[key] = k * num
+    return Polynomial._normal(terms, den)
 
 
 class _RankDeficient(Exception):
@@ -569,6 +571,8 @@ def divisorial_combination(e, f, c1E, c1F):
     rational) or rational functions; c1E and c1F are classes of one type
     with a `scale` (a Polynomial in c1E, c1F, or a TautClass).  A caller
     with a corank r passes f = `divisorial_f(e, r)`."""
+    if isinstance(e, int) and e < 1:
+        raise PreconditionViolated("need e >= 1")
     return c1F - c1E.scale(f * QQ(2) / e)
 
 
@@ -694,8 +698,8 @@ def shifted_corank_class(r: int, e: int, max_c: int) -> Polynomial:
     for g, part in enumerate(_twisted_corank(r, e, max_c, w)):
         z = ((zvar(), D - g),) if g < D else ()
         for key, v in part.items():
-            terms[monomial(key, z)] = QQ(v, 1 << (D - r))
-    return Polynomial._raw(terms)
+            terms[monomial(key, z)] = v
+    return Polynomial._normal(terms, 1 << (D - r))
 
 
 def _sym2_complete(e: int, top: int, w: int) -> list:
@@ -784,8 +788,8 @@ def residue_class(e: int, f: int, r: int) -> Polynomial:
         cF = ((_cF(j), 1),) if j else ()
         for key, v in acc.items():
             if v:
-                terms[monomial(key, cF)] = QQ(sign * v, den)
-    return Polynomial._raw(terms)
+                terms[monomial(key, cF)] = sign * v
+    return Polynomial._normal(terms, den)
 
 
 def residue_divisor_class(e: int, r: int) -> Polynomial:

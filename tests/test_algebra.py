@@ -1,12 +1,16 @@
 import itertools
 import pickle
 import random
+from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from quadloci import algebra
 from quadloci.algebra import (
     ALPHA,
+    AlgebraError,
     DenominatorSurvives,
     DivisionNotExact,
     NotSymmetric,
@@ -14,17 +18,22 @@ from quadloci.algebra import (
     QQ,
     RationalFunction,
     _ONE,
+    _grlex_key,
     _merge_exponents,
+    _monomial_div,
     alpha,
     beta,
     exact_divide,
     expand_symmetric,
     is_symmetric,
+    param,
     substitute,
     sum_fractions,
     symmetric_reduce,
+    var_name,
     xi,
 )
+from quadloci.grr import TautClass
 
 X = Polynomial.variable
 
@@ -327,12 +336,7 @@ polynomials = st.one_of(
 
 def _fraction_product(p, q):
     """The term-by-term Fraction loop that Polynomial.__mul__ used to run."""
-    out = {}
-    for m1, c1 in p.terms.items():
-        for m2, c2 in q.terms.items():
-            m = _merge_exponents(m1, m2)
-            out[m] = out.get(m, QQ(0)) + c1 * c2
-    return {m: c for m, c in out.items() if c}
+    return _ref_mul(p.terms, q.terms)
 
 
 def _same_terms(p, want):
@@ -429,3 +433,208 @@ def test_results_keep_the_constructor_normal_form(a, b, c, n):
     _same_function(a - b, _cross_sum(a, -b))
     _same_function((a + b) * c, _cross_product(_cross_sum(a, b), c))
     assert (a - b) + b == a and -a + a == 0
+
+
+# -- the integer kernel against a test-local {monomial: Fraction} reference ---
+
+fractions_ = st.fractions(max_denominator=30, min_value=-50, max_value=50)
+reference_polys = st.dictionaries(monomials, fractions_.filter(bool), max_size=5)
+scalars = st.one_of(st.integers(-20, 20), fractions_)
+
+
+def _ref_add(a, b):
+    out = dict(a)
+    for m, c in b.items():
+        out[m] = out.get(m, 0) + c
+    return {m: c for m, c in out.items() if c}
+
+
+def _ref_scale(a, c):
+    return {m: x * c for m, x in a.items() if x * c}
+
+
+def _ref_mul(a, b):
+    """The product of two {monomial: Fraction} dicts, term by term."""
+    out = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            m = _merge_exponents(m1, m2)
+            out[m] = out.get(m, 0) + c1 * c2
+    return {m: c for m, c in out.items() if c}
+
+
+def _ref_divide(p, q):
+    """The Fraction loop `divide_exact` ran before the integer kernel."""
+    qm = min(q, key=_grlex_key)
+    quot, rem = {}, dict(p)
+    while rem:
+        m = min(rem, key=_grlex_key)
+        mm = _monomial_div(m, qm)
+        if mm is None:
+            raise DivisionNotExact(m)
+        quot[mm] = cc = rem[m] / q[qm]
+        for m2, c2 in q.items():
+            key = _merge_exponents(mm, m2)
+            s = rem.get(key, 0) - cc * c2
+            if s:
+                rem[key] = s
+            else:
+                rem.pop(key, None)
+    return quot
+
+
+def _ref_str(a):
+    """The rendering of {monomial: Fraction} that `str` keeps."""
+    if not a:
+        return "0"
+    bits = []
+    for m in sorted(a, key=_grlex_key):
+        c = a[m]
+        mono = "*".join(var_name(v) + ("^%d" % e if e > 1 else "") for v, e in m)
+        if not mono:
+            bits.append(str(c))
+        elif c in (1, -1):
+            bits.append(mono if c == 1 else "-" + mono)
+        else:
+            bits.append("%s*%s" % (c, mono))
+    return bits[0] + "".join(
+        " - " + b[1:] if b.startswith("-") else " + " + b for b in bits[1:])
+
+
+def _agrees(p, want):
+    """p has the value of the reference dict `want`, stored as nonzero int
+    numerators over a positive int denominator in lowest terms."""
+    assert p.terms == want
+    assert type(p._den) is int and p._den > 0
+    assert all(type(c) is int and c for c in p._num.values())
+    assert gcd(p._den, *p._num.values()) == 1
+
+
+@_KERNEL
+@given(reference_polys, reference_polys, scalars, st.integers(0, 4))
+def test_kernel_matches_fraction_reference(a, b, c, n):
+    p, q = Polynomial(a), Polynomial(b)
+    _agrees(p, a)
+    _agrees(p + q, _ref_add(a, b))
+    _agrees(p - q, _ref_add(a, _ref_scale(b, -1)))
+    _agrees(-p, _ref_scale(a, -1))
+    _agrees(p * q, _ref_mul(a, b))
+    for scaled in (p.scale(c), p * c, c * p, p.scale(QQ(c))):
+        _agrees(scaled, _ref_scale(a, Fraction(c)))
+    power = {(): Fraction(1)}
+    for _ in range(n):
+        power = _ref_mul(power, a)
+    _agrees(p ** n, power)
+    assert str(p) == _ref_str(a)
+    # equal values hash equal, however they were formed
+    again = (p + q) - q
+    assert again == p and hash(again) == hash(p)
+    back = pickle.loads(pickle.dumps(p))
+    _agrees(back, a)
+    assert back == p and hash(back) == hash(p)
+    # a constant equals, and hashes as, its int or QQ value
+    k = Polynomial.const(c)
+    assert k == c and k == QQ(c) and hash(k) == hash(c) == hash(QQ(c))
+    assert Polynomial({(): c}) == k and (k == p) == (a == ({(): c} if c else {}))
+
+
+@_KERNEL
+@given(reference_polys, reference_polys.filter(bool), st.booleans())
+def test_divide_exact_matches_fraction_reference(a, b, exact):
+    p, q = Polynomial(a), Polynomial(b)
+    if exact:
+        p, a = p * q, _ref_mul(a, b)
+    try:
+        want = _ref_divide(a, b)
+    except DivisionNotExact:
+        assert not exact
+        with pytest.raises(DivisionNotExact):
+            p.divide_exact(q)
+    else:
+        _agrees(p.divide_exact(q), want)
+
+
+@_KERNEL
+@given(reference_polys)
+def test_content_normalized_matches_fraction_reference(a):
+    p = Polynomial(a)
+    prim, scale = p.content_normalized()
+    if not a:
+        assert prim == 0 and scale == 1
+        return
+    g = gcd(*(c.numerator for c in a.values()))
+    s = Fraction(g, lcm(*(c.denominator for c in a.values())))
+    if a[min(a, key=_grlex_key)] < 0:
+        s = -s
+    assert scale == s
+    _agrees(prim, _ref_scale(a, 1 / s))
+    assert prim._den == 1 and prim.leading()[1] > 0
+
+
+def test_kernel_floats_are_refused():
+    p = X(alpha(1)) + QQ(1, 3)
+    for bad in (lambda: Polynomial({(): 0.5}), lambda: Polynomial.const(1.5),
+                lambda: p.scale(0.5), lambda: p + 0.5, lambda: p - 0.5,
+                lambda: p * 0.25, lambda: p == Polynomial.const(0.5)):
+        with pytest.raises(TypeError):
+            bad()
+
+
+def test_kernel_arithmetic_builds_no_qq(monkeypatch):
+    x, y = X(alpha(1)), X(alpha(2))
+    p = QQ(1, 2) * x ** 2 + QQ(2, 3) * x * y - 5
+    q = 2 * x + 4  # content 2
+    half = QQ(1, 2)
+    a, b = RationalFunction(QQ(3, 4)), RationalFunction(QQ(-2, 5))
+    r = RationalFunction(x * y + 1, x + 1)
+
+    def refuse(*args):
+        raise AssertionError("QQ%r built by the integer kernel" % (args,))
+
+    monkeypatch.setattr(algebra, "QQ", refuse)
+    got = [p + q, p - q, p * q, p.scale(3), p.scale(half), p * half, p ** 3,
+           (p * q).divide_exact(q), (x * x + 2 * x).divide_exact(q), a * b, a + b]
+    for num, den in ((p, q), (3 * x + 3, 2 * x + 1), (x * x + x, 2 * x + 1)):
+        with pytest.raises(DivisionNotExact):
+            num.divide_exact(den)
+    assert r.reduce() is r
+    monkeypatch.undo()
+    want = [_ref_add(p.terms, q.terms), _ref_add(p.terms, _ref_scale(q.terms, -1)),
+            _ref_mul(p.terms, q.terms), _ref_scale(p.terms, 3),
+            _ref_scale(p.terms, half), _ref_scale(p.terms, half),
+            _ref_mul(p.terms, _ref_mul(p.terms, p.terms)), p.terms,
+            {((alpha(1), 1),): Fraction(1, 2)}, {(): Fraction(-3, 10)},
+            {(): Fraction(7, 20)}]
+    for value, terms in zip(got, want):
+        assert value.terms == terms if isinstance(value, Polynomial) else value.num.terms == terms
+
+
+# -- hash and eq agree on rational functions -----------------------------------
+
+def test_equal_rational_functions_hash_equal():
+    g = X(param("g"))
+    a = RationalFunction(g ** 2 - 1, g ** 2 + g)
+    b = RationalFunction(g - 1, g)
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    # hashing leaves the stored pair, and so the printed bytes, as they were
+    assert str(a) == "(g^2 - 1)/(g^2 + g)" and str(b) == "(g - 1)/(g)"
+    s, t = TautClass({"lambda": a, "delta": 2}), TautClass({"lambda": b, "delta": 2})
+    assert s == t and hash(s) == hash(t) and len({s, t}) == 1
+    # lowest terms are found over a univariate denominator only
+    with pytest.raises(AlgebraError):
+        hash(RationalFunction(1, X(alpha(1)) + X(alpha(2))))
+
+
+_UNI = X(alpha(1))
+univariate = st.lists(fractions_, min_size=1, max_size=4).map(
+    lambda cs: sum((QQ(c) * _UNI ** k for k, c in enumerate(cs)), Polynomial.zero()))
+
+
+@_KERNEL
+@given(polynomials, univariate.filter(bool), univariate.filter(bool))
+def test_hash_is_that_of_the_lowest_terms_pair(p, q, h):
+    # p is in alpha(1), alpha(2) and beta(1); q and h in alpha(1) alone
+    a, b = RationalFunction(p * h, q * h), RationalFunction(p, q)
+    assert a == b and hash(a) == hash(b)
+    back = pickle.loads(pickle.dumps(a))
+    assert (back.num, back.den) == (a.num, a.den) and hash(back) == hash(a)

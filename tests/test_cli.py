@@ -327,6 +327,8 @@ def test_moduli_slope_custom_names_missing_flags(capsys, given, missing):
      "no pushforward table at g = 2, r + s = 2: its denominators carry "
      "(g-1)(g-2)(r+s+1), which vanishes"),
     (["--r", "0", "--s", "0", "--a", "0"], "delta_0 coefficient vanished"),
+    # e = r + 1 = 0 would put the divisorial class's 2f/e over 0
+    (["--r", "-1", "--s", "1", "--a", "1"], "need e >= 1"),
 ])
 def test_moduli_slope_custom_degenerate_series_exit_two(capsys, argv, message):
     code = main(["moduli", "slope", "--custom", *argv])

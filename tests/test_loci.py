@@ -354,6 +354,10 @@ def test_divisorial_combination_matches_residue_class():
                 continue
             got = divisorial_combination(e, f, c1E(), c1F()).scale(a_const(e, r))
             assert got == residue_class(e, f, r), (e, r)
+    # a rank below 1 has no divisorial class (2f/e would divide by e <= 0)
+    for e in (0, -1):
+        with pytest.raises(PreconditionViolated, match="need e >= 1"):
+            divisorial_combination(e, 1, c1E(), c1F())
 
 
 def _veronese_class(e, f):
