@@ -13,7 +13,7 @@ from .algebra import (
     sum_fractions,
     symmetric_reduce,
 )
-from .symfunc import ChernSeries, Partition, a_const, b_const, gtp_class, schur, sym_degeneracy_class
+from .symfunc import ChernSeries, Partition, a_const, b_const, schur, sym_degeneracy_class
 from .loci import (
     NotDivisorial,
     PreconditionViolated,

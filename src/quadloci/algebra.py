@@ -15,8 +15,7 @@ Polynomial = {Monomial: nonzero int} numerators over one positive int
              denominator, in lowest terms, so structural equality is
              semantic equality.
 
-Rationals at the boundary are `gmpy2.mpq` when available and
-`fractions.Fraction` otherwise; both expose the same arithmetic surface.
+Rationals at the boundary are `fractions.Fraction` values, named `QQ`.
 
 Integer kernel
 --------------
@@ -54,13 +53,9 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
+from fractions import Fraction as QQ
 from math import factorial, gcd, lcm
 from typing import Callable, Collection, Mapping, Sequence
-
-try:  # gmpy2's mpq is a drop-in exact rational, ~5x faster than Fraction
-    from gmpy2 import mpq as QQ
-except ImportError:  # pragma: no cover
-    from fractions import Fraction as QQ
 
 _QQ_TYPE = type(QQ(0))
 

@@ -4,25 +4,9 @@ Setting: a map of bundles phi from Sym^2(E) to F, ranks e and f.  The locus
 where Ker(phi) contains a quadric of corank >= r has an equivariant class in
 the Chern roots a_1..a_e, b_1..b_f.  Write n = C(e+1,2), d = n - f, W for the
 Sym^2 weights a_i + a_j (i <= j) and g(z) = h_r(a - z/2) prod_j(z - b_j).
-The class is (-1)^(d+1) times the divided difference of g over W, and it is
-computed two ways:
+The class is (-1)^(d+1) times the divided difference of g over W.  It has
+one producer and a point certificate:
 
-* ``localization_class`` -- the fixed-point sum over pairs (H, gamma) of a
-  d-subset H of W and a marked weight gamma in H, with tangent-weight
-  denominators.  At a point the sum is evaluated in Cauchy-Binet form: the
-  pairs of one H give a divided difference of f(w) = h_r(a - w/2), the sum
-  over all H is one d x d moment determinant, and that determinant
-  collapses to sum_i f(w_i) prod_j(b_j - w_i) / prod_{k != i}(w_k - w_i),
-  one term per weight.  That sum is linear in the c_jF: it is
-  sum_j (-1)^(f-j) c_jF S_(f-j)(a), where S_m is the moment
-  sum_i w_i^m f(w_i) / prod_{k != i}(w_k - w_i) (`_weight_moments`), an
-  S_e-symmetric polynomial of degree C(r+1,2) + m - n + 1 and 0 where that
-  degree is negative.  So only points in a are sampled: the values f(w_i)
-  are Jacobi-Trudi determinants of integers, every negative-degree S_m is
-  checked to vanish, and each other S_m is interpolated in the monomials
-  of its degree in the e_i(a) by a solve modulo word-size primes that
-  every equation then checks exactly.  The answer is assembled in the
-  symbols c_iE, c_jF, and no step works on polynomials in the roots.
 * ``residue_class`` -- the residue at infinity, formed in the Chern symbols
   c_iE, c_jF: the z-coefficients of g, with h_r(a - z/2) a Jacobi-Trudi
   determinant of the twisted Chern classes of E, against the complete
@@ -31,12 +15,21 @@ computed two ways:
   to ints, one per c-degree), only up to the class degree, and the class
   becomes a Polynomial once, at the end.  ``residue_divisor_class`` is its
   divisorial case.
+* ``localization_class`` -- the same answer, returned only after the
+  fixed-point sum over pairs (H, gamma) of a d-subset H of W and a marked
+  weight gamma in H has certified it at 3 seeded integer points
+  (`_check_at_points`).  At a point the sum collapses by Cauchy-Binet to
+  one term per weight, linear in the c_jF, and every moment S_m of
+  negative degree is checked to vanish.
 
 By the residue theorem the two are one identity: localization's |W| terms
 are the finite residues of g(z) / prod_{w in W}(z - w), and the residue form
-is the residue at infinity.  They do not check each other independently.
-The independent references are ``closed_divisor_class``, the divisorial
-closed form A_e^r (c1(F) - (2f/e) c1(E)), and, for general triples, the
+is the residue at infinity.  So the point check guards the code path, not
+the theorem.  The independent references are ``closed_divisor_class``, the
+divisorial closed form A_e^r (c1(F) - (2f/e) c1(E)); ``resolution_value``,
+the class at a point for every (e, f, r) from a resolution of the locus by
+a Grassmannian bundle (it shares no formula with the residue form, and the
+tests check it against ``residue_class``); and, for small triples, the
 literal sum over the pairs (H, gamma) at points in the tests.
 
 ``divisorial_combination`` is the one home of the divisorial class
@@ -59,7 +52,8 @@ from __future__ import annotations
 
 import random
 from collections import namedtuple
-from math import comb, gcd, isqrt, lcm, prod
+from itertools import combinations, combinations_with_replacement
+from math import comb, lcm, prod
 from typing import Sequence
 
 from .algebra import (
@@ -72,7 +66,6 @@ from .algebra import (
     beta,
     expand_symmetric,
     gamma_var,
-    integer_scaled,
     sym,
     symmetric_reduce,
     xi,
@@ -222,73 +215,50 @@ def target_degree(e: int, f: int, r: int) -> int:
 def localization_class(
     e: int, f: int, r: int, subset_order: Sequence[int] | None = None
 ) -> Polynomial:
-    """Fixed-point sum for the corank->=r locus, in the symbols c_iE, c_jF
-    (`to_roots` expands it in the Chern roots).
-
-    The sum runs over the pairs (H, gamma) of a d-subset H of the Sym^2
-    weights W and a marked weight gamma in H, d = C(e+1,2) - f.  By
-    Cauchy-Binet it collapses to sum_i B_i f(w_i) / P_i, one term per
-    weight, with B_i = prod_j(b_j - w_i), P_i = prod_{k != i}(w_k - w_i)
-    and f(w) = h(a - w/2) (`_weight_moments`).
-
-    B_i is multilinear in the b_j: B_i = sum_j (-1)^(f-j) c_jF w_i^(f-j).
-    So the class is linear in the c_jF,
-        class = sum_{j=0..f} c_jF (-1)^(f-j) S_(f-j)(a),
-    with S_m(a) = sum_i w_i^m f(w_i) / P_i, and only points in a are
-    sampled.  S_m is (-1)^(n-1) times the divided difference of z^m f(z)
-    over the n = |W| weights: an S_e-symmetric polynomial of degree
-    D + m - n + 1, D = C(r+1,2) the degree of h, and 0 where that degree is
-    negative.  Each S_m of nonnegative degree is its own block, solved in
-    the monomials of that degree in the e_i(a).
-
-    At an integer point every weight is an integer, and 2^D h(a - w/2) =
-    h(2a - w) is the Jacobi-Trudi value `sym_degeneracy_value`, so every
-    S_m is taken in Python ints.  Each block's system is over-determined
-    and solved modulo word-size primes with an exact check
-    (`_solve_overdetermined`), and re-verified at fresh points.  A nonzero
-    S_m of negative degree, an inconsistent block or a fresh-point mismatch
-    (the sum failing to be polynomial) raises DenominatorSurvives.
+    """The corank->=r class in the symbols c_iE, c_jF (`to_roots` expands
+    it in the Chern roots): `residue_class`'s answer, returned only after
+    the fixed-point sum has certified it at 3 seeded integer points
+    (`_check_at_points`).  A point where the two differ, or a nonzero
+    moment S_m of negative degree, raises DenominatorSurvives.
 
     `subset_order` permutes the order of the weights, which reorders the
-    sum over the weights at every point (the result must not depend on it;
+    fixed-point sum at every point (the result must not depend on it;
     tested).
     """
     _check_loc_preconditions(e, f, r)
     pairs = _sym2_pairs(e)
     if subset_order is not None:
         pairs = [pairs[i] for i in subset_order]
-    return _localization_points(e, f, r, pairs)
-
-
-def _partitions(total: int, largest: int):
-    """Partitions of `total` into parts <= `largest`, as sorted
-    (part, multiplicity) tuples: the monomials of degree `total` in the
-    elementary symmetric functions e_1..e_largest."""
-
-    def rec(remaining, top):
-        if remaining == 0:
-            yield {}
-            return
-        for part in range(min(top, remaining), 0, -1):
-            for rest in rec(remaining - part, part):
-                out = dict(rest)
-                out[part] = out.get(part, 0) + 1
-                yield out
-
-    return [tuple(sorted(p.items())) for p in rec(total, largest)]
+    cls = residue_class(e, f, r)
+    _check_at_points(cls, e, f, r, pairs)
+    return cls
 
 
 def _weight_moments(wvals, fvals, count):
     """(L, [s_0..s_(count-1)]) with s_m / L = sum_i w_i^m fvals[i] / P_i,
-    P_i = prod_{k != i}(w_k - w_i) and L = lcm|P_i|, all in ints.
+    P_i = prod_{k != i}(w_k - w_i) and L = lcm|P_i|, all in ints."""
+    P = [prod(wk - wi for k, wk in enumerate(wvals) if k != i)
+         for i, wi in enumerate(wvals)]
+    L = lcm(*P)
+    terms = [fi * (L // Pi) for fi, Pi in zip(fvals, P)]
+    sums = []
+    for _ in range(count):
+        sums.append(sum(terms))
+        terms = [t * wi for t, wi in zip(terms, wvals)]
+    return L, sums
 
-    With fvals[i] = scale * f(w_i), f(w) = h(a - w/2), the fixed-point sum
-    over the pairs (H, gamma) at the point is
-    sum_m (-1)^m e_(f-m)(b) s_m / (L * scale), where the (H, gamma) term,
-    for a d-subset H (d = n - f) and gamma in H, is f(w_gamma)
-    prod_{i in H} B_i over
+
+def _check_at_points(cls, e, f, r, pairs):
+    """Raise DenominatorSurvives unless `cls` equals the fixed-point sum
+    over the weights a_i + a_j ((i, j) in `pairs`, in that order) at 3
+    seeded integer points.
+
+    The sum runs over the pairs (H, gamma) of a d-subset H of the n weights
+    (d = n - f) and a marked gamma in H.  The (H, gamma) term is
+    f(w_gamma) prod_{i in H} B_i over
     P_gamma prod_{i in H, i != gamma} prod_{k not in H}(w_k - w_i), with
-    B_i = prod_j(b_j - w_i).
+    f(w) = h_r(a - w/2), B_i = prod_j(b_j - w_i) and
+    P_i = prod_{k != i}(w_k - w_i).
 
     Cauchy-Binet.  Put x_i = B_i/P_i and Delta(H) = prod_{i<k in H}(w_k - w_i).
     The terms of one H sum to (-1)^(C(d,2)+d-1) Delta(H)^2 f[H]
@@ -305,250 +275,93 @@ def _weight_moments(wvals, fvals, count):
     m_(d-1) = (-1)^(d-1).  The matrix is zero above its anti-diagonal,
     which holds sum_i x_i f(w_i) in row 0 and m_(d-1) below it, so the
     determinant is (-1)^(C(d,2)+d-1) sum_i x_i f(w_i), the signs cancel,
-    and the sum is sum_i B_i f(w_i) / P_i.  Expanding
-    B_i = sum_m (-1)^m e_(f-m)(b) w_i^m gives the moments s_m.
+    and the sum is sum_i B_i f(w_i) / P_i, one term per weight.
+
+    Expanding B_i = sum_m (-1)^m e_(f-m)(b) w_i^m makes it linear in the
+    c_jF: sum_m (-1)^m e_(f-m)(b) S_m, with the moments
+    S_m = sum_i w_i^m f(w_i) / P_i.  At an integer point every weight is an
+    integer, and 2^D f(w) = h_r(2a - w), D = C(r+1,2), is the Jacobi-Trudi
+    value `sym_degeneracy_value`, so `_weight_moments` gives
+    S_m = s_m / (L 2^D) in Python ints.  S_m is (-1)^(n-1) times the
+    divided difference of z^m f(z) over the weights: a polynomial of degree
+    D + m - n + 1, and 0 where that degree is negative, which is checked
+    first.  The class is evaluated at c_iE = e_i(a), c_jF = e_j(b) on its
+    integer numerators, with one rational per point.
+
+    The e_i of independent roots are algebraically independent, so a class
+    that differs from the sum differs as a polynomial of degree
+    t = `target_degree` in the roots, and by Schwartz-Zippel a point with
+    coordinates drawn from 10^6 values misses that difference with
+    probability at most t / 10^6.  The points are seeded by (e, f, r), so
+    the check is deterministic.
     """
-    P = [prod(wk - wi for k, wk in enumerate(wvals) if k != i)
-         for i, wi in enumerate(wvals)]
-    L = lcm(*P)
-    terms = [fi * (L // Pi) for fi, Pi in zip(fvals, P)]
-    sums = []
-    for _ in range(count):
-        sums.append(sum(terms))
-        terms = [t * wi for t, wi in zip(terms, wvals)]
-    return L, sums
-
-
-def _localization_points(e, f, r, pairs):
-    """The class in the symbols c_iE, c_jF, one block S_m at a time (see
-    `localization_class`)."""
     n = len(pairs)
     D = comb(r + 1, 2)
-    # M * h(a - w/2) = h(2a - w) with M = 2^D, an integer at a point
-    M = 1 << D
-    degrees = [D + m - n + 1 for m in range(f + 1)]
-    blocks = {m: _partitions(deg, e) for m, deg in enumerate(degrees) if deg >= 0}
-    size = max(len(parts) for parts in blocks.values())
     rng = random.Random(0xC0FFEE + 1000003 * e + 1009 * f + r)
-
-    def sample_point():
-        """(e_0..e_e of a, L * M, [s_0..s_f]) at a fresh point in a."""
+    for _ in range(3):
         while True:
             avals = [rng.randint(10**3, 10**6) for _ in range(e)]
             wvals = [avals[i] + avals[j] for i, j in pairs]
             if len(set(wvals)) == n:
                 break
+        bvals = [rng.randint(10**3, 10**6) for _ in range(f)]
         fvals = [sym_degeneracy_value(r, [2 * av - wi for av in avals])
                  for wi in wvals]
         L, sums = _weight_moments(wvals, fvals, f + 1)
-        for m, deg in enumerate(degrees):
-            if deg < 0 and sums[m]:
+        for m, s in enumerate(sums):
+            deg = D + m - n + 1
+            if deg < 0 and s:
                 raise DenominatorSurvives(
                     "localization sum for (e,f,r)=(%d,%d,%d): S_%d has "
                     "negative degree %d but is not 0" % (e, f, r, m, deg))
-        return _elem_values(avals, e), L * M, sums
-
-    def basis_row(ea, parts):
-        return [prod(ea[part] ** mult for part, mult in mono) for mono in parts]
-
-    points = [sample_point() for _ in range(size + 4)]
-    solved = {}
-    for m, parts in blocks.items():
-        for _ in range(3):
-            try:
-                coeffs = _solve_overdetermined(
-                    [basis_row(ea, parts) for ea, _, _ in points],
-                    [QQ(sums[m], den) for _, den, sums in points])
-                break
-            except _RankDeficient:
-                # a degenerate sample; widen the point set and try again
-                points += [sample_point() for _ in range(size)]
-        else:
-            raise AssertionError("interpolation system stayed rank-deficient")
-        if coeffs is None:
+        ea, eb = _elem_values(avals, e), _elem_values(bvals, f)
+        point = {_cE(i): ea[i] for i in range(1, e + 1)}
+        point.update((_cF(j), eb[j]) for j in range(1, f + 1))
+        total = sum((-1) ** m * eb[f - m] * s for m, s in enumerate(sums))
+        if cls.evaluate(point) * (L << D) != total:
             raise DenominatorSurvives(
-                "localization sum for (e,f,r)=(%d,%d,%d): S_%d is inconsistent "
-                "with a polynomial of degree %d" % (e, f, r, m, degrees[m]))
-        solved[m] = integer_scaled(coeffs)
-
-    # re-verify every block at fresh points
-    for _ in range(3):
-        ea, den, sums = sample_point()
-        for m, parts in blocks.items():
-            scale, nums = solved[m]
-            got = sum(c * v for c, v in zip(nums, basis_row(ea, parts)))
-            if got * den != sums[m] * scale:
-                raise DenominatorSurvives(
-                    "localization sum disagrees with reconstructed polynomial "
-                    "at a verification point")
-
-    # class = sum_m (-1)^m c_(f-m)F S_m, over the lcm of the block scales
-    den = lcm(*(scale for scale, _ in solved.values()))
-    terms = {}
-    for m, parts in blocks.items():
-        scale, nums = solved[m]
-        k = -(den // scale) if m % 2 else den // scale
-        cF = ((_cF(f - m), 1),) if m < f else ()
-        for mono, num in zip(parts, nums):
-            if num:
-                key = tuple(sorted(cF + tuple((_cE(i), x) for i, x in mono)))
-                terms[key] = k * num
-    return Polynomial._normal(terms, den)
+                "localization sum for (e,f,r)=(%d,%d,%d) differs from the "
+                "residue class at a seeded point" % (e, f, r))
 
 
-class _RankDeficient(Exception):
-    pass
+def resolution_value(e: int, f: int, r: int, a: Sequence[int], b: Sequence[int]):
+    """The corank->=r class at distinct integer roots a_1..a_e and integer
+    roots b_1..b_f, from a resolution of the locus: a reference for every
+    (e, f, r) that shares no formula with `residue_class`.
 
-
-def _word_primes():
-    """The primes below 2^61, from 2^61 - 1 (a Mersenne prime) downward.
-
-    Miller-Rabin with the first twelve primes as bases decides primality
-    exactly below 3.3 * 10^24, so the sequence is fixed."""
-    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-    n = (1 << 61) - 1
-    # every solve starts here, and this one is known to be prime
-    yield n
-    while True:
-        n -= 2
-        d, s = n - 1, 0
-        while not d & 1:
-            d, s = d >> 1, s + 1
-        for a in bases:
-            x = pow(a, d, n)
-            if x in (1, n - 1):
-                continue
-            for _ in range(s - 1):
-                x = x * x % n
-                if x == n - 1:
-                    break
-            else:
-                break
-        else:
-            yield n
-
-
-def _ranks_and_solution(aug, n, p):
-    """Eliminate the integer rows [A | b] modulo p.  Returns
-    (rank_p(A), rank_p([A | b]), x) with x the solution modulo p when A
-    has full column rank and the system is consistent modulo p, else None."""
-    mat = [[x % p for x in row] for row in aug]
-    m = len(mat)
-    k = 0
-    for col in range(n):
-        piv = next((i for i in range(k, m) if mat[i][col]), None)
-        if piv is None:
-            continue
-        mat[k], mat[piv] = mat[piv], mat[k]
-        inv = pow(mat[k][col], -1, p)
-        top = mat[k] = [x * inv % p for x in mat[k]]
-        for i in range(k + 1, m):
-            row = mat[i]
-            a = row[col]
-            if a:
-                mat[i] = row[:col] + [
-                    (x - a * y) % p for x, y in zip(row[col:], top[col:])
-                ]
-        k += 1
-    rank_ab = k + any(mat[i][n] for i in range(k, m))
-    if k < n or rank_ab > k:
-        return k, rank_ab, None
-    x = [0] * n
-    for j in range(n - 1, -1, -1):
-        row = mat[j]
-        x[j] = (row[n] - sum(row[i] * x[i] for i in range(j + 1, n))) % p
-    return k, rank_ab, x
-
-
-def _rational_reconstruction(u, m):
-    """(num, den) with num = den * u mod m and |num|, den <= sqrt(m/2), or
-    None when no such fraction exists (Wang's half extended Euclid)."""
-    bound = isqrt(m // 2)
-    r0, r1, t0, t1 = m, u % m, 0, 1
-    while r1 > bound:
-        q = r0 // r1
-        r0, r1 = r1, r0 - q * r1
-        t0, t1 = t1, t0 - q * t1
-    if abs(t1) > bound or gcd(r1, t1) != 1:
-        return None
-    return (r1, t1) if t1 > 0 else (-r1, -t1)
-
-
-def _solve_overdetermined(rows, rhs):
-    """Exact solve of the full overdetermined system A x = b.  Returns None
-    if it is inconsistent (checked first), raises _RankDeficient if the
-    solution is not unique, and otherwise returns the solution as QQ
-    values.
-
-    Each equation, right-hand side included, is scaled to integers by the
-    lcm of its denominators.  Then, for each prime p of `_word_primes`, the
-    rows are eliminated modulo p, which gives rank_p(A) <= rank(A) and
-    rank_p([A|b]) <= rank([A|b]):
-      (i)   A of full column rank and consistent modulo p: the solutions
-            modulo the full-rank primes so far are combined (Chinese
-            remainders) and rationally reconstructed.  The candidate is
-            returned only if every original equation holds exactly.  Full
-            column rank modulo p implies it over Q, so the candidate is the
-            unique solution: the answer elimination over Q would give.
-            Otherwise the next prime is taken.
-      (ii)  A of full column rank and inconsistent modulo p: then
-            rank([A|b]) > n = rank(A), and the answer is None.
-      (iii) otherwise the next prime is taken.
-    A prime loses rank only if it divides a nonzero minor, of absolute value
-    at most the Hadamard bound H of [A|b].  Once the product of the primes
-    exceeds 2H^2 the largest ranks seen are the ranks over Q, so an
-    inconsistent or rank-deficient system is decided as elimination over Q
-    decides it.  A system with a unique solution is returned by (i) once
-    the full-rank primes multiply past 2H^2, where reconstruction recovers
-    every coordinate (numerator and denominator are minors, by Cramer);
-    in practice one prime decides every localization system."""
-    m = len(rows)
-    if not m:
-        return []
-    n = len(rows[0])
-    aug = [integer_scaled(list(row) + [val])[1] for row, val in zip(rows, rhs)]
-    bound = None
-    product, modulus, residues = 1, 1, [0] * n
-    best_a = best_ab = 0
-    for p in _word_primes():
-        rank_a, rank_ab, x = _ranks_and_solution(aug, n, p)
-        product *= p
-        best_a, best_ab = max(best_a, rank_a), max(best_ab, rank_ab)
-        if rank_a == n and rank_ab > n:
-            return None
-        if x is not None:
-            inv = pow(modulus, -1, p)
-            residues = [u + modulus * ((v - u) * inv % p)
-                        for u, v in zip(residues, x)]
-            modulus *= p
-            solution = _certified_solution(aug, n, residues, modulus)
-            if solution is not None:
-                return solution
-        if bound is None:
-            bound = 2 * prod(isqrt(sum(row[j] ** 2 for row in aug)) + 1
-                             for j in range(n + 1)) ** 2
-        if product > bound:
-            if best_ab > best_a:
-                return None
-            if best_a < n:
-                raise _RankDeficient("interpolation system needs more points")
-
-
-def _certified_solution(aug, n, residues, modulus):
-    """The rational reconstruction of `residues` modulo `modulus`, as QQ
-    values, if it satisfies every integer equation of `aug` exactly."""
-    fractions = []
-    for u in residues:
-        got = _rational_reconstruction(u, modulus)
-        if got is None:
-            return None
-        fractions.append(got)
-    den = lcm(*(d for _, d in fractions))
-    y = [num * (den // d) for num, d in fractions]
-    for row in aug:
-        if sum(a * v for a, v in zip(row, y)) != row[n] * den:
-            return None
-    return [QQ(num, d) for num, d in fractions]
+    A quadric q has corank >= r exactly when q lies in Sym^2 S for a
+    rank-(e-r) subbundle S of E.  On the Grassmannian bundle G(e-r, E) the
+    pairs (S, [q]) with [q] in P(Sym^2 S) and phi(q) = 0 are the zero locus
+    of O(-1) -> F, of class c_f(F (x) O(1)), and they map birationally onto
+    the locus (Kempf-Laksov).  Push down P(Sym^2 S) with
+    pi_* zeta^(N-1+m) = (-1)^m h_m(W_S), N = C(e-r+1,2) (Fulton,
+    Intersection Theory, 3.1), and then G by localization at the fixed
+    points S = span(a_j : j in J), with tangent space Hom(S, E/S):
+        sum_{|J| = e-r} [sum_{m=0..f-N+1} (-1)^m e_(f-N+1-m)(b) h_m(W_J)]
+                        / prod_{j in J, k not in J}(a_k - a_j),
+    W_J = {a_i + a_j : i <= j in J}.  No corank class h_r and no Segre
+    class of Sym^2 E enter.  At r = e - 1 (|J| = 1, W_J = {2 a_j}) it is
+    the Veronese class of the squares; at r = e, and for f < N - 1, it is 0.
+    Formed in ints, with one rational at the end.
+    """
+    if len(a) != e or len(b) != f or len(set(a)) != e:
+        raise PreconditionViolated("need e distinct roots a and f roots b")
+    top = f - comb(e - r + 1, 2) + 1
+    if top < 0:
+        return QQ(0)
+    eb = _elem_values(b, top)
+    terms = []
+    for J in combinations(range(e), e - r):
+        hs = [1] + [0] * top
+        for i, j in combinations_with_replacement(J, 2):
+            w = a[i] + a[j]
+            for m in range(1, top + 1):
+                hs[m] += w * hs[m - 1]
+        num = sum((-1) ** m * eb[top - m] * hs[m] for m in range(top + 1))
+        den = prod(a[k] - a[j] for j in J for k in range(e) if k not in J)
+        terms.append((num, den))
+    L = lcm(*(den for _, den in terms))
+    return QQ(sum(num * (L // den) for num, den in terms), L)
 
 
 # ---------------------------------------------------------------------------

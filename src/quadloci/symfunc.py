@@ -106,14 +106,6 @@ class ChernSeries:
         roots = [Polynomial.variable((kind, i)) for i in range(1, n + 1)]
         return ChernSeries.from_roots(roots, order)
 
-    @staticmethod
-    def generic(make_ci, rank: int, order: int) -> "ChernSeries":
-        """Series with formal classes c_i = make_ci(i) for 1 <= i <= rank."""
-        classes = [Polynomial.const(1)]
-        for i in range(1, order + 1):
-            classes.append(make_ci(i) if i <= rank else Polynomial.zero())
-        return ChernSeries(classes, rank=rank)
-
     def c(self, i: int) -> Polynomial:
         if i < 0:
             return Polynomial.zero()
@@ -124,27 +116,6 @@ class ChernSeries:
         raise TruncationTooLow(
             "c_%d requested from a series truncated at order %d" % (i, self.order)
         )
-
-    def mul(self, other: "ChernSeries", order: int) -> "ChernSeries":
-        classes = []
-        for k in range(order + 1):
-            classes.append(
-                sum(
-                    (self.c(i) * other.c(k - i) for i in range(k + 1)),
-                    Polynomial.zero(),
-                )
-            )
-        return ChernSeries(classes)
-
-    def quotient_by(self, den: "ChernSeries", order: int) -> "ChernSeries":
-        """Series q with q * den == self, by iterated convolution."""
-        q = [Polynomial.const(1)]
-        for k in range(1, order + 1):
-            acc = self.c(k)
-            for i in range(1, k + 1):
-                acc = acc - den.c(i) * q[k - i]
-            q.append(acc)
-        return ChernSeries(q)
 
 
 def schur(lam: Partition, c: ChernSeries) -> Polynomial:
@@ -185,22 +156,6 @@ def _det(rows):
         return total
 
     return minor(0, frozenset(range(n)))
-
-
-def gtp_class(r: int, ell: int, a: ChernSeries, b: ChernSeries) -> Polynomial:
-    """Class of maps with an r-dimensional kernel, for a map of bundles of
-    ranks (n, n + ell): s_lambda of the quotient series b/a with
-    lambda = (r + ell)^r."""
-    if r < 0 or ell < 0:
-        raise ValueError("r and ell must be non-negative")
-    if a.rank is not None and r > a.rank:
-        raise ValueError("kernel dimension exceeds source rank")
-    if r == 0:
-        return Polynomial.const(1)
-    order = r * (r + ell)
-    quot = b.quotient_by(a, order)
-    lam = Partition([r + ell] * r)
-    return schur(lam, quot)
 
 
 def sym_degeneracy_class(r: int, e: int) -> Polynomial:
@@ -286,19 +241,17 @@ def _int_det(rows) -> int:
     n = len(mat)
     sign, prev = 1, 1
     for k in range(n - 1):
-        piv = next((i for i in range(k, n) if mat[i][k]), None)
-        if piv is None:
-            return 0
-        if piv != k:
+        if not mat[k][k]:
+            piv = next((i for i in range(k + 1, n) if mat[i][k]), None)
+            if piv is None:
+                return 0
             mat[k], mat[piv] = mat[piv], mat[k]
             sign = -sign
         top = mat[k]
         p = top[k]
-        for i in range(k + 1, n):
-            row = mat[i]
+        for row in mat[k + 1:]:
             a = row[k]
-            mat[i] = row[:k + 1] + [
-                (p * x - a * y) // prev for x, y in zip(row[k + 1:], top[k + 1:])
-            ]
+            for j in range(k + 1, n):
+                row[j] = (p * row[j] - a * top[j]) // prev
         prev = p
     return sign * mat[-1][-1] if n else 1

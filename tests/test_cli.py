@@ -14,6 +14,7 @@ from quadloci.cli import (
     UnknownSymbol,
     main,
     parse_class,
+    poly_document,
     q_str,
 )
 
@@ -347,6 +348,24 @@ def test_import_loads_neither_dataclasses_nor_inspect():
     out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
                          text=True, check=True).stdout
     assert out == "[]\n"
+
+
+def test_sigma_general_triple_is_bounded():
+    """class sigma at (7,27,6), where the former interpolation solve ran
+    for minutes, prints the residue class in one process within 10 s."""
+    from quadloci.loci import residue_class
+
+    src = str(Path(cli.__file__).resolve().parents[1])
+    argv = ["class", "sigma", "--e", "7", "--f", "27", "--r", "6"]
+    code = ("import sys; sys.path.insert(0, %r); from quadloci.cli import main; "
+            "sys.exit(main(%r))" % (src, argv))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    doc = poly_document(residue_class(7, 27, 6), "class sigma",
+                        {"e": 7, "f": 27, "r": 6, "method": "localization",
+                         "basis": "chern"})
+    assert proc.stdout == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def test_sigma_residue_and_closed_documents_agree(capsys):

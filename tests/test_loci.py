@@ -35,6 +35,7 @@ from quadloci.loci import (
     projectivize,
     residue_class,
     residue_divisor_class,
+    resolution_value,
     shifted_corank_class,
     sym2_weights,
     target_degree,
@@ -361,8 +362,10 @@ def test_divisorial_combination_matches_residue_class():
 
 
 def _veronese_class(e, f):
-    """The corank-(e-1) class: a quadric of rank <= 1 is a square l^2, so
-    the locus is the zero set on P(E) of O(-2) -> Sym^2 E -> F pushed down,
+    """The corank-(e-1) class, the |J| = 1 case of `loci.resolution_value`
+    written in the Chern symbols: a quadric of rank <= 1 is a square l^2,
+    so the locus is the zero set on P(E) of O(-2) -> Sym^2 E -> F pushed
+    down,
         sum_{j >= e-1} 2^j c_(f-j)F (-1)^(j-e+1) h_(j-e+1)(a),
     with h_k(a) = sum_i (-1)^(i-1) c_iE h_(k-i)(a)."""
     def c(i, side, rank):
@@ -378,14 +381,29 @@ def _veronese_class(e, f):
                 for j in range(e - 1, f + 1)), Polynomial.zero())
 
 
+def _chern_point(e, f, rng):
+    """Distinct integer roots a, integer roots b, and the point
+    c_iE = e_i(a), c_jF = e_j(b)."""
+    a = rng.sample(range(-10**6, 10**6), e)
+    b = [rng.randint(-10**6, 10**6) for _ in range(f)]
+    ea, eb = _elem_values(a, e), _elem_values(b, f)
+    point = {sym("c%dE" % i): ea[i] for i in range(1, e + 1)}
+    point.update((sym("c%dF" % j), eb[j]) for j in range(1, f + 1))
+    return a, b, point
+
+
 def test_veronese_reference_at_corank_e_minus_1():
     # every triple with r = e - 1 in the producer's domain, e <= 7, and
-    # e = 8 up to f = 30
+    # e = 8 up to f = 30; the Veronese class is resolution_value at r = e - 1
+    rng = random.Random(1)
     n_checked = 0
     for e in range(2, 9):
         n = comb(e + 1, 2)
         for f in range(n - comb(e, 2), min(n - 1, 30) + 1):
-            assert residue_class(e, f, e - 1) == _veronese_class(e, f), (e, f)
+            veronese = _veronese_class(e, f)
+            assert residue_class(e, f, e - 1) == veronese, (e, f)
+            a, b, point = _chern_point(e, f, rng)
+            assert resolution_value(e, f, e - 1, a, b) == veronese.evaluate(point)
             n_checked += 1
     assert n_checked == 56 + 23
 
@@ -395,10 +413,97 @@ def test_corank_e_class_is_zero():
     for e in (7, 9):
         assert residue_class(e, 1, e).is_zero()
         assert localization_class(e, 1, e).is_zero()
+        a, b, _ = _chern_point(e, 1, random.Random(e))
+        assert resolution_value(e, 1, e, a, b) == 0
 
 
-# general triples whose localization takes well under a second; the last
-# four were out of reach before the per-block solve
+def test_resolution_value_preconditions():
+    with pytest.raises(PreconditionViolated):
+        resolution_value(3, 4, 2, [1, 1, 2], [1, 2, 3, 4])  # a repeated root
+    with pytest.raises(PreconditionViolated):
+        resolution_value(3, 4, 2, [1, 2, 3], [1, 2, 3])  # f roots b wanted
+
+
+def _residue_matches_resolution(e, f, r, points=3):
+    """Whether `loci.residue_class(e, f, r)` equals `loci.resolution_value`
+    at `points` seeded points."""
+    import quadloci.loci as loci
+
+    cls = loci.residue_class(e, f, r)
+    rng = random.Random("%d,%d,%d" % (e, f, r))
+    for _ in range(points):
+        a, b, point = _chern_point(e, f, rng)
+        if cls.evaluate(point) != loci.resolution_value(e, f, r, a, b):
+            return False
+    return True
+
+
+def test_resolution_value_matches_general_classes():
+    path = os.path.join(os.path.dirname(__file__), "data", "general_classes.json")
+    with open(path) as fh:
+        entries = json.load(fh)
+    for ent in entries:
+        e, f, r = ent["e"], ent["f"], ent["r"]
+        assert _residue_matches_resolution(e, f, r, points=1), (e, f, r)
+
+
+@pytest.mark.parametrize("e", [8, 9])
+def test_resolution_value_matches_residue_at_e8_and_e9(e):
+    # every r, including r = 0 at d = 0 and r = e - 1; three seeded values
+    # of d (class degree t <= 14) per r
+    rng = random.Random(e)
+    n = comb(e + 1, 2)
+    for r in range(e + 1):
+        ds = [d for d in range(min(comb(r + 1, 2), n - 1) + 1)
+              if (d >= 1 or r == 0) and comb(r + 1, 2) - d + 1 <= 14]
+        for d in rng.sample(ds, min(3, len(ds))):
+            assert _residue_matches_resolution(e, n - d, r), (e, n - d, r)
+
+
+def _drop_one_term(p):
+    terms = dict(p.terms)
+    del terms[max(terms)]
+    return Polynomial(terms)
+
+
+def _flip_c2F(p):
+    c2F = sym("c2F")
+    return Polynomial({m: -c if any(v == c2F for v, _ in m) else c
+                       for m, c in p.terms.items()})
+
+
+# f is not divisorial at any of these, and each class has c_2F terms
+MUTANT_TRIPLES = [(4, 8, 3), (5, 14, 4), (6, 18, 5)]
+
+
+@pytest.mark.parametrize("mutate", [_drop_one_term, _flip_c2F])
+@pytest.mark.parametrize("efr", MUTANT_TRIPLES)
+def test_resolution_value_rejects_residue_mutants(monkeypatch, efr, mutate):
+    import quadloci.loci as loci
+
+    e, f, r = efr
+    assert f != divisorial_f(e, r)
+    assert _residue_matches_resolution(e, f, r)
+    full = loci.residue_class
+    monkeypatch.setattr(loci, "residue_class", lambda *t: mutate(full(*t)))
+    assert loci.residue_class(e, f, r) != full(e, f, r)
+    assert not _residue_matches_resolution(e, f, r)
+
+
+@pytest.mark.parametrize("mutate", [_drop_one_term, _flip_c2F])
+@pytest.mark.parametrize("efr", [(4, 8, 3), (5, 14, 4)])
+def test_localization_rejects_residue_mutants(monkeypatch, efr, mutate):
+    # the fixed-point sum at the seeded points catches a wrong residue class
+    import quadloci.loci as loci
+    from quadloci.algebra import DenominatorSurvives
+
+    full = loci.residue_class
+    monkeypatch.setattr(loci, "residue_class", lambda *t: mutate(full(*t)))
+    with pytest.raises(DenominatorSurvives, match="differs from the residue class"):
+        localization_class(*efr)
+
+
+# general triples across localization's domain, d = 1 to d = |W| - 1
 GENERAL = [(2, 1, 2), (3, 1, 3), (3, 3, 3), (3, 5, 2), (4, 4, 4), (4, 7, 3),
            (4, 8, 2), (4, 1, 4), (5, 1, 5), (5, 7, 4), (5, 13, 2),
            (5, 14, 4), (6, 15, 4), (6, 20, 4), (5, 14, 5)]
@@ -418,7 +523,8 @@ def test_residue_class_matches_localization(efr):
 
 def test_general_classes_golden_file():
     # tests/data/make_general_classes.py wrote the Chern-form class of every
-    # triple with e <= 7 and largest block <= 150 where both producers agree
+    # triple with e <= 7 and largest block <= 150; localization_class returns
+    # the residue class only after the fixed-point sum has certified it
     from quadloci.cli import poly_document
 
     path = os.path.join(os.path.dirname(__file__), "data", "general_classes.json")
@@ -430,10 +536,8 @@ def test_general_classes_golden_file():
         want = ent["class"]
         got = poly_document(residue_class(e, f, r), "class sigma", {})
         assert got["coefficients"] == want, (e, f, r)
-        if ent["largest_block"] <= 20:
-            got = poly_document(localization_class(e, f, r),
-                                "class sigma", {})
-            assert got["coefficients"] == want, (e, f, r)
+        got = poly_document(localization_class(e, f, r), "class sigma", {})
+        assert got["coefficients"] == want, (e, f, r)
 
 
 def test_residue_class_domain():
@@ -557,124 +661,3 @@ def test_fixed_point_sum_matches_pair_enumeration(efr):
     eb = _elem_values(bvals, f)
     got = sum(QQ((-1) ** m * eb[f - m] * s, L * scale) for m, s in enumerate(sums))
     assert got == want
-
-
-def _reference_solve(rows, rhs):
-    """Plain Fraction Gauss-Jordan with the solver's contract."""
-    from fractions import Fraction
-
-    m, n = len(rows), len(rows[0])
-    aug = [[Fraction(x) for x in row] + [Fraction(v)] for row, v in zip(rows, rhs)]
-    pivots = []
-    for col in range(n):
-        k = len(pivots)
-        piv = next((i for i in range(k, m) if aug[i][col]), None)
-        if piv is None:
-            continue
-        aug[k], aug[piv] = aug[piv], aug[k]
-        aug[k] = [x / aug[k][col] for x in aug[k]]
-        for i in range(m):
-            if i != k and aug[i][col]:
-                factor = aug[i][col]
-                aug[i] = [x - factor * y for x, y in zip(aug[i], aug[k])]
-        pivots.append(col)
-    if any(aug[i][n] for i in range(len(pivots), m)):
-        return None
-    if len(pivots) != n:
-        return "rank-deficient"
-    return [aug[i][n] for i in range(n)]
-
-
-def _solve_or_tag(rows, rhs):
-    from quadloci.loci import _RankDeficient, _solve_overdetermined
-
-    try:
-        return _solve_overdetermined(rows, rhs)
-    except _RankDeficient:
-        return "rank-deficient"
-
-
-def test_overdetermined_solver_contract():
-    from quadloci.loci import _RankDeficient, _solve_overdetermined
-
-    one, two = QQ(1), QQ(2)
-    # unique solution, consistent extra row
-    sol = _solve_overdetermined([[one, QQ(0)], [QQ(0), one], [one, one]],
-                                [QQ(3), QQ(4), QQ(7)])
-    assert sol == [QQ(3), QQ(4)]
-    # inconsistent
-    assert _solve_overdetermined([[one], [one]], [QQ(1), QQ(2)]) is None
-    # rank-deficient
-    with pytest.raises(_RankDeficient):
-        _solve_overdetermined([[one, two], [two, QQ(4)]], [QQ(1), QQ(2)])
-    # rank-deficient and inconsistent: inconsistency wins
-    assert _solve_overdetermined([[one, two], [two, QQ(4)]], [QQ(1), QQ(3)]) is None
-    # non-integer rational entries, unique and overdetermined
-    rows = [[QQ(1, 2), QQ(-2, 3)], [QQ(5, 7), QQ(1, 4)], [QQ(3), QQ(-1, 6)]]
-    x = [QQ(-3, 5), QQ(7, 2)]
-    rhs = [sum(a * b for a, b in zip(row, x)) for row in rows]
-    assert _solve_overdetermined(rows, rhs) == x
-    rhs[2] += QQ(1, 9)
-    assert _solve_overdetermined(rows, rhs) is None
-    # a zero column, then the same system made inconsistent
-    rows = [[QQ(0), QQ(1, 3)], [QQ(0), QQ(2, 5)]]
-    with pytest.raises(_RankDeficient):
-        _solve_overdetermined(rows, [QQ(1), QQ(6, 5)])
-    assert _solve_overdetermined(rows, [QQ(1), QQ(1)]) is None
-
-
-@pytest.mark.parametrize("kind", ["unique", "inconsistent", "rank-deficient", "both"])
-def test_overdetermined_solver_matches_fraction_reference(kind):
-    rng = random.Random(2024 + len(kind))
-
-    def entry():
-        return QQ(rng.randint(-30, 30), rng.choice([1, 1, 2, 3, 7, 12]))
-
-    seen = set()
-    for _ in range(40):
-        n = rng.randint(1, 6)
-        m = n + rng.randint(0, 4)
-        rank = n if kind in ("unique", "inconsistent") else rng.randint(0, n - 1)
-        # rows spanned by `rank` random rows, so the rank is at most `rank`
-        basis = [[entry() for _ in range(n)] for _ in range(rank)]
-        rows = []
-        for _ in range(m):
-            coeffs = [entry() for _ in basis]
-            rows.append([sum((c * b[j] for c, b in zip(coeffs, basis)), QQ(0))
-                         for j in range(n)])
-        x = [entry() for _ in range(n)]
-        rhs = [sum((a * b for a, b in zip(row, x)), QQ(0)) for row in rows]
-        if kind in ("inconsistent", "both"):
-            rhs[rng.randrange(m)] += QQ(1, rng.randint(1, 5))
-        got = _solve_or_tag(rows, rhs)
-        assert got == _reference_solve(rows, rhs), (rows, rhs)
-        seen.add("none" if got is None else "tag" if isinstance(got, str) else "sol")
-    # the generator reached the intended outcome at least once
-    want = {"unique": "sol", "inconsistent": "none",
-            "rank-deficient": "tag", "both": "none"}[kind]
-    assert want in seen
-
-
-def test_overdetermined_solver_unlucky_primes():
-    from quadloci.loci import _RankDeficient, _solve_overdetermined, _word_primes
-
-    primes = _word_primes()
-    p, q = next(primes), next(primes)
-    assert p == 2 ** 61 - 1 and q < p
-    # consistent modulo p, inconsistent over Q
-    assert _solve_overdetermined([[QQ(1)], [QQ(1)]], [QQ(0), QQ(p)]) is None
-    # rank lost modulo p, unique over Q
-    assert _solve_overdetermined([[QQ(p)]], [QQ(1)]) == [QQ(1, p)]
-    x = [QQ(1, p), QQ(-1, p * q)]
-    rows = [[QQ(p), QQ(0)], [QQ(1), QQ(q)], [QQ(1), QQ(1)]]
-    assert _solve_overdetermined(rows, [QQ(1), QQ(0), x[0] + x[1]]) == x
-    # numerators beyond 2^62 need more than one prime
-    big = [QQ(2 ** 100 + 7, 3), QQ(-(3 ** 70), 2 ** 65 + 1)]
-    rows = [[QQ(1), QQ(2)], [QQ(3), QQ(-5)], [QQ(7), QQ(1)]]
-    rhs = [sum(a * x for a, x in zip(row, big)) for row in rows]
-    assert _solve_overdetermined(rows, rhs) == big
-    # rank-deficient modulo every prime, and no unknowns at all
-    with pytest.raises(_RankDeficient):
-        _solve_overdetermined([[QQ(1), QQ(1)], [QQ(2), QQ(2)]], [QQ(1), QQ(2)])
-    assert _solve_overdetermined([[], []], [QQ(0), QQ(0)]) == []
-    assert _solve_overdetermined([[], []], [QQ(0), QQ(p)]) is None

@@ -12,7 +12,6 @@ from quadloci.symfunc import (
     _int_det,
     a_const,
     b_const,
-    gtp_class,
     schur,
     sym_degeneracy_class,
     sym_degeneracy_value,
@@ -22,9 +21,12 @@ X = Polynomial.variable
 
 
 def generic_series(prefix, rank, order):
-    return ChernSeries.generic(
-        lambda i: X(sym("%s%d" % (prefix, i))), rank, order
-    )
+    """Formal classes c_i = <prefix>i for 1 <= i <= rank, zero above."""
+    classes = [Polynomial.const(1)] + [
+        X(sym("%s%d" % (prefix, i))) if i <= rank else Polynomial.zero()
+        for i in range(1, order + 1)
+    ]
+    return ChernSeries(classes, rank=rank)
 
 
 def test_partition_validation():
@@ -69,41 +71,12 @@ def test_schur_degree_grading():
 def test_schur_grading_on_product_series():
     from quadloci.algebra import BETA
 
-    a = ChernSeries.from_alphabet(ALPHA, 2, order=5)
-    b = ChernSeries.from_alphabet(BETA, 2, order=5)
-    prod = a.mul(b, 5)
+    # the product of the series of a and b is the series of both alphabets
+    roots = [X((kind, i)) for kind in (ALPHA, BETA) for i in (1, 2)]
+    prod = ChernSeries.from_roots(roots, order=5)
     for lam in ([2], [2, 1], [3, 1]):
         p = schur(Partition(lam), prod)
         assert p.is_homogeneous(sum(lam))
-
-
-def test_series_product_and_quotient():
-    a = ChernSeries.from_alphabet(ALPHA, 2, order=4)
-    b = generic_series("b", 2, 4)
-    prod = a.mul(b, 4)
-    quot = prod.quotient_by(a, 4)
-    for i in range(5):
-        assert quot.c(i) == b.c(i)
-
-
-def test_gtp_rank_one():
-    a = generic_series("a", 1, 2)
-    b = generic_series("b", 1, 2)
-    assert gtp_class(1, 0, a, b) == X(sym("b1")) - X(sym("a1"))
-
-
-def test_gtp_zero_kernel():
-    a = generic_series("a", 1, 2)
-    b = generic_series("b", 1, 2)
-    assert gtp_class(0, 3, a, b) == Polynomial.const(1)
-
-
-def test_gtp_series_division_by_hand():
-    # ranks (1, 2), one extra dimension: c2 of b/a = b2 - a1 b1 + a1^2
-    a = generic_series("a", 1, 3)
-    b = generic_series("b", 2, 3)
-    a1, b1, b2 = X(sym("a1")), X(sym("b1")), X(sym("b2"))
-    assert gtp_class(1, 1, a, b) == b2 - a1 * b1 + a1 ** 2
 
 
 def test_sym_degeneracy_small():
