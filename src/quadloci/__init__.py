@@ -8,8 +8,6 @@ from .algebra import (
     Polynomial,
     QQ,
     RationalFunction,
-    exact_divide,
-    substitute,
     sum_fractions,
     symmetric_reduce,
 )

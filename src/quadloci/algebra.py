@@ -29,6 +29,11 @@ power of numerators prime to the denominator stays prime to its power.  QQ
 values appear only at the boundary: the `terms` view, `constant_value`,
 `leading`, `evaluate` and `str`.
 
+`substitute_poly` is the one substitution: it puts polynomials in for
+variables at once.  Nothing substitutes rational functions; a caller that
+needs a polynomial at a rational-function value (the series slopes in
+`moduli`) evaluates it by Horner in `RationalFunction` arithmetic.
+
 `divide_exact` divides the integer numerator by the primitive part of the
 divisor, over Z.  By Gauss's lemma a primitive q divides p over Q exactly
 when it divides p's integer numerator over Z, so every quotient coefficient
@@ -714,11 +719,6 @@ class RationalFunction:
         except DivisionNotExact:
             return self
 
-    def substitute(self, mapping: Mapping) -> "RationalFunction":
-        num = substitute(self.num, mapping)
-        den = substitute(self.den, mapping)
-        return num / den
-
     def __str__(self):
         if self.den is _ONE:
             return str(self.num)
@@ -773,60 +773,8 @@ def _coerce_rf(x):
 
 
 # ---------------------------------------------------------------------------
-# the four module operations
+# fraction sums and symmetric functions
 # ---------------------------------------------------------------------------
-
-def exact_divide(p: Polynomial, q: Polynomial) -> Polynomial:
-    """p/q with the guarantee r*q == p; DivisionNotExact otherwise."""
-    return p.divide_exact(q)
-
-
-def substitute(p: Polynomial, mapping: Mapping) -> RationalFunction:
-    """Simultaneous substitution of variables by rational functions.
-
-    Variables absent from the mapping are left alone.  When every image is
-    polynomial this stays in the polynomial fast path.
-    """
-    if not mapping:
-        return RationalFunction(p)
-    poly_map = {}
-    all_poly = True
-    for v, val in mapping.items():
-        if isinstance(val, Polynomial):
-            poly_map[v] = val
-        elif isinstance(val, RationalFunction):
-            if val.is_polynomial():
-                poly_map[v] = val.as_polynomial()
-            else:
-                all_poly = False
-                break
-        else:
-            poly_map[v] = Polynomial.const(val)
-    if all_poly:
-        return RationalFunction(p.substitute_poly(poly_map))
-    rf_map = {
-        v: (val if isinstance(val, RationalFunction) else _coerce_rf(val))
-        for v, val in mapping.items()
-    }
-    cache: dict = {}
-
-    def power(v, e):
-        key = (v, e)
-        if key not in cache:
-            cache[key] = rf_map[v] ** e
-        return cache[key]
-
-    total = RationalFunction.const(0)
-    for m, c in p.terms.items():
-        piece = RationalFunction.const(c)
-        for v, e in m:
-            if v in rf_map:
-                piece = piece * power(v, e)
-            else:
-                piece = piece * RationalFunction._raw(Polynomial._make({((v, e),): 1}))
-        total = total + piece
-    return total.reduce()
-
 
 def sum_fractions(terms: Sequence[RationalFunction]) -> Polynomial:
     """Exact sum of rational functions, asserted to be a polynomial.
@@ -964,7 +912,7 @@ def _reduce_symmetric_part(p, roots, elem, symbol):
 
 def expand_symmetric(p: Polynomial, kind: int, n: int,
                      symbol: Callable[[int], Variable] | None = None) -> Polynomial:
-    """Inverse of symmetric_reduce: substitute e_i symbols by root expansions.
+    """Inverse of symmetric_reduce: replace e_i symbols by root expansions.
 
     Only the symbols that occur in p are expanded."""
     if symbol is None:

@@ -6,7 +6,8 @@ fixed input.  Every computation runs in this process: `--jobs J` is
 still accepted before the subcommand and after `verify all`, and nothing
 reads it.  `class sigma` answers in the Chern symbols c_iE, c_jF;
 `--basis roots` expands that answer in the Chern roots with `loci.to_roots`,
-whatever the method.
+whatever the method.  `class projectivize --class` is parsed by
+recursive descent straight into a `Polynomial`.
 
     class sigma --e E --f F --r R [--method M] [--basis roots|chern]
     class pencil --e E [--presentation sub|quot]
@@ -20,7 +21,8 @@ whatever the method.
     hurwitz [--k K]
     verify all [--max-e N] [--jobs J] [--thorough]
 
-Exit codes: 0 on success, 1 on verification failure, 2 on usage error
+Exit codes: 0 on success, 1 on verification failure, including a class
+that fails its point certificate (with one line on stderr), 2 on usage error
 (with one line on stderr).
 """
 
@@ -34,6 +36,7 @@ import sys
 from .algebra import (
     ALPHA,
     BETA,
+    DenominatorSurvives,
     Polynomial,
     QQ,
     RationalFunction,
@@ -108,26 +111,12 @@ def _tokenize(text: str):
     return tokens
 
 
-class ClassExpr:
-    """Tiny AST for class expressions: tuples tagged num/sym/add/sub/mul/
-    pow/neg."""
-
-    def __init__(self, node):
-        self.node = node
-
-    def __eq__(self, other):
-        return isinstance(other, ClassExpr) and self.node == other.node
-
-    def evaluate(self, assignments=None) -> Polynomial:
-        """Evaluate to a Polynomial; `assignments` maps symbol names to
-        rational values substituted before resolution."""
-        return _eval_node(self.node, assignments)
-
-
-def parse_class(text: str) -> ClassExpr:
-    """Parse an infix class expression with one-token lookahead.  The
-    grammar has +, -, *, ^ and parentheses; no implicit multiplication;
-    exponents are non-negative integer literals."""
+def parse_class(text: str) -> Polynomial:
+    """Parse an infix class expression with one-token lookahead into the
+    polynomial it names; each rule returns the value it parsed, and a name
+    resolves to its variable where it is read.  The grammar has +, -, *, ^
+    and parentheses; no implicit multiplication; exponents are non-negative
+    integer literals; unary minus binds before ^, so -a1^2 is (-a1)^2."""
     tokens = _tokenize(text)
     pos = [0]
 
@@ -145,28 +134,28 @@ def parse_class(text: str) -> ClassExpr:
             raise ClassSyntaxError("expected %r" % op, at)
 
     def parse_expr():
-        node = parse_term()
+        value = parse_term()
         while True:
             kind, val, _ = peek()
             if kind == _TOKEN_OP and val in "+-":
                 advance()
                 rhs = parse_term()
-                node = ("add" if val == "+" else "sub", node, rhs)
+                value = value + rhs if val == "+" else value - rhs
             else:
-                return node
+                return value
 
     def parse_term():
-        node = parse_factor()
+        value = parse_factor()
         while True:
             kind, val, _ = peek()
             if kind == _TOKEN_OP and val == "*":
                 advance()
-                node = ("mul", node, parse_factor())
+                value = value * parse_factor()
             else:
-                return node
+                return value
 
     def parse_factor():
-        node = parse_atom()
+        value = parse_atom()
         kind, val, at = peek()
         if kind == _TOKEN_OP and val == "^":
             advance()
@@ -175,28 +164,28 @@ def parse_class(text: str) -> ClassExpr:
                 raise ClassSyntaxError(
                     "exponent must be a non-negative integer literal", at
                 )
-            return ("pow", node, int(val))
-        return node
+            return value ** int(val)
+        return value
 
     def parse_atom():
         kind, val, at = advance()
         if kind == _TOKEN_NUM:
-            return ("num", val)
+            return Polynomial.const(val)
         if kind == _TOKEN_NAME:
-            return ("sym", val)
+            return Polynomial.variable(resolve_symbol(val))
         if kind == _TOKEN_OP and val == "(":
-            node = parse_expr()
+            value = parse_expr()
             expect_op(")")
-            return node
+            return value
         if kind == _TOKEN_OP and val == "-":
-            return ("neg", parse_atom())
+            return -parse_atom()
         raise ClassSyntaxError("unexpected token %r" % (val,), at)
 
-    node = parse_expr()
+    value = parse_expr()
     kind, val, at = peek()
     if kind != _TOKEN_END:
         raise ClassSyntaxError("trailing input %r" % (val,), at)
-    return ClassExpr(node)
+    return value
 
 
 def resolve_symbol(name: str):
@@ -216,27 +205,6 @@ def resolve_symbol(name: str):
     if name.startswith("c") and len(name) >= 3 and name[-1] in "EF":
         return sym(name)
     raise UnknownSymbol(name)
-
-
-def _eval_node(node, assignments=None) -> Polynomial:
-    tag = node[0]
-    if tag == "num":
-        return Polynomial.const(node[1])
-    if tag == "sym":
-        if assignments and node[1] in assignments:
-            return Polynomial.const(QQ(assignments[node[1]]))
-        return Polynomial.variable(resolve_symbol(node[1]))
-    if tag == "neg":
-        return -_eval_node(node[1], assignments)
-    if tag == "pow":
-        return _eval_node(node[1], assignments) ** node[2]
-    a = _eval_node(node[1], assignments)
-    b = _eval_node(node[2], assignments)
-    if tag == "add":
-        return a + b
-    if tag == "sub":
-        return a - b
-    return a * b
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +315,7 @@ def cmd_class_projectivize(args) -> int:
         forms.append(form)
     weights = loci.WeightSet(tuple(forms))
     scal = loci.ScalarData(rvec, rtot)
-    cls = parse_class(getattr(args, "cls")).evaluate()
+    cls = parse_class(getattr(args, "cls"))
     if args.fixed_point is None:
         out = loci.projectivize(cls, scal, weights)
     else:
@@ -639,6 +607,10 @@ def main(argv=None) -> int:
     ) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
+    except DenominatorSurvives as exc:
+        # a class that failed its certificate: a verification failure
+        print("error: %s" % exc, file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -171,7 +171,7 @@ def _shift_roots(cls: Polynomial, scalars: ScalarData, x: Polynomial) -> Polynom
 
 
 def projectivize(cls: Polynomial, scalars: ScalarData, weights: WeightSet) -> Polynomial:
-    """Class of the projectivized cone: substitute a_i -> a_i - (r_i/r) xi."""
+    """Class of the projectivized cone: replace a_i by a_i - (r_i/r) xi."""
     _validate_scalars(weights, scalars)
     return _shift_roots(cls, scalars, Polynomial.variable(xi()))
 

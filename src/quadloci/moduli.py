@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from math import comb, factorial, gcd, prod
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 from .algebra import Polynomial, QQ, RationalFunction, param
 from .grr import (
@@ -304,22 +304,19 @@ def series_genus(series: int, ell):
     return 4 * (3 * ell + 1) * (2 * ell + 1)
 
 
-def _poly_in_ell(coeffs: Iterable[int]) -> RationalFunction:
-    """Rational function sum c_k ell^k from low to high degree."""
-    l = rf("ell")
+# the integer polynomials in ell behind the series slopes, low degree first
+_SER1_A = (122, -6101, 105656, -899433, 4419720, -13594392, 26605584,
+           -30233088, 15116544)
+_SER1_B6 = (2, -107, 1181, -6102, 17484, -25920, 15552)
+_SER2_C6 = (5, 41, 248, 1128, 2992, 4128, 2304)
+
+
+def _at(coeffs: tuple, l: RationalFunction) -> RationalFunction:
+    """sum_k coeffs[k] * l^k, by Horner."""
     total = rf(0)
-    p = rf(1)
-    for c in coeffs:
-        total = total + rf(c) * p
-        p = p * l
+    for c in reversed(coeffs):
+        total = total * l + c
     return total
-
-
-_SER1_A = _poly_in_ell(
-    [122, -6101, 105656, -899433, 4419720, -13594392, 26605584, -30233088, 15116544]
-)
-_SER1_B6 = _poly_in_ell([2, -107, 1181, -6102, 17484, -25920, 15552])
-_SER2_C6 = _poly_in_ell([5, 41, 248, 1128, 2992, 4128, 2304])
 
 
 def pelda_slope(series: int, ell, form: str = "closed") -> RationalFunction:
@@ -334,9 +331,9 @@ def pelda_slope(series: int, ell, form: str = "closed") -> RationalFunction:
         raise UnsupportedParam("need ell >= 1")
     l = rf(ell)
     if series == 1:
-        b = rf(2) * (rf(9) * l - rf(2)) * (rf(9) * l - rf(1)) * _subs_ell(_SER1_B6, l)
+        b = rf(2) * (rf(9) * l - rf(2)) * (rf(9) * l - rf(1)) * _at(_SER1_B6, l)
         if form == "closed":
-            return (_subs_ell(_SER1_A, l) / b).reduce()
+            return (_at(_SER1_A, l) / b).reduce()
         if form == "deficit":
             num = (
                 (rf(13) * l - rf(2))
@@ -357,17 +354,11 @@ def pelda_slope(series: int, ell, form: str = "closed") -> RationalFunction:
         den = (
             (rf(3) * l + rf(2))
             * (rf(8) * l + rf(3))
-            * _subs_ell(_SER2_C6, l)
+            * _at(_SER2_C6, l)
             * (rf(24) * l * l + rf(20) * l + rf(5))
         )
         return (brill_noether_bound(series_genus(2, l)) - num / den).reduce()
     raise UnsupportedParam("series must be 1 or 2")
-
-
-def _subs_ell(expr: RationalFunction, l: RationalFunction) -> RationalFunction:
-    if l == rf("ell"):
-        return expr
-    return expr.substitute({param("ell"): l})
 
 
 def brill_noether_bound(g) -> RationalFunction:

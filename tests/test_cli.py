@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from quadloci import cli
+from quadloci import cli, loci
 from quadloci.algebra import Polynomial, QQ, sym
 from quadloci.grr import rf
 from quadloci.cli import (
@@ -24,21 +24,12 @@ X = Polynomial.variable
 # -- expression parser --------------------------------------------------------
 
 def test_parse_linear_class():
-    expr = parse_class("2*c1F - 4*c1E")
-    p = expr.evaluate()
+    p = parse_class("2*c1F - 4*c1E")
     assert p == 2 * X(sym("c1F")) - 4 * X(sym("c1E"))
 
 
-def test_parse_with_assignment():
-    expr = parse_class("(e-1)*(6*c1F - 38*c1E)")
-    p = expr.evaluate(assignments={"e": 6})
-    assert p == 5 * (6 * X(sym("c1F")) - 38 * X(sym("c1E")))
-
-
 def test_parse_rational_coefficient_and_power():
-    expr = parse_class("2/3*lambda^2")
-    assert expr.node == ("mul", ("num", QQ(2, 3)), ("pow", ("sym", "lambda"), 2))
-    p = expr.evaluate()
+    p = parse_class("2/3*lambda^2")
     assert p == QQ(2, 3) * X(sym("lambda")) ** 2
 
 
@@ -50,8 +41,8 @@ def test_parse_roundtrip_on_canonical_prints():
         "(a1 + 2*a2)*(a1 - a2)",
         "-a1 + xi^3",
     ):
-        once = parse_class(text).evaluate()
-        assert parse_class(str(once)).evaluate() == once
+        once = parse_class(text)
+        assert parse_class(str(once)) == once
 
 
 def test_parse_syntax_error_position():
@@ -66,7 +57,30 @@ def test_parse_syntax_error_position():
 
 def test_parse_unknown_symbol():
     with pytest.raises(UnknownSymbol):
-        parse_class("frobnicator + 1").evaluate()
+        parse_class("frobnicator + 1")
+
+
+def test_parse_unary_minus_binds_before_power():
+    # -a1^2 is (-a1)^2; -(a1^2) negates the power
+    a1, a2, a3 = (X(cli.resolve_symbol(n)) for n in ("a1", "a2", "a3"))
+    assert parse_class("-a1^2") == a1 ** 2
+    assert parse_class("-a1^3") == -(a1 ** 3)
+    assert parse_class("-(a1^2)") == -(a1 ** 2)
+    assert parse_class("(a1 - a2)^3 + a3") == (a1 - a2) ** 3 + a3
+    assert parse_class("a1 - a2 - a3") == a1 - a2 - a3
+
+
+def test_projectivize_reports_unknown_name_before_later_syntax_error(capsys):
+    # names resolve where they are read, so the unknown name comes first
+    weights = str(Path(__file__).parents[1] / "perfbench" / "data" / "weights_a.json")
+    code = main(["class", "projectivize", "--class", "frob + ", "--weights", weights])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == "error: frob\n"
+    code = main(["class", "projectivize", "--class", "a1 + ", "--weights", weights])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == "error: unexpected token None (at position 5)\n"
 
 
 def test_q_str_roundtrip():
@@ -131,7 +145,7 @@ def test_sigma_roots_json_roundtrip(capsys):
         doc = json.loads(out)
         rebuilt = Polynomial.zero()
         for key, coeff in doc["coefficients"].items():
-            mono = parse_class(key).evaluate() if key != "1" else Polynomial.const(1)
+            mono = parse_class(key) if key != "1" else Polynomial.const(1)
             rebuilt = rebuilt + QQ(coeff) * mono
         assert rebuilt == want, method
 
@@ -279,6 +293,18 @@ def test_domain_error_exit_code(capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "error" in err
+
+
+def test_sigma_certificate_failure_exits_one(capsys, monkeypatch):
+    # a residue class that the fixed-point sum rejects is a verification
+    # failure: exit 1, one line on stderr, nothing on stdout
+    full = loci.residue_class
+    monkeypatch.setattr(loci, "residue_class", lambda *t: -full(*t))
+    code = main(["class", "sigma", "--e", "4", "--f", "8", "--r", "3"])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "differs from the residue class" in err
 
 
 def test_verify_exit_zero(capsys):

@@ -4,7 +4,7 @@ from math import comb
 import pytest
 
 from quadloci import moduli
-from quadloci.algebra import QQ, RationalFunction, param
+from quadloci.algebra import Polynomial, QQ, RationalFunction, param
 from quadloci.grr import TautClass, rf
 from quadloci.loci import ScalarData, WeightSet
 from quadloci.moduli import (
@@ -201,6 +201,16 @@ def test_pelda_below_brill_noether():
         assert q(pelda_slope(1, ell)) < QQ(6) + QQ(12, g1 + 1)
         g2 = 4 * (3 * ell + 1) * (2 * ell + 1)
         assert q(pelda_slope(2, ell)) < QQ(6) + QQ(12, g2 + 1)
+
+
+def test_pelda_slope_values_beyond_ell_one():
+    # at ell = 1 a reversed coefficient list gives the same sum, so these
+    # pin the order of the stored polynomials in ell
+    for ell, want in ((2, QQ(6165127, 1010752)), (3, QQ(618582007, 102384880))):
+        assert pelda_slope(1, ell) == rf(want)
+        assert pelda_slope(1, ell, "deficit") == rf(want)
+    assert pelda_slope(2, 2) == rf(QQ(3854141, 633384))
+    assert pelda_slope(2, 3) == rf(QQ(294913661, 48805152))
 
 
 def test_pelda_slope_rejects_ell_below_one():
@@ -452,7 +462,9 @@ def test_hurwitz_report_at_integer_k_specializes_every_field():
     # the report at an integer k0 is the symbolic report at k = k0, the
     # Hodge boundary coefficients included
     sym_rep = hurwitz_report()
-    at = lambda c, k0: c.substitute({param("k"): k0})
+    def at(c, k0):
+        k_at = {param("k"): Polynomial.const(k0)}
+        return rf(c.num.substitute_poly(k_at)) / rf(c.den.substitute_poly(k_at))
     for k0 in range(4, 15):
         if k0 == 6:
             # the gamma coefficient (k - 6)/k of the rank-4 class vanishes,
