@@ -86,11 +86,10 @@ class NotSymmetric(AlgebraError):
 
 
 # Variable kinds, in the fixed global order used by the term order.
-ALPHA, BETA, GAMMA, XI, ZVAR, UVAR, TVAR, PARAM, SYM = range(9)
+ALPHA, BETA, GAMMA, XI, ZVAR, PARAM, SYM = range(7)
 
 _KIND_NAMES = {
-    ALPHA: "a", BETA: "b", GAMMA: "g", XI: "xi", ZVAR: "z",
-    UVAR: "u", TVAR: "t", PARAM: "", SYM: "",
+    ALPHA: "a", BETA: "b", GAMMA: "g", XI: "xi", ZVAR: "z", PARAM: "", SYM: "",
 }
 
 Variable = tuple  # (kind, index)
@@ -128,7 +127,7 @@ def var_name(v: Variable) -> str:
     kind, idx = v
     if kind in (PARAM, SYM):
         return str(idx)
-    if kind in (XI, ZVAR, TVAR):
+    if kind in (XI, ZVAR):
         return _KIND_NAMES[kind]
     return "%s%s" % (_KIND_NAMES[kind], idx)
 

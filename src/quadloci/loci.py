@@ -5,7 +5,7 @@ where Ker(phi) contains a quadric of corank >= r has an equivariant class in
 the Chern roots a_1..a_e, b_1..b_f.  Write n = C(e+1,2), d = n - f, W for the
 Sym^2 weights a_i + a_j (i <= j) and g(z) = h_r(a - z/2) prod_j(z - b_j).
 The class is (-1)^(d+1) times the divided difference of g over W.  It has
-one producer and a point certificate:
+one producer and one independent certificate:
 
 * ``residue_class`` -- the residue at infinity, formed in the Chern symbols
   c_iE, c_jF: the z-coefficients of g, with h_r(a - z/2) a Jacobi-Trudi
@@ -15,22 +15,22 @@ one producer and a point certificate:
   to ints, one per c-degree), only up to the class degree, and the class
   becomes a Polynomial once, at the end.  ``residue_divisor_class`` is its
   divisorial case.
-* ``localization_class`` -- the same answer, returned only after the
-  fixed-point sum over pairs (H, gamma) of a d-subset H of W and a marked
-  weight gamma in H has certified it at 3 seeded integer points
-  (`_check_at_points`).  At a point the sum collapses by Cauchy-Binet to
-  one term per weight, linear in the c_jF, and every moment S_m of
-  negative degree is checked to vanish.
+* ``resolution_value`` -- the class at integer roots from a resolution of
+  the locus by a Grassmannian bundle, pushed down by localization at the
+  fixed points of the Grassmannian.  No corank class h_r and no Segre
+  class of Sym^2 E enter it, so it shares no formula with the producer.
+  ``localization_class`` returns ``residue_class``'s answer only after
+  ``resolution_value`` has matched it at 3 seeded integer points
+  (`_check_at_points`).
 
-By the residue theorem the two are one identity: localization's |W| terms
-are the finite residues of g(z) / prod_{w in W}(z - w), and the residue form
-is the residue at infinity.  So the point check guards the code path, not
-the theorem.  The independent references are ``closed_divisor_class``, the
-divisorial closed form A_e^r (c1(F) - (2f/e) c1(E)); ``resolution_value``,
-the class at a point for every (e, f, r) from a resolution of the locus by
-a Grassmannian bundle (it shares no formula with the residue form, and the
-tests check it against ``residue_class``); and, for small triples, the
-literal sum over the pairs (H, gamma) at points in the tests.
+The paper's fixed-point sum over pairs (H, gamma) of a d-subset H of W and
+a marked weight gamma in H is, by the residue theorem, the same identity
+as the residue form: its terms are the finite residues of
+g(z) / prod_{w in W}(z - w), and the residue form is the residue at
+infinity.  It builds the same h_r, so it is kept only as a test oracle,
+summed literally for small triples.  ``closed_divisor_class``, the
+divisorial closed form A_e^r (c1(F) - (2f/e) c1(E)), is a further
+reference.
 
 ``divisorial_combination`` is the one home of the divisorial class
 c1(F) - (2f/e) c1(E), in units of A_e^r, at f = ``divisorial_f``(e, r)
@@ -39,7 +39,8 @@ for ints or rational functions.  Its five callers are
 ``petri_class``, ``k3_rank4_class``, ``hurwitz_report`` and
 ``virtual_slope_from_pushforward``.
 
-All three answer in the symbols c_iE, c_jF, as the paper states the class.
+``residue_class``, ``localization_class`` and ``closed_divisor_class``
+answer in the symbols c_iE, c_jF, as the paper states the class.
 ``to_roots`` expands such a class in the roots a_i, b_j, and
 ``to_chern_symbols`` is its inverse.
 
@@ -71,7 +72,7 @@ from .algebra import (
     xi,
     zvar,
 )
-from .symfunc import _elem_values, a_const, sym_degeneracy_value
+from .symfunc import _elem_values, a_const
 
 
 class PreconditionViolated(Exception):
@@ -135,18 +136,13 @@ class ScalarData(namedtuple("ScalarData", "r_weights r_total")):
         return super().__new__(cls, r_weights, r_total)
 
 
-def _sym2_pairs(e: int) -> list:
-    """Index pairs (i, j), 0 <= i <= j < e, lexicographic: the weight
-    a_(i+1) + a_(j+1) of Sym^2 of a rank-e space."""
-    return [(i, j) for i in range(e) for j in range(i, e)]
-
-
 def sym2_weights(e: int) -> WeightSet:
     """Weights a_i + a_j (i <= j, lexicographic) of Sym^2 of a rank-e space."""
     if e < 1:
         raise PreconditionViolated("need e >= 1")
     a = [Polynomial.variable(alpha(i)) for i in range(1, e + 1)]
-    return WeightSet(tuple(a[i] + a[j] for i, j in _sym2_pairs(e)))
+    return WeightSet(tuple(a[i] + a[j]
+                           for i, j in combinations_with_replacement(range(e), 2)))
 
 
 def _validate_scalars(weights: WeightSet, scalars: ScalarData):
@@ -212,115 +208,45 @@ def target_degree(e: int, f: int, r: int) -> int:
     return comb(r + 1, 2) - d + 1
 
 
-def localization_class(
-    e: int, f: int, r: int, subset_order: Sequence[int] | None = None
-) -> Polynomial:
+def localization_class(e: int, f: int, r: int) -> Polynomial:
     """The corank->=r class in the symbols c_iE, c_jF (`to_roots` expands
     it in the Chern roots): `residue_class`'s answer, returned only after
-    the fixed-point sum has certified it at 3 seeded integer points
-    (`_check_at_points`).  A point where the two differ, or a nonzero
-    moment S_m of negative degree, raises DenominatorSurvives.
-
-    `subset_order` permutes the order of the weights, which reorders the
-    fixed-point sum at every point (the result must not depend on it;
-    tested).
-    """
+    the independent `resolution_value` has matched it at 3 seeded integer
+    points (`_check_at_points`).  A point where the two differ raises
+    DenominatorSurvives."""
     _check_loc_preconditions(e, f, r)
-    pairs = _sym2_pairs(e)
-    if subset_order is not None:
-        pairs = [pairs[i] for i in subset_order]
     cls = residue_class(e, f, r)
-    _check_at_points(cls, e, f, r, pairs)
+    _check_at_points(cls, e, f, r)
     return cls
 
 
-def _weight_moments(wvals, fvals, count):
-    """(L, [s_0..s_(count-1)]) with s_m / L = sum_i w_i^m fvals[i] / P_i,
-    P_i = prod_{k != i}(w_k - w_i) and L = lcm|P_i|, all in ints."""
-    P = [prod(wk - wi for k, wk in enumerate(wvals) if k != i)
-         for i, wi in enumerate(wvals)]
-    L = lcm(*P)
-    terms = [fi * (L // Pi) for fi, Pi in zip(fvals, P)]
-    sums = []
-    for _ in range(count):
-        sums.append(sum(terms))
-        terms = [t * wi for t, wi in zip(terms, wvals)]
-    return L, sums
+def _check_at_points(cls, e, f, r):
+    """Raise DenominatorSurvives unless `cls` equals `resolution_value` at
+    3 seeded integer points.
 
-
-def _check_at_points(cls, e, f, r, pairs):
-    """Raise DenominatorSurvives unless `cls` equals the fixed-point sum
-    over the weights a_i + a_j ((i, j) in `pairs`, in that order) at 3
-    seeded integer points.
-
-    The sum runs over the pairs (H, gamma) of a d-subset H of the n weights
-    (d = n - f) and a marked gamma in H.  The (H, gamma) term is
-    f(w_gamma) prod_{i in H} B_i over
-    P_gamma prod_{i in H, i != gamma} prod_{k not in H}(w_k - w_i), with
-    f(w) = h_r(a - w/2), B_i = prod_j(b_j - w_i) and
-    P_i = prod_{k != i}(w_k - w_i).
-
-    Cauchy-Binet.  Put x_i = B_i/P_i and Delta(H) = prod_{i<k in H}(w_k - w_i).
-    The terms of one H sum to (-1)^(C(d,2)+d-1) Delta(H)^2 f[H]
-    prod_{i in H} x_i, where f[H] is the divided difference of f over the
-    weights of H, and Delta(H) f[H] is the alternant
-    det(w_i^0, .., w_i^(d-2), f(w_i))_{i in H}.  Summed over the d-subsets
-    this is (-1)^(C(d,2)+d-1) det(V^T X F): the d x d moment matrix with
-    entries m_(j+k) = sum_i x_i w_i^(j+k) for k < d-1, and
-    sum_i x_i w_i^j f(w_i) in the last column.
-
-    The determinant collapses.  m_s is (-1)^(n-1) times the divided
-    difference over all n weights of B(w) w^s, B(w) = prod_j(b_j - w), a
-    polynomial of degree n - d + s.  So m_s = 0 for s < d-1, and
-    m_(d-1) = (-1)^(d-1).  The matrix is zero above its anti-diagonal,
-    which holds sum_i x_i f(w_i) in row 0 and m_(d-1) below it, so the
-    determinant is (-1)^(C(d,2)+d-1) sum_i x_i f(w_i), the signs cancel,
-    and the sum is sum_i B_i f(w_i) / P_i, one term per weight.
-
-    Expanding B_i = sum_m (-1)^m e_(f-m)(b) w_i^m makes it linear in the
-    c_jF: sum_m (-1)^m e_(f-m)(b) S_m, with the moments
-    S_m = sum_i w_i^m f(w_i) / P_i.  At an integer point every weight is an
-    integer, and 2^D f(w) = h_r(2a - w), D = C(r+1,2), is the Jacobi-Trudi
-    value `sym_degeneracy_value`, so `_weight_moments` gives
-    S_m = s_m / (L 2^D) in Python ints.  S_m is (-1)^(n-1) times the
-    divided difference of z^m f(z) over the weights: a polynomial of degree
-    D + m - n + 1, and 0 where that degree is negative, which is checked
-    first.  The class is evaluated at c_iE = e_i(a), c_jF = e_j(b) on its
-    integer numerators, with one rational per point.
+    Each point takes distinct roots a_1..a_e and roots b_1..b_f drawn from
+    [10^3, 10^6], and evaluates the class at c_iE = e_i(a), c_jF = e_j(b)
+    on its integer numerators, with one rational per point.
+    `resolution_value` forms neither the corank class h_r nor the complete
+    homogeneous functions of all of W, so a fault in either shows here.
 
     The e_i of independent roots are algebraically independent, so a class
-    that differs from the sum differs as a polynomial of degree
+    that differs from the reference differs as a polynomial of degree
     t = `target_degree` in the roots, and by Schwartz-Zippel a point with
     coordinates drawn from 10^6 values misses that difference with
-    probability at most t / 10^6.  The points are seeded by (e, f, r), so
-    the check is deterministic.
+    probability at most about t / 10^6.  The points are seeded by (e, f, r),
+    so the check is deterministic.
     """
-    n = len(pairs)
-    D = comb(r + 1, 2)
     rng = random.Random(0xC0FFEE + 1000003 * e + 1009 * f + r)
     for _ in range(3):
-        while True:
-            avals = [rng.randint(10**3, 10**6) for _ in range(e)]
-            wvals = [avals[i] + avals[j] for i, j in pairs]
-            if len(set(wvals)) == n:
-                break
+        avals = rng.sample(range(10**3, 10**6 + 1), e)
         bvals = [rng.randint(10**3, 10**6) for _ in range(f)]
-        fvals = [sym_degeneracy_value(r, [2 * av - wi for av in avals])
-                 for wi in wvals]
-        L, sums = _weight_moments(wvals, fvals, f + 1)
-        for m, s in enumerate(sums):
-            deg = D + m - n + 1
-            if deg < 0 and s:
-                raise DenominatorSurvives(
-                    "localization sum for (e,f,r)=(%d,%d,%d): S_%d has "
-                    "negative degree %d but is not 0" % (e, f, r, m, deg))
         ea, eb = _elem_values(avals, e), _elem_values(bvals, f)
         point = {_cE(i): ea[i] for i in range(1, e + 1)}
         point.update((_cF(j), eb[j]) for j in range(1, f + 1))
-        total = sum((-1) ** m * eb[f - m] * s for m, s in enumerate(sums))
-        if cls.evaluate(point) * (L << D) != total:
+        if cls.evaluate(point) != resolution_value(e, f, r, avals, bvals):
             raise DenominatorSurvives(
-                "localization sum for (e,f,r)=(%d,%d,%d) differs from the "
+                "resolution value for (e,f,r)=(%d,%d,%d) differs from the "
                 "residue class at a seeded point" % (e, f, r))
 
 

@@ -1,6 +1,9 @@
 """Partitions, Schur polynomials, and symmetric degeneracy-locus classes.
 
-The two degeneracy-locus inputs everything else consumes:
+Two Jacobi-Trudi functions, exported by ``quadloci``, used by the tests as
+references and timed by the benchmark's tracer.  No other library code
+calls them: the residue producer in ``loci`` forms its corank class on
+integer arrays of its own.
 
 * ``schur`` evaluates the Jacobi-Trudi determinant det(c_{lam_i + j - i}) of
   a total Chern series, with c_0 = 1 and c_(<0) = 0.
@@ -165,23 +168,6 @@ def sym_degeneracy_class(r: int, e: int) -> Polynomial:
         raise ValueError("need 0 <= r <= e")
     series = ChernSeries.from_alphabet(ALPHA, e)
     return (QQ(2) ** r) * schur(Partition.staircase(r), series)
-
-
-def sym_degeneracy_value(r: int, roots: Sequence[int]) -> int:
-    """sym_degeneracy_class(r, len(roots)) at integer roots, in ints.
-
-    The class is 2^r det(e_{lam_i + j - i}(roots))_{i,j < r} with
-    lam = (r, ..., 1) (Jacobi-Trudi), and e_k(roots) is 0 for k < 0 and for
-    k > len(roots).  Only the e_k up to 2r - 1 and one r x r integer
-    determinant are formed, never the root expansion of the class.
-    """
-    if not 0 <= r <= len(roots):
-        raise ValueError("need 0 <= r <= number of roots")
-    es = _elem_values(roots, 2 * r - 1)
-    # row i holds e_k for k = lam_i - i .. lam_i - i + r - 1, lam_i = r - i
-    rows = [[es[k] if k >= 0 else 0 for k in range(r - 2 * i, 2 * r - 2 * i)]
-            for i in range(r)]
-    return _int_det(rows) << r
 
 
 def _elem_values(values: Sequence[int], k: int) -> list:

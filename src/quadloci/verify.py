@@ -472,7 +472,7 @@ def checks_properties(max_e: int = 4, thorough: bool = False):
     )
     # localization on a parameter matrix: its Chern form (symmetric by
     # construction) has the class degree; localization_class returns the
-    # residue form only after the fixed-point sum matched it at 3 points
+    # residue form only after resolution_value matched it at 3 points
     matrix = []
     for e in range(2, min(max_e, 5) + 1):
         wsize = comb(e + 1, 2)
@@ -504,12 +504,17 @@ def checks_properties(max_e: int = 4, thorough: bool = False):
             sym_ok,
         )
     )
-    # order independence (|W| = 6 for a rank-3 source)
+    # order independence of the certificate's sum over the Grassmannian
+    # fixed points J: reversing or rotating the roots a permutes the J, and
+    # the value must stay the class at that point
     rng = random.Random(99)
-    order = list(range(6))
-    rng.shuffle(order)
-    ok = (loci.localization_class(3, 3, 2, subset_order=order)
-          == loci.localization_class(3, 3, 2))
+    a = rng.sample(range(10**3, 10**6 + 1), 3)
+    b = [rng.randint(10**3, 10**6) for _ in range(3)]
+    point = {alpha(i + 1): v for i, v in enumerate(a)}
+    point.update((beta(j + 1), v) for j, v in enumerate(b))
+    want = loci.to_roots(loci.localization_class(3, 3, 2), 3, 3).evaluate(point)
+    ok = all(loci.resolution_value(3, 3, 2, roots, b) == want
+             for roots in (a, a[::-1], a[1:] + a[:1]))
     rows.append(_row("localization order-independence", ok, True, ok))
     # beta cancellation in the slope machinery
     try:

@@ -3,7 +3,7 @@ triple (e, f, r) with e <= 7 whose largest block has at most 150 unknowns
 (the monomials of the class degree in the c_iE, the size of the largest
 system of the former interpolation solver).  Each class comes from
 `localization_class`, which returns `residue_class`'s answer only after the
-fixed-point sum has certified it at seeded points.
+independent `resolution_value` has matched it at seeded points.
 
     PYTHONPATH=src python tests/data/make_general_classes.py
 """

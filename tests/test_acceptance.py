@@ -209,14 +209,18 @@ def test_criterion_10_property_suites():
         moduli.series_params(1, 1), moduli.Calibration(QQ(1))
     )
     assert param("beta") not in res.slope.num.variables() | res.slope.den.variables()
-    # order independence of the fixed-point sum
+    # order independence of the certificate's sum over the Grassmannian
+    # fixed points J: reversing or rotating the roots a permutes the J
     import random
 
-    order = list(range(6))
-    random.Random(3).shuffle(order)
-    assert loci.localization_class(3, 3, 2, subset_order=order) == (
-        loci.localization_class(3, 3, 2)
-    )
+    rng = random.Random(3)
+    a = rng.sample(range(10**3, 10**6 + 1), 3)
+    b = [rng.randint(10**3, 10**6) for _ in range(3)]
+    point = {alpha(i + 1): v for i, v in enumerate(a)}
+    point.update((beta(j + 1), v) for j, v in enumerate(b))
+    want = loci.to_roots(loci.localization_class(3, 3, 2), 3, 3).evaluate(point)
+    for roots in (a, a[::-1], a[1:] + a[:1]):
+        assert loci.resolution_value(3, 3, 2, roots, b) == want
     _report(
         "criterion 10: property suites",
         "(%d localization triples; divisorial agreement through rank-5 "

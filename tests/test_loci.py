@@ -74,10 +74,12 @@ def test_golden_classes_three_methods(efr):
 
 
 def test_localization_order_independence():
-    rng = random.Random(7)
-    order = list(range(6))
-    rng.shuffle(order)
-    assert localization_class(3, 3, 2, subset_order=order) == localization_class(3, 3, 2)
+    # reversing or rotating the roots a permutes the Grassmannian fixed
+    # points J of the certificate's sum; the value stays the class there
+    a, b, point = _chern_point(3, 3, random.Random(7))
+    want = localization_class(3, 3, 2).evaluate(point)
+    for roots in (a, a[::-1], a[1:] + a[:1]):
+        assert resolution_value(3, 3, 2, roots, b) == want
 
 
 def test_localization_codim2_properties():
@@ -503,6 +505,28 @@ def test_localization_rejects_residue_mutants(monkeypatch, efr, mutate):
         localization_class(*efr)
 
 
+def test_localization_certificate_is_independent_of_the_corank_class(monkeypatch):
+    # double the corank class h_r wherever the module builds it: in the
+    # residue producer's `_twisted_corank`, and in a Jacobi-Trudi point
+    # value of h_r if the module has one.  A certificate that forms h_r
+    # would double with the class; `resolution_value` forms no h_r.
+    import quadloci.loci as loci
+    from quadloci.algebra import DenominatorSurvives
+
+    triples = [(4, 8, 3), (5, 14, 4), (4, 7, 2)]
+    true = {efr: residue_class(*efr) for efr in triples}
+    twisted = loci._twisted_corank
+    monkeypatch.setattr(loci, "_twisted_corank", lambda *t: [
+        {k: 2 * v for k, v in part.items()} for part in twisted(*t)])
+    value = getattr(loci, "sym_degeneracy_value", None)
+    monkeypatch.setattr(loci, "sym_degeneracy_value",
+                        lambda *t: 2 * value(*t), raising=False)
+    for efr in triples:
+        assert loci.residue_class(*efr) == 2 * true[efr]
+        with pytest.raises(DenominatorSurvives, match="differs from the residue class"):
+            localization_class(*efr)
+
+
 # general triples across localization's domain, d = 1 to d = |W| - 1
 GENERAL = [(2, 1, 2), (3, 1, 3), (3, 3, 3), (3, 5, 2), (4, 4, 4), (4, 7, 3),
            (4, 8, 2), (4, 1, 4), (5, 1, 5), (5, 7, 4), (5, 13, 2),
@@ -554,44 +578,9 @@ def test_target_degree():
     assert target_degree(5, 12, 2) == 1
 
 
-def test_localization_lines_detects_a_dropped_term(monkeypatch):
-    # every S_m at every point loses weight 0's term, so the values are no
-    # longer those of polynomials of the block degrees
-    import quadloci.loci as loci
-    from quadloci.algebra import DenominatorSurvives
-
-    full = loci._weight_moments
-
-    def all_but_first(wvals, fvals, count):
-        L, sums = full(wvals, fvals, count)
-        first = fvals[0] * (L // prod(wk - wvals[0] for wk in wvals[1:]))
-        return L, [s - first * wvals[0] ** m for m, s in enumerate(sums)]
-
-    monkeypatch.setattr(loci, "_weight_moments", all_but_first)
-    with pytest.raises(DenominatorSurvives):
-        localization_class(4, 7, 2)
-
-
-def test_localization_detects_a_nonzero_negative_degree_moment(monkeypatch):
-    # at (4,7,2) S_0 has degree 3 + 0 - 10 + 1 < 0, so it must vanish; the
-    # blocks of nonnegative degree are left intact
-    import quadloci.loci as loci
-    from quadloci.algebra import DenominatorSurvives
-
-    full = loci._weight_moments
-
-    def shifted(wvals, fvals, count):
-        L, sums = full(wvals, fvals, count)
-        return L, [sums[0] + 1] + sums[1:]
-
-    monkeypatch.setattr(loci, "_weight_moments", shifted)
-    with pytest.raises(DenominatorSurvives, match="S_0 has negative degree"):
-        localization_class(4, 7, 2)
-
-
 def _pair_terms(wvals, bvals, fvals, scale):
     """The literal (H, gamma) terms of the fixed-point sum at a point, with
-    fvals[i] = scale * h(a - w_i/2): the oracle for `_weight_moments`."""
+    fvals[i] = scale * h(a - w_i/2)."""
     n = len(wvals)
     d = n - len(bvals)
     for H in itertools.combinations(range(n), d):
@@ -603,61 +592,30 @@ def _pair_terms(wvals, bvals, fvals, scale):
             yield (H, g), QQ(fvals[g] * num, den)
 
 
-def _moment_determinant(wvals, bvals, fvals, scale):
-    """The Cauchy-Binet form of the same sum, taken literally:
-    (-1)^(C(d,2)+d-1) det(V^T X F) over the rationals."""
-    n = len(wvals)
-    d = n - len(bvals)
-    x = [QQ(prod(bv - wi for bv in bvals),
-            prod(wk - wi for k, wk in enumerate(wvals) if k != i))
-         for i, wi in enumerate(wvals)]
-    m = [[sum(xi * wi ** (j + k) for xi, wi in zip(x, wvals)) for k in range(d - 1)]
-         + [sum(xi * wi ** j * QQ(fi, scale) for xi, wi, fi in zip(x, wvals, fvals))]
-         for j in range(d)]
-    det = QQ(1)
-    for k in range(d):
-        piv = next((i for i in range(k, d) if m[i][k]), None)
-        if piv is None:
-            return QQ(0)
-        if piv != k:
-            m[k], m[piv] = m[piv], m[k]
-            det = -det
-        det *= m[k][k]
-        for i in range(k + 1, d):
-            factor = m[i][k] / m[k][k]
-            m[i] = [a - factor * b for a, b in zip(m[i], m[k])]
-    return det if (comb(d, 2) + d - 1) % 2 == 0 else -det
-
-
 def _sample_point(e, f, r, rng):
-    """Weight values at small random a-values, b-roots, and the scaled
-    values of h(a - w/2) at the weights."""
+    """Distinct small random roots a, roots b, the Sym^2 weight values (also
+    distinct), and the scaled values of h(a - w/2) at the weights."""
     h = sym_degeneracy_class(r, e)
     avars = [alpha(i) for i in range(1, e + 1)]
     while True:
-        a = {v: QQ(rng.randint(-30, 30)) for v in avars}
-        wvals = [int(w.evaluate(a)) for w in sym2_weights(e)]
+        a = rng.sample(range(-30, 31), e)
+        wvals = [int(w.evaluate(dict(zip(avars, a)))) for w in sym2_weights(e)]
         if len(set(wvals)) == len(wvals):
             break
     bvals = [rng.randint(-30, 30) for _ in range(f)]
-    fvals = [h.evaluate({v: a[v] - QQ(w, 2) for v in avars}) for w in wvals]
+    fvals = [h.evaluate({v: av - QQ(w, 2) for v, av in zip(avars, a)})
+             for w in wvals]
     scale = lcm(*(q.denominator for q in fvals))
-    return wvals, bvals, [int(q * scale) for q in fvals], scale
+    return a, bvals, wvals, [int(q * scale) for q in fvals], scale
 
 
 @pytest.mark.parametrize("efr", [(2, 2, 1), (3, 5, 1), (4, 1, 4), (5, 1, 5),
                                  (4, 4, 3), (5, 7, 4), (6, 18, 3)])
 def test_fixed_point_sum_matches_pair_enumeration(efr):
-    # d = 1, d = |W| - 1 at (4,1,4) and (5,1,5), and the mid-range d
-    import quadloci.loci as loci
-
-    point = _sample_point(*efr, random.Random(sum(efr)))
-    want = sum((v for _, v in _pair_terms(*point)), QQ(0))
-    assert _moment_determinant(*point) == want
-    # the class is linear in the c_jF: sum_m (-1)^m e_(f-m)(b) S_m
-    wvals, bvals, fvals, scale = point
-    f = len(bvals)
-    L, sums = loci._weight_moments(wvals, fvals, f + 1)
-    eb = _elem_values(bvals, f)
-    got = sum(QQ((-1) ** m * eb[f - m] * s, L * scale) for m, s in enumerate(sums))
-    assert got == want
+    # the certificate's sum over the Grassmannian fixed points J against
+    # the paper's sum over the pairs (H, gamma), summed literally: d = 1,
+    # d = |W| - 1 at (4,1,4) and (5,1,5), and the mid-range d
+    e, f, r = efr
+    a, bvals, wvals, fvals, scale = _sample_point(e, f, r, random.Random(sum(efr)))
+    want = sum((v for _, v in _pair_terms(wvals, bvals, fvals, scale)), QQ(0))
+    assert resolution_value(e, f, r, a, bvals) == want

@@ -14,7 +14,6 @@ from quadloci.symfunc import (
     b_const,
     schur,
     sym_degeneracy_class,
-    sym_degeneracy_value,
 )
 
 X = Polynomial.variable
@@ -94,20 +93,6 @@ def test_sym_degeneracy_degree_and_symmetry():
         assert h.is_homogeneous(r * (r + 1) // 2)
         swapped = h.rename({alpha(1): alpha(2), alpha(2): alpha(1)})
         assert swapped == h
-
-
-@pytest.mark.parametrize("e", range(1, 7))
-def test_sym_degeneracy_value_matches_root_expansion(e):
-    # the Jacobi-Trudi value at integer roots, zero and negative ones
-    # included, against the expanded class evaluated at the same roots
-    rng = random.Random(e)
-    for r in range(1, e + 1):
-        h = sym_degeneracy_class(r, e)
-        for _ in range(4):
-            roots = [rng.randint(-6, 6) for _ in range(e)]
-            want = h.evaluate({alpha(i + 1): QQ(v) for i, v in enumerate(roots)})
-            assert sym_degeneracy_value(r, roots) == want, (r, roots)
-        assert sym_degeneracy_value(r, [0] * e) == 0
 
 
 def _leibniz_det(rows):
