@@ -57,7 +57,6 @@ from .moduli import (
     petri_class,
     petri_decomposition_report,
     series_params,
-    slope,
     virtual_slope_from_pushforward,
 )
 

@@ -2,9 +2,7 @@
 
 Subcommands cover every computation; all output is JSON (rationals are
 serialized as strings "p/q" or "p", never as floats), deterministic for a
-fixed input.  Every computation runs in this process: `--jobs J` is
-still accepted before the subcommand and after `verify all`, and nothing
-reads it.  `class sigma` answers in the Chern symbols c_iE, c_jF;
+fixed input.  `class sigma` answers in the Chern symbols c_iE, c_jF;
 `--basis roots` expands that answer in the Chern roots with `loci.to_roots`,
 whatever the method.  `class projectivize --class` is parsed by
 recursive descent straight into a `Polynomial`.
@@ -19,7 +17,7 @@ recursive descent straight into a `Polynomial`.
     k3 rank4 [--g G]
     k3 kosz --i I
     hurwitz [--k K]
-    verify all [--max-e N] [--jobs J] [--thorough]
+    verify all [--max-e N]
 
 Exit codes: 0 on success, 1 on verification failure, including a class
 that fails its point certificate (with one line on stderr), 2 on usage error
@@ -239,15 +237,14 @@ def document(coefficients: dict, **metadata) -> dict:
     }
 
 
-def poly_document(p: Polynomial, command: str, parameters: dict, notes=()) -> dict:
+def poly_document(p: Polynomial, command: str, parameters: dict) -> dict:
     coeffs = {}
     for mono, c in p.terms.items():
         key = "*".join(
             "%s^%d" % (var_name(v), e) if e > 1 else var_name(v) for v, e in mono
         ) or "1"
         coeffs[key] = q_str(c)
-    return document(coeffs, command=command, parameters=parameters,
-                    notes=list(notes))
+    return document(coeffs, command=command, parameters=parameters, notes=[])
 
 
 def _emit(doc, args) -> None:
@@ -265,7 +262,6 @@ def _emit(doc, args) -> None:
 
 def cmd_class_sigma(args) -> int:
     e, f, r = args.e, args.f, args.r
-    notes = []
     if args.method in ("closed", "residue"):
         if f != loci.divisorial_f(e, r):
             raise loci.NotDivisorial(
@@ -283,7 +279,6 @@ def cmd_class_sigma(args) -> int:
         cls,
         "class sigma",
         {"e": e, "f": f, "r": r, "method": args.method, "basis": args.basis},
-        notes,
     )
     _emit(doc, args)
     return 0
@@ -306,7 +301,7 @@ def cmd_class_projectivize(args) -> int:
         data = json.load(fh)
     smatrix = data["s"]
     rvec = tuple(int(x) for x in data["r"])
-    rtot = int(data["r_total"] if "r_total" in data else data["rt"])
+    rtot = int(data["r_total"])
     forms = []
     for row in smatrix:
         form = Polynomial.zero()
@@ -473,7 +468,7 @@ def cmd_hurwitz(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    results = verify.run_all(max_e=args.max_e, thorough=args.thorough)
+    results = verify.run_all(max_e=args.max_e)
     table = verify.render_table(results)
     fails = verify.failures(results)
     if getattr(args, "out", None):
@@ -513,9 +508,6 @@ def build_parser() -> argparse.ArgumentParser:
         "their moduli-space applications",
     )
     top.add_argument("--out", help="write the JSON document to a file")
-    top.add_argument("--jobs", type=int,
-                     help="accepted and ignored: everything runs in one "
-                     "process")
     sub = top.add_subparsers(dest="command", required=True)
 
     pc = sub.add_parser("class", help="equivariant classes")
@@ -576,9 +568,6 @@ def build_parser() -> argparse.ArgumentParser:
     vers = ver.add_subparsers(dest="subcommand", required=True)
     verall = vers.add_parser("all")
     verall.add_argument("--max-e", type=int, default=5)
-    verall.add_argument("--jobs", type=int, help="accepted and ignored")
-    verall.add_argument("--thorough", action="store_true",
-                        help="include the slow high-corank agreement checks")
     verall.set_defaults(fn=cmd_verify)
     return top
 

@@ -369,13 +369,13 @@ class BundleCharacter(NamedTuple):
     ch: dict  # degree -> TagExpr
 
     @staticmethod
-    def line_bundle(aL, bOmega, max_degree: int = 3) -> "BundleCharacter":
+    def line_bundle(aL, bOmega) -> "BundleCharacter":
         """ch of L^aL tensor omega^bOmega: exp(aL c1L + bOmega c1omega)."""
         c1 = TagExpr.tag("c1L", aL) + TagExpr.tag("c1omega", bOmega)
         ch = {}
         power = TagExpr.const(1)
         factorial = 1
-        for k in range(1, max_degree + 1):
+        for k in range(1, 4):
             power = power * c1
             factorial *= k
             ch[k] = power.scale(QQ(1, factorial))

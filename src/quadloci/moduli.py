@@ -87,10 +87,6 @@ def _is_number(x) -> bool:
     return False
 
 
-def slope(cls: ModuliDivisor):
-    return cls.slope()
-
-
 # ---------------------------------------------------------------------------
 # the rank-3 quadric (Petri) divisor
 # ---------------------------------------------------------------------------
@@ -936,7 +932,7 @@ def hurwitz_report(k="k") -> HurwitzReport:
         hodge_d0=c_d0,
         hodge_d2_derived=c_d2,
         hodge_d2_published=published_d2,
-        hodge_d2_factor_two=(c_d2 == (published_d2 * rf(2)).reduce()),
+        hodge_d2_factor_two=(c_d2 == published_d2 * rf(2)),
         hodge_d3=c_d3,
         canonical=canonical,
         canonical_in_gamma=can_gamma,
@@ -947,5 +943,5 @@ def hurwitz_report(k="k") -> HurwitzReport:
         hrk4_unit_coeff=kk,
         hrk4_published_coeff=QQ(1, 6),
         hrk4_coeff_samples=samples,
-        alpha_solved=(kk - rf(6)).reduce(),
+        alpha_solved=kk - rf(6),
     )

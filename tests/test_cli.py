@@ -161,13 +161,6 @@ def test_sigma_rejects_unknown_basis(capsys):
         assert "'elementary'" in err
 
 
-def test_sigma_deterministic_across_jobs(capsys):
-    args = ["class", "sigma", "--e", "3", "--f", "3", "--r", "2"]
-    _, out1 = run_cli(capsys, "--jobs", "1", *args)
-    _, out2 = run_cli(capsys, "--jobs", "2", *args)
-    assert out1 == out2
-
-
 def test_pencil_presentations(capsys):
     code, out = run_cli(capsys, "class", "pencil", "--e", "2",
                         "--presentation", "sub")
@@ -195,6 +188,20 @@ def test_projectivize_command(tmp_path, capsys):
     )
     assert code == 0
     assert json.loads(out)["coefficients"] == {}
+
+
+def test_projectivize_needs_r_total(tmp_path, capsys):
+    # the scalar total is read from "r_total" alone; a file without it
+    # names that key
+    weights = tmp_path / "weights.json"
+    weights.write_text(
+        json.dumps({"s": [[3, -1, 1], [1, 2, 2]], "r": [2, 1, 1], "rt": 6})
+    )
+    code = main(["class", "projectivize", "--class", "a1", "--weights",
+                 str(weights)])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and "'r_total'" in err
 
 
 def test_projectivize_fixed_point_out_of_range(capsys):
@@ -455,17 +462,17 @@ def test_jobs_environment_read_on_each_call(capsys, monkeypatch):
         assert [_outcome(capsys, argv) for argv in runs] == plain
 
 
-def test_jobs_option_on_either_side_of_verify(capsys, monkeypatch):
-    # --jobs is accepted before the subcommand and after `verify all`, and
-    # changes no byte of the output
-    monkeypatch.setenv("QUADLOCI_JOBS", "7")
-    verify_all = ["verify", "all", "--max-e", "2"]
-    sigma = ["class", "sigma", "--e", "3", "--f", "4", "--r", "2"]
-    plain = _outcome(capsys, verify_all)
-    assert plain[0] == 0
-    for argv in (["--jobs", "4"] + verify_all, verify_all + ["--jobs", "3"]):
-        assert _outcome(capsys, argv) == plain
-    assert _outcome(capsys, ["--jobs", "2"] + sigma) == _outcome(capsys, sigma)
+@pytest.mark.parametrize("argv", [
+    ["--jobs", "2", "verify", "all", "--max-e", "2"],
+    ["verify", "all", "--max-e", "2", "--jobs", "3"],
+    ["verify", "all", "--thorough"],
+])
+def test_retired_options_are_usage_errors(capsys, argv):
+    # there is no --jobs and no --thorough; before the subcommand argparse
+    # reads the "2" as the command, so only the shape of the error is fixed
+    code, out, err = _outcome(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and "error:" in err
 
 
 def test_moduli_documents_replay_byte_for_byte(capsys, monkeypatch):

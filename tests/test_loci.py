@@ -363,6 +363,27 @@ def test_divisorial_combination_matches_residue_class():
             divisorial_combination(e, 1, c1E(), c1F())
 
 
+@pytest.mark.parametrize("pairs", [
+    [(e, r) for e in range(1, 13) for r in range(e)],
+    [(27, 24)],             # Petri, g = 27: e = g, r = g - 3
+    [(22, 18)],             # K3 rank 4, g = 21: e = g + 1, r = g - 3
+    [(13, 9), (14, 10)],    # covers, k = 13, 14: e = k, r = k - 4
+], ids=["divisorial-e<=12", "petri-g27", "k3-g21", "covers-k13-14"])
+def test_degree_constant_certified_by_resolution(pairs):
+    # A divisorial class is alpha c1E + beta c1F.  At a = (1..e) it takes
+    # alpha * sum(a) at b = 0 and alpha * sum(a) + beta at b = (1, 0, ..., 0),
+    # so two resolution values fix both; the resolution forms neither the
+    # product nor the determinant of `a_const`.
+    for e, r in pairs:
+        f = divisorial_f(e, r)
+        a = list(range(1, e + 1))
+        v0 = resolution_value(e, f, r, a, [0] * f)
+        v1 = resolution_value(e, f, r, a, [1] + [0] * (f - 1))
+        beta_ = v1 - v0
+        assert beta_ == a_const(e, r), (e, r)
+        assert v0 / sum(a) == -QQ(2 * f, e) * beta_, (e, r)
+
+
 def _veronese_class(e, f):
     """The corank-(e-1) class, the |J| = 1 case of `loci.resolution_value`
     written in the Chern symbols: a quadric of rank <= 1 is a square l^2,

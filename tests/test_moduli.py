@@ -34,7 +34,6 @@ from quadloci.moduli import (
     petri_class,
     petri_decomposition_report,
     series_params,
-    slope,
     virtual_slope_from_pushforward,
 )
 from quadloci.symfunc import Partition
@@ -55,7 +54,7 @@ def test_petri_small_genus():
     p4 = petri_class(4)
     assert p4.lam == rf(34)
     assert all(p4.deltas[i] == rf(4) for i in (0, 1, 2))
-    assert q(slope(p4)) == QQ(17, 2)
+    assert q(p4.slope()) == QQ(17, 2)
     assert petri_class(5).lam == rf(164) and petri_class(5).deltas[0] == rf(20)
     assert petri_class(6).lam == rf(896) and petri_class(6).deltas[0] == rf(112)
     assert petri_class(7).lam == rf(5280) and petri_class(7).deltas[0] == rf(672)
@@ -82,7 +81,7 @@ def test_known_divisor_gonality():
     gon = known_divisor("gonality", 3)
     assert gon.lam == rf(12)
     assert gon.deltas[0] == rf(QQ(3, 2))
-    assert q(slope(gon)) == 8
+    assert q(gon.slope()) == 8
 
 
 def test_known_divisor_branch_matches_petri_g4():
@@ -517,20 +516,20 @@ def test_hodge_admissible_coeff_guards():
 
 def test_slope_examples():
     d = ModuliDivisor(4, rf(34), {0: rf(4)})
-    assert q(slope(d)) == QQ(17, 2)
+    assert q(d.slope()) == QQ(17, 2)
     gon = known_divisor("gonality", 3)
-    assert q(slope(gon)) == 8
+    assert q(gon.slope()) == 8
     triv = ModuliDivisor(2, rf(1), {0: rf(1)})
-    assert q(slope(triv)) == 1
+    assert q(triv.slope()) == 1
 
 
 def test_slope_uses_minimum():
     d = ModuliDivisor(5, rf(10), {0: rf(2), 1: rf(1)})
-    assert q(slope(d)) == 10
+    assert q(d.slope()) == 10
 
 
 def test_slope_guards():
     with pytest.raises(BoundaryCoefficientNonpositive):
-        slope(ModuliDivisor(4, rf(34), {}))
+        ModuliDivisor(4, rf(34), {}).slope()
     with pytest.raises(BoundaryCoefficientNonpositive):
-        slope(ModuliDivisor(4, rf(34), {0: rf(-4)}))
+        ModuliDivisor(4, rf(34), {0: rf(-4)}).slope()
