@@ -31,7 +31,6 @@ from .loci import (
     sym2_weights,
 )
 from .grr import (
-    BundleCharacter,
     FiberRuleTable,
     MissingRule,
     TautClass,
@@ -40,6 +39,7 @@ from .grr import (
     hurwitz_sheaf_chern,
     jet_porteous_d3,
     k3_rules,
+    line_bundle_ch,
     lm_lambda_relation,
 )
 from .moduli import (

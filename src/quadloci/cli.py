@@ -59,6 +59,10 @@ class UnknownSymbol(Exception):
     pass
 
 
+class MalformedWeights(Exception):
+    """A weights file that is not the JSON object class projectivize reads."""
+
+
 # ---------------------------------------------------------------------------
 # expression parser for classes
 # ---------------------------------------------------------------------------
@@ -296,20 +300,42 @@ def cmd_class_pencil(args) -> int:
     return 0
 
 
-def cmd_class_projectivize(args) -> int:
-    with open(args.weights) as fh:
-        data = json.load(fh)
-    smatrix = data["s"]
-    rvec = tuple(int(x) for x in data["r"])
-    rtot = int(data["r_total"])
+def _typed(value, kind: type, key: str):
+    """value, read under key, if its type is kind itself (a bool is no int)."""
+    if type(value) is not kind:
+        noun = "integer" if kind is int else "list"
+        raise MalformedWeights("%r: %s is not a JSON %s" % (key, json.dumps(value), noun))
+    return value
+
+
+def _read_weights(path: str):
+    """The weights and scalar data of a weights file: a JSON object with
+    "s", a list of rows of integers (row j gives weight j its coefficient
+    on each a_i), "r", a list of integers, and "r_total", a nonzero
+    integer.  Raises MalformedWeights on any other content."""
+    with open(path) as fh:
+        try:
+            data = json.load(fh)
+        except ValueError as exc:
+            raise MalformedWeights("%s is not JSON: %s" % (path, exc)) from None
+    if type(data) is not dict:
+        raise MalformedWeights("%s holds no JSON object" % path)
     forms = []
-    for row in smatrix:
+    for row in _typed(data["s"], list, "s"):
         form = Polynomial.zero()
-        for i, coeff in enumerate(row, start=1):
-            form = form + int(coeff) * Polynomial.variable(alpha(i))
+        for i, coeff in enumerate(_typed(row, list, "s"), start=1):
+            form = form + _typed(coeff, int, "s") * Polynomial.variable(alpha(i))
         forms.append(form)
-    weights = loci.WeightSet(tuple(forms))
-    scal = loci.ScalarData(rvec, rtot)
+    r = tuple(_typed(x, int, "r") for x in _typed(data["r"], list, "r"))
+    try:
+        scal = loci.ScalarData(r, _typed(data["r_total"], int, "r_total"))
+    except ValueError as exc:
+        raise MalformedWeights(exc) from None
+    return loci.WeightSet(tuple(forms)), scal
+
+
+def cmd_class_projectivize(args) -> int:
+    weights, scal = _read_weights(args.weights)
     cls = parse_class(getattr(args, "cls"))
     if args.fixed_point is None:
         out = loci.projectivize(cls, scal, weights)
@@ -593,6 +619,7 @@ def main(argv=None) -> int:
         moduli.BoundaryCoefficientNonpositive,
         FileNotFoundError,
         KeyError,
+        MalformedWeights,
     ) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

@@ -1,15 +1,16 @@
 """Codimension-1 Riemann-Roch pushforwards for curve and K3 fibrations.
 
-The engine is a formal one: classes on the total space are monomials in a
-few tagged generators (c1L for the twisting line bundle, c1omega for the
-relative dualizing sheaf, c2T for the relative second Chern class, T2 for
-the degree-2 Todd term of a curve fibration, v1/v2 for classes pulled back
-from the base), and a ``FiberRuleTable`` records what the fibration
-integrates each monomial to.  ``grr_c1`` then computes the first Chern
-class of a pushforward sheaf by multiplying a Chern character by the Todd
-factor of the fibration and integrating the top-degree part; of the
-products of a term of ch with a term of Todd it forms only those whose
-degrees sum to that top degree.
+The engine is a formal one.  A class on the total space (a Chern
+character, the Todd class, a jet-bundle class) is a ``Polynomial`` in a few
+tag generators, ``sym`` variables made by ``tag``: c1L for the twisting line
+bundle, c1omega for the relative dualizing sheaf, c2T for the relative
+second Chern class, T2 for the degree-2 Todd term of a curve fibration, and
+v1/v2 for classes pulled back from the base.  Its coefficients are
+polynomials in the formal parameters.  A ``FiberRuleTable`` records what the
+fibration integrates each tag monomial to, by the monomial's tag degree
+(``TAG_DEGREE``).  ``grr_c1`` computes the first Chern class of a
+pushforward sheaf: it forms ch * todd and integrates the part of tag degree
+relative_dim + 1; ``grr_rank`` integrates the part of degree relative_dim.
 
 Outputs live in ``TautClass``: linear combinations of named divisor classes
 (lambda, boundary classes, kappa classes, ...) whose coefficients are exact
@@ -24,7 +25,7 @@ from __future__ import annotations
 from functools import cache
 from typing import Mapping, NamedTuple
 
-from .algebra import _ONE, Polynomial, QQ, RationalFunction, param
+from .algebra import _ONE, SYM, Polynomial, QQ, RationalFunction, param, sym
 
 
 class MissingRule(Exception):
@@ -156,102 +157,34 @@ def _put_reduced(out: dict, key, c: RationalFunction):
         out.pop(key, None)
 
 
-def _accumulate(out: dict, key, c: RationalFunction):
-    """out[key] += c, with no zero formed for a new key."""
-    prev = out.get(key)
-    out[key] = c if prev is None else prev + c
-
-
 # ---------------------------------------------------------------------------
-# tagged total-space classes
+# total-space classes
 # ---------------------------------------------------------------------------
 
 TAG_DEGREE = {"c1L": 1, "c1omega": 1, "c2T": 2, "T2": 2, "v1": 1, "v2": 2}
 
 
-def _tag_mono_degree(mono) -> int:
-    return sum(TAG_DEGREE[t] * e for t, e in mono)
+def tag(name: str) -> Polynomial:
+    """The tag generator `name` (a key of TAG_DEGREE) as a variable."""
+    return Polynomial.variable(sym(name))
 
 
-def _merge_tag(m1, m2):
-    d = dict(m1)
-    for t, e in m2:
-        d[t] = d.get(t, 0) + e
-    return tuple(sorted(d.items()))
+def _tag_part(expr: Polynomial, deg: int, rules: dict):
+    """Yield (rule, coefficient) for each tag monomial of tag degree deg in expr.
 
-
-class TagExpr:
-    """Polynomial in the tagged generators with RationalFunction coefficients."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        clean = {}
-        for m, c in (terms or {}).items():
-            if type(c) is not RationalFunction:
-                c = rf(c)
-            if c.num:
-                clean[m] = c
-        object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, *a):  # pragma: no cover
-        raise AttributeError("TagExpr is immutable")
-
-    @staticmethod
-    def tag(name: str, coeff=1) -> "TagExpr":
-        return TagExpr({((name, 1),): rf(coeff)})
-
-    @staticmethod
-    def const(c) -> "TagExpr":
-        return TagExpr({(): rf(c)})
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            _accumulate(out, m, c)
-        return TagExpr(out)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, c) -> "TagExpr":
-        c = rf(c)
-        return TagExpr({m: v * c for m, v in self.terms.items()})
-
-    def __mul__(self, other: "TagExpr") -> "TagExpr":
-        out: dict = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                _accumulate(out, _merge_tag(m1, m2), c1 * c2)
-        return TagExpr(out)
-
-    def graded_product(self, other: "TagExpr", deg: int) -> "TagExpr":
-        """The degree-deg part of self * other, forming only the products
-        of terms whose degrees sum to deg (in the order `*` forms them)."""
-        by_degree: dict = {}
-        for m2, c2 in other.terms.items():
-            by_degree.setdefault(_tag_mono_degree(m2), []).append((m2, c2))
-        out: dict = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in by_degree.get(deg - _tag_mono_degree(m1), ()):
-                _accumulate(out, _merge_tag(m1, m2), c1 * c2)
-        return TagExpr(out)
-
-    def graded_part(self, deg: int) -> "TagExpr":
-        return TagExpr(
-            {m: c for m, c in self.terms.items() if _tag_mono_degree(m) == deg}
-        )
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for m, c in sorted(self.terms.items()):
-            mono = "*".join("%s^%d" % (t, e) if e > 1 else t for t, e in m) or "1"
-            bits.append("(%s)*%s" % (c, mono))
-        return " + ".join(bits)
-
-    __repr__ = __str__
+    The int numerators of one tag monomial, over expr's denominator, are its
+    coefficient, a polynomial in the parameters; the monomial is looked up
+    under its `_mono` key."""
+    groups: dict = {}
+    for m, c in expr._num.items():
+        key = tuple((v[1], e) for v, e in m if v[0] == SYM)
+        if sum(TAG_DEGREE[t] * e for t, e in key) == deg:
+            groups.setdefault(key, {})[tuple((v, e) for v, e in m if v[0] != SYM)] = c
+    for key, num in groups.items():
+        rule = rules.get(key)
+        if rule is None:
+            raise MissingRule("no degree-%d rule for %s" % (deg, key))
+        yield rule, rf(Polynomial._normal(num, expr._den))
 
 
 class FiberRuleTable(NamedTuple):
@@ -259,31 +192,21 @@ class FiberRuleTable(NamedTuple):
 
     top_rules:    monomials of degree relative_dim + 1  ->  TautClass
     scalar_rules: monomials of degree relative_dim      ->  RationalFunction
-    Lower degrees integrate to zero.
+    Other degrees integrate to zero.
     """
 
     relative_dim: int
     top_rules: dict
     scalar_rules: dict
-    todd: TagExpr
+    todd: Polynomial
 
-    def push_top(self, expr: TagExpr) -> TautClass:
-        out = TautClass.zero()
-        for m, c in expr.graded_part(self.relative_dim + 1).terms.items():
-            rule = self.top_rules.get(m)
-            if rule is None:
-                raise MissingRule("no degree-%d rule for %s" % (self.relative_dim + 1, m))
-            out = out + rule.scale(c)
-        return out
+    def push_top(self, expr: Polynomial) -> TautClass:
+        pieces = _tag_part(expr, self.relative_dim + 1, self.top_rules)
+        return sum((rule.scale(c) for rule, c in pieces), TautClass.zero())
 
-    def push_scalar(self, expr: TagExpr) -> RationalFunction:
-        out = _ZERO
-        for m, c in expr.graded_part(self.relative_dim).terms.items():
-            rule = self.scalar_rules.get(m)
-            if rule is None:
-                raise MissingRule("no degree-%d rule for %s" % (self.relative_dim, m))
-            out = out + rule * c
-        return out
+    def push_scalar(self, expr: Polynomial) -> RationalFunction:
+        pieces = _tag_part(expr, self.relative_dim, self.scalar_rules)
+        return sum((rule * c for rule, c in pieces), _ZERO)
 
 
 def _mono(*pairs):
@@ -317,11 +240,7 @@ def curve_rules(genus, degL, boundary: str = "delta") -> FiberRuleTable:
         _mono(("c1omega", 1)): two_g_2,
         _mono(("v1", 1)): rf(0),
     }
-    todd = (
-        TagExpr.const(1)
-        + TagExpr.tag("c1omega", QQ(-1, 2))
-        + TagExpr.tag("T2")
-    )
+    todd = 1 - tag("c1omega") * QQ(1, 2) + tag("T2")
     return FiberRuleTable(1, top, scalar, todd)
 
 
@@ -352,56 +271,29 @@ def k3_rules(genus) -> FiberRuleTable:
         _mono(("c1L", 1), ("c1omega", 1)): rf(0),
         _mono(("c1omega", 2)): rf(0),
     }
-    todd = (
-        TagExpr.const(1)
-        + TagExpr.tag("c1omega", QQ(-1, 2))
-        + (TagExpr({_mono(("c1omega", 2)): rf(QQ(1, 12))})
-           + TagExpr.tag("c2T", QQ(1, 12)))
-        + TagExpr({_mono(("c1omega", 1), ("c2T", 1)): rf(QQ(1, 24))})
-    )
+    w, c2 = tag("c1omega"), tag("c2T")
+    todd = 1 - w * QQ(1, 2) + (w ** 2 + c2) * QQ(1, 12) + w * c2 * QQ(1, 24)
     return FiberRuleTable(2, top, scalar, todd)
 
 
-class BundleCharacter(NamedTuple):
-    """Chern character data of a sheaf on the total space, through ch_3."""
-
-    rank: RationalFunction
-    ch: dict  # degree -> TagExpr
-
-    @staticmethod
-    def line_bundle(aL, bOmega) -> "BundleCharacter":
-        """ch of L^aL tensor omega^bOmega: exp(aL c1L + bOmega c1omega)."""
-        c1 = TagExpr.tag("c1L", aL) + TagExpr.tag("c1omega", bOmega)
-        ch = {}
-        power = TagExpr.const(1)
-        factorial = 1
-        for k in range(1, 4):
-            power = power * c1
-            factorial *= k
-            ch[k] = power.scale(QQ(1, factorial))
-        return BundleCharacter(rf(1), ch)
-
-    def full(self, reldim: int) -> TagExpr:
-        expr = TagExpr.const(self.rank)
-        for k in range(1, reldim + 2):
-            if k in self.ch:
-                expr = expr + self.ch[k]
-        return expr
+def line_bundle_ch(aL, bOmega) -> Polynomial:
+    """ch of L^aL tensor omega^bOmega through degree 3: the truncated
+    exp(aL c1L + bOmega c1omega).  aL and bOmega are numbers, parameter
+    names or polynomials in the parameters."""
+    c1 = rf(aL).as_polynomial() * tag("c1L") + rf(bOmega).as_polynomial() * tag("c1omega")
+    return 1 + c1 + c1 ** 2 * QQ(1, 2) + c1 ** 3 * QQ(1, 6)
 
 
-def grr_c1(chr: BundleCharacter, rules: FiberRuleTable) -> TautClass:
+def grr_c1(ch: Polynomial, rules: FiberRuleTable) -> TautClass:
     """First Chern class of the derived pushforward: integrate the
-    degree-(relative_dim + 1) part of ch * Todd.  Only the products of
-    terms of ch and Todd whose degrees sum to relative_dim + 1 are formed."""
-    d = rules.relative_dim
-    return rules.push_top(chr.full(d).graded_product(rules.todd, d + 1))
+    degree-(relative_dim + 1) part of ch * Todd."""
+    return rules.push_top(ch * rules.todd)
 
 
-def grr_rank(chr: BundleCharacter, rules: FiberRuleTable) -> RationalFunction:
+def grr_rank(ch: Polynomial, rules: FiberRuleTable) -> RationalFunction:
     """Rank of the derived pushforward: integrate the degree-relative_dim
-    part of ch * Todd, forming only the products that land there."""
-    d = rules.relative_dim
-    return rules.push_scalar(chr.full(d).graded_product(rules.todd, d))
+    part of ch * Todd."""
+    return rules.push_scalar(ch * rules.todd)
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +304,7 @@ def chern_of_power_pushforward(n, genus) -> TautClass:
     """c1 of the pushforward of the n-th power of the polarization on a K3
     fibration: (n/12) kappa11 + (n^3/6) kappa30 - ((n^2/2)(g-1) - 1) lambda."""
     rules = k3_rules(genus)
-    return grr_c1(BundleCharacter.line_bundle(rf(n), rf(0)), rules)
+    return grr_c1(line_bundle_ch(n, 0), rules)
 
 
 def gamma_hurwitz(k) -> TautClass:
@@ -478,8 +370,8 @@ def hurwitz_sheaf_chern(k="k"):
     evaluation) eliminates c1(V).
     """
     rules, c1V = _cover_space(k)
-    c1F = grr_c1(BundleCharacter.line_bundle(-2, 2), rules)
-    c1E_virtual = grr_c1(BundleCharacter.line_bundle(-1, 1), rules)
+    c1F = grr_c1(line_bundle_ch(-2, 2), rules)
+    c1E_virtual = grr_c1(line_bundle_ch(-1, 1), rules)
     c1E = c1E_virtual - c1V
     c1E = c1E.substitute_symbol("c1V", c1V)
     c1F = c1F.substitute_symbol("c1V", c1V)
@@ -497,14 +389,10 @@ def jet_porteous_d3(k="k"):
     of c2 of the jet quotient before boundary correction.
     """
     rules, c1V = _cover_space(k)
-    c1J = TagExpr.tag("c1L", 3) + TagExpr.tag("c1omega", 3)
-    c2J = (
-        TagExpr({_mono(("c1L", 2)): rf(3)})
-        + TagExpr({_mono(("c1L", 1), ("c1omega", 1)): rf(6)})
-        + TagExpr({_mono(("c1omega", 2)): rf(2)})
-    )
-    v1 = TagExpr.tag("v1")
-    c2_quotient = c2J - c1J * v1 + v1 * v1 - TagExpr.tag("v2")
+    c1L, w, v1 = tag("c1L"), tag("c1omega"), tag("v1")
+    c1J = 3 * c1L + 3 * w
+    c2J = 3 * c1L ** 2 + 6 * c1L * w + 2 * w ** 2
+    c2_quotient = c2J - c1J * v1 + v1 * v1 - tag("v2")
     pushed = rules.push_top(c2_quotient).substitute_symbol("c1V", c1V)
     d3 = pushed - TautClass.symbol("D0")
     return d3, {"push_c2_jet_quotient": pushed}
@@ -535,7 +423,6 @@ class LambdaTorsionReport(NamedTuple):
     c2_pushforward_direct: RationalFunction  # fiberwise Riemann-Roch value
     rhs_lambda_multiple: RationalFunction  # fiber integral, stated chain
     residual_multiple: RationalFunction    # rhs - 1; its vanishing = lambda torsion
-    ch3_endomorphisms: TagExpr
 
 
 def lm_lambda_relation(i="i") -> LambdaTorsionReport:
@@ -552,8 +439,8 @@ def lm_lambda_relation(i="i") -> LambdaTorsionReport:
     ii = rf(i)
     g = rf(2) * ii
     rules = k3_rules(g)
-    k20 = rules.push_scalar(TagExpr({_mono(("c1L", 2)): rf(1)}))   # 2g-2
-    k01 = rules.push_scalar(TagExpr.tag("c2T"))                    # 24
+    k20 = rules.push_scalar(tag("c1L") ** 2)   # 2g-2
+    k01 = rules.push_scalar(tag("c2T"))        # 24
     c2_push = k20 * rf(QQ(1, 2)) + k01 * rf(QQ(1, 12)) - (ii + rf(2))
 
     # direct route: the rank of the pushforward of E itself is i + 2, and
@@ -565,23 +452,17 @@ def lm_lambda_relation(i="i") -> LambdaTorsionReport:
     # Degree-3 part of ch*Todd:
     #   4 * (1/24) c1omega c2T  +  (c1L^2 - 4 c2E) * (-1/2) c1omega
     # and the c2E term integrates fiberwise to c2_push.
-    four_todd3 = rules.push_top(
-        TagExpr({_mono(("c1omega", 1), ("c2T", 1)): rf(QQ(1, 24))}).scale(4)
-    )
-    c1sq_term = rules.push_top(
-        TagExpr({_mono(("c1L", 2), ("c1omega", 1)): rf(QQ(-1, 2))})
-    )
+    four_todd3 = rules.push_top(4 * QQ(1, 24) * tag("c1omega") * tag("c2T"))
+    c1sq_term = rules.push_top(tag("c1L") ** 2 * tag("c1omega") * QQ(-1, 2))
     # -4 c2E * (-1/2) c1omega integrates to 2 * c2_push * lambda
     rhs = (
         four_todd3.coefficient("lambda")
         + c1sq_term.coefficient("lambda")
         + rf(2) * c2_push
     )
-    ch3 = TagExpr()  # c1(End E) = 0 and c3(End E) = 0 force ch3 = 0
     return LambdaTorsionReport(
         c2_pushforward=c2_push.reduce(),
         c2_pushforward_direct=c2_push_direct.reduce(),
         rhs_lambda_multiple=rhs.reduce(),
         residual_multiple=(rhs - rf(1)).reduce(),
-        ch3_endomorphisms=ch3,
     )

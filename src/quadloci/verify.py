@@ -14,7 +14,6 @@ from typing import Callable, NamedTuple
 
 from .algebra import Polynomial, QQ, alpha, beta, xi, zvar
 from .grr import (
-    BundleCharacter,
     TautClass,
     chern_of_power_pushforward,
     curve_rules,
@@ -23,8 +22,10 @@ from .grr import (
     grr_c1,
     hurwitz_sheaf_chern,
     hurwitz_twist,
+    in_gamma_basis,
     jet_porteous_d3,
     k3_twist,
+    line_bundle_ch,
     lm_lambda_relation,
     rf,
 )
@@ -199,7 +200,7 @@ def checks_grr():
     )
     rows.append(_eq_row("pushforward of n-th polarization power (sym n, g)", cU, want))
     rules = curve_rules(genus=g, degL=rf(4) * g - rf(4))
-    c1F = grr_c1(BundleCharacter.line_bundle(0, 2), rules)
+    c1F = grr_c1(line_bundle_ch(0, 2), rules)
     rows.append(
         _eq_row(
             "quadratic differentials: 13 lambda - delta",
@@ -229,7 +230,7 @@ def checks_grr():
     rows.append(
         _eq_row(
             "linear-series space: c1 of squared-bundle pushforward",
-            grr_c1(BundleCharacter.line_bundle(2, 0), rules2),
+            grr_c1(line_bundle_ch(2, 0), rules2),
             TautClass({"lambda": 1, "frak_a": 2, "frak_b": -1}),
         )
     )
@@ -245,8 +246,6 @@ def checks_grr():
     )
     d3, _ = jet_porteous_d3()
     want_d3 = TautClass({"gamma": 6, "lambda": 24, "D0": -3})
-    from .grr import in_gamma_basis
-
     got = in_gamma_basis(d3, gamma_hurwitz(k), pivot="frak_b")
     rows.append(_eq_row("jet Porteous ramification divisor", got, want_d3))
     return rows

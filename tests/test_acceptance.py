@@ -84,7 +84,7 @@ def test_criterion_05_pushforward_engine():
     )
     # (b) quadratic differentials
     rules = grr.curve_rules(genus=g, degL=rf(4) * g - rf(4))
-    assert grr.grr_c1(grr.BundleCharacter.line_bundle(0, 2), rules) == TautClass(
+    assert grr.grr_c1(grr.line_bundle_ch(0, 2), rules) == TautClass(
         {"lambda": 13, "delta": -1}
     )
     # (c) both cover-space multiplication bundles
@@ -95,7 +95,7 @@ def test_criterion_05_pushforward_engine():
     assert c1F == TautClass({"lambda": 13, "frak_a": 2, "frak_b": -3, "D0": -1})
     # (d) squared bundle on the linear-series space
     rules2 = grr.curve_rules(genus=g, degL=rf("d"))
-    assert grr.grr_c1(grr.BundleCharacter.line_bundle(2, 0), rules2) == TautClass(
+    assert grr.grr_c1(grr.line_bundle_ch(2, 0), rules2) == TautClass(
         {"lambda": 1, "frak_a": 2, "frak_b": -1}
     )
     # (e) the lambda-torsion fiber integral evaluates to 3 lambda

@@ -204,6 +204,29 @@ def test_projectivize_needs_r_total(tmp_path, capsys):
     assert err.count("\n") == 1 and "'r_total'" in err
 
 
+_GOOD_WEIGHTS = '{"s": [[3, -1, 1], [1, 2, 2]], "r": [2, 1, 1], "r_total": 6}'
+
+
+@pytest.mark.parametrize("text, message", [
+    (_GOOD_WEIGHTS.replace("[3, -1", "[3.5, -1"), "'s': 3.5 is not a JSON integer"),
+    (_GOOD_WEIGHTS.replace("[3, -1", "[true, -1"), "'s': true is not a JSON integer"),
+    (_GOOD_WEIGHTS.replace('"r_total": 6', '"r_total": "x"'),
+     "'r_total': \"x\" is not a JSON integer"),
+    (_GOOD_WEIGHTS.replace('"r_total": 6', '"r_total": 0'), "r_total must be nonzero"),
+    ("[[3, -1, 1], [1, 2, 2]]", "weights.json holds no JSON object"),
+    (_GOOD_WEIGHTS.replace('[[3, -1, 1], [1, 2, 2]]', '3'), "'s': 3 is not a JSON list"),
+    ("s = [[3, -1, 1]]", "weights.json is not JSON: Expecting value: line 1 column 1 (char 0)"),
+], ids=["float-entry", "bool-entry", "string-total", "zero-total", "top-level-list",
+        "non-list-s", "not-json"])
+def test_projectivize_rejects_malformed_weights(tmp_path, monkeypatch, capsys, text, message):
+    # only JSON integers are weights; anything else exits 2 with one line
+    monkeypatch.chdir(tmp_path)
+    Path("weights.json").write_text(text)
+    code = main(["class", "projectivize", "--class", "a1", "--weights", "weights.json"])
+    out, err = capsys.readouterr()
+    assert (code, out, err) == (2, "", "error: %s\n" % message)
+
+
 def test_projectivize_fixed_point_out_of_range(capsys):
     # weights_a.json has two weights, so the fixed points are 0 and 1
     weights = str(Path(__file__).parents[1] / "perfbench" / "data" / "weights_a.json")

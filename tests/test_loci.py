@@ -368,7 +368,8 @@ def test_divisorial_combination_matches_residue_class():
     [(27, 24)],             # Petri, g = 27: e = g, r = g - 3
     [(22, 18)],             # K3 rank 4, g = 21: e = g + 1, r = g - 3
     [(13, 9), (14, 10)],    # covers, k = 13, 14: e = k, r = k - 4
-], ids=["divisorial-e<=12", "petri-g27", "k3-g21", "covers-k13-14"])
+    [(k, k - 4) for k in range(15, 21)],  # covers, k = 15..20
+], ids=["divisorial-e<=12", "petri-g27", "k3-g21", "covers-k13-14", "covers-k15-20"])
 def test_degree_constant_certified_by_resolution(pairs):
     # A divisorial class is alpha c1E + beta c1F.  At a = (1..e) it takes
     # alpha * sum(a) at b = 0 and alpha * sum(a) + beta at b = (1, 0, ..., 0),
