@@ -11,13 +11,12 @@ from .algebra import (
     sum_fractions,
     symmetric_reduce,
 )
-from .symfunc import ChernSeries, Partition, a_const, b_const, schur, sym_degeneracy_class
+from .symfunc import a_const, b_const, schur, sym_degeneracy_class
 from .loci import (
     NotDivisorial,
     PreconditionViolated,
     ScalarConditionViolated,
     ScalarData,
-    WeightSet,
     closed_divisor_class,
     divisorial_combination,
     divisorial_f,
@@ -28,7 +27,6 @@ from .loci import (
     projectivize,
     residue_class,
     residue_divisor_class,
-    sym2_weights,
 )
 from .grr import (
     FiberRuleTable,
@@ -48,7 +46,6 @@ from .moduli import (
     SeriesParams,
     dp12_slope,
     fit_calibration,
-    hodge_admissible_coeff,
     hurwitz_report,
     k3_rank4_class,
     known_divisor,

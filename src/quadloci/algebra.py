@@ -250,14 +250,6 @@ class Polynomial:
             return -1
         return max(monomial_degree(m) for m in self._num)
 
-    def is_homogeneous(self, deg: int | None = None) -> bool:
-        if not self._num:
-            return True
-        degs = {monomial_degree(m) for m in self._num}
-        if len(degs) > 1:
-            return False
-        return deg is None or degs == {deg}
-
     def variables(self) -> set:
         out = set()
         for m in self._num:

@@ -20,8 +20,9 @@ recursive descent straight into a `Polynomial`.
     verify all [--max-e N]
 
 Exit codes: 0 on success, 1 on verification failure, including a class
-that fails its point certificate (with one line on stderr), 2 on usage error
-(with one line on stderr).
+that fails its point certificate or a derivation that fails its identity
+check (with one line on stderr), 2 on a usage error or a file that cannot
+be opened (with one line on stderr).
 """
 
 from __future__ import annotations
@@ -331,7 +332,7 @@ def _read_weights(path: str):
         scal = loci.ScalarData(r, _typed(data["r_total"], int, "r_total"))
     except ValueError as exc:
         raise MalformedWeights(exc) from None
-    return loci.WeightSet(tuple(forms)), scal
+    return tuple(forms), scal
 
 
 def cmd_class_projectivize(args) -> int:
@@ -617,13 +618,13 @@ def main(argv=None) -> int:
         moduli.UnsupportedParam,
         moduli.InvariantViolated,
         moduli.BoundaryCoefficientNonpositive,
-        FileNotFoundError,
+        OSError,
         KeyError,
         MalformedWeights,
     ) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    except DenominatorSurvives as exc:
+    except (DenominatorSurvives, moduli.IdentityFailed) as exc:
         # a class that failed its certificate: a verification failure
         print("error: %s" % exc, file=sys.stderr)
         return 1

@@ -132,9 +132,6 @@ class TautClass:
     def __hash__(self):
         return hash(frozenset(self.coeffs.items()))
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def __str__(self):
         if not self.coeffs:
             return "0"
@@ -422,7 +419,6 @@ class LambdaTorsionReport(NamedTuple):
     c2_pushforward: RationalFunction       # the stated rank bookkeeping
     c2_pushforward_direct: RationalFunction  # fiberwise Riemann-Roch value
     rhs_lambda_multiple: RationalFunction  # fiber integral, stated chain
-    residual_multiple: RationalFunction    # rhs - 1; its vanishing = lambda torsion
 
 
 def lm_lambda_relation(i="i") -> LambdaTorsionReport:
@@ -464,5 +460,4 @@ def lm_lambda_relation(i="i") -> LambdaTorsionReport:
         c2_pushforward=c2_push.reduce(),
         c2_pushforward_direct=c2_push_direct.reduce(),
         rhs_lambda_multiple=rhs.reduce(),
-        residual_multiple=(rhs - rf(1)).reduce(),
     )

@@ -104,25 +104,8 @@ def c1F() -> Polynomial:
 
 
 # ---------------------------------------------------------------------------
-# weight sets and scalar data
+# scalar data and projectivization
 # ---------------------------------------------------------------------------
-
-class WeightSet(tuple):
-    """Ordered list of degree-1 weight forms of a torus representation: a
-    tuple of the forms, which `forms` also returns."""
-
-    __slots__ = ()
-
-    def __new__(cls, forms: tuple):
-        return super().__new__(cls, forms)
-
-    @property
-    def forms(self) -> tuple:
-        return tuple(self)
-
-    def __repr__(self):
-        return "WeightSet(forms=%r)" % (self.forms,)
-
 
 class ScalarData(namedtuple("ScalarData", "r_weights r_total")):
     """Integers r_1..r_k and r_total witnessing that a representation
@@ -136,16 +119,7 @@ class ScalarData(namedtuple("ScalarData", "r_weights r_total")):
         return super().__new__(cls, r_weights, r_total)
 
 
-def sym2_weights(e: int) -> WeightSet:
-    """Weights a_i + a_j (i <= j, lexicographic) of Sym^2 of a rank-e space."""
-    if e < 1:
-        raise PreconditionViolated("need e >= 1")
-    a = [Polynomial.variable(alpha(i)) for i in range(1, e + 1)]
-    return WeightSet(tuple(a[i] + a[j]
-                           for i, j in combinations_with_replacement(range(e), 2)))
-
-
-def _validate_scalars(weights: WeightSet, scalars: ScalarData):
+def _validate_scalars(weights: Sequence[Polynomial], scalars: ScalarData):
     for w in weights:
         total = 0
         terms = dict(w.terms)
@@ -166,14 +140,15 @@ def _shift_roots(cls: Polynomial, scalars: ScalarData, x: Polynomial) -> Polynom
     return cls.substitute_poly(mapping)
 
 
-def projectivize(cls: Polynomial, scalars: ScalarData, weights: WeightSet) -> Polynomial:
+def projectivize(cls: Polynomial, scalars: ScalarData,
+                 weights: Sequence[Polynomial]) -> Polynomial:
     """Class of the projectivized cone: replace a_i by a_i - (r_i/r) xi."""
     _validate_scalars(weights, scalars)
     return _shift_roots(cls, scalars, Polynomial.variable(xi()))
 
 
 def fixed_point_restriction(
-    cls: Polynomial, weights: WeightSet, j: int, scalars: ScalarData
+    cls: Polynomial, weights: Sequence[Polynomial], j: int, scalars: ScalarData
 ) -> Polynomial:
     """Restriction to the j-th coordinate fixed point: xi specializes to the
     j-th weight, so a_i -> a_i - (r_i/r) w_j."""

@@ -8,7 +8,7 @@ compared through slopes only, never through raw coefficients.
 from __future__ import annotations
 
 from collections import namedtuple
-from math import comb, factorial, gcd, prod
+from math import comb, factorial, prod
 from typing import NamedTuple
 
 from .algebra import Polynomial, QQ, RationalFunction, param
@@ -20,7 +20,7 @@ from .grr import (
     rf,
 )
 from .loci import divisorial_combination, divisorial_f
-from .symfunc import Partition, _comb0, a_const
+from .symfunc import _comb0, a_const
 
 
 class UnsupportedParam(Exception):
@@ -40,10 +40,6 @@ class BoundaryCoefficientNonpositive(Exception):
 
 
 class IdentityFailed(Exception):
-    pass
-
-
-class NotPartitionOfK(Exception):
     pass
 
 
@@ -177,10 +173,8 @@ def known_divisor(kind: str, k_or_g: int):
 
 
 class PetriDecomposition(NamedTuple):
-    genus: int
     petri_slope: object
     components: tuple         # (name, conjectured weight 4^(g-1-k), slope)
-    display_total: ModuliDivisor | None
     display_slope_matches: bool
     slope_in_component_hull: bool
 
@@ -231,10 +225,8 @@ def petri_decomposition_report(g: int) -> PetriDecomposition:
         min(known_slopes) <= ps <= max(known_slopes) if known_slopes else False
     )
     return PetriDecomposition(
-        genus=g,
         petri_slope=ps,
         components=tuple(comps),
-        display_total=display,
         display_slope_matches=(_slope_q(display) == ps),
         slope_in_component_hull=hull,
     )
@@ -265,12 +257,6 @@ class SeriesParams(namedtuple("SeriesParams", "r s a g d")):
         if rho != 0:
             raise InvariantViolated("the Brill-Noether number must vanish")
         return super().__new__(cls, r, s, a, g, d)
-
-    @property
-    def corank(self) -> int:
-        if self.a is None:
-            raise UnsupportedParam("no rank parameter on this locus")
-        return self.r - self.a - 1
 
 
 def series_params(series: int, ell: int) -> SeriesParams:
@@ -685,7 +671,6 @@ class KoszulClass(NamedTuple):
     lam: RationalFunction
     gamma: RationalFunction
     prefactor_units: str = "C(2i-1, i)"
-    unknown_d11: str = "alpha"
 
 
 def kosz_class(i="i") -> KoszulClass:
@@ -835,23 +820,6 @@ def kosz_rank(i) -> tuple:
 # covers of the line: canonical class and the rank-4 divisor
 # ---------------------------------------------------------------------------
 
-def hodge_admissible_coeff(i: int, mu: Partition, k: int):
-    """Coefficient of the boundary class E_{i:mu} in the Hodge class on the
-    space of ordered-branch admissible covers of degree k:
-
-        lcm(mu) ( i(6k-4-i)/(8(6k-5)) - (1/12)(k - sum 1/mu_j) ).
-    """
-    if mu.size() != k:
-        raise NotPartitionOfK("mu must be a partition of k")
-    if not 2 <= i <= 3 * k - 2:
-        raise ValueError("need 2 <= i <= 3k-2")
-    m = 1
-    for part in mu.parts:
-        m = m * part // gcd(m, part)
-    inv_sum = sum(QQ(1, part) for part in mu.parts)
-    return _hodge_coeff(i, m, inv_sum, QQ(k))
-
-
 def _hodge_coeff(i: int, lcm_mu: int, inv_sum, k):
     """lcm(mu) ( i(6k-4-i)/(8(6k-5)) - (1/12)(k - sum 1/mu_j) ), for a
     rational k or a rational-function k alike."""
@@ -871,13 +839,11 @@ class HurwitzReport(NamedTuple):
     hodge_d2_published: RationalFunction  # -1/(4(6k-5))
     hodge_d2_factor_two: bool
     hodge_d3: RationalFunction            # (3k-7)/(12(6k-5))
-    canonical: TautClass                  # 8 lambda + (1/6) D3 - (3/2) D0
     canonical_in_gamma: TautClass         # 12 lambda + gamma - 2 D0
     structural_lhs: TautClass             # (k-6) K, gamma eliminated
     structural_rhs: TautClass             # (k-12)(7 lambda - D0) + k Hrk4
     structural_identity_holds: bool
     rank4_class: TautClass                # (5k+12)/k l + (k-6)/k g - D0
-    hrk4_unit_coeff: RationalFunction     # k, i.e. k/A_k^(k-4) on the true class
     hrk4_published_coeff: object          # 1/6
     hrk4_coeff_samples: dict              # k -> (k/A_k^(k-4), equals 1/6?)
     alpha_solved: RationalFunction        # k - 6
@@ -934,13 +900,11 @@ def hurwitz_report(k="k") -> HurwitzReport:
         hodge_d2_published=published_d2,
         hodge_d2_factor_two=(c_d2 == published_d2 * rf(2)),
         hodge_d3=c_d3,
-        canonical=canonical,
         canonical_in_gamma=can_gamma,
         structural_lhs=lhs,
         structural_rhs=rhs,
         structural_identity_holds=(lhs == rhs),
         rank4_class=rank4,
-        hrk4_unit_coeff=kk,
         hrk4_published_coeff=QQ(1, 6),
         hrk4_coeff_samples=samples,
         alpha_solved=kk - rf(6),

@@ -1,12 +1,13 @@
-"""Partitions, Schur polynomials, and symmetric degeneracy-locus classes.
+"""Schur polynomials, symmetric degeneracy-locus classes and their degrees.
 
 Two Jacobi-Trudi functions, exported by ``quadloci``, used by the tests as
 references and timed by the benchmark's tracer.  No other library code
 calls them: the residue producer in ``loci`` forms its corank class on
 integer arrays of its own.
 
-* ``schur`` evaluates the Jacobi-Trudi determinant det(c_{lam_i + j - i}) of
-  a total Chern series, with c_0 = 1 and c_(<0) = 0.
+* ``schur(lam, c)`` evaluates the Jacobi-Trudi determinant
+  det(c_{lam_i + j - i}) for a partition ``lam``, a sequence of ints, and
+  the total Chern class ``c = [c_0, ..., c_n]``, with c_k = 0 outside 0..n.
 * ``sym_degeneracy_class`` is the class of symmetric forms with an
   r-dimensional kernel, 2^r * s_(r, r-1, ..., 1)(c), expanded in Chern roots.
 
@@ -20,119 +21,16 @@ from __future__ import annotations
 from math import comb
 from typing import Sequence
 
-from .algebra import ALPHA, Polynomial, QQ
+from .algebra import Polynomial, QQ, _elementary, alpha
 
 
-class TruncationTooLow(Exception):
-    """A Chern series was asked for a class beyond its truncation order."""
-
-
-class Partition:
-    """Weakly decreasing tuple of positive integers; () is allowed."""
-
-    __slots__ = ("parts",)
-
-    def __init__(self, parts: Sequence[int]):
-        parts = tuple(int(p) for p in parts)
-        if any(p < 1 for p in parts):
-            raise ValueError("partition parts must be positive")
-        if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
-            raise ValueError("partition parts must be weakly decreasing")
-        object.__setattr__(self, "parts", parts)
-
-    def __setattr__(self, *a):  # pragma: no cover
-        raise AttributeError("Partition is immutable")
-
-    @staticmethod
-    def staircase(r: int) -> "Partition":
-        """(r, r-1, ..., 2, 1)."""
-        return Partition(tuple(range(r, 0, -1)))
-
-    def __len__(self):
-        return len(self.parts)
-
-    def __iter__(self):
-        return iter(self.parts)
-
-    def __getitem__(self, i):
-        return self.parts[i]
-
-    def __eq__(self, other):
-        return isinstance(other, Partition) and self.parts == other.parts
-
-    def __hash__(self):
-        return hash(self.parts)
-
-    def size(self) -> int:
-        return sum(self.parts)
-
-    def __repr__(self):
-        return "Partition%r" % (self.parts,)
-
-
-class ChernSeries:
-    """Total Chern class c_0 = 1, c_1, c_2, ... truncated at a fixed order.
-
-    classes[i] is c_i as a Polynomial; indices past the truncation order
-    raise TruncationTooLow rather than silently returning junk, except for
-    a series built from roots of a known rank, where c_i = 0 for i > rank.
-    """
-
-    __slots__ = ("classes", "order", "rank")
-
-    def __init__(self, classes: Sequence[Polynomial], rank: int | None = None):
-        classes = list(classes)
-        if not classes or classes[0] != Polynomial.const(1):
-            raise ValueError("a Chern series starts with c_0 = 1")
-        object.__setattr__(self, "classes", classes)
-        object.__setattr__(self, "order", len(classes) - 1)
-        object.__setattr__(self, "rank", rank)
-
-    def __setattr__(self, *a):  # pragma: no cover
-        raise AttributeError("ChernSeries is immutable")
-
-    @staticmethod
-    def from_roots(roots: Sequence[Polynomial], order: int | None = None) -> "ChernSeries":
-        """prod (1 + root_i t); c_i is the i-th elementary symmetric poly."""
-        n = len(roots)
-        if order is None:
-            order = n
-        classes = [Polynomial.const(1)] + [Polynomial.zero()] * order
-        for root in roots:
-            # multiply the truncated series by (1 + root t)
-            for i in range(min(order, n), 0, -1):
-                classes[i] = classes[i] + root * classes[i - 1]
-        return ChernSeries(classes, rank=n)
-
-    @staticmethod
-    def from_alphabet(kind: int, n: int, order: int | None = None) -> "ChernSeries":
-        roots = [Polynomial.variable((kind, i)) for i in range(1, n + 1)]
-        return ChernSeries.from_roots(roots, order)
-
-    def c(self, i: int) -> Polynomial:
-        if i < 0:
-            return Polynomial.zero()
-        if i <= self.order:
-            return self.classes[i]
-        if self.rank is not None and i > self.rank:
-            return Polynomial.zero()
-        raise TruncationTooLow(
-            "c_%d requested from a series truncated at order %d" % (i, self.order)
-        )
-
-
-def schur(lam: Partition, c: ChernSeries) -> Polynomial:
-    """Jacobi-Trudi determinant det(c_{lam_i + j - i})_{i,j=1..r}."""
-    r = len(lam)
-    if r == 0:
-        return Polynomial.const(1)
-    needed = lam[0] + r - 1
-    if c.rank is None and needed > c.order:
-        raise TruncationTooLow(
-            "need c_%d but series is truncated at %d" % (needed, c.order)
-        )
-    entries = [[c.c(lam[i] + j - i) for j in range(r)] for i in range(r)]
-    return _det(entries)
+def schur(lam: Sequence[int], c: Sequence[Polynomial]) -> Polynomial:
+    """Jacobi-Trudi determinant det(c_{lam_i + j - i})_{i,j=1..r} of the
+    total Chern class c = [c_0, ..., c_n], with c_k = 0 outside 0..n."""
+    r, n = len(lam), len(c)
+    zero = Polynomial.zero()
+    return _det([[c[k] if 0 <= k < n else zero for k in range(lam[i] - i, lam[i] - i + r)]
+                 for i in range(r)])
 
 
 def _det(rows):
@@ -166,8 +64,9 @@ def sym_degeneracy_class(r: int, e: int) -> Polynomial:
     expanded in the Chern roots a_1..a_e: 2^r s_(r,...,1)(c(roots))."""
     if not 0 <= r <= e:
         raise ValueError("need 0 <= r <= e")
-    series = ChernSeries.from_alphabet(ALPHA, e)
-    return (QQ(2) ** r) * schur(Partition.staircase(r), series)
+    roots = [alpha(i) for i in range(1, e + 1)]
+    c = [_elementary(roots, k) for k in range(e + 1)]
+    return (QQ(2) ** r) * schur(range(r, 0, -1), c)
 
 
 def _elem_values(values: Sequence[int], k: int) -> list:

@@ -131,7 +131,7 @@ def checks_projectivization():
     x = Polynomial.variable
     w1 = 3 * x(alpha(1)) - x(alpha(2)) + x(alpha(3))
     w2 = x(alpha(1)) + 2 * x(alpha(2)) + 2 * x(alpha(3))
-    weights = loci.WeightSet((w1, w2))
+    weights = (w1, w2)
     scal = loci.ScalarData((2, 1, 1), 6)
     cls = w2
     rows = []

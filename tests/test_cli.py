@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from quadloci import cli, loci
+from quadloci import cli, loci, moduli
 from quadloci.algebra import Polynomial, QQ, sym
 from quadloci.grr import rf
 from quadloci.cli import (
@@ -335,6 +335,33 @@ def test_sigma_certificate_failure_exits_one(capsys, monkeypatch):
     assert code == 1 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "differs from the residue class" in err
+
+
+def test_identity_failure_exits_one(capsys, monkeypatch):
+    # a derivation that misses its closed form is a verification failure
+    # too: exit 1, one line on stderr, nothing on stdout
+    full = moduli._k3_rank4_combination
+    monkeypatch.setattr(moduli, "_k3_rank4_combination", lambda g: full(g).scale(2))
+    code = main(["k3", "rank4", "--g", "5"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (1, "")
+    assert err == "error: rank-4 class does not match its closed form\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["class", "projectivize", "--class", "a1", "--weights", "{dir}"],
+     "Is a directory: '{dir}'"),
+    (["--out", "{dir}", "class", "pencil", "--e", "3"], "Is a directory: '{dir}'"),
+    (["class", "projectivize", "--class", "a1", "--weights", "{dir}/absent.json"],
+     "No such file or directory: '{dir}/absent.json'"),
+], ids=["weights-directory", "out-directory", "weights-missing"])
+def test_unreadable_paths_exit_two(tmp_path, capsys, argv, message):
+    # a path that names a directory, or nothing, exits 2 with one line
+    code = main([a.format(dir=tmp_path) for a in argv])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err.startswith("error: [Errno ")
+    assert err.endswith("] %s\n" % message.format(dir=tmp_path))
 
 
 def test_verify_exit_zero(capsys):

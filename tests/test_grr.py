@@ -159,7 +159,6 @@ def test_lambda_torsion_relation():
     assert rep.c2_pushforward == I - rf(1)
     assert rep.c2_pushforward_direct == I + rf(1)
     assert rep.rhs_lambda_multiple == rf(3)
-    assert rep.residual_multiple == rf(2)
 
 
 def test_tautclass_arithmetic():

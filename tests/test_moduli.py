@@ -6,7 +6,7 @@ import pytest
 from quadloci import moduli
 from quadloci.algebra import Polynomial, QQ, RationalFunction, param
 from quadloci.grr import TautClass, rf
-from quadloci.loci import ScalarData, WeightSet
+from quadloci.loci import ScalarData
 from quadloci.moduli import (
     BoundaryCoefficientNonpositive,
     Calibration,
@@ -14,13 +14,11 @@ from quadloci.moduli import (
     InvariantViolated,
     KoszulClass,
     ModuliDivisor,
-    NotPartitionOfK,
     SeriesParams,
     UnsupportedParam,
     brill_noether_bound,
     dp12_slope,
     fit_calibration,
-    hodge_admissible_coeff,
     hurwitz_report,
     _k3_rank4_combination,
     k3_rank4_class,
@@ -36,7 +34,6 @@ from quadloci.moduli import (
     series_params,
     virtual_slope_from_pushforward,
 )
-from quadloci.symfunc import Partition
 from quadloci.verify import CheckResult
 
 G = rf("g")
@@ -121,7 +118,6 @@ def test_decomposition_reports():
 def test_series_params_values():
     p = series_params(1, 1)
     assert (p.r, p.s, p.a, p.g, p.d) == (7, 3, 4, 24, 28)
-    assert p.corank == 2
     p2 = series_params(2, 1)
     assert (p2.r, p2.s, p2.a, p2.g, p2.d) == (11, 4, 5, 48, 55)
     assert series_params(1, 2).g == 7 * 17
@@ -150,16 +146,15 @@ def test_records_are_immutable_values():
     """The records keep the keyword construction, defaults, immutability,
     value equality, repr and constructor checks they had as dataclasses."""
     kc = KoszulClass(i=2, lam=rf(1), gamma=rf(QQ(1, 2)))
-    assert (kc.prefactor_units, kc.unknown_d11) == ("C(2i-1, i)", "alpha")
+    assert kc.prefactor_units == "C(2i-1, i)"
     assert ModuliDivisor(4, rf(34), {0: rf(4)}).note == ""
     assert CheckResult("t", "1", "1", "PASS").note == ""
     records = [
-        (kc, KoszulClass(2, rf(1), rf(QQ(1, 2)), "C(2i-1, i)", "alpha"), "i"),
+        (kc, KoszulClass(2, rf(1), rf(QQ(1, 2)), "C(2i-1, i)"), "i"),
         (ModuliDivisor(genus=4, lam=rf(34), deltas={0: rf(4)}),
          ModuliDivisor(4, rf(34), {0: rf(4)}, ""), "genus"),
         (SeriesParams(r=7, s=3, a=4, g=24, d=28), series_params(1, 1), "r"),
         (ScalarData(r_weights=(2, 1, 1), r_total=6), ScalarData((2, 1, 1), 6), "r_weights"),
-        (WeightSet(forms=(rf(1), rf(2))), WeightSet((rf(1), rf(2))), "forms"),
         (CheckResult(tag="t", computed="1", expected="1", status="PASS"),
          CheckResult("t", "1", "1", "PASS", ""), "tag"),
     ]
@@ -171,7 +166,6 @@ def test_records_are_immutable_values():
         with pytest.raises(AttributeError):
             record.extra = None
     assert repr(ScalarData((2, 1, 1), 6)) == "ScalarData(r_weights=(2, 1, 1), r_total=6)"
-    assert repr(WeightSet((rf(1),))) == "WeightSet(forms=(1,))"
     assert hash(series_params(1, 1)) == hash(SeriesParams(7, 3, 4, 24, 28))
     assert kc != kc._replace(lam=rf(2))
     with pytest.raises(InvariantViolated):
@@ -433,9 +427,6 @@ def test_kosz_symbolic_rejects_a_shift_over_another_denominator(monkeypatch):
 
 def test_hurwitz_report_core():
     rep = hurwitz_report()
-    assert rep.canonical == TautClass(
-        {"lambda": 8, "D3": QQ(1, 6), "D0": QQ(-3, 2)}
-    )
     assert rep.canonical_in_gamma == TautClass(
         {"lambda": 12, "gamma": 1, "D0": -2}
     )
@@ -444,7 +435,6 @@ def test_hurwitz_report_core():
         {"lambda": (rf(5) * K + rf(12)) / K, "gamma": (K - rf(6)) / K, "D0": -1}
     )
     assert rep.alpha_solved == K - rf(6)
-    assert rep.hrk4_unit_coeff == K
 
 
 def test_hurwitz_hodge_coefficients():
@@ -473,10 +463,10 @@ def test_hurwitz_report_at_integer_k_specializes_every_field():
             continue
         rep = hurwitz_report(k0)
         for name in ("hodge_d0", "hodge_d2_derived", "hodge_d2_published",
-                     "hodge_d3", "hrk4_unit_coeff", "alpha_solved"):
+                     "hodge_d3", "alpha_solved"):
             got, want = getattr(rep, name), getattr(sym_rep, name)
             assert got.is_polynomial() and got == at(want, k0), (k0, name)
-        for name in ("canonical", "canonical_in_gamma", "structural_lhs",
+        for name in ("canonical_in_gamma", "structural_lhs",
                      "structural_rhs", "rank4_class"):
             got, want = getattr(rep, name), getattr(sym_rep, name)
             assert set(got.coeffs) <= set(want.coeffs), (k0, name)
@@ -490,26 +480,6 @@ def test_hurwitz_published_coefficient_differs():
     # k / A_k^(k-4) never equals the published 1/6 on the sampled range
     assert all(not match for _, match in rep.hrk4_coeff_samples.values())
     assert rep.hrk4_coeff_samples[6][0] == QQ(6, 35)
-
-
-def test_hodge_admissible_coeff_values():
-    k = 8
-    assert hodge_admissible_coeff(2, Partition([1] * k), k) == QQ(
-        3 * (k - 1), 2 * (6 * k - 5)
-    )
-    assert hodge_admissible_coeff(2, Partition([3] + [1] * (k - 3)), k) == QQ(
-        3 * k - 7, 6 * (6 * k - 5)
-    )
-    assert hodge_admissible_coeff(2, Partition([2, 2] + [1] * (k - 4)), k) == -QQ(
-        1, 2 * (6 * k - 5)
-    )
-
-
-def test_hodge_admissible_coeff_guards():
-    with pytest.raises(NotPartitionOfK):
-        hodge_admissible_coeff(2, Partition([2, 1]), 8)
-    with pytest.raises(ValueError):
-        hodge_admissible_coeff(1, Partition([1] * 8), 8)
 
 
 # -- slope functional ---------------------------------------------------------
