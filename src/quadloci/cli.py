@@ -21,8 +21,10 @@ recursive descent straight into a `Polynomial`.
 
 Exit codes: 0 on success, 1 on verification failure, including a class
 that fails its point certificate or a derivation that fails its identity
-check (with one line on stderr), 2 on a usage error or a file that cannot
-be opened (with one line on stderr).
+check (with one line on stderr), 2 on a usage error, a malformed weights
+file or a file that cannot be opened (with one line on stderr).  A stdout
+whose reader has gone, such as a pipe closed before the output is written,
+exits 1 with nothing on stderr.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 from .algebra import (
@@ -321,6 +324,9 @@ def _read_weights(path: str):
             raise MalformedWeights("%s is not JSON: %s" % (path, exc)) from None
     if type(data) is not dict:
         raise MalformedWeights("%s holds no JSON object" % path)
+    for key in ("s", "r", "r_total"):
+        if key not in data:
+            raise MalformedWeights("%s has no key %r" % (path, key))
     forms = []
     for row in _typed(data["s"], list, "s"):
         form = Polynomial.zero()
@@ -608,7 +614,19 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader left: no usage error, and no second failure when the
+        # interpreter flushes stdout at exit (the signal docs' "Note on
+        # SIGPIPE"); an in-memory stdout has no descriptor to redirect
+        try:
+            fd = sys.stdout.fileno()
+        except OSError:  # io.UnsupportedOperation
+            return 1
+        os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
+        return 1
     except (
         ClassSyntaxError,
         UnknownSymbol,
@@ -619,7 +637,6 @@ def main(argv=None) -> int:
         moduli.InvariantViolated,
         moduli.BoundaryCoefficientNonpositive,
         OSError,
-        KeyError,
         MalformedWeights,
     ) as exc:
         print("error: %s" % exc, file=sys.stderr)

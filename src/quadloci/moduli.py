@@ -16,7 +16,10 @@ from .grr import (
     TautClass,
     chern_of_power_pushforward,
     gamma_k3,
+    grr_c1,
     in_gamma_basis,
+    k3_rules,
+    line_bundle_ch,
     rf,
 )
 from .loci import divisorial_combination, divisorial_f
@@ -735,21 +738,23 @@ def _kosz_numeric(i: int) -> KoszulClass:
         raise UnsupportedParam("need i >= 1")
     g = 2 * i + 3
     base = comb(2 * i - 1, i)
-    cG = TautClass.zero()
-    cH_weight = 0
-    c1U = {m: chern_of_power_pushforward(m, g) for m in range(1, i + 3)}
+    # the difference cG - cH as sum_n weight[n] c1(U_n)
+    weight = {1: 0}
     for j in range(0, i + 1):
         sign = 1 if j % 2 == 0 else -1
         rank_u = 2 + (j + 2) ** 2 * (g - 1)
-        cG = cG + (
-            c1U[1].scale(sign * rank_u * _comb0(g, i - j - 1))
-            + c1U[j + 2].scale(sign * _comb0(g + 1, i - j))
-        )
-        cH_weight += sign * (
+        cH_weight = sign * (
             _comb0(g + j + 2, g) * _comb0(g, i - j - 1)
             + _comb0(g + 1, i - j) * _comb0(g + j + 2, g + 1)
         )
-    diff = cG - c1U[1].scale(cH_weight)
+        weight[1] += sign * rank_u * _comb0(g, i - j - 1) - cH_weight
+        weight[j + 2] = sign * _comb0(g + 1, i - j)
+    # c1(U_n) is a cubic in n, as ch(L^n) stops at degree 3: fold the weights
+    # into one integer per n^k and push forward the four n^k parts of ch(L^n)
+    ch, n, rules = line_bundle_ch("n", 0), param("n"), k3_rules(g)
+    diff = sum((grr_c1(ch.coefficient_of(n, k), rules).scale(
+                    sum(w * m ** k for m, w in weight.items()))
+                for k in range(4)), TautClass.zero())
     diff = in_gamma_basis(diff, gamma_k3(g), pivot="kappa30")
     return KoszulClass(
         i=i,

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from math import comb
@@ -6,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from quadloci import cli, loci, moduli
+from quadloci import cli, loci, moduli, verify
 from quadloci.algebra import Polynomial, QQ, sym
 from quadloci.grr import rf
 from quadloci.cli import (
@@ -216,8 +217,11 @@ _GOOD_WEIGHTS = '{"s": [[3, -1, 1], [1, 2, 2]], "r": [2, 1, 1], "r_total": 6}'
     ("[[3, -1, 1], [1, 2, 2]]", "weights.json holds no JSON object"),
     (_GOOD_WEIGHTS.replace('[[3, -1, 1], [1, 2, 2]]', '3'), "'s': 3 is not a JSON list"),
     ("s = [[3, -1, 1]]", "weights.json is not JSON: Expecting value: line 1 column 1 (char 0)"),
+] + [
+    (json.dumps({k: v for k, v in json.loads(_GOOD_WEIGHTS).items() if k != key}),
+     "weights.json has no key %r" % key) for key in ("s", "r", "r_total")
 ], ids=["float-entry", "bool-entry", "string-total", "zero-total", "top-level-list",
-        "non-list-s", "not-json"])
+        "non-list-s", "not-json", "missing-s", "missing-r", "missing-r_total"])
 def test_projectivize_rejects_malformed_weights(tmp_path, monkeypatch, capsys, text, message):
     # only JSON integers are weights; anything else exits 2 with one line
     monkeypatch.chdir(tmp_path)
@@ -362,6 +366,22 @@ def test_unreadable_paths_exit_two(tmp_path, capsys, argv, message):
     assert (code, out) == (2, "")
     assert err.startswith("error: [Errno ")
     assert err.endswith("] %s\n" % message.format(dir=tmp_path))
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+def test_closed_stdout_exits_one(unbuffered):
+    # a reader that left before the output was written is no usage error:
+    # exit 1 with nothing on stderr, not even from the flush at exit
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]),
+               PYTHONUNBUFFERED=unbuffered)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "quadloci.cli", "hurwitz", "--k", "7"],
+                              stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, b"")
 
 
 def test_verify_exit_zero(capsys):
@@ -525,18 +545,52 @@ def test_retired_options_are_usage_errors(capsys, argv):
     assert err.count("\n") == 1 and "error:" in err
 
 
-def test_moduli_documents_replay_byte_for_byte(capsys, monkeypatch):
-    """Every moduli, K3, Hurwitz, class sigma, pencil and projectivize
-    document written by tests/data/make_moduli_documents.py prints the same
-    bytes again.  The requests run in tests/data, as they were written,
-    because projectivize echoes its relative --weights path."""
-    data = Path(__file__).parent / "data"
-    entries = json.loads((data / "moduli_documents.json").read_text())
-    assert len(entries) == 190
-    monkeypatch.chdir(data)
-    differ = []
-    for entry in entries:
-        code, out = run_cli(capsys, *entry["argv"])
-        if (code, out) != (entry["exit"], entry["stdout"]):
-            differ.append(" ".join(entry["argv"]))
-    assert not differ
+# -- the golden record of every benchmark request ---------------------------------
+
+sys.path.insert(0, str(Path(__file__).parent / "data"))
+import make_golden  # noqa: E402  puts perfbench/ on the path too
+
+
+def _golden():
+    return json.loads(make_golden.GOLDEN.read_text())
+
+
+def _pinned(entry):
+    """What the replay compares: for an argparse usage error, which newer
+    patch releases word differently, exit 2 and one `error:` line on stderr;
+    for any other exception out of main, its type; else every field."""
+    if entry["raised"] == "SystemExit":
+        lines = entry["stderr"].splitlines()
+        return entry["exit"], entry["stdout"], ["error:" in line for line in lines]
+    return entry["raised"] or entry
+
+
+def test_golden_replay_byte_for_byte(monkeypatch):
+    """Every benchmark request and `verify all --max-e 2|4|5` answers as
+    tests/data/make_golden.py recorded it, and it recorded exactly those."""
+    entries = _golden()
+    assert [entry["argv"] for entry in entries] == make_golden.requests()
+    monkeypatch.chdir(make_golden.ROOT)
+    differ = [" ".join(entry["argv"]) for entry in entries
+              if _pinned(make_golden.answer(entry["argv"])) != _pinned(entry)]
+    assert not differ, "\n".join(differ)
+
+
+def test_golden_agrees_with_the_benchmark_reference():
+    """The golden pins what perfbench/reference.json pins: the hash of each
+    ok answer, each usage error and the verify rows.  The reference's
+    `failed` requests, the known defects, are pinned by the golden alone."""
+    import worker  # perfbench's own hashes and row digest
+
+    golden = {worker.workloads.call_key(["cli", *e["argv"]]): e for e in _golden()}
+    ref = json.loads(worker.workloads.REFERENCE.read_text())
+    for key, want in ref["calls"].items():
+        got = golden[key]
+        if want["outcome"] == "ok":
+            assert (got["outcome"], worker.sha256(got["stdout"])) == ("ok", want["sha256"]), key
+        elif want["outcome"] == "usage":
+            assert got["outcome"] == "usage", key
+    for max_e in (2, 4):
+        rows = verify.run_all(max_e=max_e)
+        assert ({"counts": worker.verify_counts(rows), "sha256": worker.verify_digest(rows)}
+                == ref["verify"][str(max_e)])
