@@ -5,7 +5,9 @@ serialized as strings "p/q" or "p", never as floats), deterministic for a
 fixed input.  `class sigma` answers in the Chern symbols c_iE, c_jF;
 `--basis roots` expands that answer in the Chern roots with `loci.to_roots`,
 whatever the method.  `class projectivize --class` is parsed by
-recursive descent straight into a `Polynomial`.
+recursive descent straight into a `Polynomial`: names and numbers are
+ASCII, unary minus binds looser than `^`, and a malformed expression is
+one line, `error: unknown symbol 'frob' (at position 0)`.
 
     class sigma --e E --f F --r R [--method M] [--basis roots|chern]
     class pencil --e E [--presentation sub|quot]
@@ -33,6 +35,7 @@ import argparse
 import functools
 import json
 import os
+import re
 import sys
 
 from .algebra import (
@@ -59,8 +62,9 @@ class ClassSyntaxError(Exception):
         self.position = position
 
 
-class UnknownSymbol(Exception):
-    pass
+class UnknownSymbol(ClassSyntaxError):
+    def __init__(self, name, position):
+        super().__init__("unknown symbol %r" % name, position)
 
 
 class MalformedWeights(Exception):
@@ -71,49 +75,31 @@ class MalformedWeights(Exception):
 # expression parser for classes
 # ---------------------------------------------------------------------------
 
-_TOKEN_NUM = "num"
-_TOKEN_NAME = "name"
-_TOKEN_OP = "op"
-_TOKEN_END = "end"
+# one token after optional whitespace: a literal p or p/q, a name, an
+# operator, or any other character, which is an error
+_TOKEN = re.compile(r"\s*(?:(?P<num>[0-9]+(?:/[0-9]+)?)|(?P<name>[A-Za-z_]\w*)"
+                    r"|(?P<op>[-+*^()])|(?P<bad>\S))", re.ASCII)
+_MAX_DEPTH = 100  # parentheses nested deeper are an error, not a deep recursion
 
 
 def _tokenize(text: str):
+    """(kind, value, position) per token, then ("end", None, len(text))."""
     tokens = []
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            # rational literal p/q (no spaces around the slash)
-            if j < n and text[j] == "/" and j + 1 < n and text[j + 1].isdigit():
-                k = j + 1
-                while k < n and text[k].isdigit():
-                    k += 1
-                tokens.append((_TOKEN_NUM, QQ(int(text[i:j]), int(text[j + 1:k])), i))
-                i = k
-            else:
-                tokens.append((_TOKEN_NUM, QQ(int(text[i:j])), i))
-                i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append((_TOKEN_NAME, text[i:j], i))
-            i = j
-            continue
-        if c in "+-*^()":
-            tokens.append((_TOKEN_OP, c, i))
-            i += 1
-            continue
-        raise ClassSyntaxError("unexpected character %r" % c, i)
-    tokens.append((_TOKEN_END, None, n))
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        val, at = m.group(kind), m.start(kind)
+        if kind == "bad":
+            raise ClassSyntaxError("unexpected character %r" % val, at)
+        if kind == "num":
+            p, _, q = val.partition("/")
+            try:
+                val = QQ(int(p), int(q or 1))
+            except ZeroDivisionError:
+                raise ClassSyntaxError("zero denominator", at) from None
+            except ValueError:  # more digits than int() converts
+                raise ClassSyntaxError("number too long", at) from None
+        tokens.append((kind, val, at))
+    tokens.append(("end", None, len(text)))
     return tokens
 
 
@@ -121,82 +107,85 @@ def parse_class(text: str) -> Polynomial:
     """Parse an infix class expression with one-token lookahead into the
     polynomial it names; each rule returns the value it parsed, and a name
     resolves to its variable where it is read.  The grammar has +, -, *, ^
-    and parentheses; no implicit multiplication; exponents are non-negative
-    integer literals; unary minus binds before ^, so -a1^2 is (-a1)^2."""
+    and parentheses, nested at most _MAX_DEPTH deep; no implicit
+    multiplication; exponents are non-negative integer literals; names and
+    numbers are ASCII.  Unary minus binds looser than ^, as in Python and
+    as a Polynomial prints: -a1^2 is -(a1^2).  Raises ClassSyntaxError
+    with the position of the offending token."""
     tokens = _tokenize(text)
-    pos = [0]
-
-    def peek():
-        return tokens[pos[0]]
+    pos = depth = 0
 
     def advance():
-        tok = tokens[pos[0]]
-        pos[0] += 1
-        return tok
+        nonlocal pos
+        pos += 1
+        return tokens[pos - 1]
 
-    def expect_op(op):
-        kind, val, at = advance()
-        if kind != _TOKEN_OP or val != op:
-            raise ClassSyntaxError("expected %r" % op, at)
+    def accept(ops):
+        """The next token's operator, consumed, if it is in ops; else None."""
+        kind, val, _ = tokens[pos]
+        return advance()[1] if kind == "op" and val in ops else None
 
     def parse_expr():
         value = parse_term()
-        while True:
-            kind, val, _ = peek()
-            if kind == _TOKEN_OP and val in "+-":
-                advance()
-                rhs = parse_term()
-                value = value + rhs if val == "+" else value - rhs
-            else:
-                return value
+        while op := accept("+-"):
+            rhs = parse_term()
+            value = value + rhs if op == "+" else value - rhs
+        return value
 
     def parse_term():
         value = parse_factor()
-        while True:
-            kind, val, _ = peek()
-            if kind == _TOKEN_OP and val == "*":
-                advance()
-                value = value * parse_factor()
-            else:
-                return value
+        while accept("*"):
+            value = value * parse_factor()
+        return value
 
     def parse_factor():
+        negate = False
+        while accept("-"):
+            negate = not negate
         value = parse_atom()
-        kind, val, at = peek()
-        if kind == _TOKEN_OP and val == "^":
-            advance()
+        if accept("^"):
             kind, val, at = advance()
-            if kind != _TOKEN_NUM or val.denominator != 1 or val < 0:
+            if kind != "num" or val.denominator != 1:
                 raise ClassSyntaxError(
                     "exponent must be a non-negative integer literal", at
                 )
-            return value ** int(val)
-        return value
+            value = value ** int(val)
+        return -value if negate else value
 
     def parse_atom():
+        nonlocal depth
         kind, val, at = advance()
-        if kind == _TOKEN_NUM:
+        if kind == "num":
             return Polynomial.const(val)
-        if kind == _TOKEN_NAME:
-            return Polynomial.variable(resolve_symbol(val))
-        if kind == _TOKEN_OP and val == "(":
-            value = parse_expr()
-            expect_op(")")
-            return value
-        if kind == _TOKEN_OP and val == "-":
-            return -parse_atom()
-        raise ClassSyntaxError("unexpected token %r" % (val,), at)
+        if kind == "name":
+            return Polynomial.variable(resolve_symbol(val, at))
+        if kind == "end":
+            raise ClassSyntaxError("unexpected end of expression", at)
+        if val != "(":
+            raise ClassSyntaxError("unexpected token %r" % val, at)
+        if depth == _MAX_DEPTH:
+            raise ClassSyntaxError(
+                "parentheses nested deeper than %d" % _MAX_DEPTH, at
+            )
+        depth += 1
+        value = parse_expr()
+        if not accept(")"):
+            raise ClassSyntaxError("expected ')'", tokens[pos][2])
+        depth -= 1
+        return value
 
     value = parse_expr()
-    kind, val, at = peek()
-    if kind != _TOKEN_END:
-        raise ClassSyntaxError("trailing input %r" % (val,), at)
+    kind, val, at = tokens[pos]
+    if kind != "end":
+        raise ClassSyntaxError("trailing input %r" % str(val), at)
     return value
 
 
-def resolve_symbol(name: str):
-    """Map a CLI symbol name to a polynomial variable."""
-    if len(name) >= 2 and name[0] in "ab" and name[1:].isdigit():
+def resolve_symbol(name: str, position: int = 0):
+    """Map a CLI symbol name to a polynomial variable; an unknown name is
+    an UnknownSymbol at position."""
+    # an index of at most 9 digits, as int() reads no arbitrary length
+    if 2 <= len(name) <= 10 and name[0] in "ab" and name[1:].isdigit():
         idx = int(name[1:])
         return (ALPHA, idx) if name[0] == "a" else (BETA, idx)
     if name in ("g1", "g2"):
@@ -210,7 +199,7 @@ def resolve_symbol(name: str):
         return sym(name)
     if name.startswith("c") and len(name) >= 3 and name[-1] in "EF":
         return sym(name)
-    raise UnknownSymbol(name)
+    raise UnknownSymbol(name, position)
 
 
 # ---------------------------------------------------------------------------
@@ -629,7 +618,6 @@ def main(argv=None) -> int:
         return 1
     except (
         ClassSyntaxError,
-        UnknownSymbol,
         loci.PreconditionViolated,
         loci.NotDivisorial,
         loci.ScalarConditionViolated,

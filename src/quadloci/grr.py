@@ -32,6 +32,10 @@ class MissingRule(Exception):
     """A fibration was asked to integrate a monomial it has no rule for."""
 
 
+class IdentityFailed(Exception):
+    """A derivation missed the closed form or span it must land in."""
+
+
 def rf(x) -> RationalFunction:
     """x as a rational function; a string names a formal parameter."""
     if isinstance(x, RationalFunction):
@@ -397,14 +401,15 @@ def jet_porteous_d3(k="k"):
 
 def in_gamma_basis(cls: TautClass, gamma_def: TautClass, pivot: str) -> TautClass:
     """Rewrite a class using the symbol "gamma" for gamma_def, eliminating
-    the pivot symbol.  Raises if the class is not in the span."""
+    the pivot symbol.  Raises IdentityFailed if the class is not in the
+    span."""
     c = cls.coefficient(pivot) / gamma_def.coefficient(pivot)
     rest = cls - gamma_def.scale(c)
     if not rest.coefficient(pivot).is_zero():
-        raise AssertionError("gamma elimination failed on pivot %s" % pivot)
+        raise IdentityFailed("gamma elimination failed on pivot %s" % pivot)
     for s in gamma_def.symbols():
         if s != pivot and not rest.coefficient(s).is_zero():
-            raise AssertionError(
+            raise IdentityFailed(
                 "class is not in the (gamma, ...) span: residual %s" % s
             )
     return rest + TautClass.symbol("gamma", c)

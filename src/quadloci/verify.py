@@ -281,11 +281,11 @@ def checks_k3():
         for i, (rank_g, rank_h, _) in ranks
     )
     rows.append(_row("syzygy bundle ranks i=1..8", ranks_ok, True, ranks_ok))
-    sym_ok = True
+    ii = rf("i")
+    d = ii * (ii + rf(1)) * (ii + rf(2)) * (ii + rf(3))
+    closed = moduli.kosz_closed_form("i")
     try:
-        ks = moduli.kosz_class("i")
-        kc = moduli.kosz_closed_form("i")
-        sym_ok = ks.lam == kc.lam and ks.gamma == kc.gamma
+        sym_ok = moduli.kosz_sums_over_d("i") == (closed.lam * d, closed.gamma * d)
     except moduli.IdentityFailed:
         sym_ok = False
     rows.append(
@@ -296,10 +296,8 @@ def checks_k3():
     num_ok = all((ks.lam, ks.gamma) == (kc.lam, kc.gamma) for ks, kc in pairs)
     rows.append(_row("middle-syzygy class numeric i=1..8", num_ok, True, num_ok))
     ratio = moduli.kosz_prefactor_ratio("i")
-    ii = rf("i")
     expected_ratio = rf(2) * (rf(2) * ii + rf(1)) / (ii + rf(1))
     intro = moduli.kosz_intro_form("i")
-    closed = moduli.kosz_closed_form("i")
     inner_match = intro.lam / intro.gamma == closed.lam / closed.gamma
     rows.append(
         _row(

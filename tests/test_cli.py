@@ -6,6 +6,7 @@ from math import comb
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from quadloci import cli, loci, moduli, verify
 from quadloci.algebra import Polynomial, QQ, sym
@@ -37,19 +38,20 @@ def test_parse_rational_coefficient_and_power():
 def test_parse_roundtrip_on_canonical_prints():
     # the grammar reads back what a Polynomial prints
     for text in (
-        "2*c1F - 4*c1E",
+        "-4*c1E + 2*c1F",
         "2/3*lambda^2",
-        "(a1 + 2*a2)*(a1 - a2)",
-        "-a1 + xi^3",
+        "a1^2 + a1*a2 - 2*a2^2",
+        "xi^3 - a1",
+        "-a1^2 + a2",
     ):
-        once = parse_class(text)
-        assert parse_class(str(once)) == once
+        assert str(parse_class(text)) == text
 
 
 def test_parse_syntax_error_position():
     with pytest.raises(ClassSyntaxError) as err:
         parse_class("2*c1F +")
     assert err.value.position == 7
+    assert str(err.value) == "unexpected end of expression (at position 7)"
     with pytest.raises(ClassSyntaxError):
         parse_class("a1 a2")  # no implicit multiplication
     with pytest.raises(ClassSyntaxError):
@@ -57,18 +59,95 @@ def test_parse_syntax_error_position():
 
 
 def test_parse_unknown_symbol():
-    with pytest.raises(UnknownSymbol):
-        parse_class("frobnicator + 1")
+    with pytest.raises(UnknownSymbol) as err:
+        parse_class("a1 + frobnicator + 1")
+    assert isinstance(err.value, ClassSyntaxError) and err.value.position == 5
+    assert str(err.value) == "unknown symbol 'frobnicator' (at position 5)"
 
 
-def test_parse_unary_minus_binds_before_power():
-    # -a1^2 is (-a1)^2; -(a1^2) negates the power
+def test_parse_unary_minus_binds_looser_than_power():
+    # -a1^2 is -(a1^2), as in Python and as a Polynomial prints it
     a1, a2, a3 = (X(cli.resolve_symbol(n)) for n in ("a1", "a2", "a3"))
-    assert parse_class("-a1^2") == a1 ** 2
+    assert parse_class("-a1^2") == -(a1 ** 2)
+    assert parse_class("(-a1)^2") == a1 ** 2
     assert parse_class("-a1^3") == -(a1 ** 3)
-    assert parse_class("-(a1^2)") == -(a1 ** 2)
+    assert parse_class("-2^2") == Polynomial.const(-4)
+    assert parse_class("--a1^2") == a1 ** 2
+    assert parse_class("a2 * -a1^2") == -(a2 * a1 ** 2)
     assert parse_class("(a1 - a2)^3 + a3") == (a1 - a2) ** 3 + a3
     assert parse_class("a1 - a2 - a3") == a1 - a2 - a3
+    assert parse_class("-" * 3001 + "a1") == -a1
+
+
+# names of each kind `resolve_symbol` knows, and small rational coefficients
+_ROUNDTRIP_NAMES = ("a1", "a2", "a3", "b1", "b2", "g1", "g2", "xi", "g", "ell",
+                    "i", "lambda", "delta0", "c1E", "c2F")
+_monomials = st.lists(st.tuples(st.sampled_from(_ROUNDTRIP_NAMES), st.integers(1, 3)),
+                      max_size=3)
+_coefficients = st.one_of(st.sampled_from([1, -1]), st.fractions(
+    min_value=-9, max_value=9, max_denominator=7).filter(bool))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(_coefficients, _monomials), max_size=5))
+@example([(-1, [("a1", 2)]), (1, [("a2", 1)])])  # -a1^2 + a2
+def test_parse_reads_back_every_printed_polynomial(terms):
+    p = Polynomial.zero()
+    for c, mono in terms:
+        term = Polynomial.const(c)
+        for name, e in mono:
+            term = term * X(cli.resolve_symbol(name)) ** e
+        p = p + term
+    assert parse_class(str(p)) == p
+
+
+# fragments of the grammar, characters outside it, a zero denominator, and
+# runs of minus signs and parentheses around the nesting bound
+_fragments = st.sampled_from([
+    "a1", "b2", "xi", "g", "lambda", "frob", " 2 ", " 3/4 ", "1/0", "/0", " ",
+    "+", "-", "*", "^", "^2", "(", ")", "²", "٣", "é", "b١", "\t",
+])
+_minus_runs = st.integers(0, 3000).map(lambda n: "-" * n + "a1")
+_nested = st.integers(95, 105).map(lambda n: "(" * n + "a1" + ")" * n)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.one_of(st.lists(_fragments, max_size=24).map("".join), _minus_runs, _nested,
+                 st.tuples(_nested, _fragments).map("".join)))
+def test_parse_raises_only_class_syntax_errors(text):
+    try:
+        parse_class(text)
+    except ClassSyntaxError:
+        pass
+
+
+@pytest.mark.parametrize("text, message", [
+    ("1/0", "zero denominator (at position 0)"),
+    ("²", "unexpected character '²' (at position 0)"),
+    ("a1^²", "unexpected character '²' (at position 3)"),
+    ("a²", "unexpected character '²' (at position 1)"),
+    ("b١", "unexpected character '١' (at position 1)"),
+    ("(" * 400 + "a1" + ")" * 400, "parentheses nested deeper than 100 (at position 100)"),
+    ("1" * 5000, "number too long (at position 0)"),
+], ids=["zero-denominator", "superscript", "superscript-exponent",
+        "superscript-name", "arabic-indic-digit", "deep-parentheses", "long-number"])
+def test_projectivize_malformed_class_exits_two(capsys, text, message):
+    # each once ended in a traceback or was read as another class
+    weights = str(Path(__file__).parents[1] / "perfbench" / "data" / "weights_a.json")
+    code, out, err = _outcome(capsys, ["class", "projectivize", "--class=" + text,
+                                       "--weights", weights])
+    assert (code, out) == (2, "")
+    assert err == "error: %s\n" % message
+
+
+def test_projectivize_reads_a_long_minus_run(capsys):
+    # 3000 minus signs negate a1 an even number of times, without recursion
+    weights = str(Path(__file__).parents[1] / "perfbench" / "data" / "weights_a.json")
+    runs = [_outcome(capsys, ["class", "projectivize", "--class=" + text,
+                              "--weights", weights])
+            for text in ("-" * 3000 + "a1", "a1")]
+    assert runs[0][0] == 0 and runs[0][2] == ""
+    assert json.loads(runs[0][1])["coefficients"] == json.loads(runs[1][1])["coefficients"]
 
 
 def test_projectivize_reports_unknown_name_before_later_syntax_error(capsys):
@@ -77,11 +156,11 @@ def test_projectivize_reports_unknown_name_before_later_syntax_error(capsys):
     code = main(["class", "projectivize", "--class", "frob + ", "--weights", weights])
     out, err = capsys.readouterr()
     assert code == 2 and out == ""
-    assert err == "error: frob\n"
+    assert err == "error: unknown symbol 'frob' (at position 0)\n"
     code = main(["class", "projectivize", "--class", "a1 + ", "--weights", weights])
     out, err = capsys.readouterr()
     assert code == 2 and out == ""
-    assert err == "error: unexpected token None (at position 5)\n"
+    assert err == "error: unexpected end of expression (at position 5)\n"
 
 
 def test_q_str_roundtrip():
@@ -350,6 +429,22 @@ def test_identity_failure_exits_one(capsys, monkeypatch):
     out, err = capsys.readouterr()
     assert (code, out) == (1, "")
     assert err == "error: rank-4 class does not match its closed form\n"
+
+
+def test_calibration_fit_failure_exits_one(capsys, monkeypatch):
+    # a fit that misses its own target is a failed identity, raised by a
+    # check that python -O keeps
+    push = moduli.virtual_slope_from_pushforward
+
+    def missed(p, calibration):
+        res = push(p, calibration)
+        return res._replace(slope=res.slope + rf(1))
+
+    monkeypatch.setattr(moduli, "virtual_slope_from_pushforward", missed)
+    code = main(["moduli", "slope", "--custom", "--r", "7", "--s", "3", "--a", "4"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (1, "")
+    assert err == "error: calibration fit misses its target slope 34423/5320\n"
 
 
 @pytest.mark.parametrize("argv, message", [
