@@ -132,6 +132,12 @@ def var_name(v: Variable) -> str:
     return "%s%s" % (_KIND_NAMES[kind], idx)
 
 
+def monomial_str(m) -> str:
+    """A monomial as `str` prints it: its variables joined by *, each with
+    ^e when e > 1; "" for the monomial 1."""
+    return "*".join(var_name(v) + ("^%d" % e if e > 1 else "") for v, e in m)
+
+
 def _merge_exponents(m1, m2):
     """Merge two sorted monomials, adding exponents."""
     out = []
@@ -474,9 +480,7 @@ class Polynomial:
         bits = []
         for m in sorted(self._num, key=_grlex_key):
             c = QQ(self._num[m], self._den)
-            mono = "*".join(
-                var_name(v) + ("^%d" % e if e > 1 else "") for v, e in m
-            )
+            mono = monomial_str(m)
             if mono:
                 if c == 1:
                     bits.append(mono)

@@ -1,13 +1,13 @@
 """Command-line front end.
 
-Subcommands cover every computation; all output is JSON (rationals are
-serialized as strings "p/q" or "p", never as floats), deterministic for a
-fixed input.  `class sigma` answers in the Chern symbols c_iE, c_jF;
-`--basis roots` expands that answer in the Chern roots with `loci.to_roots`,
-whatever the method.  `class projectivize --class` is parsed by
-recursive descent straight into a `Polynomial`: names and numbers are
-ASCII, unary minus binds looser than `^`, and a malformed expression is
-one line, `error: unknown symbol 'frob' (at position 0)`.
+Subcommands cover every computation; all output is JSON from one writer,
+`_emit`, deterministic for a fixed input.  A value prints as its `str`:
+"p/q" or "p" for a rational, never a float.  `class sigma` answers in the
+Chern symbols c_iE, c_jF; `--basis roots` expands that answer in the Chern
+roots with `loci.to_roots`, whatever the method.  `class projectivize
+--class` is parsed by recursive descent straight into a `Polynomial`: names
+and numbers are ASCII, unary minus binds looser than `^`, and a malformed
+expression is one line, `error: unknown symbol 'frob' (at position 0)`.
 
     class sigma --e E --f F --r R [--method M] [--basis roots|chern]
     class pencil --e E [--presentation sub|quot]
@@ -44,12 +44,11 @@ from .algebra import (
     DenominatorSurvives,
     Polynomial,
     QQ,
-    RationalFunction,
     alpha,
     gamma_var,
+    monomial_str,
     param,
     sym,
-    var_name,
     xi,
 )
 from . import loci, moduli, verify
@@ -206,23 +205,6 @@ def resolve_symbol(name: str, position: int = 0):
 # JSON documents
 # ---------------------------------------------------------------------------
 
-def q_str(x) -> str:
-    if isinstance(x, (Polynomial, RationalFunction)):
-        x = x.constant_value()
-    q = QQ(x)
-    if q.denominator == 1:
-        return str(q.numerator)
-    return "%s/%s" % (q.numerator, q.denominator)
-
-
-def _rf_str(x) -> str:
-    """A constant as q_str renders it, anything else as its str."""
-    try:
-        return q_str(x)
-    except ValueError:
-        return str(x)
-
-
 def document(coefficients: dict, **metadata) -> dict:
     """The JSON document of a class: its sorted basis, the coefficient of
     each basis element, and the metadata."""
@@ -235,19 +217,15 @@ def document(coefficients: dict, **metadata) -> dict:
 
 
 def poly_document(p: Polynomial, command: str, parameters: dict) -> dict:
-    coeffs = {}
-    for mono, c in p.terms.items():
-        key = "*".join(
-            "%s^%d" % (var_name(v), e) if e > 1 else var_name(v) for v, e in mono
-        ) or "1"
-        coeffs[key] = q_str(c)
+    coeffs = {monomial_str(mono) or "1": str(c) for mono, c in p.terms.items()}
     return document(coeffs, command=command, parameters=parameters, notes=[])
 
 
-def _emit(doc, args) -> None:
+def _emit(doc, path) -> None:
+    """doc as sorted, indented JSON: to the file at path, else to stdout."""
     text = json.dumps(doc, indent=2, sort_keys=True)
-    if getattr(args, "out", None):
-        with open(args.out, "w") as fh:
+    if path:
+        with open(path, "w") as fh:
             fh.write(text + "\n")
     else:
         print(text)
@@ -277,7 +255,7 @@ def cmd_class_sigma(args) -> int:
         "class sigma",
         {"e": e, "f": f, "r": r, "method": args.method, "basis": args.basis},
     )
-    _emit(doc, args)
+    _emit(doc, args.out)
     return 0
 
 
@@ -289,7 +267,7 @@ def cmd_class_pencil(args) -> int:
     doc = poly_document(
         cls, "class pencil", {"e": args.e, "presentation": args.presentation}
     )
-    _emit(doc, args)
+    _emit(doc, args.out)
     return 0
 
 
@@ -346,19 +324,19 @@ def cmd_class_projectivize(args) -> int:
             "fixed_point": args.fixed_point,
         },
     )
-    _emit(doc, args)
+    _emit(doc, args.out)
     return 0
 
 
 def cmd_moduli_petri(args) -> int:
     cls = moduli.petri_class(args.g)
-    coeffs = {"lambda": q_str(cls.lam)}
+    coeffs = {"lambda": str(cls.lam)}
     for i, b in sorted(cls.deltas.items()):
-        coeffs["delta%d" % i] = q_str(-b)
+        coeffs["delta%d" % i] = str(-b)
     doc = document(coeffs, command="moduli petri", parameters={"g": args.g},
-                   slope=_rf_str(cls.slope()),
+                   slope=str(cls.slope()),
                    notes=[cls.note] if cls.note else [])
-    _emit(doc, args)
+    _emit(doc, args.out)
     return 0
 
 
@@ -376,7 +354,7 @@ def cmd_moduli_slope(args) -> int:
         rep = moduli.fit_calibration()
         res = moduli.virtual_slope_from_pushforward(p, rep.fitted)
         doc = {
-            "slope": _rf_str(res.slope),
+            "slope": str(res.slope),
             "metadata": {
                 "command": "moduli slope --custom",
                 "parameters": {"r": args.r, "s": args.s, "a": args.a},
@@ -384,11 +362,11 @@ def cmd_moduli_slope(args) -> int:
                 "boundary_effective": res.boundary_effective,
             },
         }
-        _emit(doc, args)
+        _emit(doc, args.out)
         return 0
     value = moduli.pelda_slope(args.series, args.ell, args.form)
     doc = {
-        "slope": _rf_str(value),
+        "slope": str(value),
         "metadata": {
             "command": "moduli slope",
             "parameters": {"series": args.series, "ell": args.ell,
@@ -396,14 +374,14 @@ def cmd_moduli_slope(args) -> int:
             "genus": moduli.series_genus(args.series, args.ell),
         },
     }
-    _emit(doc, args)
+    _emit(doc, args.out)
     return 0
 
 
 def cmd_moduli_dp12(args) -> int:
     d = moduli.dp12_slope()
     doc = {
-        "slope": q_str(d.slope),
+        "slope": str(d.slope),
         "metadata": {
             "command": "moduli dp12",
             "below_bound": d.below_bound,
@@ -415,7 +393,7 @@ def cmd_moduli_dp12(args) -> int:
             ],
         },
     }
-    _emit(doc, args)
+    _emit(doc, args.out)
     return 0
 
 
@@ -424,10 +402,10 @@ def cmd_k3_rank4(args) -> int:
     params = {"g": args.g if args.g is not None else "symbolic"}
     notes = ["coefficients are in units of the prefactor A_(g+1)^(g-3)"]
     if args.g is not None:
-        notes.append("prefactor value %s" % q_str(a_const(args.g + 1, args.g - 3)))
-    coeffs = {s: _rf_str(c) for s, c in cls.coeffs.items()}
+        notes.append("prefactor value %s" % a_const(args.g + 1, args.g - 3))
+    coeffs = {s: str(c) for s, c in cls.coeffs.items()}
     doc = document(coeffs, command="k3 rank4", parameters=params, notes=notes)
-    _emit(doc, args)
+    _emit(doc, args.out)
     return 0
 
 
@@ -436,18 +414,18 @@ def cmd_k3_kosz(args) -> int:
     cls = moduli.kosz_class(i)
     rg, rh, closed = moduli.kosz_rank(i)
     doc = document(
-        {"lambda": _rf_str(cls.lam), "gamma": _rf_str(cls.gamma)},
+        {"lambda": str(cls.lam), "gamma": str(cls.gamma)},
         command="k3 kosz",
         parameters={"i": args.i if args.i is not None else "symbolic"},
         units=cls.prefactor_units,
         unknown_term="alpha * D11 with alpha undetermined",
         ranks={
-            "syzygy_side": _rf_str(rg),
-            "polynomial_side": _rf_str(rh),
-            "closed_count": _rf_str(closed),
+            "syzygy_side": str(rg),
+            "polynomial_side": str(rh),
+            "closed_count": str(closed),
         },
     )
-    _emit(doc, args)
+    _emit(doc, args.out)
     return 0
 
 
@@ -474,9 +452,9 @@ def cmd_hurwitz(args) -> int:
         },
         "rank4_coefficient": {
             "derived": "k / A_k^(k-4)",
-            "published": q_str(rep.hrk4_published_coeff),
+            "published": str(rep.hrk4_published_coeff),
             "samples": {
-                str(kv): q_str(v[0]) for kv, v in rep.hrk4_coeff_samples.items()
+                str(kv): str(v[0]) for kv, v in rep.hrk4_coeff_samples.items()
             },
         },
         "alpha_solved": str(rep.alpha_solved),
@@ -484,8 +462,8 @@ def cmd_hurwitz(args) -> int:
                      "parameters": {"k": args.k if args.k else "symbolic"}},
     }
     if args.k:
-        doc["rank4_prefactor"] = q_str(a_const(args.k, args.k - 4))
-    _emit(doc, args)
+        doc["rank4_prefactor"] = str(a_const(args.k, args.k - 4))
+    _emit(doc, args.out)
     return 0
 
 
@@ -493,7 +471,7 @@ def cmd_verify(args) -> int:
     results = verify.run_all(max_e=args.max_e)
     table = verify.render_table(results)
     fails = verify.failures(results)
-    if getattr(args, "out", None):
+    if args.out:
         doc = {
             "results": [
                 {
@@ -508,9 +486,7 @@ def cmd_verify(args) -> int:
             ],
             "failures": [row.tag for row in fails],
         }
-        with open(args.out, "w") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _emit(doc, args.out)
     print(table)
     return 0 if not fails else 1
 

@@ -175,17 +175,7 @@ def known_divisor(kind: str, k_or_g: int):
 class PetriDecomposition(NamedTuple):
     petri_slope: object
     components: tuple         # (name, conjectured weight 4^(g-1-k), slope)
-    display_slope_matches: bool
     slope_in_component_hull: bool
-
-
-_PETRI_DISPLAY = {
-    # published small-genus totals on the partial compactification
-    4: (1, 34, 4),
-    5: (4, 41, 5),
-    6: (8, 112, 14),
-    7: (96, 55, 7),
-}
 
 
 def petri_decomposition_report(g: int) -> PetriDecomposition:
@@ -218,8 +208,6 @@ def petri_decomposition_report(g: int) -> PetriDecomposition:
             comps.append(("unknown(k=%d)" % k, weight, None))
     petri = petri_class(g)
     ps = _slope_q(petri)
-    mult, lam, d0 = _PETRI_DISPLAY[g]
-    display = ModuliDivisor(g, rf(mult * lam), {0: rf(mult * d0)})
     known_slopes = [s for _, _, s in comps if s is not None]
     hull = (
         min(known_slopes) <= ps <= max(known_slopes) if known_slopes else False
@@ -227,7 +215,6 @@ def petri_decomposition_report(g: int) -> PetriDecomposition:
     return PetriDecomposition(
         petri_slope=ps,
         components=tuple(comps),
-        display_slope_matches=(_slope_q(display) == ps),
         slope_in_component_hull=hull,
     )
 
@@ -850,7 +837,7 @@ class HurwitzReport(NamedTuple):
     rank4_class: TautClass                # (5k+12)/k l + (k-6)/k g - D0
     hrk4_published_coeff: object          # 1/6
     hrk4_coeff_samples: dict              # k -> (k/A_k^(k-4), equals 1/6?)
-    alpha_solved: RationalFunction        # k - 6
+    alpha_solved: RationalFunction        # k * gamma-coeff, k - 6
 
 
 def hurwitz_report(k="k") -> HurwitzReport:
@@ -890,7 +877,9 @@ def hurwitz_report(k="k") -> HurwitzReport:
             "rank-4 class vanishes, so gamma cannot be eliminated" % k)
     rank4_rest = rank4 - TautClass.symbol("gamma", gcoef)
     gamma_expr = (TautClass.symbol("Hrk4") - rank4_rest).scale(rf(1) / gcoef)
-    lhs = can_gamma.substitute_symbol("gamma", gamma_expr).scale(kk - rf(6))
+    # the multiplier that clears gcoef's denominator: k (k-6)/k = k - 6
+    alpha_solved = (kk * gcoef).reduce()
+    lhs = can_gamma.substitute_symbol("gamma", gamma_expr).scale(alpha_solved)
     rhs = TautClass({"lambda": 7, "D0": -1}).scale(kk - rf(12)) + TautClass.symbol(
         "Hrk4", kk
     )
@@ -911,5 +900,5 @@ def hurwitz_report(k="k") -> HurwitzReport:
         rank4_class=rank4,
         hrk4_published_coeff=QQ(1, 6),
         hrk4_coeff_samples=samples,
-        alpha_solved=kk - rf(6),
+        alpha_solved=alpha_solved,
     )

@@ -267,14 +267,17 @@ def checks_twists():
 def checks_k3():
     rows = []
     g = rf("g")
-    cls = moduli.k3_rank4_class()
     want = TautClass(
         {
             "lambda": (rf(2) * g * g - rf(13) * g + rf(9)) / (g + rf(1)),
             "gamma": rf(2) / (g + rf(1)),
         }
     )
-    rows.append(_eq_row("rank-4 quadric divisor on surface moduli (sym g)", cls, want))
+    tag = "rank-4 quadric divisor on surface moduli (sym g)"
+    try:
+        rows.append(_eq_row(tag, moduli.k3_rank4_class(), want))
+    except moduli.IdentityFailed as exc:
+        rows.append(_row(tag, "error: %s" % exc, want, False))
     ranks = ((i, moduli.kosz_rank(i)) for i in range(1, 9))
     ranks_ok = all(
         rank_g == rank_h == (i + 1) * comb(2 * i + 5, i + 2)
@@ -362,6 +365,7 @@ def checks_slopes():
 
 def checks_petri():
     rows = []
+    # the published small-genus displays (lambda, delta_0)
     displays = {4: (34, 4), 5: (164, 20), 6: (896, 112), 7: (5280, 672)}
     for g, (lam, d0) in displays.items():
         cls = moduli.petri_class(g)
@@ -376,7 +380,7 @@ def checks_petri():
     rows.append(
         _eq_row("rank-3 quadric slope (sym g)", sym.slope(), (rf(7) * g + rf(6)) / g)
     )
-    for g0 in (4, 5, 6, 7):
+    for g0 in displays:
         rep = moduli.petri_decomposition_report(g0)
         rows.append(
             _row(
@@ -384,7 +388,7 @@ def checks_petri():
                 "petri %s, components %s"
                 % (rep.petri_slope, [(n, str(s)) for n, _, s in rep.components]),
                 "display slope matches; petri slope in component hull",
-                rep.display_slope_matches and rep.slope_in_component_hull,
+                rep.petri_slope == QQ(*displays[g0]) and rep.slope_in_component_hull,
             )
         )
     return rows
@@ -437,7 +441,7 @@ def checks_hurwitz():
             "k/A_k^(k-4), samples %s"
             % {kv: str(v[0]) for kv, v in rep.hrk4_coeff_samples.items()},
             "published 1/6",
-            ok=False,
+            ok=all(same for _, same in rep.hrk4_coeff_samples.values()),
             warn=True,
             note="derived and published normalizations differ; both are "
             "printed, the identity holds with the derived one",

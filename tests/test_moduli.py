@@ -3,7 +3,7 @@ from math import comb
 
 import pytest
 
-from quadloci import moduli
+from quadloci import grr, moduli
 from quadloci.algebra import Polynomial, QQ, RationalFunction, param
 from quadloci.grr import TautClass, rf
 from quadloci.loci import ScalarData
@@ -35,7 +35,7 @@ from quadloci.moduli import (
     series_params,
     virtual_slope_from_pushforward,
 )
-from quadloci.verify import CheckResult, checks_k3
+from quadloci.verify import CheckResult, checks_hurwitz, checks_k3, checks_petri
 
 G = rf("g")
 K = rf("k")
@@ -44,6 +44,10 @@ I = rf("i")
 
 def q(x):
     return x.constant_value()
+
+
+def _row_status(checks, tag):
+    return {row.tag: row.status for row in checks()}[tag]
 
 
 # -- rank-3 quadric divisor -------------------------------------------------
@@ -99,9 +103,11 @@ def test_known_divisor_guards():
 
 
 def test_decomposition_reports():
-    for g in (4, 5, 6, 7):
+    # the slopes of the published displays 34/4, 164/20, 896/112, 5280/672
+    displays = {4: QQ(17, 2), 5: QQ(41, 5), 6: QQ(8), 7: QQ(55, 7)}
+    for g, slope in displays.items():
         rep = petri_decomposition_report(g)
-        assert rep.display_slope_matches
+        assert rep.petri_slope == slope
         assert rep.slope_in_component_hull
     rep7 = petri_decomposition_report(7)
     slopes = dict((n, s) for n, _, s in rep7.components)
@@ -290,6 +296,36 @@ def test_k3_rank4_numeric_instance():
     assert cls.coefficient("gamma") == rf(QQ(1, 6))
 
 
+def test_decomposition_row_fails_on_a_wrong_petri_slope(monkeypatch):
+    """A genus-7 slope of 39/5 in place of 55/7 stays in the component hull,
+    so only the comparison with the published display can catch it."""
+    tag = "decomposition slopes genus 7"
+    petri = moduli.petri_class
+
+    def off(g):
+        cls = petri(g)
+        return cls._replace(lam=cls.lam * rf(QQ(273, 275))) if g == 7 else cls
+
+    assert _row_status(checks_petri, tag) == "PASS"
+    monkeypatch.setattr(moduli, "petri_class", off)
+    rep = petri_decomposition_report(7)
+    assert rep.petri_slope == QQ(39, 5) and rep.slope_in_component_hull
+    assert _row_status(checks_petri, tag) == "FAIL"
+
+
+def test_k3_rank4_row_fails_on_a_wrong_derivation(monkeypatch):
+    """The library refuses a derivation off its closed form, and `verify`
+    records that as a FAIL row instead of ending the run."""
+    tag = "rank-4 quadric divisor on surface moduli (sym g)"
+    combo = moduli._k3_rank4_combination
+    assert _row_status(checks_k3, tag) == "PASS"
+    monkeypatch.setattr(moduli, "_k3_rank4_combination",
+                        lambda g: combo(g).scale(rf(2)))
+    with pytest.raises(IdentityFailed):
+        k3_rank4_class()
+    assert _row_status(checks_k3, tag) == "FAIL"
+
+
 def test_k3_rank4_kappa11_before_basis_change():
     got = _k3_rank4_combination(G).coefficient("kappa11")
     assert got == -(G - rf(1)) / (rf(2) * (G + rf(1)))
@@ -393,7 +429,7 @@ def test_kosz_symbolic_forms_each_shifted_binomial_once(monkeypatch, fn):
 
 def _symbolic_kosz_row_status():
     tag = "middle-syzygy class: alternating sum vs closed form (sym i)"
-    return {row.tag: row.status for row in checks_k3()}[tag]
+    return _row_status(checks_k3, tag)
 
 
 def test_kosz_symbolic_rejects_a_wrong_closed_form(monkeypatch):
@@ -484,6 +520,32 @@ def test_hurwitz_report_at_integer_k_specializes_every_field():
             for s, c in want.coeffs.items():
                 assert got.coefficient(s) == at(c, k0), (k0, name, s)
         assert rep.hodge_d2_factor_two and rep.structural_identity_holds
+
+
+def test_solved_multiplier_row_fails_on_a_wrong_target_bundle(monkeypatch):
+    """alpha_solved is k times the rank-4 class's gamma coefficient, so a
+    c1 of the quadratic multiplication target off by gamma moves it off
+    k - 6."""
+    tag = "solved canonical-class multiplier"
+    chern = grr.hurwitz_sheaf_chern
+
+    def perturbed(k="k"):
+        c1E, c1F = chern(k)
+        return c1E, c1F + grr.gamma_hurwitz(k)
+
+    assert _row_status(checks_hurwitz, tag) == "PASS"
+    monkeypatch.setattr(grr, "hurwitz_sheaf_chern", perturbed)
+    assert hurwitz_report().alpha_solved != K - rf(6)
+    assert _row_status(checks_hurwitz, tag) == "FAIL"
+
+
+def test_rank4_coefficient_row_reads_the_samples(monkeypatch):
+    """The row is WARN because no sampled k / A_k^(k-4) is 1/6; with
+    A_k^(k-4) = 6k every sample is, and the row passes."""
+    tag = "rank-4 locus coefficient in the canonical-class relation"
+    assert _row_status(checks_hurwitz, tag) == "WARN"
+    monkeypatch.setattr(moduli, "a_const", lambda e, r: QQ(6 * e))
+    assert _row_status(checks_hurwitz, tag) == "PASS"
 
 
 def test_hurwitz_published_coefficient_differs():
