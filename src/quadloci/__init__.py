@@ -4,6 +4,7 @@ classes and slopes they induce on moduli spaces."""
 from .algebra import (
     DenominatorSurvives,
     DivisionNotExact,
+    ExponentOverflow,
     NotSymmetric,
     Polynomial,
     QQ,

@@ -9,13 +9,24 @@ Representations
 Variable   = (kind, index) tuple.  Kinds give the fixed global ordering used
              by the graded-lex term order; indices are ints for the root
              alphabets and strings for named parameters / formal symbols.
-Monomial   = tuple of ((kind, index), exponent) pairs, sorted by variable,
-             with no zero exponents.  The empty tuple is the unit monomial.
-Polynomial = {Monomial: nonzero int} numerators over one positive int
+Monomial   = one packed int, its key (see "Packed monomials"); 0 is 1.
+Polynomial = {key: nonzero int} numerators over one positive int
              denominator, in lowest terms, so structural equality is
              semantic equality.
 
 Rationals at the boundary are `fractions.Fraction` values, named `QQ`.
+
+Packed monomials
+----------------
+A registry gives each variable, on its first use, a 16-bit slot of the key
+holding its exponent, so a product of monomials is the sum of their keys:
+`*`, `**`, `divide_exact` and the graded arrays of `loci` all run in one
+loop, `_mul_into`.  A slot's top bit is a guard: `_nonzero` ANDs each
+product term with the guard bits, so an exponent of 2^15 raises
+ExponentOverflow before a slot can carry into the next.  Slots differ
+between processes: `terms`, `str`, `leading`, `content_normalized`'s sign,
+`evaluate` and pickling decode a key to its sorted (variable, exponent)
+pairs, in their graded-lex order; `divide_exact` leads with the largest key.
 
 Integer kernel
 --------------
@@ -59,8 +70,10 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from fractions import Fraction as QQ
+from functools import reduce
 from math import factorial, gcd, lcm
-from typing import Callable, Collection, Mapping, Sequence
+from operator import or_
+from typing import Callable, Mapping, Sequence
 
 _QQ_TYPE = type(QQ(0))
 
@@ -75,6 +88,10 @@ class DivisionNotExact(AlgebraError):
 
 class DenominatorSurvives(AlgebraError):
     """Raised when a fraction sum expected to be polynomial is not."""
+
+
+class ExponentOverflow(AlgebraError):
+    """Raised when an exponent would pass 2^15 - 1 (see "Packed monomials")."""
 
 
 class NotSymmetric(AlgebraError):
@@ -138,43 +155,78 @@ def monomial_str(m) -> str:
     return "*".join(var_name(v) + ("^%d" % e if e > 1 else "") for v, e in m)
 
 
-def _merge_exponents(m1, m2):
-    """Merge two sorted monomials, adding exponents."""
+_WIDTH = 16
+_SLOT = (1 << _WIDTH) - 1
+_SHIFTS: dict = {}  # Variable -> the offset of its slot
+_VARS: list = []  # slot number -> Variable
+_GUARD = 0  # the guard bit of every assigned slot
+
+
+def _key(v: Variable, e: int = 1) -> int:
+    """The packed monomial v^e, giving v a slot on its first use."""
+    global _GUARD
+    s = _SHIFTS.get(v)
+    if s is None:
+        s = _SHIFTS[v] = _WIDTH * len(_VARS)
+        _VARS.append(v)
+        _GUARD |= 1 << (s + _WIDTH - 1)
+    if e >> (_WIDTH - 1):
+        raise ExponentOverflow("exponent %d of %s is not in 0..32767" % (e, var_name(v)))
+    return e << s
+
+
+def _decode(k: int) -> tuple:
+    """The packed monomial k as sorted (variable, exponent) pairs, jumping
+    from its top set bit to the next."""
     out = []
-    i = j = 0
-    n1, n2 = len(m1), len(m2)
-    while i < n1 and j < n2:
-        v1, e1 = m1[i]
-        v2, e2 = m2[j]
-        if v1 == v2:
-            out.append((v1, e1 + e2))
-            i += 1
-            j += 1
-        elif v1 < v2:
-            out.append(m1[i])
-            i += 1
-        else:
-            out.append(m2[j])
-            j += 1
-    out.extend(m1[i:])
-    out.extend(m2[j:])
+    while k:
+        s = k.bit_length() - 1 & -_WIDTH
+        e = k >> s
+        out.append((_VARS[s // _WIDTH], e))
+        k ^= e << s
+    out.sort()
     return tuple(out)
 
 
-def monomial_degree(m) -> int:
-    return sum(e for _, e in m)
+def _slot_mask(variables) -> int:
+    """The slots of the distinct `variables`; one with no slot is in no key."""
+    return sum(_SLOT << _SHIFTS[v] for v in variables if v in _SHIFTS)
 
 
-def _grlex_key(m):
-    """Sort key putting the graded-lex largest monomial first when sorted().
+def _mul_into(acc: dict, x: dict, y: dict, scale: int = 1) -> dict:
+    """acc += scale * x * y, for dicts from packed monomials to ints: the
+    library's one product loop.  `_nonzero` checks its terms."""
+    if len(x) > len(y):  # the shorter outer loop
+        x, y = y, x
+    get = acc.get
+    for kx, vx in x.items():
+        vx *= scale
+        for ky, vy in y.items():
+            k = kx + ky
+            acc[k] = get(k, 0) + vx * vy
+    return acc
 
-    Larger total degree wins; ties broken lexicographically with earlier
-    variables and higher exponents first.
-    """
-    deg = monomial_degree(m)
-    # negate exponents so that, variable by variable, a higher power sorts
-    # as "smaller" key; missing variables are implicitly exponent 0.
-    return (-deg, tuple((v, -e) for v, e in m))
+
+def _nonzero(acc: dict) -> dict:
+    """acc without its zero terms; ExponentOverflow when a term has set a
+    guard bit, that is when an exponent reached 2^15."""
+    out = {k: v for k, v in acc.items() if v}
+    guard = _GUARD
+    for k in out:
+        if k & guard:
+            raise ExponentOverflow("a product has an exponent past 32767")
+    return out
+
+
+def _graded(num: dict) -> list:
+    """A (sort key, decoded monomial, numerator) row per term of num, the
+    graded-lex largest row least: larger total degree first, ties broken on
+    the sorted pairs with earlier variables and higher exponents first."""
+    out = []
+    for k, c in num.items():
+        m = _decode(k)
+        out.append(((-sum(e for _, e in m), [(v, -e) for v, e in m]), m, c))
+    return out
 
 
 class Polynomial:
@@ -186,10 +238,10 @@ class Polynomial:
 
     def __init__(self, terms: Mapping | None = None):
         exact = ((m, _exact(c)) for m, c in (terms or {}).items())
-        coeffs = {m: c for m, c in exact if c}
+        coeffs = {sum(_key(v, e) for v, e in m): c for m, c in exact if c}
         # the lcm of reduced denominators shares no prime with every numerator
-        den, nums = integer_scaled(coeffs.values())
-        _set_num(self, dict(zip(coeffs, nums)))
+        den = lcm(*(c.denominator for c in coeffs.values()))
+        _set_num(self, {k: c.numerator * (den // c.denominator) for k, c in coeffs.items()})
         _set_den(self, den)
 
     def __setattr__(self, *a):  # pragma: no cover
@@ -203,13 +255,13 @@ class Polynomial:
     @staticmethod
     def const(c) -> "Polynomial":
         if type(c) is int:
-            return Polynomial._make({(): c} if c else {})
+            return Polynomial._make({0: c} if c else {})
         c = _exact(c)
-        return Polynomial._make({(): int(c.numerator)} if c else {}, int(c.denominator))
+        return Polynomial._make({0: int(c.numerator)} if c else {}, int(c.denominator))
 
     @staticmethod
     def variable(v: Variable) -> "Polynomial":
-        return Polynomial._make({((v, 1),): 1})
+        return Polynomial._make({_key(v): 1})
 
     @staticmethod
     def _make(num: dict, den: int = 1) -> "Polynomial":
@@ -234,47 +286,43 @@ class Polynomial:
     # -- basic queries ------------------------------------------------
     @property
     def terms(self) -> dict:
-        """A fresh {monomial: QQ coefficient} dict."""
+        """A fresh {decoded monomial: QQ coefficient} dict."""
         d = self._den
-        return {m: QQ(n, d) for m, n in self._num.items()}
+        return {_decode(k): QQ(n, d) for k, n in self._num.items()}
 
     def is_zero(self) -> bool:
         return not self._num
 
     def is_constant(self) -> bool:
         n = self._num
-        return not n or (len(n) == 1 and () in n)
+        return not n or (len(n) == 1 and 0 in n)
 
     def constant_value(self):
         if not self.is_constant():
             raise ValueError("not a constant polynomial")
-        return QQ(self._num.get((), 0), self._den)
+        return QQ(self._num.get(0, 0), self._den)
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
         if not self._num:
             return -1
-        return max(monomial_degree(m) for m in self._num)
+        return max(sum(e for _, e in _decode(k)) for k in self._num)
 
     def variables(self) -> set:
-        out = set()
-        for m in self._num:
-            for v, _ in m:
-                out.add(v)
-        return out
+        # a slot of the union of the keys is nonzero when a term uses it
+        return {v for v, _ in _decode(reduce(or_, self._num, 0))}
 
     def leading(self):
         """(monomial, coefficient) largest in graded-lex order."""
         if not self._num:
             raise ValueError("zero polynomial has no leading term")
-        m = min(self._num, key=_grlex_key)
-        return m, QQ(self._num[m], self._den)
+        _, m, c = min(_graded(self._num))
+        return m, QQ(c, self._den)
 
     def coefficient_of(self, v: Variable, power: int) -> "Polynomial":
         """Coefficient of v**power, as a polynomial in the other variables."""
-        # distinct monomials with one power of v have distinct rests
-        out = {tuple((w, k) for w, k in m if w != v): c
-               for m, c in self._num.items() if dict(m).get(v, 0) == power}
+        s = _key(v).bit_length() - 1
+        out = {k - (power << s): c for k, c in self._num.items() if k >> s & _SLOT == power}
         return Polynomial._normal(out, self._den)
 
     # -- arithmetic ---------------------------------------------------
@@ -321,11 +369,11 @@ class Polynomial:
         a, b = x._num, y._num
         if not a:
             return x
-        if len(a) == 1 and () in a:
-            return y._scaled(a[()], x._den)
-        if len(b) == 1 and () in b:
-            return x._scaled(b[()], y._den)
-        return Polynomial._normal(_int_product(a, b), x._den * y._den)
+        if len(a) == 1 and 0 in a:
+            return y._scaled(a[0], x._den)
+        if len(b) == 1 and 0 in b:
+            return x._scaled(b[0], y._den)
+        return Polynomial._normal(_nonzero(_mul_into({}, a, b)), x._den * y._den)
 
     def scale(self, c):
         """c * self for a scalar c, without merging any monomials."""
@@ -347,15 +395,17 @@ class Polynomial:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power of a polynomial")
+        if n >> (_WIDTH - 1) and not self.is_constant():
+            raise ExponentOverflow("power %d of a nonconstant polynomial passes 32767" % n)
         # a power of a numerator prime to den is prime to den**n (Gauss's
         # lemma), so the result needs no gcd
-        num, base, k = {(): 1}, self._num, n
+        num, base, k = {0: 1}, self._num, n
         while k:
             if k & 1:
-                num = _int_product(num, base)
+                num = _nonzero(_mul_into({}, num, base))
             k >>= 1
             if k:
-                base = _int_product(base, base)
+                base = _nonzero(_mul_into({}, base, base))
         return Polynomial._make(num, self._den ** n)
 
     def __eq__(self, other):
@@ -370,12 +420,13 @@ class Polynomial:
         n = self._num
         if not n:
             return 0
-        if len(n) == 1 and () in n:
-            return hash(QQ(n[()], self._den))
+        if len(n) == 1 and 0 in n:
+            return hash(QQ(n[0], self._den))
         return hash((frozenset(n.items()), self._den))
 
     def __reduce__(self):
-        return (Polynomial._make, (self._num, self._den))
+        # slots differ between processes; the decoded terms do not
+        return (Polynomial, (self.terms,))
 
     def __bool__(self):
         return bool(self._num)
@@ -383,41 +434,41 @@ class Polynomial:
     # -- substitution and evaluation -----------------------------------
     def substitute_poly(self, mapping: Mapping) -> "Polynomial":
         """Simultaneous substitution v -> Polynomial for v in mapping."""
-        cache: dict = {}
-
-        def power(v, e):
-            key = (v, e)
-            got = cache.get(key)
-            if got is None:
-                got = mapping[v] ** e
-                cache[key] = got
-            return got
-
+        mask = _slot_mask(mapping)
+        groups: dict = {}
+        for k, c in self._num.items():
+            groups.setdefault(k & mask, {})[k & ~mask] = c
+        powers: dict = {}
         out = Polynomial._make({})
-        for m, c in self._num.items():
-            piece = Polynomial._make({(): c})
-            for v, e in m:
-                piece = piece * (power(v, e) if v in mapping
-                                 else Polynomial._make({((v, e),): 1}))
+        for sub, rest in groups.items():
+            piece = Polynomial._make(rest)
+            for v, e in _decode(sub):
+                if (v, e) not in powers:
+                    powers[v, e] = mapping[v] ** e
+                piece = piece * powers[v, e]
             out = out + piece
         return out._scaled(1, self._den)
 
     def evaluate(self, point: Mapping):
         """Evaluate at a rational point; every variable must be assigned."""
+        x = {_SHIFTS[v]: point[v] for v, _ in _decode(reduce(or_, self._num, 0))}
         total = 0
-        for m, c in self._num.items():
-            for v, e in m:
-                c = c * point[v] ** e
+        for k, c in self._num.items():
+            while k:  # the loop of `_decode`, with no pairs to sort
+                s = k.bit_length() - 1 & -_WIDTH
+                e = k >> s
+                c *= x[s] ** e
+                k ^= e << s
             total += c
         return QQ(total) / self._den
 
     def rename(self, mapping: Mapping) -> "Polynomial":
         """Substitute variables by variables (bijective on its support)."""
         out = {}
-        for m, c in self._num.items():
-            m2 = tuple(sorted(((mapping.get(v, v), e) for v, e in m)))
-            out[m2] = out.get(m2, 0) + c
-        return Polynomial._normal({m: c for m, c in out.items() if c}, self._den)
+        for k, c in self._num.items():
+            k2 = sum(_key(mapping.get(v, v), e) for v, e in _decode(k))
+            out[k2] = out.get(k2, 0) + c
+        return Polynomial._normal({k: c for k, c in out.items() if c}, self._den)
 
     # -- exact division -------------------------------------------------
     def divide_exact(self, q: "Polynomial") -> "Polynomial":
@@ -425,37 +476,38 @@ class Polynomial:
 
         The division runs on ints: p's numerator is divided by the
         primitive part of q's, and a leading coefficient that does not
-        divide ends it (Gauss's lemma, see "Integer kernel" above)."""
+        divide ends it (Gauss's lemma, see "Integer kernel" above).  The
+        largest key leads (see "Packed monomials")."""
         qnum = q._num
         if not qnum:
             raise ZeroDivisionError("division by zero polynomial")
         if q.is_constant():
-            n = qnum[()]
+            n = qnum[0]
             return self._scaled(q._den, n) if n > 0 else self._scaled(-q._den, -n)
         if not self._num:
             return self
         content = gcd(*qnum.values())
         if content != 1:
             qnum = {m: c // content for m, c in qnum.items()}
-        qm = min(qnum, key=_grlex_key)
-        qc = qnum[qm]
+        qm = max(qnum)
+        tail = dict(qnum)
+        qc = tail.pop(qm)
         quot: dict = {}
         rem = dict(self._num)
         while rem:
-            m = min(rem, key=_grlex_key)
-            mm = _monomial_div(m, qm)
-            cc, r = divmod(rem[m], qc)
-            if mm is None or r:
-                raise DivisionNotExact("leading term %s not divisible" % (m,))
+            m = max(rem)
+            c = rem.pop(m)
+            if not c:  # a cancelled term, left by _mul_into
+                continue
+            # a slot that would go negative clears its guard bit instead of
+            # borrowing; an exact division leaves no exponent of 2^15
+            mm = (m | _GUARD) - qm
+            cc, r = divmod(c, qc)
+            if r or m & _GUARD or mm & _GUARD != _GUARD:
+                raise DivisionNotExact("leading term %s not divisible" % (_decode(m),))
+            mm ^= _GUARD
             quot[mm] = cc
-            # rem -= cc * mm * q
-            for m2, c2 in qnum.items():
-                key = _merge_exponents(mm, m2)
-                s = rem.get(key, 0) - cc * c2
-                if s:
-                    rem[key] = s
-                else:
-                    del rem[key]
+            _mul_into(rem, {mm: -cc}, tail)  # rem -= cc * mm * (q - its leading term)
         # p / q = (quot / p._den) / (content / q._den)
         return Polynomial._normal({m: c * q._den for m, c in quot.items()},
                                   self._den * content)
@@ -468,7 +520,7 @@ class Polynomial:
         if not self._num:
             return self, QQ(1)
         g = gcd(*self._num.values())
-        if self._num[min(self._num, key=_grlex_key)] < 0:
+        if min(_graded(self._num))[2] < 0:
             g = -g
         prim = Polynomial._make({m: c // g for m, c in self._num.items()})
         return prim, QQ(g, self._den)
@@ -478,8 +530,8 @@ class Polynomial:
         if not self._num:
             return "0"
         bits = []
-        for m in sorted(self._num, key=_grlex_key):
-            c = QQ(self._num[m], self._den)
+        for _, m, n in sorted(_graded(self._num)):
+            c = QQ(n, self._den)
             mono = monomial_str(m)
             if mono:
                 if c == 1:
@@ -504,19 +556,7 @@ _new = object.__new__
 _set_num, _set_den = Polynomial._num.__set__, Polynomial._den.__set__
 
 # the denominator of every RationalFunction whose value is a polynomial
-_ONE = Polynomial._make({(): 1})
-
-
-def _int_product(a: dict, b: dict) -> dict:
-    """The product of two int numerator dicts, without its zero terms."""
-    out: dict = {}
-    get = out.get
-    items = list(b.items())
-    for m1, c1 in a.items():
-        for m2, c2 in items:
-            m = _merge_exponents(m1, m2)
-            out[m] = get(m, 0) + c1 * c2
-    return {m: n for m, n in out.items() if n}
+_ONE = Polynomial._make({0: 1})
 
 
 def _exact(c):
@@ -529,35 +569,12 @@ def _exact(c):
     return QQ(c)
 
 
-def integer_scaled(coeffs: Collection):
-    """(L, [L*c for c in coeffs]) with L the lcm of the denominators of the
-    rationals in coeffs, so that every L*c is an int."""
-    L = lcm(*(int(c.denominator) for c in coeffs))
-    if L == 1:
-        return 1, [int(c.numerator) for c in coeffs]
-    return L, [int(c.numerator) * (L // int(c.denominator)) for c in coeffs]
-
-
 def _coerce(x):
     if isinstance(x, Polynomial):
         return x
     if isinstance(x, (int, _QQ_TYPE)):
         return Polynomial.const(x)
     return NotImplemented
-
-
-def _monomial_div(m, d):
-    """m / d or None when some exponent would go negative."""
-    dd = dict(m)
-    for v, e in d:
-        have = dd.get(v, 0) - e
-        if have < 0:
-            return None
-        if have:
-            dd[v] = have
-        else:
-            del dd[v]
-    return tuple(sorted(dd.items()))
 
 
 class RationalFunction:
@@ -730,10 +747,10 @@ def _lowest_terms(num: Polynomial, den: Polynomial):
     if len(xs) != 1:
         raise AlgebraError("no lowest terms over the denominator %s" % den)
     (x,) = xs
+    mask = _slot_mask(xs)
     parts: dict = {}
-    for m, c in num._num.items():
-        rest = tuple(ve for ve in m if ve[0] != x)
-        parts.setdefault(rest, {})[tuple(ve for ve in m if ve[0] == x)] = c
+    for k, c in num._num.items():
+        parts.setdefault(k & ~mask, {})[k & mask] = c
     g = den
     for part in parts.values():
         g = _gcd_in(x, g, Polynomial._make(part))
@@ -827,16 +844,14 @@ def symmetric_reduce(
                 )
 
     # split monomials into alphabet part and passenger part
+    mask = _slot_mask(alphabet)
     groups: dict = {}
-    for m, c in p._num.items():
-        inside = tuple((v, e) for v, e in m if v[0] == kind)
-        outside = tuple((v, e) for v, e in m if v[0] != kind)
-        groups.setdefault(outside, {})[inside] = c
+    for k, c in p._num.items():
+        groups.setdefault(k & ~mask, {})[k & mask] = c
 
     # the leading-exponent descent only uses e_k for k up to the largest
     # degree in the alphabet of any monomial
-    top = max((monomial_degree(inside) for g in groups.values() for inside in g),
-              default=0)
+    top = max((sum(e for _, e in _decode(i)) for g in groups.values() for i in g), default=0)
     elem = [None] + [_elementary(roots, i) for i in range(1, min(n, top) + 1)]
     out = Polynomial.zero()
     for outside, inner_terms in groups.items():
@@ -855,11 +870,11 @@ def is_symmetric(p: Polynomial, kind: int, n: int) -> bool:
     and their sorted root exponents.  p is symmetric exactly when each
     group holds one coefficient and the whole orbit of n!/prod(mult!)
     exponent vectors, the multiplicities counting the zero exponents."""
-    roots = {(kind, i) for i in range(1, n + 1)}
+    mask = _slot_mask([(kind, i) for i in range(1, n + 1)])
     groups: dict = {}
-    for m, c in p._num.items():
-        inside = tuple(sorted((e for v, e in m if v in roots), reverse=True))
-        outside = tuple((v, e) for v, e in m if v not in roots)
+    for k, c in p._num.items():
+        inside = tuple(sorted((e for _, e in _decode(k & mask)), reverse=True))
+        outside = k & ~mask
         seen = groups.get((outside, inside))
         if seen is None:
             groups[(outside, inside)] = [c, 1]
@@ -877,10 +892,8 @@ def is_symmetric(p: Polynomial, kind: int, n: int) -> bool:
 
 
 def _elementary(roots: Sequence[Variable], k: int) -> Polynomial:
-    terms = {}
-    for combo in itertools.combinations(roots, k):
-        terms[tuple((v, 1) for v in combo)] = 1
-    return Polynomial._make(terms)
+    keys = [_key(v) for v in roots]
+    return Polynomial._make({sum(combo): 1 for combo in itertools.combinations(keys, k)})
 
 
 def _reduce_symmetric_part(p, roots, elem, symbol):

@@ -24,7 +24,8 @@ expression is one line, `error: unknown symbol 'frob' (at position 0)`.
 Exit codes: 0 on success, 1 on verification failure, including a class
 that fails its point certificate or a derivation that fails its identity
 check (with one line on stderr), 2 on a usage error, a malformed weights
-file or a file that cannot be opened (with one line on stderr).  A stdout
+file, an exponent past 32767 or a file that cannot be opened (with one
+line on stderr).  A stdout
 whose reader has gone, such as a pipe closed before the output is written,
 exits 1 with nothing on stderr.
 """
@@ -42,6 +43,7 @@ from .algebra import (
     ALPHA,
     BETA,
     DenominatorSurvives,
+    ExponentOverflow,
     Polynomial,
     QQ,
     alpha,
@@ -594,6 +596,7 @@ def main(argv=None) -> int:
         return 1
     except (
         ClassSyntaxError,
+        ExponentOverflow,
         loci.PreconditionViolated,
         loci.NotDivisorial,
         loci.ScalarConditionViolated,

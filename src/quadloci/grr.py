@@ -25,7 +25,8 @@ from __future__ import annotations
 from functools import cache
 from typing import Mapping, NamedTuple
 
-from .algebra import _ONE, SYM, Polynomial, QQ, RationalFunction, param, sym
+from .algebra import (_ONE, Polynomial, QQ, RationalFunction, _decode, _key, _slot_mask,
+                      param, sym)
 
 
 class MissingRule(Exception):
@@ -163,6 +164,7 @@ def _put_reduced(out: dict, key, c: RationalFunction):
 # ---------------------------------------------------------------------------
 
 TAG_DEGREE = {"c1L": 1, "c1omega": 1, "c2T": 2, "T2": 2, "v1": 1, "v2": 2}
+_TAGS = [sym(name) for name in TAG_DEGREE]
 
 
 def tag(name: str) -> Polynomial:
@@ -173,18 +175,20 @@ def tag(name: str) -> Polynomial:
 def _tag_part(expr: Polynomial, deg: int, rules: dict):
     """Yield (rule, coefficient) for each tag monomial of tag degree deg in expr.
 
-    The int numerators of one tag monomial, over expr's denominator, are its
-    coefficient, a polynomial in the parameters; the monomial is looked up
-    under its `_mono` key."""
+    The int numerators of one tag monomial (a key's part in the tags' slots,
+    as `_mono` gives it), over expr's denominator, are its coefficient, a
+    polynomial in the parameters.  Only a monomial with no rule is decoded."""
+    mask = _slot_mask(_TAGS)
     groups: dict = {}
-    for m, c in expr._num.items():
-        key = tuple((v[1], e) for v, e in m if v[0] == SYM)
-        if sum(TAG_DEGREE[t] * e for t, e in key) == deg:
-            groups.setdefault(key, {})[tuple((v, e) for v, e in m if v[0] != SYM)] = c
-    for key, num in groups.items():
-        rule = rules.get(key)
+    for k, c in expr._num.items():
+        groups.setdefault(k & mask, {})[k & ~mask] = c
+    for tags, num in groups.items():
+        rule = rules.get(tags)
         if rule is None:
-            raise MissingRule("no degree-%d rule for %s" % (deg, key))
+            key = tuple((v[1], e) for v, e in _decode(tags))
+            if sum(TAG_DEGREE[t] * e for t, e in key) == deg:
+                raise MissingRule("no degree-%d rule for %s" % (deg, key))
+            continue
         yield rule, rf(Polynomial._normal(num, expr._den))
 
 
@@ -211,7 +215,8 @@ class FiberRuleTable(NamedTuple):
 
 
 def _mono(*pairs):
-    return tuple(sorted(pairs))
+    """The key of the tag monomial with these (name, exponent) pairs."""
+    return sum(_key(sym(name), e) for name, e in pairs)
 
 
 def curve_rules(genus, degL, boundary: str = "delta") -> FiberRuleTable:

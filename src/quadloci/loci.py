@@ -11,10 +11,10 @@ one producer and one independent certificate:
   c_iE, c_jF: the z-coefficients of g, with h_r(a - z/2) a Jacobi-Trudi
   determinant of the twisted Chern classes of E, against the complete
   homogeneous functions of W.  Both pieces and their products are formed
-  in Python ints on graded arrays (dicts from packed exponents of the c_iE
-  to ints, one per c-degree), only up to the class degree, and the class
-  becomes a Polynomial once, at the end.  ``residue_divisor_class`` is its
-  divisorial case.
+  in Python ints on graded arrays (numerator dicts of ``Polynomial``, one
+  per c-degree), only up to the class degree, in the algebra's one product
+  loop; the class takes their keys as they are, with c_jF joined by
+  addition.  ``residue_divisor_class`` is its divisorial case.
 * ``resolution_value`` -- the class at integer roots from a resolution of
   the locus by a Grassmannian bundle, pushed down by localization at the
   fixed points of the Grassmannian.  No corank class h_r and no Segre
@@ -63,6 +63,10 @@ from .algebra import (
     DenominatorSurvives,
     Polynomial,
     QQ,
+    RationalFunction,
+    _key,
+    _mul_into,
+    _nonzero,
     alpha,
     beta,
     expand_symmetric,
@@ -163,7 +167,16 @@ def fixed_point_restriction(
 # localization sum
 # ---------------------------------------------------------------------------
 
+def _check_counts(types: tuple, **counts):
+    """TypeError naming the first count that is a bool or of none of `types`."""
+    for name, x in counts.items():
+        if isinstance(x, bool) or not isinstance(x, types):
+            raise TypeError("%s must be %s, not %s" % (
+                name, " or ".join(t.__name__ for t in types), type(x).__name__))
+
+
 def _check_loc_preconditions(e: int, f: int, r: int):
+    _check_counts((int,), e=e, f=f, r=r)
     if not 1 <= r <= e:
         raise PreconditionViolated("need 1 <= r <= e")
     if f < 1:
@@ -273,6 +286,7 @@ def divisorial_f(e, r):
     """f = C(e+1,2) - C(r+1,2), the rank of F at which the corank-r locus
     is a divisor: an int for ints e and r, a rational function for rational
     functions, and never a float."""
+    _check_counts((int, RationalFunction), e=e, r=r)
     if isinstance(e, int) and isinstance(r, int):
         return comb(e + 1, 2) - comb(r + 1, 2)
     return (e * (e + 1) - r * (r + 1)) * QQ(1, 2)
@@ -305,49 +319,13 @@ def closed_divisor_class(e: int, r: int) -> Polynomial:
 
 # The residue producer works on integer graded arrays.  A class in z and
 # the c_jE that is homogeneous of degree D is a list over the c-degree g
-# (c_jE has degree j) of dicts from packed exponents to ints; each term of
-# part g carries z^(D-g).  The exponent of c_jE sits in bits
-# [(j-1)w, jw) of one int, with 2^w above every exponent that occurs, so
-# the product of two monomials is the sum of their keys.
+# (c_jE has degree j) of `Polynomial` numerator dicts, formed in the
+# algebra's product loop; each term of part g carries z^(D-g).  Their keys
+# are `Polynomial`'s, so z and the c_jF join a term by integer addition.
 
-def _slot_bits(bound: int) -> int:
-    """The slot width w for exponents up to `bound`."""
-    return max(bound, 1).bit_length()
-
-
-def _mul_into(acc: dict, x: dict, y: dict, scale: int = 1) -> None:
-    """acc += scale * x * y, for dicts from packed exponents to ints."""
-    get = acc.get
-    for kx, vx in x.items():
-        vx *= scale
-        for ky, vy in y.items():
-            k = kx + ky
-            acc[k] = get(k, 0) + vx * vy
-
-
-def _chern_monomials(e: int, w: int):
-    """The function from a packed c_jE exponent key (slot width w) and
-    (variable, exponent) pairs `extra` to the Polynomial monomial of their
-    product."""
-    names = [_cE(j) for j in range(1, e + 1)]
-    mask = (1 << w) - 1
-
-    def monomial(key: int, extra=()) -> tuple:
-        out = list(extra)
-        for name in names:
-            if not key:
-                break
-            if key & mask:
-                out.append((name, key & mask))
-            key >>= w
-        return tuple(sorted(out))
-
-    return monomial
-
-
-def _twisted_corank(r: int, e: int, max_c: int, w: int) -> list:
+def _twisted_corank(r: int, e: int, max_c: int) -> list:
     """2^(D-r) h_r(a - z/2), D = C(r+1,2), as a graded array in z and the
-    c_jE (slot width w) holding only the parts of c-degree <= max_c.
+    c_jE holding only the parts of c-degree <= max_c.
 
     h is homogeneous of degree D in the roots, so 2^D h(a - z/2) =
     h(2a - z) = 2^r s_(r,...,1) of the Chern classes of the roots 2a - z.
@@ -359,7 +337,9 @@ def _twisted_corank(r: int, e: int, max_c: int, w: int) -> list:
     term of c-degree above max_c is never formed: c-degree only adds up.
     """
     top = min(max_c, comb(r + 1, 2))
-    unit = [0] + [1 << w * (j - 1) for j in range(1, e + 1)]
+    # every c_jE of E takes its slot here, the first time a class is
+    # formed, so the kernel's keys stay short
+    unit = [0] + [_key(_cE(j)) for j in range(1, e + 1)]
 
     def entry(k):
         if not 0 <= k <= e:
@@ -385,10 +365,11 @@ def _twisted_corank(r: int, e: int, max_c: int, w: int) -> list:
             if rows[i][j] is not None:
                 sub = minor(i + 1, cols & ~(1 << j))
                 for ge, x in enumerate(rows[i][j]):
-                    for gs in range(min(len(sub), top - ge + 1)):
-                        _mul_into(total[ge + gs], x, sub[gs], sign)
+                    for gs, y in enumerate(sub[:top - ge + 1]):
+                        if y:  # most parts of a minor are empty
+                            _mul_into(total[ge + gs], x, y, sign)
             sign = -sign
-        total = [{k: v for k, v in part.items() if v} for part in total]
+        total = [_nonzero(part) if part else part for part in total]
         cache[cols] = total
         return total
 
@@ -406,19 +387,16 @@ def shifted_corank_class(r: int, e: int, max_c: int) -> Polynomial:
     (`_twisted_corank`, in ints).
     """
     D = comb(r + 1, 2)
-    w = _slot_bits(max_c)
-    monomial = _chern_monomials(e, w)
     terms = {}
-    for g, part in enumerate(_twisted_corank(r, e, max_c, w)):
-        z = ((zvar(), D - g),) if g < D else ()
-        for key, v in part.items():
-            terms[monomial(key, z)] = v
+    for g, part in enumerate(_twisted_corank(r, e, max_c)):
+        z = _key(zvar(), D - g)
+        terms.update((key + z, v) for key, v in part.items())
     return Polynomial._normal(terms, 1 << (D - r))
 
 
-def _sym2_complete(e: int, top: int, w: int) -> list:
-    """h_0..h_top of the Sym^2 weights a_i + a_j (i <= j), each a dict from
-    packed c_iE exponents (slot width w) to ints.
+def _sym2_complete(e: int, top: int) -> list:
+    """h_0..h_top of the Sym^2 weights a_i + a_j (i <= j), each a numerator
+    dict in the c_iE.
 
     Newton's identities give the power sums p_m of the a_i, with p_0 = e.
     The weights' power sums are
@@ -430,13 +408,13 @@ def _sym2_complete(e: int, top: int, w: int) -> list:
     h_(m-i)(W), and the division by m is exact: h_m(W) is an integer
     polynomial in the c_iE.
     """
-    c = [{0: 1}] + [{1 << w * (i - 1): 1} for i in range(1, min(e, top) + 1)]
+    c = [{0: 1}] + [{_key(_cE(i)): 1} for i in range(1, min(e, top) + 1)]
     p = [{0: e}]
     for m in range(1, top + 1):
         acc = {k: (-1) ** (m - 1) * m * v for k, v in c[m].items()} if m <= e else {}
         for i in range(1, min(m - 1, e) + 1):
             _mul_into(acc, c[i], p[m - i], (-1) ** (i - 1))
-        p.append({k: v for k, v in acc.items() if v})
+        p.append(_nonzero(acc))
     pW = [None]
     for k in range(1, top + 1):
         acc = {key: (e + (1 << (k - 1))) * v for key, v in p[k].items()}
@@ -444,19 +422,18 @@ def _sym2_complete(e: int, top: int, w: int) -> list:
             _mul_into(acc, p[m], p[k - m], comb(k, m))
         if k % 2 == 0:
             _mul_into(acc, p[k // 2], p[k // 2], comb(k - 1, k // 2 - 1))
-        pW.append({key: v for key, v in acc.items() if v})
+        pW.append(_nonzero(acc))
     hW = [{0: 1}]
     for m in range(1, top + 1):
         acc = {}
         for i in range(1, m + 1):
             _mul_into(acc, pW[i], hW[m - i])
         part = {}
-        for key, v in acc.items():
+        for key, v in _nonzero(acc).items():
             q, rem = divmod(v, m)
             if rem:
                 raise AssertionError("m h_m(W) is not divisible by m")
-            if q:
-                part[key] = q
+            part[key] = q
         hW.append(part)
     return hW
 
@@ -479,30 +456,27 @@ def residue_class(e: int, f: int, r: int) -> Polynomial:
     Everything is formed in ints on graded arrays: 2^(D-r) h_r(a - z/2),
     D = C(r+1,2), up to c-degree t (`_twisted_corank`), and h_m(W) up to
     m = t (`_sym2_complete`).  The coefficient of (-1)^j c_jF is
-    sum_g [c-degree g of h] h_(t-j-g)(W), and the class is converted to a
-    Polynomial once, at the end, with the one division by 2^(D-r).
+    sum_g [c-degree g of h] h_(t-j-g)(W); c_jF joins its keys by addition,
+    and the one division by 2^(D-r) comes at the end.
     """
+    _check_counts((int,), e=e, f=f, r=r)
     n = comb(e + 1, 2)
     d = n - f
     if not (r == d == 0 and e >= 1):
         _check_loc_preconditions(e, f, r)
     t = target_degree(e, f, r)
-    w = _slot_bits(t)
-    h = _twisted_corank(r, e, t, w)
-    hW = _sym2_complete(e, t, w)
+    h = _twisted_corank(r, e, t)
+    hW = _sym2_complete(e, t)
     den = 1 << (comb(r + 1, 2) - r)
-    monomial = _chern_monomials(e, w)
     terms = {}
     for j in range(min(f, t) + 1):
-        acc = {}
-        for g, part in enumerate(h[:t - j + 1]):
-            _mul_into(acc, part, hW[t - j - g])
         # (-1)^(d+1) (-1)^j c_jF
         sign = -1 if (d + j) % 2 == 0 else 1
-        cF = ((_cF(j), 1),) if j else ()
-        for key, v in acc.items():
-            if v:
-                terms[monomial(key, cF)] = sign * v
+        acc = {}
+        for g, part in enumerate(h[:t - j + 1]):
+            _mul_into(acc, part, hW[t - j - g], sign)
+        cF = _key(_cF(j)) if j else 0
+        terms.update((key + cF, v) for key, v in _nonzero(acc).items())
     return Polynomial._normal(terms, den)
 
 

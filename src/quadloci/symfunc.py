@@ -3,7 +3,7 @@
 Two Jacobi-Trudi functions, exported by ``quadloci``, used by the tests as
 references and timed by the benchmark's tracer.  No other library code
 calls them: the residue producer in ``loci`` forms its corank class on
-integer arrays of its own.
+graded arrays of ``Polynomial`` numerators, in the algebra's product loop.
 
 * ``schur(lam, c)`` evaluates the Jacobi-Trudi determinant
   det(c_{lam_i + j - i}) for a partition ``lam``, a sequence of ints, and

@@ -1,8 +1,12 @@
+import contextlib
 import itertools
 import pickle
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import gcd, lcm
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,14 +17,12 @@ from quadloci.algebra import (
     AlgebraError,
     DenominatorSurvives,
     DivisionNotExact,
+    ExponentOverflow,
     NotSymmetric,
     Polynomial,
     QQ,
     RationalFunction,
     _ONE,
-    _grlex_key,
-    _merge_exponents,
-    _monomial_div,
     alpha,
     beta,
     expand_symmetric,
@@ -34,6 +36,54 @@ from quadloci.algebra import (
 from quadloci.grr import TautClass
 
 X = Polynomial.variable
+
+
+# -- tuple-monomial oracles: a monomial as sorted (variable, exponent) pairs --
+
+def _merge_exponents(m1, m2):
+    """Merge two sorted monomials, adding exponents."""
+    out = []
+    i = j = 0
+    n1, n2 = len(m1), len(m2)
+    while i < n1 and j < n2:
+        v1, e1 = m1[i]
+        v2, e2 = m2[j]
+        if v1 == v2:
+            out.append((v1, e1 + e2))
+            i += 1
+            j += 1
+        elif v1 < v2:
+            out.append(m1[i])
+            i += 1
+        else:
+            out.append(m2[j])
+            j += 1
+    out.extend(m1[i:])
+    out.extend(m2[j:])
+    return tuple(out)
+
+
+def _grlex_key(m):
+    """Sort key putting the graded-lex largest monomial first when sorted().
+
+    Larger total degree wins; ties broken lexicographically with earlier
+    variables and higher exponents first.
+    """
+    return (-sum(e for _, e in m), tuple((v, -e) for v, e in m))
+
+
+def _monomial_div(m, d):
+    """m / d or None when some exponent would go negative."""
+    dd = dict(m)
+    for v, e in d:
+        have = dd.get(v, 0) - e
+        if have < 0:
+            return None
+        if have:
+            dd[v] = have
+        else:
+            del dd[v]
+    return tuple(sorted(dd.items()))
 
 
 def rand_poly(rng, nvars=3, nterms=4, maxdeg=3):
@@ -454,6 +504,13 @@ def _ref_mul(a, b):
     return {m: c for m, c in out.items() if c}
 
 
+def _ref_power(a, n):
+    out = {(): Fraction(1)}
+    for _ in range(n):
+        out = _ref_mul(out, a)
+    return out
+
+
 def _ref_divide(p, q):
     """The Fraction loop `divide_exact` ran before the integer kernel."""
     qm = min(q, key=_grlex_key)
@@ -512,10 +569,7 @@ def test_kernel_matches_fraction_reference(a, b, c, n):
     _agrees(p * q, _ref_mul(a, b))
     for scaled in (p.scale(c), p * c, c * p, p.scale(QQ(c))):
         _agrees(scaled, _ref_scale(a, Fraction(c)))
-    power = {(): Fraction(1)}
-    for _ in range(n):
-        power = _ref_mul(power, a)
-    _agrees(p ** n, power)
+    _agrees(p ** n, _ref_power(a, n))
     assert str(p) == _ref_str(a)
     # equal values hash equal, however they were formed
     again = (p + q) - q
@@ -598,6 +652,89 @@ def test_kernel_arithmetic_builds_no_qq(monkeypatch):
             {(): Fraction(7, 20)}]
     for value, terms in zip(got, want):
         assert value.terms == terms if isinstance(value, Polynomial) else value.num.terms == terms
+
+
+# -- packed monomials against the tuple references, in any slot order ---------
+
+@contextlib.contextmanager
+def _registry(order):
+    """A fresh variable registry for the block, the variables of `order`
+    given their slots first and in that order; the process's own after."""
+    saved = algebra._SHIFTS, algebra._VARS, algebra._GUARD
+    algebra._SHIFTS, algebra._VARS, algebra._GUARD = {}, [], 0
+    try:
+        for v in order:
+            X(v)
+        yield
+    finally:
+        algebra._SHIFTS, algebra._VARS, algebra._GUARD = saved
+
+
+def _ref_substitute(a, images):
+    """a with every variable v of images replaced by the dict images[v]."""
+    out = {}
+    for m, c in a.items():
+        piece = {(): c}
+        for v, e in m:
+            piece = _ref_mul(piece, _ref_power(images[v], e) if v in images
+                             else {((v, e),): Fraction(1)})
+        out = _ref_add(out, piece)
+    return out
+
+
+@_KERNEL
+@given(st.permutations(_VARS), reference_polys, reference_polys.filter(bool),
+       reference_polys, st.integers(0, 3))
+def test_packed_monomials_match_tuple_references_in_any_slot_order(order, a, b, c, n):
+    with _registry(order):
+        p, q, s = Polynomial(a), Polynomial(b), Polynomial(c)
+        _agrees(p + q, _ref_add(a, b))
+        _agrees(p * q, _ref_mul(a, b))
+        _agrees(p ** n, _ref_power(a, n))
+        _agrees((p * q).divide_exact(q), _ref_divide(_ref_mul(a, b), b))
+        _agrees(p.substitute_poly({order[0]: s, order[2]: q}),
+                _ref_substitute(a, {order[0]: c, order[2]: b}))
+        assert str(p * q) == _ref_str(_ref_mul(a, b))
+        if a:
+            m = min(a, key=_grlex_key)
+            assert p.leading() == (m, a[m])
+        assert (p == q) == (a == b) and (p == Polynomial(dict(a)))
+        again = (p + q) - q
+        assert again == p and hash(again) == hash(p)
+
+
+def test_a_pickle_from_another_slot_order_loads_equal():
+    # the child process gives q the first slot and a1 the last; a pickle
+    # carries the decoded terms, so it loads into this process's slots
+    src = str(Path(algebra.__file__).resolve().parents[1])
+    code = ("import pickle, sys; sys.path.insert(0, %r)\n"
+            "from quadloci.algebra import Polynomial as P, QQ, alpha, beta, param\n"
+            "q, b1, a2, a1 = (P.variable(v) for v in (param('q'), beta(1), alpha(2), alpha(1)))\n"
+            "p = a1 ** 3 * b1 - QQ(2, 7) * a2 * q + 5\n"
+            "sys.stdout.write(pickle.dumps([p, (a1 - q) ** 2, p.terms]).hex())" % src)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, timeout=60).stdout
+    back, square, terms = pickle.loads(bytes.fromhex(out))
+    a1, a2, b1, q = (X(v) for v in (alpha(1), alpha(2), beta(1), param("q")))
+    p = a1 ** 3 * b1 - QQ(2, 7) * a2 * q + 5
+    assert back == p and hash(back) == hash(p) and back.terms == p.terms == terms
+    assert square == (a1 - q) ** 2 and str(square) == "a1^2 - 2*a1*q + q^2"
+
+
+def test_an_exponent_past_its_slot_raises_and_never_wraps():
+    with _registry([alpha(1), alpha(2)]):
+        x, y = X(alpha(1)), X(alpha(2))
+        top = x ** 32767  # the largest exponent a 16-bit slot holds
+        assert top.terms == {((alpha(1), 32767),): 1}
+        # 2^15 sets x's guard bit: raised, not carried into y's slot
+        for overflow in (lambda: top * x, lambda: top * top * top, lambda: x ** 32768,
+                         lambda: (x + y) ** 40000, lambda: top.substitute_poly({y: x}) * x,
+                         lambda: Polynomial({((alpha(2), 1 << 15),): 1})):
+            with pytest.raises(ExponentOverflow):
+                overflow()
+        assert issubclass(ExponentOverflow, AlgebraError)
+        assert (top * y).divide_exact(y) == top and (top * y).degree() == 32768
+        assert Polynomial.const(3) ** 40000 == Polynomial.const(3 ** 40000)
 
 
 # -- hash and eq agree on rational functions -----------------------------------

@@ -149,6 +149,20 @@ def test_projectivize_reads_a_long_minus_run(capsys):
     assert json.loads(runs[0][1])["coefficients"] == json.loads(runs[1][1])["coefficients"]
 
 
+@pytest.mark.parametrize("text, message", [
+    ("a1^40000", "power 40000 of a nonconstant polynomial passes 32767"),
+    ("(a1 + a2)^40000", "power 40000 of a nonconstant polynomial passes 32767"),
+    ("a1^20000 * a1^20000", "a product has an exponent past 32767"),
+], ids=["power", "power-of-a-sum", "product"])
+def test_projectivize_refuses_an_exponent_past_its_slot(capsys, text, message):
+    # a1^40000 once ran for minutes; an exponent has 15 bits of its slot
+    weights = str(Path(__file__).parents[1] / "perfbench" / "data" / "weights_a.json")
+    code, out, err = _outcome(capsys, ["class", "projectivize", "--class", text,
+                                       "--weights", weights])
+    assert (code, out) == (2, "")
+    assert err == "error: %s\n" % message
+
+
 def test_projectivize_reports_unknown_name_before_later_syntax_error(capsys):
     # names resolve where they are read, so the unknown name comes first
     weights = str(Path(__file__).parents[1] / "perfbench" / "data" / "weights_a.json")

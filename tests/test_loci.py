@@ -12,7 +12,6 @@ from quadloci.algebra import (
     alpha,
     beta,
     gamma_var,
-    monomial_degree,
     sym,
     xi,
 )
@@ -53,7 +52,7 @@ def sym2_weights(e: int) -> tuple:
 
 
 def homogeneous(p: Polynomial, deg: int) -> bool:
-    return all(monomial_degree(m) == deg for m in p.terms)
+    return all(sum(e for _, e in m) == deg for m in p.terms)
 
 
 GOLDEN = {
@@ -170,19 +169,17 @@ def test_sym2_complete_matches_weight_expansion():
     # h_m of the Sym^2 weights, built one weight at a time as the
     # coefficients of prod_w 1/(1 - w t)
     from quadloci.algebra import ALPHA, expand_symmetric, sym
-    from quadloci.loci import _chern_monomials, _slot_bits, _sym2_complete
+    from quadloci.loci import _sym2_complete
 
     top = 6
-    bits = _slot_bits(top)
     for e in range(1, 7):
         want = [Polynomial.const(1)] + [Polynomial.zero()] * top
         for w in sym2_weights(e):
             for m in range(1, top + 1):
                 want[m] = want[m] + w * want[m - 1]
-        got = _sym2_complete(e, top, bits)
-        monomial = _chern_monomials(e, bits)
+        got = _sym2_complete(e, top)
         for m in range(top + 1):
-            chern = Polynomial({monomial(k): v for k, v in got[m].items()})
+            chern = Polynomial._make(got[m])
             roots = expand_symmetric(chern, ALPHA, e, symbol=lambda i: sym("c%dE" % i))
             assert roots == want[m], (e, m)
 
@@ -601,6 +598,30 @@ def test_residue_class_domain():
     assert residue_class(3, 6, 0) == c1F() - 4 * c1E()
     for e, f, r in ((3, 5, 0), (3, 6, 1), (3, 6, 4), (2, 2, 3), (3, 0, 3)):
         with pytest.raises(PreconditionViolated):
+            residue_class(e, f, r)
+
+
+def test_divisorial_f_refuses_a_float():
+    # 4.0 once gave 7.0; a rational-function rank still passes
+    from quadloci.grr import rf
+
+    with pytest.raises(TypeError, match="^e must be int or RationalFunction, not float$"):
+        divisorial_f(4.0, 2)
+    with pytest.raises(TypeError, match="^r must be int or RationalFunction, not bool$"):
+        divisorial_f(4, True)
+    assert divisorial_f(rf("g"), 2) == (rf("g") * rf("g") + rf("g") - 6) * QQ(1, 2)
+
+
+def test_localization_class_refuses_a_float_rank():
+    # 8.0 once reached the residue kernel and failed there on bit_length
+    with pytest.raises(TypeError, match="^f must be int, not float$"):
+        localization_class(4, 8.0, 3)
+
+
+def test_residue_class_refuses_a_bool_rank():
+    # True once read as e = 1, in the r = d = 0 branch too
+    for e, f, r in ((True, 1, 1), (True, 1, 0), (3, 6, False)):
+        with pytest.raises(TypeError, match="must be int, not bool$"):
             residue_class(e, f, r)
 
 

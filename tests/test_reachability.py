@@ -50,8 +50,6 @@ KEPT = {
     ("algebra.py", "Polynomial.degree"): _CONTRACT + "_gcd_in's univariate remainders",
     ("algebra.py", "Polynomial.leading"):
         _CONTRACT + "_gcd_in's univariate remainders; _reduce_symmetric_part",
-    ("algebra.py", "integer_scaled"):
-        _CONTRACT + "Polynomial.__init__ stores lowest-terms int numerators",
     ("grr.py", "TautClass.__setattr__"): _CONTRACT + "a TautClass is immutable",
     ("grr.py", "TautClass.__hash__"): _CONTRACT + "equal classes hash equal",
     ("grr.py", "grr_rank"): _CONTRACT + "the rank of a GRR pushforward",
