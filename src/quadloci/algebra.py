@@ -63,6 +63,14 @@ product of the leading coefficients (Knuth, TAOCP vol. 2, sec. 4.6.1).  Those
 results skip the constructor.  `+`, `*` and `==` of two functions over `1`
 act on the numerators alone, so polynomial-valued coefficients pay little
 for being rational functions.
+
+A rational function reduces where it is formed, by one rule, `_divided`:
+a result whose denominator divides its numerator is stored as the quotient
+over `1`.  The constructor, `*` and a sum of two functions not over `1` try
+the division; a sum (a*d + b)/d with one side over `1`, and a power d^n |
+a^n, divide only when d | a, so they skip it.  No stored denominator
+divides its numerator, and `is_polynomial`, `constant_value`,
+`as_polynomial` and `hash` read the stored pair.
 """
 
 from __future__ import annotations
@@ -191,6 +199,15 @@ def _decode(k: int) -> tuple:
 def _slot_mask(variables) -> int:
     """The slots of the distinct `variables`; one with no slot is in no key."""
     return sum(_SLOT << _SHIFTS[v] for v in variables if v in _SHIFTS)
+
+
+def _split(num: dict, mask: int) -> dict:
+    """{k & mask: {k & ~mask: c}} for the terms k: c of num (pass ~mask to
+    group by the part outside the slots of mask)."""
+    groups: dict = {}
+    for k, c in num.items():
+        groups.setdefault(k & mask, {})[k & ~mask] = c
+    return groups
 
 
 def _mul_into(acc: dict, x: dict, y: dict, scale: int = 1) -> dict:
@@ -434,13 +451,9 @@ class Polynomial:
     # -- substitution and evaluation -----------------------------------
     def substitute_poly(self, mapping: Mapping) -> "Polynomial":
         """Simultaneous substitution v -> Polynomial for v in mapping."""
-        mask = _slot_mask(mapping)
-        groups: dict = {}
-        for k, c in self._num.items():
-            groups.setdefault(k & mask, {})[k & ~mask] = c
         powers: dict = {}
         out = Polynomial._make({})
-        for sub, rest in groups.items():
+        for sub, rest in _split(self._num, _slot_mask(mapping)).items():
             piece = Polynomial._make(rest)
             for v, e in _decode(sub):
                 if (v, e) not in powers:
@@ -583,11 +596,11 @@ class RationalFunction:
     1, and it is always stored as the shared `_ONE`, so `den is _ONE`
     tells a polynomial value apart without comparing coefficients.
 
-    Reduction is lazy: `reduce()` tries exact division of the numerator by
-    the denominator.  Equality testing cross-multiplies, so unreduced
-    representatives still compare correctly, and the hash is that of the
-    pair in lowest terms, which needs a univariate denominator when the
-    division fails (AlgebraError otherwise).
+    A value whose denominator divides its numerator is stored over `_ONE`
+    (`_divided`); others are not in lowest terms in general.  Equality
+    testing cross-multiplies, so they still compare correctly, and the hash
+    of one is that of its pair in lowest terms, which needs a univariate
+    denominator (AlgebraError otherwise).
     """
 
     __slots__ = ("num", "den")
@@ -609,8 +622,7 @@ class RationalFunction:
             if scale != 1:
                 num = num * (QQ(1) / scale)
                 den = prim
-            if den.is_constant():
-                den = _ONE
+            num, den = _divided(num, _ONE if den.is_constant() else den)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
@@ -623,8 +635,8 @@ class RationalFunction:
     @staticmethod
     def _raw(num: Polynomial, den: Polynomial = _ONE) -> "RationalFunction":
         """Wrap a pair already in normal form, without normalizing: den is
-        `_ONE` or a product of stored denominators, and `_ONE` when num is
-        zero."""
+        `_ONE` or a product of stored denominators that does not divide num
+        (`_divided`), and `_ONE` when num is zero."""
         r = _new(RationalFunction)
         _set_rf_num(r, num)
         _set_rf_den(r, den if num._num else _ONE)
@@ -636,20 +648,17 @@ class RationalFunction:
 
     def constant_value(self):
         """The value of a constant, as `Polynomial.constant_value`;
-        ValueError when the numerator or the denominator is not constant
-        (`reduce` first to cancel a quotient such as 2x/x)."""
+        ValueError for any other value.  A constant such as 2x/x is stored
+        over `_ONE`."""
         return self.num.constant_value() / self.den.constant_value()
 
     def is_polynomial(self) -> bool:
         return self.den is _ONE
 
     def as_polynomial(self) -> Polynomial:
-        reduced = self.reduce()
-        if reduced.den is _ONE:
-            return reduced.num
-        raise DenominatorSurvives(
-            "denominator %s does not cancel" % reduced.den
-        )
+        if self.den is _ONE:
+            return self.num
+        raise DenominatorSurvives("denominator %s does not cancel" % self.den)
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
@@ -662,7 +671,9 @@ class RationalFunction:
         if self.den is _ONE and other.den is _ONE:
             return RationalFunction._raw(self.num + other.num)
         num = self.num * other.den + other.num * self.den
-        return RationalFunction._raw(num, self.den * other.den)
+        if self.den is _ONE or other.den is _ONE:  # no trial (module docstring)
+            return RationalFunction._raw(num, self.den * other.den)
+        return RationalFunction._raw(*_divided(num, self.den * other.den))
 
     __radd__ = __add__
 
@@ -684,7 +695,7 @@ class RationalFunction:
             return NotImplemented
         if self.den is _ONE and other.den is _ONE:
             return RationalFunction._raw(self.num * other.num)
-        return RationalFunction._raw(self.num * other.num, self.den * other.den)
+        return RationalFunction._raw(*_divided(self.num * other.num, self.den * other.den))
 
     __rmul__ = __mul__
 
@@ -704,7 +715,7 @@ class RationalFunction:
             return RationalFunction(self.den ** (-n), self.num ** (-n))
         if self.den is _ONE or n == 0:
             return RationalFunction._raw(self.num ** n)
-        return RationalFunction._raw(self.num ** n, self.den ** n)
+        return RationalFunction._raw(self.num ** n, self.den ** n)  # no trial
 
     def __eq__(self, other):
         other = _coerce_rf(other)
@@ -717,19 +728,12 @@ class RationalFunction:
     def __hash__(self):
         # a polynomial value hashes as its numerator, like the Polynomial;
         # any other value as its pair in lowest terms
-        r = self.reduce()
-        if r.den is _ONE:
-            return hash(r.num)
-        return hash(_lowest_terms(r.num, r.den))
-
-    # -- reduction -----------------------------------------------------
-    def reduce(self) -> "RationalFunction":
         if self.den is _ONE:
-            return self
-        try:
-            return RationalFunction._raw(self.num.divide_exact(self.den))
-        except DivisionNotExact:
-            return self
+            return hash(self.num)
+        return hash(_lowest_terms(self.num, self.den))
+
+    def reduce(self) -> "RationalFunction":
+        return self  # every value is formed reduced (module docstring)
 
     def __str__(self):
         if self.den is _ONE:
@@ -737,6 +741,17 @@ class RationalFunction:
         return "(%s)/(%s)" % (self.num, self.den)
 
     __repr__ = __str__
+
+
+def _divided(num: Polynomial, den: Polynomial) -> tuple:
+    """(num/den, _ONE) when den divides num, else (num, den): the one
+    reduction rule (module docstring), for a normal den."""
+    if den is not _ONE:
+        try:
+            return num.divide_exact(den), _ONE
+        except DivisionNotExact:
+            pass
+    return num, den
 
 
 def _lowest_terms(num: Polynomial, den: Polynomial):
@@ -747,12 +762,8 @@ def _lowest_terms(num: Polynomial, den: Polynomial):
     if len(xs) != 1:
         raise AlgebraError("no lowest terms over the denominator %s" % den)
     (x,) = xs
-    mask = _slot_mask(xs)
-    parts: dict = {}
-    for k, c in num._num.items():
-        parts.setdefault(k & ~mask, {})[k & mask] = c
     g = den
-    for part in parts.values():
+    for part in _split(num._num, ~_slot_mask(xs)).values():
         g = _gcd_in(x, g, Polynomial._make(part))
     if g.is_constant():
         return num, den
@@ -799,13 +810,11 @@ def sum_fractions(terms: Sequence[RationalFunction]) -> Polynomial:
     total = terms[0]
     for t in terms[1:]:
         total = total + t
-    result = total.reduce()
-    if not result.is_polynomial():
+    if not total.is_polynomial():
         raise DenominatorSurvives(
-            "fraction sum is not polynomial; residual denominator %s"
-            % result.den
+            "fraction sum is not polynomial; residual denominator %s" % total.den
         )
-    return result.as_polynomial()
+    return total.num
 
 
 def symmetric_reduce(
@@ -843,11 +852,8 @@ def symmetric_reduce(
                     transposition=(roots[i], roots[i + 1]),
                 )
 
-    # split monomials into alphabet part and passenger part
-    mask = _slot_mask(alphabet)
-    groups: dict = {}
-    for k, c in p._num.items():
-        groups.setdefault(k & ~mask, {})[k & mask] = c
+    # split monomials into passenger part and alphabet part
+    groups = _split(p._num, ~_slot_mask(alphabet))
 
     # the leading-exponent descent only uses e_k for k up to the largest
     # degree in the alphabet of any monomial

@@ -25,7 +25,7 @@ from __future__ import annotations
 from functools import cache
 from typing import Mapping, NamedTuple
 
-from .algebra import (_ONE, Polynomial, QQ, RationalFunction, _decode, _key, _slot_mask,
+from .algebra import (Polynomial, QQ, RationalFunction, _decode, _key, _slot_mask, _split,
                       param, sym)
 
 
@@ -69,14 +69,12 @@ class TautClass:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Mapping[str, RationalFunction] | None = None):
-        clean: dict = {}
-        for s, c in (coeffs or {}).items():
-            _put_reduced(clean, s, c if type(c) is RationalFunction else rf(c))
-        object.__setattr__(self, "coeffs", clean)
+        clean = {s: rf(c) for s, c in (coeffs or {}).items()}
+        object.__setattr__(self, "coeffs", {s: c for s, c in clean.items() if c.num})
 
     @staticmethod
     def _raw(coeffs: dict) -> "TautClass":
-        """Wrap coefficients that are already nonzero and reduced."""
+        """Wrap coefficients that are already nonzero."""
         t = TautClass.__new__(TautClass)
         object.__setattr__(t, "coeffs", coeffs)
         return t
@@ -99,22 +97,21 @@ class TautClass:
         return set(self.coeffs)
 
     def __add__(self, other: "TautClass") -> "TautClass":
-        # only a coefficient both sides carry changes; the others are
-        # stored reduced already
+        # only a coefficient both sides carry can become zero
         out = dict(self.coeffs)
         for s, c in other.coeffs.items():
-            prev = out.get(s)
-            if prev is None:
+            c = out[s] + c if s in out else c
+            if c.num:
                 out[s] = c
             else:
-                _put_reduced(out, s, prev + c)
+                del out[s]
         return TautClass._raw(out)
 
     def __sub__(self, other: "TautClass") -> "TautClass":
         return self + (-other)
 
     def __neg__(self) -> "TautClass":
-        # -n/d reduces exactly when n/d does
+        # -n/d is nonzero and reduced when n/d is
         return TautClass._raw({s: -c for s, c in self.coeffs.items()})
 
     def scale(self, c) -> "TautClass":
@@ -151,14 +148,6 @@ class TautClass:
 _ZERO = RationalFunction.const(0)
 
 
-def _put_reduced(out: dict, key, c: RationalFunction):
-    """out[key] = c reduced, or no entry for key when c is zero."""
-    if c.num:
-        out[key] = c if c.den is _ONE else c.reduce()
-    else:
-        out.pop(key, None)
-
-
 # ---------------------------------------------------------------------------
 # total-space classes
 # ---------------------------------------------------------------------------
@@ -178,11 +167,7 @@ def _tag_part(expr: Polynomial, deg: int, rules: dict):
     The int numerators of one tag monomial (a key's part in the tags' slots,
     as `_mono` gives it), over expr's denominator, are its coefficient, a
     polynomial in the parameters.  Only a monomial with no rule is decoded."""
-    mask = _slot_mask(_TAGS)
-    groups: dict = {}
-    for k, c in expr._num.items():
-        groups.setdefault(k & mask, {})[k & ~mask] = c
-    for tags, num in groups.items():
+    for tags, num in _split(expr._num, _slot_mask(_TAGS)).items():
         rule = rules.get(tags)
         if rule is None:
             key = tuple((v[1], e) for v, e in _decode(tags))
@@ -467,7 +452,7 @@ def lm_lambda_relation(i="i") -> LambdaTorsionReport:
         + rf(2) * c2_push
     )
     return LambdaTorsionReport(
-        c2_pushforward=c2_push.reduce(),
-        c2_pushforward_direct=c2_push_direct.reduce(),
-        rhs_lambda_multiple=rhs.reduce(),
+        c2_pushforward=c2_push,
+        c2_pushforward_direct=c2_push_direct,
+        rhs_lambda_multiple=rhs,
     )

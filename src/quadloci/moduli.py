@@ -70,7 +70,7 @@ class ModuliDivisor(NamedTuple):
             raise BoundaryCoefficientNonpositive(
                 "symbolic slope needs equal boundary coefficients"
             )
-        return (rf(self.lam) / first).reduce()
+        return rf(self.lam) / first
 
 
 def _is_number(x) -> bool:
@@ -270,7 +270,9 @@ def series_genus(series: int, ell):
     function ell."""
     if series == 1:
         return (4 * ell - 1) * (9 * ell - 1)
-    return 4 * (3 * ell + 1) * (2 * ell + 1)
+    if series == 2:
+        return 4 * (3 * ell + 1) * (2 * ell + 1)
+    raise UnsupportedParam("series must be 1 or 2")
 
 
 # the integer polynomials in ell behind the series slopes, low degree first
@@ -302,7 +304,7 @@ def pelda_slope(series: int, ell, form: str = "closed") -> RationalFunction:
     if series == 1:
         b = rf(2) * (rf(9) * l - rf(2)) * (rf(9) * l - rf(1)) * _at(_SER1_B6, l)
         if form == "closed":
-            return (_at(_SER1_A, l) / b).reduce()
+            return _at(_SER1_A, l) / b
         if form == "deficit":
             num = (
                 (rf(13) * l - rf(2))
@@ -311,7 +313,7 @@ def pelda_slope(series: int, ell, form: str = "closed") -> RationalFunction:
                 * (rf(36) * l * l - rf(13) * l - rf(1))
             )
             den = b * (rf(36) * l * l - rf(13) * l + rf(2))
-            return (brill_noether_bound(series_genus(1, l)) - num / den).reduce()
+            return brill_noether_bound(series_genus(1, l)) - num / den
         raise UnsupportedParam("form must be 'closed' or 'deficit'")
     if series == 2:
         num = (
@@ -326,7 +328,7 @@ def pelda_slope(series: int, ell, form: str = "closed") -> RationalFunction:
             * _at(_SER2_C6, l)
             * (rf(24) * l * l + rf(20) * l + rf(5))
         )
-        return (brill_noether_bound(series_genus(2, l)) - num / den).reduce()
+        return brill_noether_bound(series_genus(2, l)) - num / den
     raise UnsupportedParam("series must be 1 or 2")
 
 
@@ -438,11 +440,11 @@ def virtual_slope_from_pushforward(
     lam, dl = cls.coefficient("lambda"), cls.coefficient("delta0")
     if dl.is_zero():
         raise BoundaryCoefficientNonpositive("delta_0 coefficient vanished")
-    s = (lam / (-dl)).reduce()
+    s = lam / (-dl)
     if param("beta") in s.num.variables() | s.den.variables():
         raise BetaDidNotCancel(str(s))
-    lam_red = (lam / beta).reduce()
-    dl_red = (dl / beta).reduce()
+    lam_red = lam / beta
+    dl_red = dl / beta
     effective = _is_number(dl_red) and dl_red.constant_value() < 0
     return VirtualSlopeResult(slope=s, lam=lam_red, delta0=dl_red,
                               boundary_effective=effective)
@@ -478,7 +480,7 @@ def fit_calibration() -> CalibrationReport:
     target1 = pelda_slope(1, 1)
     # solve slope(x) = target on the lambda-linear pencil
     zero = virtual_slope_from_pushforward(p1, Calibration(0))
-    x = (target1 * (-zero.delta0) - zero.lam).reduce()
+    x = target1 * (-zero.delta0) - zero.lam
     cal = Calibration(x)
     check1 = virtual_slope_from_pushforward(p1, cal)
     if check1.slope != target1:
@@ -607,7 +609,7 @@ def _binom_shift(c: int, cp: int, i: RationalFunction) -> RationalFunction:
     den = ([2 * x + t for t in range(c + 1, 0)] + [x + t for t in range(1, cp + 1)]
            + [x + t for t in range(q + 1)])
     one = Polynomial.const(1)
-    return RationalFunction(prod(num, start=one), prod(den, start=one)).reduce()
+    return RationalFunction(prod(num, start=one), prod(den, start=one))
 
 
 # (j+2)^p expanded in the binomial basis C(j, t): coefficients a[p][t]
@@ -647,7 +649,7 @@ def _alternating_sum(p: int, side: int, shifts: dict) -> RationalFunction:
     out = rf(0)
     for t, a in enumerate(_J2_BINOMIAL[p]):
         out = out + (a if t % 2 == 0 else -a) * shifts[_shift_key(side, t)]
-    return out.reduce()
+    return out
 
 
 class KoszulClass(NamedTuple):
@@ -687,7 +689,7 @@ def kosz_sums_over_d(i="i") -> tuple:
     any other denominator raises IdentityFailed.  `kosz_rank` still adds
     the shifted binomials as rational functions, because it prints those
     sums unreduced; they move to lowest terms with the canonical gcd of
-    ROADMAP item 2.
+    ROADMAP item 23.
     """
     ii = rf(i)
     g = rf(2) * ii + rf(3)
@@ -744,8 +746,8 @@ def _kosz_numeric(i: int) -> KoszulClass:
     diff = in_gamma_basis(diff, gamma_k3(g), pivot="kappa30")
     return KoszulClass(
         i=i,
-        lam=(diff.coefficient("lambda") / rf(base)).reduce(),
-        gamma=(diff.coefficient("gamma") / rf(base)).reduce(),
+        lam=diff.coefficient("lambda") / rf(base),
+        gamma=diff.coefficient("gamma") / rf(base),
     )
 
 
@@ -755,8 +757,8 @@ def kosz_closed_form(i="i") -> KoszulClass:
     pre = rf(4) / (ii + rf(2))
     return KoszulClass(
         i=ii,
-        lam=(pre * (ii * ii - rf(4) * ii - rf(3))).reduce(),
-        gamma=(pre * rf(QQ(1, 2))).reduce(),
+        lam=pre * (ii * ii - rf(4) * ii - rf(3)),
+        gamma=pre * rf(QQ(1, 2)),
     )
 
 
@@ -771,7 +773,7 @@ def kosz_intro_form(i="i") -> KoszulClass:
     ratio = _binom_shift(1, 0, ii)  # C(2i+1, i) / C(2i-1, i)
     lam = ratio * rf(2) * (g * g - rf(14) * g + rf(21)) / (g + rf(1))
     gam = ratio * rf(4) / (g + rf(1))
-    return KoszulClass(i=ii, lam=lam.reduce(), gamma=gam.reduce())
+    return KoszulClass(i=ii, lam=lam, gamma=gam)
 
 
 def kosz_prefactor_ratio(i="i") -> RationalFunction:
@@ -784,6 +786,8 @@ def kosz_rank(i) -> tuple:
     """(rank from the syzygy-side recursion, rank from the polynomial-side
     recursion, the closed count (i+1) C(2i+5, i+2)) -- all three agree."""
     if isinstance(i, int):
+        if i < 1:
+            raise UnsupportedParam("need i >= 1")
         g = 2 * i + 3
         rank_g = sum(
             (-1) ** j * _comb0(g + 1, i - j) * (2 + (j + 2) ** 2 * (g - 1))
@@ -800,10 +804,10 @@ def kosz_rank(i) -> tuple:
     printed = ((0, _U_SIDE), (2, _U_SIDE))
     shifts = {key: _binom_shift(*key, ii) for key in _sum_keys(printed)}
     u0, u2 = (_alternating_sum(p, side, shifts) for p, side in printed)
-    rank_g = (rf(2) * u0 + (g - rf(1)) * u2).reduce()
+    rank_g = rf(2) * u0 + (g - rf(1)) * u2
     # H-side rank sum closes to (g+1) C(g+1, i+1) - C(g+1, i+2)
-    rank_h = ((g + rf(1)) * _binom_shift(4, 1, ii) - _binom_shift(4, 2, ii)).reduce()
-    closed = ((ii + rf(1)) * _binom_shift(5, 2, ii)).reduce()
+    rank_h = (g + rf(1)) * _binom_shift(4, 1, ii) - _binom_shift(4, 2, ii)
+    closed = (ii + rf(1)) * _binom_shift(5, 2, ii)
     return rank_g, rank_h, closed
 
 
@@ -852,10 +856,10 @@ def hurwitz_report(k="k") -> HurwitzReport:
     # ordered-cover ones for mu = 1^k, 2,2,1^(k-4) and 3,1^(k-3); the
     # unordered D0 and D3 absorb a factor 2 under the quotient by the
     # symmetric group, D2 does not (its generic cover has extra automorphisms)
-    c_d0 = (_hodge_coeff(2, 1, kk, kk) / rf(2)).reduce()
-    c_d2 = _hodge_coeff(2, 2, kk - rf(3), kk).reduce()
-    c_d3 = (_hodge_coeff(2, 3, kk - rf(3) + rf(QQ(1, 3)), kk) / rf(2)).reduce()
-    published_d2 = (rf(-1) / (rf(4) * (rf(6) * kk - rf(5)))).reduce()
+    c_d0 = _hodge_coeff(2, 1, kk, kk) / rf(2)
+    c_d2 = _hodge_coeff(2, 2, kk - rf(3), kk)
+    c_d3 = _hodge_coeff(2, 3, kk - rf(3) + rf(QQ(1, 3)), kk) / rf(2)
+    published_d2 = rf(-1) / (rf(4) * (rf(6) * kk - rf(5)))
 
     canonical = TautClass({"lambda": 8, "D3": QQ(1, 6), "D0": QQ(-3, 2)})
     d3, _ = jet_porteous_d3(k)
@@ -878,7 +882,7 @@ def hurwitz_report(k="k") -> HurwitzReport:
     rank4_rest = rank4 - TautClass.symbol("gamma", gcoef)
     gamma_expr = (TautClass.symbol("Hrk4") - rank4_rest).scale(rf(1) / gcoef)
     # the multiplier that clears gcoef's denominator: k (k-6)/k = k - 6
-    alpha_solved = (kk * gcoef).reduce()
+    alpha_solved = kk * gcoef
     lhs = can_gamma.substitute_symbol("gamma", gamma_expr).scale(alpha_solved)
     rhs = TautClass({"lambda": 7, "D0": -1}).scale(kk - rf(12)) + TautClass.symbol(
         "Hrk4", kk

@@ -32,6 +32,7 @@ from quadloci.moduli import (
     pelda_slope,
     petri_class,
     petri_decomposition_report,
+    series_genus,
     series_params,
     virtual_slope_from_pushforward,
 )
@@ -128,6 +129,14 @@ def test_series_params_values():
     p2 = series_params(2, 1)
     assert (p2.r, p2.s, p2.a, p2.g, p2.d) == (11, 4, 5, 48, 55)
     assert series_params(1, 2).g == 7 * 17
+
+
+def test_series_genus_takes_only_the_two_series():
+    assert (series_genus(1, 1), series_genus(2, 1)) == (24, 48)
+    assert series_genus(2, G) == 4 * (3 * G + 1) * (2 * G + 1)
+    for series in (0, 3):
+        with pytest.raises(UnsupportedParam, match="series must be 1 or 2"):
+            series_genus(series, 1)
 
 
 def test_series_params_invariants_range():
@@ -361,10 +370,10 @@ def test_kosz_intro_prefactor_ratio():
     assert ratio == rf(2) * (rf(2) * I + rf(1)) / (I + rf(1))
     ki = kosz_intro_form("i")
     kc = kosz_closed_form("i")
-    assert ki.lam == (kc.lam * ratio).reduce()
-    assert ki.gamma == (kc.gamma * ratio).reduce()
+    assert ki.lam == kc.lam * ratio
+    assert ki.gamma == kc.gamma * ratio
     # the two displays carry the same (lambda : gamma) direction
-    assert (ki.lam / ki.gamma).reduce() == (kc.lam / kc.gamma).reduce()
+    assert ki.lam / ki.gamma == kc.lam / kc.gamma
 
 
 def test_kosz_ranks():
@@ -379,6 +388,13 @@ def test_kosz_ranks():
 def test_kosz_guard():
     with pytest.raises(UnsupportedParam):
         kosz_class(0)
+
+
+@pytest.mark.parametrize("i", [0, -2])
+def test_kosz_rank_refuses_what_kosz_class_refuses(i):
+    for fn in (kosz_class, kosz_rank):
+        with pytest.raises(UnsupportedParam, match="need i >= 1"):
+            fn(i)
 
 
 def _at(r, i):

@@ -27,7 +27,7 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "quadloci"
 
 _CONTRACT = "contract: "
-_TRACER = "perfbench tracer target or its helper; leaves with ROADMAP 1a"
+_TRACER = "perfbench tracer target or its helper; leaves with ROADMAP 22"
 
 # (file, qualified name) -> why the function stays though no product path
 # reaches it
@@ -53,6 +53,7 @@ KEPT = {
     ("grr.py", "TautClass.__setattr__"): _CONTRACT + "a TautClass is immutable",
     ("grr.py", "TautClass.__hash__"): _CONTRACT + "equal classes hash equal",
     ("grr.py", "grr_rank"): _CONTRACT + "the rank of a GRR pushforward",
+    ("algebra.py", "RationalFunction.reduce"): _TRACER + " (a no-op: values form reduced)",
     ("algebra.py", "sum_fractions"): _TRACER,
     ("algebra.py", "RationalFunction.is_polynomial"): _TRACER + " (sum_fractions)",
     ("algebra.py", "symmetric_reduce"): _TRACER,
