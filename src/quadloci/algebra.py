@@ -71,6 +71,11 @@ the division; a sum (a*d + b)/d with one side over `1`, and a power d^n |
 a^n, divide only when d | a, so they skip it.  No stored denominator
 divides its numerator, and `is_polynomial`, `constant_value`,
 `as_polynomial` and `hash` read the stored pair.
+
+Keys compared as ints are a lex monomial order, as the guard bits stop any
+carry, and under a monomial order the leading term of a product is the
+product of the leading terms.  So n*d' == n'*d gives the one ratio
+lead(n)/lead(d) for every pair (n, d) of a value: `hash` needs no gcd.
 """
 
 from __future__ import annotations
@@ -82,9 +87,6 @@ from functools import reduce
 from math import factorial, gcd, lcm
 from operator import or_
 from typing import Callable, Mapping, Sequence
-
-_QQ_TYPE = type(QQ(0))
-
 
 class AlgebraError(Exception):
     """Base class for algebra failures."""
@@ -319,12 +321,6 @@ class Polynomial:
             raise ValueError("not a constant polynomial")
         return QQ(self._num.get(0, 0), self._den)
 
-    def degree(self) -> int:
-        """Total degree; -1 for the zero polynomial."""
-        if not self._num:
-            return -1
-        return max(sum(e for _, e in _decode(k)) for k in self._num)
-
     def variables(self) -> set:
         # a slot of the union of the keys is nonzero when a term uses it
         return {v for v, _ in _decode(reduce(or_, self._num, 0))}
@@ -377,7 +373,7 @@ class Polynomial:
 
     def __mul__(self, other):
         if not isinstance(other, Polynomial):
-            if isinstance(other, (int, _QQ_TYPE)):
+            if isinstance(other, (int, QQ)):
                 return self.scale(other)
             return NotImplemented
         x, y = self, other
@@ -428,7 +424,7 @@ class Polynomial:
     def __eq__(self, other):
         if isinstance(other, Polynomial):
             return self._den == other._den and self._num == other._num
-        if isinstance(other, (int, _QQ_TYPE)):
+        if isinstance(other, (int, QQ)):
             return self == Polynomial.const(other)
         return NotImplemented
 
@@ -575,7 +571,7 @@ _ONE = Polynomial._make({0: 1})
 def _exact(c):
     """QQ(c), refusing floats: a binary float is not the decimal it prints,
     so it has no place in exact arithmetic."""
-    if type(c) is _QQ_TYPE:
+    if type(c) is QQ:
         return c
     if isinstance(c, float):
         raise TypeError("float %r is not exact; pass an int, QQ or fraction" % c)
@@ -585,7 +581,7 @@ def _exact(c):
 def _coerce(x):
     if isinstance(x, Polynomial):
         return x
-    if isinstance(x, (int, _QQ_TYPE)):
+    if isinstance(x, (int, QQ)):
         return Polynomial.const(x)
     return NotImplemented
 
@@ -598,9 +594,9 @@ class RationalFunction:
 
     A value whose denominator divides its numerator is stored over `_ONE`
     (`_divided`); others are not in lowest terms in general.  Equality
-    testing cross-multiplies, so they still compare correctly, and the hash
-    of one is that of its pair in lowest terms, which needs a univariate
-    denominator (AlgebraError otherwise).
+    testing cross-multiplies, so they still compare correctly, and one
+    hashes as the ratio of its leading terms, which every pair of the value
+    shares (module docstring).
     """
 
     __slots__ = ("num", "den")
@@ -641,10 +637,6 @@ class RationalFunction:
         _set_rf_num(r, num)
         _set_rf_den(r, den if num._num else _ONE)
         return r
-
-    @staticmethod
-    def const(c) -> "RationalFunction":
-        return RationalFunction._raw(Polynomial.const(c))
 
     def constant_value(self):
         """The value of a constant, as `Polynomial.constant_value`;
@@ -727,10 +719,12 @@ class RationalFunction:
 
     def __hash__(self):
         # a polynomial value hashes as its numerator, like the Polynomial;
-        # any other value as its pair in lowest terms
-        if self.den is _ONE:
-            return hash(self.num)
-        return hash(_lowest_terms(self.num, self.den))
+        # any other value as the ratio of its leading terms
+        num, den = self.num, self.den
+        if den is _ONE:
+            return hash(num)
+        kn, kd = max(num._num), max(den._num)
+        return hash((kn - kd, QQ(num._num[kn] * den._den, den._num[kd] * num._den)))
 
     def reduce(self) -> "RationalFunction":
         return self  # every value is formed reduced (module docstring)
@@ -754,34 +748,6 @@ def _divided(num: Polynomial, den: Polynomial) -> tuple:
     return num, den
 
 
-def _lowest_terms(num: Polynomial, den: Polynomial):
-    """(num/g, den/g) for g = gcd(num, den).  den must be univariate in some
-    x; then g is the gcd over Q[x] of den and the coefficients of num as a
-    polynomial in its other variables."""
-    xs = den.variables()
-    if len(xs) != 1:
-        raise AlgebraError("no lowest terms over the denominator %s" % den)
-    (x,) = xs
-    g = den
-    for part in _split(num._num, ~_slot_mask(xs)).values():
-        g = _gcd_in(x, g, Polynomial._make(part))
-    if g.is_constant():
-        return num, den
-    return num.divide_exact(g), den.divide_exact(g)
-
-
-def _gcd_in(x: Variable, a: Polynomial, b: Polynomial) -> Polynomial:
-    """The gcd of two nonzero polynomials in x alone, primitive with a
-    positive leading coefficient: Euclid on primitive parts (Knuth, TAOCP
-    vol. 2, sec. 4.6.1)."""
-    while b:
-        while a and a.degree() >= b.degree():  # a <- a pseudo-reduced by b
-            x_k = Polynomial.variable(x) ** (a.degree() - b.degree())
-            a = a.scale(b.leading()[1]) - b.scale(a.leading()[1]) * x_k
-        a, b = b, a.content_normalized()[0]
-    return a.content_normalized()[0]
-
-
 _set_rf_num, _set_rf_den = RationalFunction.num.__set__, RationalFunction.den.__set__
 
 
@@ -790,7 +756,7 @@ def _coerce_rf(x):
         return x
     if isinstance(x, Polynomial):
         return RationalFunction._raw(x)
-    if isinstance(x, (int, _QQ_TYPE)):
+    if isinstance(x, (int, QQ)):
         return RationalFunction._raw(Polynomial.const(x))
     return NotImplemented
 

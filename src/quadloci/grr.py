@@ -17,7 +17,8 @@ Outputs live in ``TautClass``: linear combinations of named divisor classes
 rational functions in the formal parameters (g, k, n, i, ...).  ``rf`` lifts
 a number, a polynomial or a parameter name to a rational function:
 ``rf("g")`` is the parameter g, so a genus, degree or index may be passed
-as an int or by name alike.
+as an int or by name alike.  Numbers need no lift where they meet a rational
+function: its operators take ints and QQ values on either side.
 """
 
 from __future__ import annotations
@@ -145,7 +146,7 @@ class TautClass:
     __repr__ = __str__
 
 
-_ZERO = RationalFunction.const(0)
+_ZERO = RationalFunction(0)
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +182,7 @@ class FiberRuleTable(NamedTuple):
     """Pushforward rules for one fibration type.
 
     top_rules:    monomials of degree relative_dim + 1  ->  TautClass
-    scalar_rules: monomials of degree relative_dim      ->  RationalFunction
+    scalar_rules: monomials of degree relative_dim      ->  RationalFunction or number
     Other degrees integrate to zero.
     """
 
@@ -215,7 +216,7 @@ def curve_rules(genus, degL, boundary: str = "delta") -> FiberRuleTable:
     d = rf(degL)
     lam = TautClass.symbol("lambda")
     kappa1 = lam.scale(12) - TautClass.symbol(boundary)
-    two_g_2 = rf(2) * g - rf(2)
+    two_g_2 = 2 * g - 2
     top = {
         _mono(("c1L", 2)): TautClass.symbol("frak_a"),
         _mono(("c1L", 1), ("c1omega", 1)): TautClass.symbol("frak_b"),
@@ -229,7 +230,7 @@ def curve_rules(genus, degL, boundary: str = "delta") -> FiberRuleTable:
     scalar = {
         _mono(("c1L", 1)): d,
         _mono(("c1omega", 1)): two_g_2,
-        _mono(("v1", 1)): rf(0),
+        _mono(("v1", 1)): 0,
     }
     todd = 1 - tag("c1omega") * QQ(1, 2) + tag("T2")
     return FiberRuleTable(1, top, scalar, todd)
@@ -247,7 +248,7 @@ def k3_rules(genus) -> FiberRuleTable:
     same table."""
     g = rf(genus)
     lam = TautClass.symbol("lambda")
-    two_g_2 = rf(2) * g - rf(2)
+    two_g_2 = 2 * g - 2
     top = {
         _mono(("c1L", 3)): TautClass.symbol("kappa30"),
         _mono(("c1L", 1), ("c2T", 1)): TautClass.symbol("kappa11"),
@@ -258,9 +259,9 @@ def k3_rules(genus) -> FiberRuleTable:
     }
     scalar = {
         _mono(("c1L", 2)): two_g_2,
-        _mono(("c2T", 1)): rf(24),
-        _mono(("c1L", 1), ("c1omega", 1)): rf(0),
-        _mono(("c1omega", 2)): rf(0),
+        _mono(("c2T", 1)): 24,
+        _mono(("c1L", 1), ("c1omega", 1)): 0,
+        _mono(("c1omega", 2)): 0,
     }
     w, c2 = tag("c1omega"), tag("c2T")
     todd = 1 - w * QQ(1, 2) + (w ** 2 + c2) * QQ(1, 12) + w * c2 * QQ(1, 24)
@@ -303,7 +304,7 @@ def gamma_hurwitz(k) -> TautClass:
     of degree-k covers."""
     k = rf(k)
     return TautClass.symbol("frak_b") - TautClass.symbol(
-        "frak_a", (rf(2) * k - rf(2)) / k
+        "frak_a", (2 * k - 2) / k
     )
 
 
@@ -311,7 +312,7 @@ def gamma_k3(genus) -> TautClass:
     """Twist-invariant combination kappa30 - ((g-1)/4) kappa11."""
     g = rf(genus)
     return TautClass.symbol("kappa30") - TautClass.symbol(
-        "kappa11", (g - rf(1)) * rf(QQ(1, 4))
+        "kappa11", (g - 1) * QQ(1, 4)
     )
 
 
@@ -328,7 +329,7 @@ def hurwitz_twist(cls: TautClass, k) -> TautClass:
     pulled back from the base (symbol "twist"): frak_a shifts by 2k twist,
     frak_b by (2g-2) twist with g = 2k-1."""
     k = rf(k)
-    return _twist(cls, (("frak_a", rf(2) * k), ("frak_b", rf(4) * k - rf(4))))
+    return _twist(cls, (("frak_a", 2 * k), ("frak_b", 4 * k - 4)))
 
 
 def k3_twist(cls: TautClass, genus) -> TautClass:
@@ -336,7 +337,7 @@ def k3_twist(cls: TautClass, genus) -> TautClass:
     pulled back from the base: kappa30 shifts by 6(g-1) twist, kappa11 by
     24 twist."""
     g = rf(genus)
-    return _twist(cls, (("kappa30", rf(6) * (g - rf(1))), ("kappa11", 24)))
+    return _twist(cls, (("kappa30", 6 * (g - 1)), ("kappa11", 24)))
 
 
 def _cover_space(k):
@@ -344,8 +345,8 @@ def _cover_space(k):
     genus-(2k-1) curves (boundary D0), and c1(V) = frak_a / k of its rank-2
     pencil bundle V."""
     kk = rf(k)
-    rules = curve_rules(genus=rf(2) * kk - rf(1), degL=kk, boundary="D0")
-    return rules, TautClass.symbol("frak_a", rf(1) / kk)
+    rules = curve_rules(genus=2 * kk - 1, degL=kk, boundary="D0")
+    return rules, TautClass.symbol("frak_a", 1 / kk)
 
 
 def hurwitz_sheaf_chern(k="k"):
@@ -428,16 +429,16 @@ def lm_lambda_relation(i="i") -> LambdaTorsionReport:
     both are reported.
     """
     ii = rf(i)
-    g = rf(2) * ii
+    g = 2 * ii
     rules = k3_rules(g)
     k20 = rules.push_scalar(tag("c1L") ** 2)   # 2g-2
     k01 = rules.push_scalar(tag("c2T"))        # 24
-    c2_push = k20 * rf(QQ(1, 2)) + k01 * rf(QQ(1, 12)) - (ii + rf(2))
+    c2_push = k20 * QQ(1, 2) + k01 * QQ(1, 12) - (ii + 2)
 
     # direct route: the rank of the pushforward of E itself is i + 2, and
     # the degree-2 part of ch(E) * Todd integrates to
     # (g-1) - push(c2 E) + 2*(1/12)*24, so push(c2 E) = i + 1.
-    c2_push_direct = (g - rf(1)) + rf(4) - (ii + rf(2))
+    c2_push_direct = (g - 1) + 4 - (ii + 2)
 
     # ch(End E) = 4 + 0 + (c1L^2 - 4 c2(E)) + 0; integrate against Todd.
     # Degree-3 part of ch*Todd:
@@ -449,7 +450,7 @@ def lm_lambda_relation(i="i") -> LambdaTorsionReport:
     rhs = (
         four_todd3.coefficient("lambda")
         + c1sq_term.coefficient("lambda")
-        + rf(2) * c2_push
+        + 2 * c2_push
     )
     return LambdaTorsionReport(
         c2_pushforward=c2_push,

@@ -64,9 +64,9 @@ class ModuliDivisor(NamedTuple):
                 raise BoundaryCoefficientNonpositive(
                     "boundary coefficients must be positive, got %s" % numbers
                 )
-            return rf(self.lam) / rf(min(numbers))
+            return rf(self.lam) / min(numbers)
         first = rf(values[0])
-        if not all(rf(v) == first for v in values):
+        if not all(v == first for v in values):
             raise BoundaryCoefficientNonpositive(
                 "symbolic slope needs equal boundary coefficients"
             )
@@ -74,10 +74,10 @@ class ModuliDivisor(NamedTuple):
 
 
 def _is_number(x) -> bool:
-    if isinstance(x, (int, type(QQ(0)))):
+    if isinstance(x, (int, QQ)):
         return True
     if isinstance(x, RationalFunction):
-        return x.num.is_constant() and x.den.is_constant()
+        return x.is_polynomial() and x.num.is_constant()
     if isinstance(x, Polynomial):
         return x.is_constant()
     return False
@@ -284,7 +284,7 @@ _SER2_C6 = (5, 41, 248, 1128, 2992, 4128, 2304)
 
 def _at(coeffs: tuple, l: RationalFunction) -> RationalFunction:
     """sum_k coeffs[k] * l^k, by Horner."""
-    total = rf(0)
+    total = 0
     for c in reversed(coeffs):
         total = total * l + c
     return total
@@ -302,31 +302,31 @@ def pelda_slope(series: int, ell, form: str = "closed") -> RationalFunction:
         raise UnsupportedParam("need ell >= 1")
     l = rf(ell)
     if series == 1:
-        b = rf(2) * (rf(9) * l - rf(2)) * (rf(9) * l - rf(1)) * _at(_SER1_B6, l)
+        b = 2 * (9 * l - 2) * (9 * l - 1) * _at(_SER1_B6, l)
         if form == "closed":
             return _at(_SER1_A, l) / b
         if form == "deficit":
             num = (
-                (rf(13) * l - rf(2))
-                * (rf(36) * l - rf(13))
-                * (rf(27) * l * l - rf(19) * l + rf(2))
-                * (rf(36) * l * l - rf(13) * l - rf(1))
+                (13 * l - 2)
+                * (36 * l - 13)
+                * (27 * l * l - 19 * l + 2)
+                * (36 * l * l - 13 * l - 1)
             )
-            den = b * (rf(36) * l * l - rf(13) * l + rf(2))
+            den = b * (36 * l * l - 13 * l + 2)
             return brill_noether_bound(series_genus(1, l)) - num / den
         raise UnsupportedParam("form must be 'closed' or 'deficit'")
     if series == 2:
         num = (
-            (rf(11) * l + rf(5))
-            * (rf(2) * l - rf(1))
-            * (rf(12) * l * l + rf(10) * l + rf(1))
-            * (rf(24) * l * l + rf(20) * l + rf(3))
+            (11 * l + 5)
+            * (2 * l - 1)
+            * (12 * l * l + 10 * l + 1)
+            * (24 * l * l + 20 * l + 3)
         )
         den = (
-            (rf(3) * l + rf(2))
-            * (rf(8) * l + rf(3))
+            (3 * l + 2)
+            * (8 * l + 3)
             * _at(_SER2_C6, l)
-            * (rf(24) * l * l + rf(20) * l + rf(5))
+            * (24 * l * l + 20 * l + 5)
         )
         return brill_noether_bound(series_genus(2, l)) - num / den
     raise UnsupportedParam("series must be 1 or 2")
@@ -335,7 +335,7 @@ def pelda_slope(series: int, ell, form: str = "closed") -> RationalFunction:
 def brill_noether_bound(g) -> RationalFunction:
     """6 + 12/(g+1)."""
     gg = rf(g)
-    return rf(6) + rf(12) / (gg + rf(1))
+    return 6 + 12 / (gg + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -364,40 +364,29 @@ class PushforwardTable(NamedTuple):
                 "no pushforward table at g = %d, r + s = %d: its denominators "
                 "carry (g-1)(g-2)(r+s+1), which vanishes" % (g, r + s))
         beta = rf("beta")
-        a_l = beta * rf(QQ(d, (g - 1) * (g - 2))) * rf(
-            d * g * g - 2 * g * g + 8 * d - 8 * g + 4
-        )
-        a_d = -beta * rf(QQ(d, (g - 1) * (g - 2))) * rf(
-            d * g - 2 * g * g + 4 * d - 3 * g + 2
-        )
-        b_l = beta * rf(QQ(6 * d, g - 1))
-        b_d = -beta * rf(QQ(d, 2 * (g - 1)))
+        a_l = beta * QQ(d, (g - 1) * (g - 2)) * (d * g * g - 2 * g * g + 8 * d - 8 * g + 4)
+        a_d = -beta * QQ(d, (g - 1) * (g - 2)) * (d * g - 2 * g * g + 4 * d - 3 * g + 2)
+        b_l = beta * QQ(6 * d, g - 1)
+        b_d = -beta * QQ(d, 2 * (g - 1))
         den = 2 * (r + s + 1) * (r * s + s - 2) * (r * s + s - 1)
-        e_l = -beta * rf(
-            QQ(
-                r
-                * (r + 2)
-                * (
-                    r * r * s**3
-                    + 2 * r * s**3
-                    - r * r * s
-                    + 6 * r * s * s
-                    + s**3
-                    - 2 * r * s
-                    + 6 * s * s
-                    - 8 * r
-                    + 3 * s
-                    - 8
-                ),
-                den,
-            )
+        e_l = -beta * QQ(
+            r
+            * (r + 2)
+            * (
+                r * r * s**3
+                + 2 * r * s**3
+                - r * r * s
+                + 6 * r * s * s
+                + s**3
+                - 2 * r * s
+                + 6 * s * s
+                - 8 * r
+                + 3 * s
+                - 8
+            ),
+            den,
         )
-        e_d = beta * rf(
-            QQ(
-                r * (s - 1) * (s + 1) * (r + 2) * (r + 1) * (r * s + s + 4),
-                6 * den,
-            )
-        )
+        e_d = beta * QQ(r * (s - 1) * (s + 1) * (r + 2) * (r + 1) * (r * s + s + 4), 6 * den)
         return PushforwardTable(
             p,
             frak_a=TautClass({"lambda": a_l, "delta0": a_d}),
@@ -434,7 +423,7 @@ def virtual_slope_from_pushforward(
     """
     table = PushforwardTable.build(p)
     beta = rf("beta")
-    n_lambda = TautClass.symbol("lambda", rf(calibration.n_over_beta) * beta)
+    n_lambda = TautClass.symbol("lambda", calibration.n_over_beta * beta)
     c1F = n_lambda - table.frak_b + table.frak_a.scale(2)
     cls = divisorial_combination(p.r + 1, 2 * p.d + 1 - p.g, table.c1E, c1F)
     lam, dl = cls.coefficient("lambda"), cls.coefficient("delta0")
@@ -492,7 +481,7 @@ def fit_calibration() -> CalibrationReport:
     # 38/6 = 2f/e, so its slope is that of the divisorial combination
     pdp = SeriesParams(r=5, s=2, a=None, g=12, d=15)
     got3 = virtual_slope_from_pushforward(pdp, cal).slope
-    want3 = rf(QQ(373, 54))
+    want3 = QQ(373, 54)
     positive = _is_number(x) and x.constant_value() > 0
     notes = []
     if not positive:
@@ -570,8 +559,8 @@ def k3_rank4_class(g="g") -> TautClass:
     result = in_gamma_basis(_k3_rank4_combination(gg), gamma_k3(gg), pivot="kappa30")
     expected = TautClass(
         {
-            "lambda": (rf(2) * gg * gg - rf(13) * gg + rf(9)) / (gg + rf(1)),
-            "gamma": rf(2) / (gg + rf(1)),
+            "lambda": (2 * gg * gg - 13 * gg + 9) / (gg + 1),
+            "gamma": 2 / (gg + 1),
         }
     )
     if result != expected:
@@ -646,7 +635,7 @@ def _alternating_sum(p: int, side: int, shifts: dict) -> RationalFunction:
     given the numerators over a shared denominator D instead, the result
     is the sum times D.
     """
-    out = rf(0)
+    out = 0
     for t, a in enumerate(_J2_BINOMIAL[p]):
         out = out + (a if t % 2 == 0 else -a) * shifts[_shift_key(side, t)]
     return out
@@ -673,9 +662,18 @@ def kosz_class(i="i") -> KoszulClass:
     the verify row "middle-syzygy class: alternating sum vs closed form
     (sym i)" compares the two.
     """
+    ii = _koszul_index(i)
     if isinstance(i, int):
         return _kosz_numeric(i)
-    return kosz_closed_form(i)
+    return kosz_closed_form(ii)
+
+
+def _koszul_index(i) -> RationalFunction:
+    """i as a rational function; UnsupportedParam for an int i < 1, where
+    the genus 2i+3 carries no middle syzygy."""
+    if isinstance(i, int) and i < 1:
+        raise UnsupportedParam("need i >= 1")
+    return rf(i)
 
 
 def kosz_sums_over_d(i="i") -> tuple:
@@ -691,9 +689,9 @@ def kosz_sums_over_d(i="i") -> tuple:
     sums unreduced; they move to lowest terms with the canonical gcd of
     ROADMAP item 23.
     """
-    ii = rf(i)
-    g = rf(2) * ii + rf(3)
-    d = ii * (ii + rf(1)) * (ii + rf(2)) * (ii + rf(3))
+    ii = _koszul_index(i)
+    g = 2 * ii + 3
+    d = ii * (ii + 1) * (ii + 2) * (ii + 3)
     used = ((0, _T_SIDE), (2, _T_SIDE)) + tuple((p, _U_SIDE) for p in range(4))
     over_d = {}
     for key in _sum_keys(used):
@@ -706,24 +704,22 @@ def kosz_sums_over_d(i="i") -> tuple:
     U = {p: _alternating_sum(p, _U_SIDE, over_d) for p in range(4)}
     c1U1 = chern_of_power_pushforward(1, g)
     # G-side: sum_j (-1)^j [rk(U_{2+j}) C(g, i-1-j) c1U1 + C(g+1, i-j) c1U_{2+j}]
-    rank_weight = rf(2) * T[0] + (g - rf(1)) * T[2]
+    rank_weight = 2 * T[0] + (g - 1) * T[2]
     cG = c1U1.scale(rank_weight) + TautClass(
         {
-            "kappa11": U[1] * rf(QQ(1, 12)),
-            "kappa30": U[3] * rf(QQ(1, 6)),
-            "lambda": -((g - rf(1)) * rf(QQ(1, 2)) * U[2] - U[0]),
+            "kappa11": U[1] * QQ(1, 12),
+            "kappa30": U[3] * QQ(1, 6),
+            "lambda": -((g - 1) * QQ(1, 2) * U[2] - U[0]),
         }
     )
     # H-side: the double alternating sum telescopes to (g+2) C(g, i) c1U1
-    h_weight = (g + rf(2)) * over_d[(3, 0)]
+    h_weight = (g + 2) * over_d[(3, 0)]
     cH = c1U1.scale(h_weight)
     diff = in_gamma_basis(cG - cH, gamma_k3(g), pivot="kappa30")
     return diff.coefficient("lambda"), diff.coefficient("gamma")
 
 
 def _kosz_numeric(i: int) -> KoszulClass:
-    if i < 1:
-        raise UnsupportedParam("need i >= 1")
     g = 2 * i + 3
     base = comb(2 * i - 1, i)
     # the difference cG - cH as sum_n weight[n] c1(U_n)
@@ -746,19 +742,19 @@ def _kosz_numeric(i: int) -> KoszulClass:
     diff = in_gamma_basis(diff, gamma_k3(g), pivot="kappa30")
     return KoszulClass(
         i=i,
-        lam=diff.coefficient("lambda") / rf(base),
-        gamma=diff.coefficient("gamma") / rf(base),
+        lam=diff.coefficient("lambda") / base,
+        gamma=diff.coefficient("gamma") / base,
     )
 
 
 def kosz_closed_form(i="i") -> KoszulClass:
     """(4/(i+2)) ((i^2-4i-3) lambda + gamma/2), in units of C(2i-1, i)."""
-    ii = rf(i)
-    pre = rf(4) / (ii + rf(2))
+    ii = _koszul_index(i)
+    pre = 4 / (ii + 2)
     return KoszulClass(
         i=ii,
-        lam=pre * (ii * ii - rf(4) * ii - rf(3)),
-        gamma=pre * rf(QQ(1, 2)),
+        lam=pre * (ii * ii - 4 * ii - 3),
+        gamma=pre * QQ(1, 2),
     )
 
 
@@ -768,26 +764,24 @@ def kosz_intro_form(i="i") -> KoszulClass:
     units of C(2i-1, i).  Its inner (lambda : gamma) vector matches the
     closed form exactly; the binomial prefactor differs by the ratio
     C(2i+1, i)/C(2i-1, i) = 2(2i+1)/(i+1)."""
-    ii = rf(i)
-    g = rf(2) * ii + rf(3)
+    ii = _koszul_index(i)
+    g = 2 * ii + 3
     ratio = _binom_shift(1, 0, ii)  # C(2i+1, i) / C(2i-1, i)
-    lam = ratio * rf(2) * (g * g - rf(14) * g + rf(21)) / (g + rf(1))
-    gam = ratio * rf(4) / (g + rf(1))
+    lam = ratio * 2 * (g * g - 14 * g + 21) / (g + 1)
+    gam = ratio * 4 / (g + 1)
     return KoszulClass(i=ii, lam=lam, gamma=gam)
 
 
 def kosz_prefactor_ratio(i="i") -> RationalFunction:
     """Ratio intro-form / closed-form = 2(2i+1)/(i+1)."""
-    ii = rf(i)
-    return _binom_shift(1, 0, ii)
+    return _binom_shift(1, 0, _koszul_index(i))
 
 
 def kosz_rank(i) -> tuple:
     """(rank from the syzygy-side recursion, rank from the polynomial-side
     recursion, the closed count (i+1) C(2i+5, i+2)) -- all three agree."""
+    ii = _koszul_index(i)
     if isinstance(i, int):
-        if i < 1:
-            raise UnsupportedParam("need i >= 1")
         g = 2 * i + 3
         rank_g = sum(
             (-1) ** j * _comb0(g + 1, i - j) * (2 + (j + 2) ** 2 * (g - 1))
@@ -799,15 +793,14 @@ def kosz_rank(i) -> tuple:
         )
         closed = (i + 1) * comb(2 * i + 5, i + 2)
         return rank_g, rank_h, closed
-    ii = rf(i)
-    g = rf(2) * ii + rf(3)
+    g = 2 * ii + 3
     printed = ((0, _U_SIDE), (2, _U_SIDE))
     shifts = {key: _binom_shift(*key, ii) for key in _sum_keys(printed)}
     u0, u2 = (_alternating_sum(p, side, shifts) for p, side in printed)
-    rank_g = rf(2) * u0 + (g - rf(1)) * u2
+    rank_g = 2 * u0 + (g - 1) * u2
     # H-side rank sum closes to (g+1) C(g+1, i+1) - C(g+1, i+2)
-    rank_h = (g + rf(1)) * _binom_shift(4, 1, ii) - _binom_shift(4, 2, ii)
-    closed = (ii + rf(1)) * _binom_shift(5, 2, ii)
+    rank_h = (g + 1) * _binom_shift(4, 1, ii) - _binom_shift(4, 2, ii)
+    closed = (ii + 1) * _binom_shift(5, 2, ii)
     return rank_g, rank_h, closed
 
 
@@ -851,15 +844,17 @@ def hurwitz_report(k="k") -> HurwitzReport:
     for an integer."""
     from .grr import gamma_hurwitz, hurwitz_sheaf_chern, jet_porteous_d3
 
+    if isinstance(k, int) and k < 4:
+        raise UnsupportedParam("need k >= 4")
     kk = rf(k)
     # boundary coefficients of the Hodge class at k and i = 2, from the
     # ordered-cover ones for mu = 1^k, 2,2,1^(k-4) and 3,1^(k-3); the
     # unordered D0 and D3 absorb a factor 2 under the quotient by the
     # symmetric group, D2 does not (its generic cover has extra automorphisms)
-    c_d0 = _hodge_coeff(2, 1, kk, kk) / rf(2)
-    c_d2 = _hodge_coeff(2, 2, kk - rf(3), kk)
-    c_d3 = _hodge_coeff(2, 3, kk - rf(3) + rf(QQ(1, 3)), kk) / rf(2)
-    published_d2 = rf(-1) / (rf(4) * (rf(6) * kk - rf(5)))
+    c_d0 = _hodge_coeff(2, 1, kk, kk) / 2
+    c_d2 = _hodge_coeff(2, 2, kk - 3, kk)
+    c_d3 = _hodge_coeff(2, 3, kk - 3 + QQ(1, 3), kk) / 2
+    published_d2 = -1 / (4 * (6 * kk - 5))
 
     canonical = TautClass({"lambda": 8, "D3": QQ(1, 6), "D0": QQ(-3, 2)})
     d3, _ = jet_porteous_d3(k)
@@ -880,11 +875,11 @@ def hurwitz_report(k="k") -> HurwitzReport:
             "hurwitz report at k = %s: the gamma coefficient (k-6)/k of the "
             "rank-4 class vanishes, so gamma cannot be eliminated" % k)
     rank4_rest = rank4 - TautClass.symbol("gamma", gcoef)
-    gamma_expr = (TautClass.symbol("Hrk4") - rank4_rest).scale(rf(1) / gcoef)
+    gamma_expr = (TautClass.symbol("Hrk4") - rank4_rest).scale(1 / gcoef)
     # the multiplier that clears gcoef's denominator: k (k-6)/k = k - 6
     alpha_solved = kk * gcoef
     lhs = can_gamma.substitute_symbol("gamma", gamma_expr).scale(alpha_solved)
-    rhs = TautClass({"lambda": 7, "D0": -1}).scale(kk - rf(12)) + TautClass.symbol(
+    rhs = TautClass({"lambda": 7, "D0": -1}).scale(kk - 12) + TautClass.symbol(
         "Hrk4", kk
     )
     samples = {}
@@ -895,7 +890,7 @@ def hurwitz_report(k="k") -> HurwitzReport:
         hodge_d0=c_d0,
         hodge_d2_derived=c_d2,
         hodge_d2_published=published_d2,
-        hodge_d2_factor_two=(c_d2 == published_d2 * rf(2)),
+        hodge_d2_factor_two=(c_d2 == published_d2 * 2),
         hodge_d3=c_d3,
         canonical_in_gamma=can_gamma,
         structural_lhs=lhs,

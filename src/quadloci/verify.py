@@ -193,13 +193,13 @@ def checks_grr():
     cU = chern_of_power_pushforward(n, g)
     want = TautClass(
         {
-            "kappa11": n * rf(QQ(1, 12)),
-            "kappa30": n ** 3 * rf(QQ(1, 6)),
-            "lambda": rf(1) - n ** 2 * rf(QQ(1, 2)) * (g - rf(1)),
+            "kappa11": n * QQ(1, 12),
+            "kappa30": n ** 3 * QQ(1, 6),
+            "lambda": 1 - n ** 2 * QQ(1, 2) * (g - 1),
         }
     )
     rows.append(_eq_row("pushforward of n-th polarization power (sym n, g)", cU, want))
-    rules = curve_rules(genus=g, degL=rf(4) * g - rf(4))
+    rules = curve_rules(genus=g, degL=4 * g - 4)
     c1F = grr_c1(line_bundle_ch(0, 2), rules)
     rows.append(
         _eq_row(
@@ -215,7 +215,7 @@ def checks_grr():
             "cover space: c1 of residual-pencil bundle",
             c1E,
             TautClass(
-                {"lambda": 1, "frak_b": QQ(-1, 2), "frak_a": (k - rf(2)) / (rf(2) * k)}
+                {"lambda": 1, "frak_b": QQ(-1, 2), "frak_a": (k - 2) / (2 * k)}
             ),
         )
     )
@@ -239,7 +239,7 @@ def checks_grr():
         _eq_row(
             "rank-2 endomorphism pushforward: fiber integral multiple",
             rep.rhs_lambda_multiple,
-            rf(3),
+            3,
             note="auxiliary c2 integral %s (stated) vs %s (direct); lambda "
             "is torsion either way" % (rep.c2_pushforward, rep.c2_pushforward_direct),
         )
@@ -269,8 +269,8 @@ def checks_k3():
     g = rf("g")
     want = TautClass(
         {
-            "lambda": (rf(2) * g * g - rf(13) * g + rf(9)) / (g + rf(1)),
-            "gamma": rf(2) / (g + rf(1)),
+            "lambda": (2 * g * g - 13 * g + 9) / (g + 1),
+            "gamma": 2 / (g + 1),
         }
     )
     tag = "rank-4 quadric divisor on surface moduli (sym g)"
@@ -285,7 +285,7 @@ def checks_k3():
     )
     rows.append(_row("syzygy bundle ranks i=1..8", ranks_ok, True, ranks_ok))
     ii = rf("i")
-    d = ii * (ii + rf(1)) * (ii + rf(2)) * (ii + rf(3))
+    d = ii * (ii + 1) * (ii + 2) * (ii + 3)
     closed = moduli.kosz_closed_form("i")
     try:
         sym_ok = moduli.kosz_sums_over_d("i") == (closed.lam * d, closed.gamma * d)
@@ -299,7 +299,7 @@ def checks_k3():
     num_ok = all((ks.lam, ks.gamma) == (kc.lam, kc.gamma) for ks, kc in pairs)
     rows.append(_row("middle-syzygy class numeric i=1..8", num_ok, True, num_ok))
     ratio = moduli.kosz_prefactor_ratio("i")
-    expected_ratio = rf(2) * (rf(2) * ii + rf(1)) / (ii + rf(1))
+    expected_ratio = 2 * (2 * ii + 1) / (ii + 1)
     intro = moduli.kosz_intro_form("i")
     inner_match = intro.lam / intro.gamma == closed.lam / closed.gamma
     rows.append(
@@ -321,7 +321,7 @@ def checks_slopes():
     rows = []
     below = moduli.pelda_slope(1, 1)
     rows.append(
-        _eq_row("slope of genus-24 rank-6 locus", below, rf(QQ(34423, 5320)))
+        _eq_row("slope of genus-24 rank-6 locus", below, QQ(34423, 5320))
     )
     forms_agree = (moduli.pelda_slope(1, "ell", "closed")
                    == moduli.pelda_slope(1, "ell", "deficit"))
@@ -369,7 +369,7 @@ def checks_petri():
     displays = {4: (34, 4), 5: (164, 20), 6: (896, 112), 7: (5280, 672)}
     for g, (lam, d0) in displays.items():
         cls = moduli.petri_class(g)
-        ok = cls.lam == rf(lam) and cls.deltas[0] == rf(d0)
+        ok = cls.lam == lam and cls.deltas[0] == d0
         rows.append(
             _row("rank-3 quadric divisor genus %d" % g,
                  "%s lambda - %s delta" % (cls.lam, cls.deltas[0]),
@@ -378,7 +378,7 @@ def checks_petri():
     sym = moduli.petri_class("g")
     g = rf("g")
     rows.append(
-        _eq_row("rank-3 quadric slope (sym g)", sym.slope(), (rf(7) * g + rf(6)) / g)
+        _eq_row("rank-3 quadric slope (sym g)", sym.slope(), (7 * g + 6) / g)
     )
     for g0 in displays:
         rep = moduli.petri_decomposition_report(g0)
@@ -413,14 +413,14 @@ def checks_hurwitz():
         _eq_row(
             "Hodge class boundary coefficient D0",
             rep.hodge_d0,
-            rf(3) * (k - rf(1)) / (rf(4) * (rf(6) * k - rf(5))),
+            3 * (k - 1) / (4 * (6 * k - 5)),
         )
     )
     rows.append(
         _eq_row(
             "Hodge class boundary coefficient D3",
             rep.hodge_d3,
-            (rf(3) * k - rf(7)) / (rf(12) * (rf(6) * k - rf(5))),
+            (3 * k - 7) / (12 * (6 * k - 5)),
         )
     )
     rows.append(
@@ -448,7 +448,7 @@ def checks_hurwitz():
         )
     )
     rows.append(
-        _eq_row("solved canonical-class multiplier", rep.alpha_solved, k - rf(6))
+        _eq_row("solved canonical-class multiplier", rep.alpha_solved, k - 6)
     )
     return rows
 

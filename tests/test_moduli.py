@@ -392,7 +392,8 @@ def test_kosz_guard():
 
 @pytest.mark.parametrize("i", [0, -2])
 def test_kosz_rank_refuses_what_kosz_class_refuses(i):
-    for fn in (kosz_class, kosz_rank):
+    for fn in (kosz_class, kosz_rank, kosz_closed_form, kosz_intro_form,
+               kosz_prefactor_ratio, kosz_sums_over_d):
         with pytest.raises(UnsupportedParam, match="need i >= 1"):
             fn(i)
 
@@ -517,7 +518,12 @@ def test_hurwitz_report_at_integer_k_specializes_every_field():
     def at(c, k0):
         k_at = {param("k"): Polynomial.const(k0)}
         return rf(c.num.substitute_poly(k_at)) / rf(c.den.substitute_poly(k_at))
-    for k0 in range(4, 15):
+    for k0 in range(-1, 15):
+        if k0 < 4:
+            # the rank-4 class's prefactor A_k^(k-4) needs k >= 4
+            with pytest.raises(UnsupportedParam, match="need k >= 4"):
+                hurwitz_report(k0)
+            continue
         if k0 == 6:
             # the gamma coefficient (k - 6)/k of the rank-4 class vanishes,
             # so gamma cannot be eliminated

@@ -4,8 +4,8 @@ named in ``KEPT`` with the reason it stays.
 A product path is one of the requests of ``perfbench/workloads.py``'s
 ``cli_universe()`` or ``verify all --max-e 5``.  The probe runs them in a
 fresh interpreter with a profiler installed before ``import quadloci``, so
-calls made while the modules load count too (``grr._ZERO`` is
-``RationalFunction.const``'s only product caller).  Each function is known
+calls made while the modules load count too (``grr._ZERO`` and
+``moduli.C1_QUADRATIC_DIFFERENTIALS`` are built then).  Each function is known
 by its file and first line, the first decorator's or the ``def``'s: that is
 its code object's ``co_firstlineno`` on every supported Python.
 
@@ -41,21 +41,12 @@ KEPT = {
     ("algebra.py", "RationalFunction.__setattr__"):
         _CONTRACT + "a RationalFunction is immutable",
     ("algebra.py", "RationalFunction.__reduce__"): _CONTRACT + "a RationalFunction pickles",
-    ("algebra.py", "RationalFunction.__rsub__"): _CONTRACT + "a number minus a RationalFunction",
-    ("algebra.py", "RationalFunction.__rtruediv__"):
-        _CONTRACT + "a number over a RationalFunction",
-    ("algebra.py", "_lowest_terms"):
-        _CONTRACT + "equal rational functions hash equal, in any terms",
-    ("algebra.py", "_gcd_in"): _CONTRACT + "equal rational functions hash equal (_lowest_terms)",
-    ("algebra.py", "Polynomial.degree"): _CONTRACT + "_gcd_in's univariate remainders",
-    ("algebra.py", "Polynomial.leading"):
-        _CONTRACT + "_gcd_in's univariate remainders; _reduce_symmetric_part",
+    ("algebra.py", "Polynomial.leading"): _TRACER + " (_reduce_symmetric_part)",
     ("grr.py", "TautClass.__setattr__"): _CONTRACT + "a TautClass is immutable",
     ("grr.py", "TautClass.__hash__"): _CONTRACT + "equal classes hash equal",
     ("grr.py", "grr_rank"): _CONTRACT + "the rank of a GRR pushforward",
     ("algebra.py", "RationalFunction.reduce"): _TRACER + " (a no-op: values form reduced)",
     ("algebra.py", "sum_fractions"): _TRACER,
-    ("algebra.py", "RationalFunction.is_polynomial"): _TRACER + " (sum_fractions)",
     ("algebra.py", "symmetric_reduce"): _TRACER,
     ("algebra.py", "is_symmetric"): _TRACER + " (symmetric_reduce)",
     ("algebra.py", "_reduce_symmetric_part"): _TRACER + " (symmetric_reduce)",
