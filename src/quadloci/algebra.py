@@ -369,11 +369,14 @@ class Polynomial:
         return self + (-other)
 
     def __rsub__(self, other):
-        return _coerce(other) + (-self)
+        other = _coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other + (-self)
 
     def __mul__(self, other):
         if not isinstance(other, Polynomial):
-            if isinstance(other, (int, QQ)):
+            if _is_scalar(other):
                 return self.scale(other)
             return NotImplemented
         x, y = self, other
@@ -390,14 +393,15 @@ class Polynomial:
 
     def scale(self, c):
         """c * self for a scalar c, without merging any monomials."""
+        if type(c) is not int:
+            c = _exact(c)
         if not c:
             return Polynomial._make({})
         if c == 1:
             return self
         if type(c) is int:
             return self._scaled(c, 1)
-        c = _exact(c)
-        return self._scaled(int(c.numerator), int(c.denominator))
+        return self._scaled(c.numerator, c.denominator)
 
     def _scaled(self, n: int, d: int) -> "Polynomial":
         """self * n/d for ints n != 0 and d > 0."""
@@ -424,7 +428,7 @@ class Polynomial:
     def __eq__(self, other):
         if isinstance(other, Polynomial):
             return self._den == other._den and self._num == other._num
-        if isinstance(other, (int, QQ)):
+        if _is_scalar(other):
             return self == Polynomial.const(other)
         return NotImplemented
 
@@ -569,19 +573,26 @@ _ONE = Polynomial._make({0: 1})
 
 
 def _exact(c):
-    """QQ(c), refusing floats: a binary float is not the decimal it prints,
-    so it has no place in exact arithmetic."""
+    """QQ(c), refusing floats and bools: a binary float is not the decimal
+    it prints, so it has no place in exact arithmetic, and a bool is a truth
+    value, not the number 0 or 1."""
     if type(c) is QQ:
         return c
-    if isinstance(c, float):
-        raise TypeError("float %r is not exact; pass an int, QQ or fraction" % c)
+    if isinstance(c, (float, bool)):
+        raise TypeError("%s %r is no exact number; pass an int, QQ or fraction"
+                        % (type(c).__name__, c))
     return QQ(c)
+
+
+def _is_scalar(x) -> bool:
+    """An int or QQ that operators take as a number; a bool is neither."""
+    return isinstance(x, (int, QQ)) and type(x) is not bool
 
 
 def _coerce(x):
     if isinstance(x, Polynomial):
         return x
-    if isinstance(x, (int, QQ)):
+    if _is_scalar(x):
         return Polynomial.const(x)
     return NotImplemented
 
@@ -679,7 +690,10 @@ class RationalFunction:
         return self + (-other)
 
     def __rsub__(self, other):
-        return _coerce_rf(other) + (-self)
+        other = _coerce_rf(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other + (-self)
 
     def __mul__(self, other):
         other = _coerce_rf(other)
@@ -700,7 +714,10 @@ class RationalFunction:
         return RationalFunction(self.num * other.den, self.den * other.num)
 
     def __rtruediv__(self, other):
-        return _coerce_rf(other) / self
+        other = _coerce_rf(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other / self
 
     def __pow__(self, n: int):
         if n < 0:
@@ -756,7 +773,7 @@ def _coerce_rf(x):
         return x
     if isinstance(x, Polynomial):
         return RationalFunction._raw(x)
-    if isinstance(x, (int, QQ)):
+    if _is_scalar(x):
         return RationalFunction._raw(Polynomial.const(x))
     return NotImplemented
 

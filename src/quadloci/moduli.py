@@ -8,8 +8,10 @@ compared through slopes only, never through raw coefficients.
 from __future__ import annotations
 
 from collections import namedtuple
+from functools import cache
 from math import comb, factorial, prod
-from typing import NamedTuple
+from types import MappingProxyType
+from typing import Mapping, NamedTuple
 
 from .algebra import Polynomial, QQ, RationalFunction, param
 from .grr import (
@@ -453,9 +455,14 @@ class CalibrationReport(NamedTuple):
     notes: tuple
 
 
+@cache
 def fit_calibration() -> CalibrationReport:
     """Fit the single free multiplier on the first series at l=1 and
     cross-validate on the second series and the degenerate-pencil locus.
+
+    The fit takes no input, so it is derived once per process and the one
+    immutable report is shared by every caller; a fit that misses its
+    target raises on every call, since a raised call is not cached.
 
     The fit is exact and unique (the slope is a Moebius function of the
     multiplier).  The cross-validation outcome is reported, not asserted:
@@ -833,15 +840,21 @@ class HurwitzReport(NamedTuple):
     structural_identity_holds: bool
     rank4_class: TautClass                # (5k+12)/k l + (k-6)/k g - D0
     hrk4_published_coeff: object          # 1/6
-    hrk4_coeff_samples: dict              # k -> (k/A_k^(k-4), equals 1/6?)
+    hrk4_coeff_samples: Mapping           # k -> (k/A_k^(k-4), equals 1/6?), read-only
     alpha_solved: RationalFunction        # k * gamma-coeff, k - 6
 
 
+@cache
 def hurwitz_report(k="k") -> HurwitzReport:
     """Derive the canonical-class identities of the cover space and compare
     the two published normalizations of the rank-4-quadric term.  Every
     field is formed at k: symbolic for a parameter name, the specialization
-    for an integer."""
+    for an integer.
+
+    The report is derived once per process for each k and shared by every
+    caller, so it is immutable: its samples are a read-only mapping.  The
+    `hurwitz` command and `verify` ask only for the symbolic report, which
+    takes no input.  A refused k raises on every call."""
     from .grr import gamma_hurwitz, hurwitz_sheaf_chern, jet_porteous_d3
 
     if isinstance(k, int) and k < 4:
@@ -898,6 +911,6 @@ def hurwitz_report(k="k") -> HurwitzReport:
         structural_identity_holds=(lhs == rhs),
         rank4_class=rank4,
         hrk4_published_coeff=QQ(1, 6),
-        hrk4_coeff_samples=samples,
+        hrk4_coeff_samples=MappingProxyType(samples),
         alpha_solved=alpha_solved,
     )

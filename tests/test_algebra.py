@@ -316,19 +316,36 @@ def test_elementary_symmetric():
 
 
 def test_floats_are_refused():
-    with pytest.raises(TypeError):
-        Polynomial.const(0.1)
-    with pytest.raises(TypeError):
-        Polynomial({((alpha(1), 1),): 0.5})
-    with pytest.raises(TypeError):
-        RationalFunction(0.5)
-    with pytest.raises(TypeError):
-        RationalFunction(X(alpha(1)), 0.5)
-    for value in (X(alpha(1)), Polynomial.const(2), RationalFunction(X(alpha(1)))):
+    # a float is not the decimal it prints, and a bool is a truth value
+    values = (X(alpha(1)), Polynomial.const(2), Polynomial.const(1),
+              RationalFunction(X(alpha(1))), RationalFunction(1))
+    for bad in (0.1, 0.5, True, False):
         with pytest.raises(TypeError):
-            value * 0.5
+            Polynomial.const(bad)
         with pytest.raises(TypeError):
-            0.5 * value
+            Polynomial({((alpha(1), 1),): bad})
+        with pytest.raises(TypeError):
+            RationalFunction(bad)
+        with pytest.raises(TypeError):
+            RationalFunction(X(alpha(1)), bad)
+        for value in values:
+            with pytest.raises(TypeError):
+                value * bad
+            with pytest.raises(TypeError):
+                bad * value
+            with pytest.raises(TypeError):
+                value + bad
+            with pytest.raises(TypeError):
+                bad - value
+    for value, bad in itertools.product(values[3:], (0.5, True)):
+        with pytest.raises(TypeError):
+            value / bad
+        with pytest.raises(TypeError):
+            bad / value  # a reflected operator refuses too, with no recursion
+    # a bool equals no value: rf(1) == True is False, not a refusal
+    for value in (Polynomial.const(1), RationalFunction(1), Polynomial.zero(),
+                  RationalFunction(0)):
+        assert value != True and value != False  # noqa: E712
     # exact values still enter
     assert Polynomial.const(QQ(1, 10)).constant_value() == QQ(1, 10)
     assert RationalFunction(X(alpha(1)), 2) == RationalFunction(QQ(1, 2) * X(alpha(1)))
@@ -652,11 +669,12 @@ def test_content_normalized_matches_fraction_reference(a):
 
 def test_kernel_floats_are_refused():
     p = X(alpha(1)) + QQ(1, 3)
-    for bad in (lambda: Polynomial({(): 0.5}), lambda: Polynomial.const(1.5),
-                lambda: p.scale(0.5), lambda: p + 0.5, lambda: p - 0.5,
-                lambda: p * 0.25, lambda: p == Polynomial.const(0.5)):
-        with pytest.raises(TypeError):
-            bad()
+    for x in (0.5, 1.5, 0.25, 0.0, 1.0, True, False):
+        for bad in (lambda: Polynomial({(): x}), lambda: Polynomial.const(x),
+                    lambda: p.scale(x), lambda: p + x, lambda: p - x,
+                    lambda: p * x, lambda: x * p, lambda: p == Polynomial.const(x)):
+            with pytest.raises(TypeError):
+                bad()
 
 
 def test_kernel_arithmetic_builds_no_qq(monkeypatch):

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from quadloci import cli, loci, moduli, verify
+from quadloci import cli, grr, loci, moduli, verify
 from quadloci.algebra import Polynomial, QQ, sym
 from quadloci.grr import rf
 from quadloci.cli import (
@@ -441,6 +441,46 @@ def test_calibration_fit_failure_exits_one(capsys, monkeypatch):
     out, err = capsys.readouterr()
     assert (code, out) == (1, "")
     assert err == "error: calibration fit misses its target slope 34423/5320\n"
+
+
+def _counted(monkeypatch, owner, name):
+    """Wrap owner.name so that it records each call; the list of calls."""
+    calls, fn = [], getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_hurwitz_report_is_derived_once_per_process(capsys, monkeypatch):
+    # --k adds only the prefactor, so both requests share the one symbolic
+    # report, and each prints what it prints in a fresh process
+    requests = (["hurwitz"], ["hurwitz", "--k", "7"])
+    cold = []
+    for argv in requests:
+        moduli.hurwitz_report.cache_clear()
+        assert main(argv) == 0
+        cold.append(capsys.readouterr().out)
+    moduli.hurwitz_report.cache_clear()
+    calls = _counted(monkeypatch, grr, "hurwitz_sheaf_chern")
+    for argv, want in zip(requests, cold):
+        assert main(argv) == 0
+        assert capsys.readouterr().out == want
+    assert len(calls) == 1
+
+
+def test_calibration_fit_is_derived_once_per_process(capsys, monkeypatch):
+    # the fit pushes forward 4 times (its zero, its check and two
+    # cross-validations), then each request once for its own series
+    calls = _counted(monkeypatch, moduli, "virtual_slope_from_pushforward")
+    for r, s, a in ((7, 3, 4), (4, 2, 3)):
+        argv = ["moduli", "slope", "--custom", "--r", str(r), "--s", str(s), "--a", str(a)]
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["metadata"]["calibration_notes"]
+    assert len(calls) == 6
 
 
 @pytest.mark.parametrize("argv, message", [

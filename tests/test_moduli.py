@@ -557,6 +557,7 @@ def test_solved_multiplier_row_fails_on_a_wrong_target_bundle(monkeypatch):
 
     assert _row_status(checks_hurwitz, tag) == "PASS"
     monkeypatch.setattr(grr, "hurwitz_sheaf_chern", perturbed)
+    hurwitz_report.cache_clear()  # the row above derived the report
     assert hurwitz_report().alpha_solved != K - rf(6)
     assert _row_status(checks_hurwitz, tag) == "FAIL"
 
@@ -567,6 +568,7 @@ def test_rank4_coefficient_row_reads_the_samples(monkeypatch):
     tag = "rank-4 locus coefficient in the canonical-class relation"
     assert _row_status(checks_hurwitz, tag) == "WARN"
     monkeypatch.setattr(moduli, "a_const", lambda e, r: QQ(6 * e))
+    hurwitz_report.cache_clear()  # the row above derived the report
     assert _row_status(checks_hurwitz, tag) == "PASS"
 
 
@@ -574,6 +576,15 @@ def test_hurwitz_published_coefficient_differs():
     rep = hurwitz_report()
     # k / A_k^(k-4) never equals the published 1/6 on the sampled range
     assert all(not match for _, match in rep.hrk4_coeff_samples.values())
+    assert rep.hrk4_coeff_samples[6][0] == QQ(6, 35)
+
+
+def test_shared_hurwitz_report_is_read_only():
+    # every caller in the process gets the one report, so none may edit it
+    rep = hurwitz_report()
+    assert hurwitz_report() is rep
+    with pytest.raises(TypeError):
+        rep.hrk4_coeff_samples[6] = (QQ(1, 6), True)
     assert rep.hrk4_coeff_samples[6][0] == QQ(6, 35)
 
 
