@@ -41,9 +41,11 @@ values appear only at the boundary: the `terms` view, `constant_value`,
 `leading`, `evaluate` and `str`.
 
 `substitute_poly` is the one substitution: it puts polynomials in for
-variables at once.  Nothing substitutes rational functions; a caller that
-needs a polynomial at a rational-function value (the series slopes in
-`moduli`) evaluates it by Horner in `RationalFunction` arithmetic.
+variables at once.  Nothing substitutes rational functions; `evaluate` puts
+numbers in, and a rational function's value is its numerator's over its
+denominator's.  So `moduli` derives a class that takes no request input
+once, at a symbolic parameter (the series slopes by Horner in
+`RationalFunction` arithmetic), and evaluates it at each integer request.
 
 `divide_exact` divides the integer numerator by the primitive part of the
 divisor, over Z.  By Gauss's lemma a primitive q divides p over Q exactly
@@ -665,6 +667,11 @@ class RationalFunction:
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
+
+    def evaluate(self, point: Mapping):
+        """The value at a rational point, the numerator's over the
+        denominator's (`Polynomial.evaluate`); ZeroDivisionError at a pole."""
+        return self.num.evaluate(point) / self.den.evaluate(point)
 
     # -- arithmetic ----------------------------------------------------
     def __add__(self, other):

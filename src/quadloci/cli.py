@@ -38,6 +38,7 @@ import json
 import os
 import re
 import sys
+from types import MappingProxyType
 
 from .algebra import (
     ALPHA,
@@ -333,8 +334,11 @@ def cmd_class_projectivize(args) -> int:
 def cmd_moduli_petri(args) -> int:
     cls = moduli.petri_class(args.g)
     coeffs = {"lambda": str(cls.lam)}
+    last = text = None
     for i, b in sorted(cls.deltas.items()):
-        coeffs["delta%d" % i] = str(-b)
+        if b is not last:  # petri_class shares one b: render it once
+            last, text = b, str(-b)
+        coeffs["delta%d" % i] = text
     doc = document(coeffs, command="moduli petri", parameters={"g": args.g},
                    slope=str(cls.slope()),
                    notes=[cls.note] if cls.note else [])
@@ -431,9 +435,13 @@ def cmd_k3_kosz(args) -> int:
     return 0
 
 
-def cmd_hurwitz(args) -> int:
+@functools.cache
+def _hurwitz_shared() -> MappingProxyType:
+    """The part of the `hurwitz` document that no request changes, rendered
+    once per process from the shared symbolic report, read-only.  Each
+    request copies it and adds its own keys; nothing mutates what it holds."""
     rep = moduli.hurwitz_report()
-    doc = {
+    return MappingProxyType({
         "canonical_class": {
             s: str(c) for s, c in rep.canonical_in_gamma.coeffs.items()
         },
@@ -460,9 +468,13 @@ def cmd_hurwitz(args) -> int:
             },
         },
         "alpha_solved": str(rep.alpha_solved),
-        "metadata": {"command": "hurwitz",
-                     "parameters": {"k": args.k if args.k else "symbolic"}},
-    }
+    })
+
+
+def cmd_hurwitz(args) -> int:
+    doc = dict(_hurwitz_shared(),
+               metadata={"command": "hurwitz",
+                         "parameters": {"k": args.k if args.k else "symbolic"}})
     if args.k:
         doc["rank4_prefactor"] = str(a_const(args.k, args.k - 4))
     _emit(doc, args.out)

@@ -299,9 +299,14 @@ def pelda_slope(series: int, ell, form: str = "closed") -> RationalFunction:
     Series 1 has both a closed form a/b and a deficit form
     6 + 12/(g+1) - correction; they agree identically.  Series 2 is
     published in deficit form only (the closed form returned here is its
-    reduction)."""
+    reduction), so it ignores `form`.  An int ell evaluates the symbolic
+    slope of (series, form), built once per process (`_series_slope`), at
+    ell; any other ell is built at it, by Horner."""
     if isinstance(ell, int) and ell < 1:
         raise UnsupportedParam("need ell >= 1")
+    if type(ell) is int:  # not a bool: rf refuses that below
+        slope = _series_slope(series, form if series == 1 else "closed")
+        return rf(slope.evaluate({param("ell"): ell}))
     l = rf(ell)
     if series == 1:
         b = 2 * (9 * l - 2) * (9 * l - 1) * _at(_SER1_B6, l)
@@ -332,6 +337,13 @@ def pelda_slope(series: int, ell, form: str = "closed") -> RationalFunction:
         )
         return brill_noether_bound(series_genus(2, l)) - num / den
     raise UnsupportedParam("series must be 1 or 2")
+
+
+@cache
+def _series_slope(series: int, form: str) -> RationalFunction:
+    """The slope of (series, form) at the symbolic ell; at most three are
+    built per process, as series 2 has one form."""
+    return pelda_slope(series, "ell", form)
 
 
 def brill_noether_bound(g) -> RationalFunction:
@@ -559,9 +571,18 @@ def k3_rank4_class(g="g") -> TautClass:
     Derived by pushing the divisorial class of the multiplication map
     Sym^2(U_1) -> U_2 (e = g+1 and corank g-3, so f = 4g-2) through the
     fibration engine and rewriting the kappa classes in the twist-invariant
-    basis.  Raises
+    basis.  The derivation at the symbolic g, with its check against the
+    closed form, is made once per process and shared (`_k3_rank4_symbolic`);
+    an int g evaluates each coefficient of that class at g (ZeroDivisionError
+    at the pole g = -1), and any other argument is derived at it.  Raises
     IdentityFailed if the derivation does not reproduce the closed form.
     """
+    if type(g) is int:  # not a bool: rf refuses that below
+        point = {param("g"): g}
+        return TautClass({s: c.evaluate(point)
+                          for s, c in _k3_rank4_symbolic().coeffs.items()})
+    if g == "g":
+        return _k3_rank4_symbolic()
     gg = rf(g)
     result = in_gamma_basis(_k3_rank4_combination(gg), gamma_k3(gg), pivot="kappa30")
     expected = TautClass(
@@ -573,6 +594,14 @@ def k3_rank4_class(g="g") -> TautClass:
     if result != expected:
         raise IdentityFailed("rank-4 class does not match its closed form")
     return result
+
+
+@cache
+def _k3_rank4_symbolic() -> TautClass:
+    """The rank-4 class derived at the symbolic g; it takes no input, so it
+    is derived once per process.  A failed check is not cached: it raises
+    IdentityFailed on every call."""
+    return k3_rank4_class(rf("g"))
 
 
 def _k3_rank4_combination(g: RationalFunction) -> TautClass:
@@ -660,19 +689,16 @@ class KoszulClass(NamedTuple):
 
 
 def kosz_class(i="i") -> KoszulClass:
-    """Middle-syzygy divisor class from the alternating sums of the two
-    bundle recursions, reduced to the (lambda, gamma) basis.
+    """Middle-syzygy divisor class, in units of C(2i-1, i): the closed form
+    (4/(i+2)) ((i^2-4i-3) lambda + gamma/2) at i, symbolic or an integer.
 
-    For integer i the sums are evaluated term by term.  For symbolic i the
-    class is the closed form (4/(i+2)) ((i^2-4i-3) lambda + gamma/2) in
-    units of C(2i-1, i); `kosz_sums_over_d` derives it from the sums, and
-    the verify row "middle-syzygy class: alternating sum vs closed form
-    (sym i)" compares the two.
+    The alternating sums of the two bundle recursions derive it:
+    `kosz_sums_over_d` at the symbolic i, and `kosz_direct_sums` term by term
+    at an integer i.  The verify rows "middle-syzygy class: alternating sum
+    vs closed form (sym i)" and "middle-syzygy class numeric i=1..8" compare
+    each with the closed form.
     """
-    ii = _koszul_index(i)
-    if isinstance(i, int):
-        return _kosz_numeric(i)
-    return kosz_closed_form(ii)
+    return kosz_closed_form(i)
 
 
 def _koszul_index(i) -> RationalFunction:
@@ -726,7 +752,11 @@ def kosz_sums_over_d(i="i") -> tuple:
     return diff.coefficient("lambda"), diff.coefficient("gamma")
 
 
-def _kosz_numeric(i: int) -> KoszulClass:
+def kosz_direct_sums(i: int) -> KoszulClass:
+    """The middle-syzygy class at an integer i from the alternating sums of
+    the two bundle recursions, summed term by term in integers and pushed
+    forward: the reference that `verify` holds the closed form to."""
+    _koszul_index(i)
     g = 2 * i + 3
     base = comb(2 * i - 1, i)
     # the difference cG - cH as sum_n weight[n] c1(U_n)

@@ -295,7 +295,7 @@ def checks_k3():
         _row("middle-syzygy class: alternating sum vs closed form (sym i)",
              sym_ok, True, sym_ok)
     )
-    pairs = ((moduli.kosz_class(i), moduli.kosz_closed_form(i)) for i in range(1, 9))
+    pairs = ((moduli.kosz_direct_sums(i), moduli.kosz_closed_form(i)) for i in range(1, 9))
     num_ok = all((ks.lam, ks.gamma) == (kc.lam, kc.gamma) for ks, kc in pairs)
     rows.append(_row("middle-syzygy class numeric i=1..8", num_ok, True, num_ok))
     ratio = moduli.kosz_prefactor_ratio("i")

@@ -5,10 +5,12 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from quadloci import moduli  # noqa: E402
+from quadloci import cli, moduli  # noqa: E402
 
-# the derivations that take no input and are made once per process
-_DERIVED_ONCE = (moduli.hurwitz_report, moduli.fit_calibration)
+# the derivations that take no input and are made once per process, and the
+# one rendering made from them
+_DERIVED_ONCE = (moduli.hurwitz_report, moduli.fit_calibration,
+                 moduli._k3_rank4_symbolic, moduli._series_slope, cli._hurwitz_shared)
 
 
 @pytest.fixture(autouse=True)

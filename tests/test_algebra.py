@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quadloci import algebra
+from quadloci import algebra, moduli
 from quadloci.algebra import (
     ALPHA,
     AlgebraError,
@@ -346,6 +346,11 @@ def test_floats_are_refused():
     for value in (Polynomial.const(1), RationalFunction(1), Polynomial.zero(),
                   RationalFunction(0)):
         assert value != True and value != False  # noqa: E712
+    # an int request evaluates a class at the int; a bool is no int there
+    for fn, args in ((moduli.k3_rank4_class, (True,)), (moduli.pelda_slope, (1, True)),
+                     (moduli.kosz_class, (True,))):
+        with pytest.raises(TypeError, match="^bool True is no exact number"):
+            fn(*args)
     # exact values still enter
     assert Polynomial.const(QQ(1, 10)).constant_value() == QQ(1, 10)
     assert RationalFunction(X(alpha(1)), 2) == RationalFunction(QQ(1, 2) * X(alpha(1)))

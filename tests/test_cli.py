@@ -462,9 +462,11 @@ def test_hurwitz_report_is_derived_once_per_process(capsys, monkeypatch):
     cold = []
     for argv in requests:
         moduli.hurwitz_report.cache_clear()
+        cli._hurwitz_shared.cache_clear()
         assert main(argv) == 0
         cold.append(capsys.readouterr().out)
     moduli.hurwitz_report.cache_clear()
+    cli._hurwitz_shared.cache_clear()
     calls = _counted(monkeypatch, grr, "hurwitz_sheaf_chern")
     for argv, want in zip(requests, cold):
         assert main(argv) == 0

@@ -1,3 +1,4 @@
+import itertools
 from collections import Counter
 from math import comb
 
@@ -25,6 +26,7 @@ from quadloci.moduli import (
     known_divisor,
     kosz_class,
     kosz_closed_form,
+    kosz_direct_sums,
     kosz_intro_form,
     kosz_prefactor_ratio,
     kosz_rank,
@@ -330,6 +332,7 @@ def test_k3_rank4_row_fails_on_a_wrong_derivation(monkeypatch):
     assert _row_status(checks_k3, tag) == "PASS"
     monkeypatch.setattr(moduli, "_k3_rank4_combination",
                         lambda g: combo(g).scale(rf(2)))
+    moduli._k3_rank4_symbolic.cache_clear()  # the row above derived the class
     with pytest.raises(IdentityFailed):
         k3_rank4_class()
     assert _row_status(checks_k3, tag) == "FAIL"
@@ -341,17 +344,49 @@ def test_k3_rank4_kappa11_before_basis_change():
 
 
 def test_kosz_numeric_small():
-    k1 = kosz_class(1)
+    k1 = kosz_direct_sums(1)
     assert (k1.lam, k1.gamma) == (rf(-8), rf(QQ(2, 3)))
-    k2 = kosz_class(2)
+    k2 = kosz_direct_sums(2)
     assert (k2.lam, k2.gamma) == (rf(-7), rf(QQ(1, 2)))
 
 
 def test_kosz_numeric_matches_closed():
     for i in range(1, 9):
-        kn = kosz_class(i)
+        kn = kosz_direct_sums(i)
         kc = kosz_closed_form(i)
         assert kn.lam == kc.lam and kn.gamma == kc.gamma
+
+
+def test_kosz_numeric_row_fails_on_wrong_direct_sums(monkeypatch):
+    """The row holds the closed form to the direct sums, so a fault in the
+    sums turns it to FAIL; the closed form alone could not."""
+    tag = "middle-syzygy class numeric i=1..8"
+    direct = moduli.kosz_direct_sums
+
+    def off(i):
+        cls = direct(i)
+        return cls._replace(gamma=cls.gamma * 2) if i == 5 else cls
+
+    assert _row_status(checks_k3, tag) == "PASS"
+    monkeypatch.setattr(moduli, "kosz_direct_sums", off)
+    assert _row_status(checks_k3, tag) == "FAIL"
+
+
+def test_evaluation_equals_the_derivation_past_the_golden():
+    """An integer request evaluates a class derived once at its symbolic
+    parameter; past the golden's range it equals, value and string, the
+    class derived at the constant (and the Koszul closed form equals the
+    direct sums)."""
+    for g in range(3, 41):
+        got, want = k3_rank4_class(g), k3_rank4_class(rf(g))
+        assert got == want and str(got) == str(want)
+    for series, form, ell in itertools.product((1, 2), ("closed", "deficit"), range(1, 31)):
+        got, want = pelda_slope(series, ell, form), pelda_slope(series, rf(ell), form)
+        assert got == want and str(got) == str(want)
+    for i in range(1, 41):
+        got, want = kosz_class(i), kosz_direct_sums(i)
+        assert (got.lam, got.gamma) == (want.lam, want.gamma)
+        assert (str(got.lam), str(got.gamma)) == (str(want.lam), str(want.gamma))
 
 
 D = I * (I + rf(1)) * (I + rf(2)) * (I + rf(3))
