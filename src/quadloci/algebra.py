@@ -114,6 +114,21 @@ class NotSymmetric(AlgebraError):
         self.transposition = transposition
 
 
+class FrozenDict(dict):
+    """A dict that refuses every write with TypeError: the one mapping type
+    a library value exposes.  `.copy()` gives a plain dict at dict speed."""
+
+    __slots__ = ()
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError("%s is read-only" % type(self).__name__)
+
+    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _refuse
+
+    def __reduce__(self):
+        return FrozenDict, (dict(self),)
+
+
 # Variable kinds, in the fixed global order used by the term order.
 ALPHA, BETA, GAMMA, XI, ZVAR, PARAM, SYM = range(7)
 
@@ -267,6 +282,7 @@ class Polynomial:
 
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError("Polynomial is immutable")
+    __delattr__ = __setattr__
 
     # -- constructors -------------------------------------------------
     @staticmethod
@@ -637,6 +653,7 @@ class RationalFunction:
 
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError("RationalFunction is immutable")
+    __delattr__ = __setattr__
 
     def __reduce__(self):
         return (RationalFunction, (self.num, self.den))

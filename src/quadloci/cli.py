@@ -38,13 +38,13 @@ import json
 import os
 import re
 import sys
-from types import MappingProxyType
 
 from .algebra import (
     ALPHA,
     BETA,
     DenominatorSurvives,
     ExponentOverflow,
+    FrozenDict,
     Polynomial,
     QQ,
     alpha,
@@ -436,37 +436,37 @@ def cmd_k3_kosz(args) -> int:
 
 
 @functools.cache
-def _hurwitz_shared() -> MappingProxyType:
+def _hurwitz_shared() -> FrozenDict:
     """The part of the `hurwitz` document that no request changes, rendered
-    once per process from the shared symbolic report, read-only.  Each
-    request copies it and adds its own keys; nothing mutates what it holds."""
+    from the symbolic report; cached with no key.  Each request copies it
+    and adds its own keys."""
     rep = moduli.hurwitz_report()
-    return MappingProxyType({
-        "canonical_class": {
+    return FrozenDict({
+        "canonical_class": FrozenDict({
             s: str(c) for s, c in rep.canonical_in_gamma.coeffs.items()
-        },
-        "rank4_class_units_A": {
+        }),
+        "rank4_class_units_A": FrozenDict({
             s: str(c) for s, c in rep.rank4_class.coeffs.items()
-        },
-        "structural_identity": {
+        }),
+        "structural_identity": FrozenDict({
             "lhs": str(rep.structural_lhs),
             "rhs": str(rep.structural_rhs),
             "holds": rep.structural_identity_holds,
-        },
-        "hodge_boundary_coefficients": {
+        }),
+        "hodge_boundary_coefficients": FrozenDict({
             "D0": str(rep.hodge_d0),
             "D2_derived": str(rep.hodge_d2_derived),
             "D2_published": str(rep.hodge_d2_published),
             "D2_factor_two": rep.hodge_d2_factor_two,
             "D3": str(rep.hodge_d3),
-        },
-        "rank4_coefficient": {
+        }),
+        "rank4_coefficient": FrozenDict({
             "derived": "k / A_k^(k-4)",
             "published": str(rep.hrk4_published_coeff),
-            "samples": {
+            "samples": FrozenDict({
                 str(kv): str(v[0]) for kv, v in rep.hrk4_coeff_samples.items()
-            },
-        },
+            }),
+        }),
         "alpha_solved": str(rep.alpha_solved),
     })
 
@@ -586,7 +586,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
-    """The parser `main` reuses: built on the first call, not at import."""
+    """The parser `main` reuses; cached with no key, built on first call."""
     return build_parser()
 
 

@@ -26,8 +26,8 @@ from __future__ import annotations
 from functools import cache
 from typing import Mapping, NamedTuple
 
-from .algebra import (Polynomial, QQ, RationalFunction, _decode, _key, _slot_mask, _split,
-                      param, sym)
+from .algebra import (FrozenDict, Polynomial, QQ, RationalFunction, _decode, _key, _new,
+                      _slot_mask, _split, param, sym)
 
 
 class MissingRule(Exception):
@@ -65,23 +65,27 @@ def _symbol_key(s: str):
 
 class TautClass:
     """Linear combination of named divisor symbols with rational-function
-    coefficients in formal parameters."""
+    coefficients in formal parameters; `coeffs` is a FrozenDict."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Mapping[str, RationalFunction] | None = None):
         clean = {s: rf(c) for s, c in (coeffs or {}).items()}
-        object.__setattr__(self, "coeffs", {s: c for s, c in clean.items() if c.num})
+        _set_coeffs(self, FrozenDict({s: c for s, c in clean.items() if c.num}))
 
     @staticmethod
     def _raw(coeffs: dict) -> "TautClass":
         """Wrap coefficients that are already nonzero."""
-        t = TautClass.__new__(TautClass)
-        object.__setattr__(t, "coeffs", coeffs)
+        t = _new(TautClass)
+        _set_coeffs(t, FrozenDict(coeffs))
         return t
 
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError("TautClass is immutable")
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return TautClass, (self.coeffs,)
 
     @staticmethod
     def symbol(name: str, coeff=1) -> "TautClass":
@@ -94,12 +98,9 @@ class TautClass:
     def coefficient(self, name: str) -> RationalFunction:
         return self.coeffs.get(name, _ZERO)
 
-    def symbols(self):
-        return set(self.coeffs)
-
     def __add__(self, other: "TautClass") -> "TautClass":
         # only a coefficient both sides carry can become zero
-        out = dict(self.coeffs)
+        out = self.coeffs.copy()
         for s, c in other.coeffs.items():
             c = out[s] + c if s in out else c
             if c.num:
@@ -146,6 +147,7 @@ class TautClass:
     __repr__ = __str__
 
 
+_set_coeffs = TautClass.coeffs.__set__
 _ZERO = RationalFunction(0)
 
 
@@ -183,12 +185,12 @@ class FiberRuleTable(NamedTuple):
 
     top_rules:    monomials of degree relative_dim + 1  ->  TautClass
     scalar_rules: monomials of degree relative_dim      ->  RationalFunction or number
-    Other degrees integrate to zero.
+    Other degrees integrate to zero.  Both maps are FrozenDicts.
     """
 
     relative_dim: int
-    top_rules: dict
-    scalar_rules: dict
+    top_rules: FrozenDict
+    scalar_rules: FrozenDict
     todd: Polynomial
 
     def push_top(self, expr: Polynomial) -> TautClass:
@@ -217,7 +219,7 @@ def curve_rules(genus, degL, boundary: str = "delta") -> FiberRuleTable:
     lam = TautClass.symbol("lambda")
     kappa1 = lam.scale(12) - TautClass.symbol(boundary)
     two_g_2 = 2 * g - 2
-    top = {
+    top = FrozenDict({
         _mono(("c1L", 2)): TautClass.symbol("frak_a"),
         _mono(("c1L", 1), ("c1omega", 1)): TautClass.symbol("frak_b"),
         _mono(("c1omega", 2)): kappa1,
@@ -226,12 +228,12 @@ def curve_rules(genus, degL, boundary: str = "delta") -> FiberRuleTable:
         _mono(("c1omega", 1), ("v1", 1)): TautClass.symbol("c1V", two_g_2),
         _mono(("v1", 2)): TautClass.zero(),
         _mono(("v2", 1)): TautClass.zero(),
-    }
-    scalar = {
+    })
+    scalar = FrozenDict({
         _mono(("c1L", 1)): d,
         _mono(("c1omega", 1)): two_g_2,
         _mono(("v1", 1)): 0,
-    }
+    })
     todd = 1 - tag("c1omega") * QQ(1, 2) + tag("T2")
     return FiberRuleTable(1, top, scalar, todd)
 
@@ -243,26 +245,25 @@ def k3_rules(genus) -> FiberRuleTable:
     integrates to zero against degree-1 classes), the relative Euler number
     is 24, and the polarization has self-intersection 2g-2 on fibers.
 
-    One table is built per genus: a genus is an int or a polynomial in the
-    parameters, whose stored form is canonical, so equal genera give the
-    same table."""
+    Cached per genus, an int or a polynomial in the parameters, whose stored
+    form is canonical."""
     g = rf(genus)
     lam = TautClass.symbol("lambda")
     two_g_2 = 2 * g - 2
-    top = {
+    top = FrozenDict({
         _mono(("c1L", 3)): TautClass.symbol("kappa30"),
         _mono(("c1L", 1), ("c2T", 1)): TautClass.symbol("kappa11"),
         _mono(("c1L", 2), ("c1omega", 1)): lam.scale(two_g_2),
         _mono(("c1omega", 1), ("c2T", 1)): lam.scale(24),
         _mono(("c1L", 1), ("c1omega", 2)): TautClass.zero(),
         _mono(("c1omega", 3)): TautClass.zero(),
-    }
-    scalar = {
+    })
+    scalar = FrozenDict({
         _mono(("c1L", 2)): two_g_2,
         _mono(("c2T", 1)): 24,
         _mono(("c1L", 1), ("c1omega", 1)): 0,
         _mono(("c1omega", 2)): 0,
-    }
+    })
     w, c2 = tag("c1omega"), tag("c2T")
     todd = 1 - w * QQ(1, 2) + (w ** 2 + c2) * QQ(1, 12) + w * c2 * QQ(1, 24)
     return FiberRuleTable(2, top, scalar, todd)
@@ -398,7 +399,7 @@ def in_gamma_basis(cls: TautClass, gamma_def: TautClass, pivot: str) -> TautClas
     rest = cls - gamma_def.scale(c)
     if not rest.coefficient(pivot).is_zero():
         raise IdentityFailed("gamma elimination failed on pivot %s" % pivot)
-    for s in gamma_def.symbols():
+    for s in gamma_def.coeffs:
         if s != pivot and not rest.coefficient(s).is_zero():
             raise IdentityFailed(
                 "class is not in the (gamma, ...) span: residual %s" % s

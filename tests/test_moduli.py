@@ -25,7 +25,6 @@ from quadloci.moduli import (
     k3_rank4_class,
     known_divisor,
     kosz_class,
-    kosz_closed_form,
     kosz_direct_sums,
     kosz_intro_form,
     kosz_prefactor_ratio,
@@ -324,7 +323,7 @@ def test_decomposition_row_fails_on_a_wrong_petri_slope(monkeypatch):
     assert _row_status(checks_petri, tag) == "FAIL"
 
 
-def test_k3_rank4_row_fails_on_a_wrong_derivation(monkeypatch):
+def test_k3_rank4_row_fails_on_a_wrong_derivation(monkeypatch, clear_caches):
     """The library refuses a derivation off its closed form, and `verify`
     records that as a FAIL row instead of ending the run."""
     tag = "rank-4 quadric divisor on surface moduli (sym g)"
@@ -332,7 +331,7 @@ def test_k3_rank4_row_fails_on_a_wrong_derivation(monkeypatch):
     assert _row_status(checks_k3, tag) == "PASS"
     monkeypatch.setattr(moduli, "_k3_rank4_combination",
                         lambda g: combo(g).scale(rf(2)))
-    moduli._k3_rank4_symbolic.cache_clear()  # the row above derived the class
+    clear_caches()  # the row above derived the class
     with pytest.raises(IdentityFailed):
         k3_rank4_class()
     assert _row_status(checks_k3, tag) == "FAIL"
@@ -353,7 +352,7 @@ def test_kosz_numeric_small():
 def test_kosz_numeric_matches_closed():
     for i in range(1, 9):
         kn = kosz_direct_sums(i)
-        kc = kosz_closed_form(i)
+        kc = kosz_class(i)
         assert kn.lam == kc.lam and kn.gamma == kc.gamma
 
 
@@ -394,17 +393,15 @@ D = I * (I + rf(1)) * (I + rf(2)) * (I + rf(3))
 
 def test_kosz_symbolic_matches_closed():
     lam, gamma = kosz_sums_over_d("i")
-    kc = kosz_closed_form("i")
+    kc = kosz_class("i")
     assert lam == kc.lam * D and gamma == kc.gamma * D
-    ks = kosz_class("i")
-    assert ks.lam == kc.lam and ks.gamma == kc.gamma
 
 
 def test_kosz_intro_prefactor_ratio():
     ratio = kosz_prefactor_ratio("i")
     assert ratio == rf(2) * (rf(2) * I + rf(1)) / (I + rf(1))
     ki = kosz_intro_form("i")
-    kc = kosz_closed_form("i")
+    kc = kosz_class("i")
     assert ki.lam == kc.lam * ratio
     assert ki.gamma == kc.gamma * ratio
     # the two displays carry the same (lambda : gamma) direction
@@ -427,7 +424,7 @@ def test_kosz_guard():
 
 @pytest.mark.parametrize("i", [0, -2])
 def test_kosz_rank_refuses_what_kosz_class_refuses(i):
-    for fn in (kosz_class, kosz_rank, kosz_closed_form, kosz_intro_form,
+    for fn in (kosz_class, kosz_rank, kosz_intro_form,
                kosz_prefactor_ratio, kosz_sums_over_d):
         with pytest.raises(UnsupportedParam, match="need i >= 1"):
             fn(i)
@@ -485,14 +482,14 @@ def _symbolic_kosz_row_status():
 
 
 def test_kosz_symbolic_rejects_a_wrong_closed_form(monkeypatch):
-    closed = moduli.kosz_closed_form
+    closed = moduli.kosz_class
 
     def off_by_one(i="i"):
         c = closed(i)
         return c._replace(lam=c.lam + rf(1))
 
     assert _symbolic_kosz_row_status() == "PASS"
-    monkeypatch.setattr(moduli, "kosz_closed_form", off_by_one)
+    monkeypatch.setattr(moduli, "kosz_class", off_by_one)
     assert _symbolic_kosz_row_status() == "FAIL"
 
 
@@ -579,7 +576,7 @@ def test_hurwitz_report_at_integer_k_specializes_every_field():
         assert rep.hodge_d2_factor_two and rep.structural_identity_holds
 
 
-def test_solved_multiplier_row_fails_on_a_wrong_target_bundle(monkeypatch):
+def test_solved_multiplier_row_fails_on_a_wrong_target_bundle(monkeypatch, clear_caches):
     """alpha_solved is k times the rank-4 class's gamma coefficient, so a
     c1 of the quadratic multiplication target off by gamma moves it off
     k - 6."""
@@ -592,18 +589,18 @@ def test_solved_multiplier_row_fails_on_a_wrong_target_bundle(monkeypatch):
 
     assert _row_status(checks_hurwitz, tag) == "PASS"
     monkeypatch.setattr(grr, "hurwitz_sheaf_chern", perturbed)
-    hurwitz_report.cache_clear()  # the row above derived the report
+    clear_caches()  # the row above derived the report
     assert hurwitz_report().alpha_solved != K - rf(6)
     assert _row_status(checks_hurwitz, tag) == "FAIL"
 
 
-def test_rank4_coefficient_row_reads_the_samples(monkeypatch):
+def test_rank4_coefficient_row_reads_the_samples(monkeypatch, clear_caches):
     """The row is WARN because no sampled k / A_k^(k-4) is 1/6; with
     A_k^(k-4) = 6k every sample is, and the row passes."""
     tag = "rank-4 locus coefficient in the canonical-class relation"
     assert _row_status(checks_hurwitz, tag) == "WARN"
     monkeypatch.setattr(moduli, "a_const", lambda e, r: QQ(6 * e))
-    hurwitz_report.cache_clear()  # the row above derived the report
+    clear_caches()  # the row above derived the report
     assert _row_status(checks_hurwitz, tag) == "PASS"
 
 

@@ -43,6 +43,9 @@ KEPT = {
     ("algebra.py", "RationalFunction.__reduce__"): _CONTRACT + "a RationalFunction pickles",
     ("algebra.py", "Polynomial.leading"): _TRACER + " (_reduce_symmetric_part)",
     ("grr.py", "TautClass.__setattr__"): _CONTRACT + "a TautClass is immutable",
+    ("grr.py", "TautClass.__reduce__"): _CONTRACT + "a TautClass pickles",
+    ("algebra.py", "FrozenDict._refuse"): _CONTRACT + "a FrozenDict is read-only",
+    ("algebra.py", "FrozenDict.__reduce__"): _CONTRACT + "a FrozenDict pickles",
     ("grr.py", "TautClass.__hash__"): _CONTRACT + "equal classes hash equal",
     ("grr.py", "grr_rank"): _CONTRACT + "the rank of a GRR pushforward",
     ("algebra.py", "RationalFunction.reduce"): _TRACER + " (a no-op: values form reduced)",
