@@ -513,7 +513,18 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, "%s: error: %s\n" % (self.prog, message))
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(leaves: dict | None = None) -> argparse.ArgumentParser:
+    """The parser tree of every command.  Each leaf, the parser of one
+    command's options, is also recorded in `leaves`, when given, under its
+    command words, such as ("class", "sigma") or ("hurwitz",)."""
+    if leaves is None:
+        leaves = {}
+
+    def leaf(parsers, words, fn, **kwargs):
+        parser = leaves[words] = parsers.add_parser(words[-1], **kwargs)
+        parser.set_defaults(fn=fn)
+        return parser
+
     top = _Parser(
         prog="quadloci",
         description="exact divisor classes of quadric degeneracy loci and "
@@ -524,19 +535,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     pc = sub.add_parser("class", help="equivariant classes")
     pcs = pc.add_subparsers(dest="subcommand", required=True)
-    sigma = pcs.add_parser("sigma", help="corank-r locus of Sym^2 E -> F")
+    sigma = leaf(pcs, ("class", "sigma"), cmd_class_sigma,
+                 help="corank-r locus of Sym^2 E -> F")
     sigma.add_argument("--e", type=int, required=True)
     sigma.add_argument("--f", type=int, required=True)
     sigma.add_argument("--r", type=int, required=True)
     sigma.add_argument("--method", default="localization",
                        choices=["localization", "closed", "residue"])
     sigma.add_argument("--basis", default="chern", choices=["roots", "chern"])
-    sigma.set_defaults(fn=cmd_class_sigma)
-    pencil = pcs.add_parser("pencil", help="degenerate-pencil divisor")
+    pencil = leaf(pcs, ("class", "pencil"), cmd_class_pencil,
+                  help="degenerate-pencil divisor")
     pencil.add_argument("--e", type=int, required=True)
     pencil.add_argument("--presentation", default="quot", choices=["sub", "quot"])
-    pencil.set_defaults(fn=cmd_class_pencil)
-    proj = pcs.add_parser("projectivize", help="projectivized cone class")
+    proj = leaf(pcs, ("class", "projectivize"), cmd_class_projectivize,
+                help="projectivized cone class")
     proj.add_argument("--class", dest="cls", required=True,
                       help="class expression in a1, a2, ...")
     proj.add_argument("--weights", required=True,
@@ -544,14 +556,14 @@ def build_parser() -> argparse.ArgumentParser:
     proj.add_argument("--fixed-point", type=int, default=None,
                       help="restrict to the j-th coordinate fixed point "
                       "(0-based)")
-    proj.set_defaults(fn=cmd_class_projectivize)
 
     pm = sub.add_parser("moduli", help="divisors on moduli of curves")
     pms = pm.add_subparsers(dest="subcommand", required=True)
-    petri = pms.add_parser("petri", help="rank-3 quadric divisor class")
+    petri = leaf(pms, ("moduli", "petri"), cmd_moduli_petri,
+                 help="rank-3 quadric divisor class")
     petri.add_argument("--g", type=int, required=True)
-    petri.set_defaults(fn=cmd_moduli_petri)
-    slope = pms.add_parser("slope", help="slopes of quadric-rank divisors")
+    slope = leaf(pms, ("moduli", "slope"), cmd_moduli_slope,
+                 help="slopes of quadric-rank divisors")
     slope.add_argument("--series", type=int, choices=[1, 2])
     slope.add_argument("--ell", type=int)
     slope.add_argument("--form", default="closed", choices=["closed", "deficit"])
@@ -559,39 +571,57 @@ def build_parser() -> argparse.ArgumentParser:
     slope.add_argument("--r", type=int)
     slope.add_argument("--s", type=int)
     slope.add_argument("--a", type=int)
-    slope.set_defaults(fn=cmd_moduli_slope)
-    dp12 = pms.add_parser("dp12", help="degenerate-pencil slope in genus 12")
-    dp12.set_defaults(fn=cmd_moduli_dp12)
+    leaf(pms, ("moduli", "dp12"), cmd_moduli_dp12,
+         help="degenerate-pencil slope in genus 12")
 
     pk = sub.add_parser("k3", help="divisors on moduli of polarized surfaces")
     pks = pk.add_subparsers(dest="subcommand", required=True)
-    rank4 = pks.add_parser("rank4", help="rank-4 quadric divisor")
+    rank4 = leaf(pks, ("k3", "rank4"), cmd_k3_rank4, help="rank-4 quadric divisor")
     rank4.add_argument("--g", type=int, default=None)
-    rank4.set_defaults(fn=cmd_k3_rank4)
-    kosz = pks.add_parser("kosz", help="middle-syzygy divisor")
+    kosz = leaf(pks, ("k3", "kosz"), cmd_k3_kosz, help="middle-syzygy divisor")
     kosz.add_argument("--i", type=int, default=None)
-    kosz.set_defaults(fn=cmd_k3_kosz)
 
-    hur = sub.add_parser("hurwitz", help="cover-space divisor identities")
+    hur = leaf(sub, ("hurwitz",), cmd_hurwitz,
+               help="cover-space divisor identities")
     hur.add_argument("--k", type=int, default=None)
-    hur.set_defaults(fn=cmd_hurwitz)
 
     ver = sub.add_parser("verify", help="run the verification suite")
     vers = ver.add_subparsers(dest="subcommand", required=True)
-    verall = vers.add_parser("all")
+    verall = leaf(vers, ("verify", "all"), cmd_verify)
     verall.add_argument("--max-e", type=int, default=5)
-    verall.set_defaults(fn=cmd_verify)
     return top
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser `main` reuses; cached with no key, built on first call."""
-    return build_parser()
+def _parser() -> tuple:
+    """The parser tree that `main` reuses and its leaves by command words;
+    cached with no key, built on first call."""
+    leaves = {}
+    return build_parser(leaves), leaves
+
+
+def _parse(argv) -> argparse.Namespace:
+    """argv parsed into the namespace that the tree gives.  A request that
+    starts with a leaf's command words is parsed by that leaf alone, in one
+    pass, where the tree scans every token again at each level.  The tree
+    parses any other argv, and any that the leaf leaves an argument of, so
+    every usage error and help text stays the tree's.  It also takes argv
+    with a token that starts with "--=", which its top level refuses as an
+    ambiguous abbreviation of --out and --help."""
+    tree, leaves = _parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    n = 1 if tuple(argv[:1]) in leaves else 2
+    leaf = leaves.get(tuple(argv[:n]))
+    if leaf is not None and not any(a.startswith("--=") for a in argv[n:]):
+        words = dict(zip(("command", "subcommand"), argv[:n]))
+        args, rest = leaf.parse_known_args(argv[n:], argparse.Namespace(out=None, **words))
+        if not rest:
+            return args
+    return tree.parse_args(argv)
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parse(argv)
     try:
         code = args.fn(args)
         sys.stdout.flush()  # a closed stdout fails here, not at exit

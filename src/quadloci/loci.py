@@ -64,6 +64,7 @@ from .algebra import (
     Polynomial,
     QQ,
     RationalFunction,
+    _SHIFTS,
     _key,
     _mul_into,
     _nonzero,
@@ -124,11 +125,14 @@ class ScalarData(namedtuple("ScalarData", "r_weights r_total")):
 
 
 def _validate_scalars(weights: Sequence[Polynomial], scalars: ScalarData):
+    # the a_i-coefficient of a weight is its numerator at the key of a_i over
+    # its denominator; a variable with no slot is in no weight
+    keys = [1 << _SHIFTS[alpha(i)] if alpha(i) in _SHIFTS else None
+            for i in range(1, len(scalars.r_weights) + 1)]
     for w in weights:
-        total = 0
-        terms = dict(w.terms)
-        for i, rv in enumerate(scalars.r_weights, start=1):
-            total += rv * terms.get(((alpha(i), 1),), QQ(0))
+        num = w._num
+        total = QQ(sum(rv * num.get(k, 0) for rv, k in zip(scalars.r_weights, keys)),
+                   w._den)
         if total != scalars.r_total:
             raise ScalarConditionViolated(
                 "weight %s pairs to %s, expected %s" % (w, total, scalars.r_total)

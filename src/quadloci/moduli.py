@@ -60,15 +60,19 @@ class ModuliDivisor(NamedTuple):
         if not self.deltas:
             raise BoundaryCoefficientNonpositive("no boundary coefficient present")
         values = list(self.deltas.values())
-        if all(_is_number(b) for b in values):
-            numbers = [rf(b).constant_value() for b in values]
-            if min(numbers) <= 0:
+        # each distinct coefficient is read once: petri_class shares one
+        distinct = {id(b): b for b in values}
+        if all(_is_number(b) for b in distinct.values()):
+            number = {key: rf(b).constant_value() for key, b in distinct.items()}
+            least = min(number.values())
+            if least <= 0:
                 raise BoundaryCoefficientNonpositive(
-                    "boundary coefficients must be positive, got %s" % numbers
+                    "boundary coefficients must be positive, got %s"
+                    % [number[id(b)] for b in values]
                 )
-            return rf(self.lam) / min(numbers)
+            return rf(self.lam) / least
         first = rf(values[0])
-        if not all(v == first for v in values):
+        if not all(v == first for v in distinct.values()):
             raise BoundaryCoefficientNonpositive(
                 "symbolic slope needs equal boundary coefficients"
             )

@@ -1,5 +1,8 @@
+import contextlib
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from math import comb
@@ -642,7 +645,8 @@ def test_reused_parser_matches_fresh_parser(capsys, monkeypatch):
         ["moduli", "petri", "--g", "7"],
     )
     reused = [_outcome(capsys, argv) for argv in sequence]
-    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    # the undecorated `_parser`: a fresh tree and leaf table on every call
+    monkeypatch.setattr(cli, "_parser", cli._parser.__wrapped__)
     fresh = [_outcome(capsys, argv) for argv in sequence]
     assert reused == fresh
     assert [code for code, _, _ in reused] == [0, 2, 2, 0]
@@ -725,3 +729,98 @@ def test_golden_agrees_with_the_benchmark_reference():
         rows = verify.run_all(max_e=max_e)
         assert ({"counts": worker.verify_counts(rows), "sha256": worker.verify_digest(rows)}
                 == ref["verify"][str(max_e)])
+
+
+# -- the leaf table parses as the tree does ------------------------------------
+
+@contextlib.contextmanager
+def _recorded(stub):
+    """Every command first records vars(args), then runs, or with stub
+    returns 0 at once; the parser is rebuilt on the recorders."""
+    seen = []
+
+    def recorder(command):
+        def run(args):
+            seen.append(dict(vars(args)))
+            return 0 if stub else command(args)
+        return run
+
+    with pytest.MonkeyPatch.context() as patch:
+        for name in [name for name in vars(cli) if name.startswith("cmd_")]:
+            patch.setattr(cli, name, recorder(getattr(cli, name)))
+        cli._parser.cache_clear()
+        yield seen
+    cli._parser.cache_clear()
+
+
+def _table_and_tree(argv, seen):
+    """The golden entry of argv and the namespaces its command got, through
+    main's leaf table and then through the tree alone."""
+    tree, _ = cli._parser()
+    answers = []
+    for parser in (cli._parser, lambda: (tree, {})):
+        del seen[:]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cli, "_parser", parser)
+            answers.append((make_golden.answer(argv), list(seen)))
+    return answers
+
+
+def _readme_requests():
+    """The argv of each `quadloci ...` line of README's command block."""
+    text = (make_golden.ROOT / "README.md").read_text().replace("\\\n", " ")
+    return [shlex.split(line, comments=True)[1:]
+            for line in text.splitlines() if line.startswith("quadloci ")]
+
+
+_LEAVES = {}
+cli.build_parser(_LEAVES)  # a tree of its own: no cache is filled at import
+_OPTIONS = sorted({option for leaf in _LEAVES.values()
+                   for option in re.findall(r"--[\w-]+", leaf.format_usage())})
+_REQUESTS = st.builds(
+    lambda out, words, rest: out + words + rest,
+    st.sampled_from([[], ["--out", "out.json"]]),
+    st.one_of(st.sampled_from(sorted(_LEAVES)).map(list),
+              st.lists(st.sampled_from(sorted({w for k in _LEAVES for w in k})
+                                       + ["-h", "frob"]), max_size=3)),
+    st.lists(st.sampled_from(_OPTIONS + [
+        "0", "3", "-2", "x", "closed", "roots", "sub", "deficit", "a1",
+        "--", "-h", "--help", "--frob", "--=x", "--out", "--o", "--e=3", "extra",
+    ]), max_size=8),
+)
+
+
+def test_leaf_table_parses_as_the_tree(monkeypatch):
+    """main parses a request with its own command's leaf parser; the tree
+    alone gives the same exit code, stdout, stderr and namespace for every
+    golden request, every README request (each run for real), and a sample
+    of the tree's words and options around `--out FILE`, `--`, `-h`, junk
+    and leftover arguments (the commands stubbed)."""
+    monkeypatch.chdir(make_golden.ROOT)  # projectivize echoes its --weights path
+    readme = _readme_requests()
+    assert len(readme) == 12 and ["hurwitz", "--k", "7"] in readme
+    with _recorded(stub=False) as seen:
+        for argv in [entry["argv"] for entry in _golden()] + readme:
+            table, tree = _table_and_tree(argv, seen)
+            assert table == tree, argv
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(_REQUESTS)
+    @example(["class", "-h", "sigma"])
+    @example(["moduli", "petri", "--g", "7", "--bogus"])
+    @example(["--out", "out.json", "moduli", "petri", "--g", "7"])
+    @example(["hurwitz", "--=x"])
+    @example(["k3", "rank4", "--", "--g", "5"])
+    def sample(argv):
+        with _recorded(stub=True) as seen:
+            table, tree = _table_and_tree(argv, seen)
+        assert table == tree, argv
+
+    sample()
+    tree, _ = cli._parser()
+    monkeypatch.setattr(tree, "parse_args", None)  # the table takes these alone
+    assert [vars(cli._parse(argv)) for argv in (["hurwitz"], ["verify", "all"])] == [
+        {"out": None, "command": "hurwitz", "k": None, "fn": cli.cmd_hurwitz},
+        {"out": None, "command": "verify", "subcommand": "all", "max_e": 5,
+         "fn": cli.cmd_verify},
+    ]

@@ -227,6 +227,25 @@ def test_scalar_condition_violated():
         projectivize(cls, ScalarData((1, 1, 1), 6), weights)
 
 
+@pytest.mark.parametrize("weights, r, message", [
+    # a rational pairing prints as the Fraction the weight's coefficients sum to
+    ([QQ(1, 2) * X(alpha(1)) + X(alpha(2))], (1, 1),
+     "weight 1/2*a1 + a2 pairs to 3/2, expected 6"),
+    ([-5 * X(alpha(1)) - QQ(2, 3) * X(alpha(3))], (1, 0, 2),
+     "weight -5*a1 - 2/3*a3 pairs to -19/3, expected 6"),
+    # an r_i past every weight's variables, and a weight with no a_i
+    ([X(alpha(1)) + 1], (1,) * 128,
+     "weight a1 + 1 pairs to 1, expected 6"),
+    ([Polynomial.zero()], (), "weight 0 pairs to 0, expected 6"),
+])
+def test_scalar_condition_message(weights, r, message):
+    # the pairing is read from the weights' packed numerators; the message
+    # keeps the bytes of the decoded-coefficient sum it replaced
+    with pytest.raises(ScalarConditionViolated) as err:
+        projectivize(X(alpha(1)), ScalarData(r, 6), weights)
+    assert str(err.value) == message
+
+
 def test_pencil_sub_small():
     suma = X(alpha(1)) + X(alpha(2))
     sumg = X(gamma_var(1)) + X(gamma_var(2))

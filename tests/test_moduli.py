@@ -641,3 +641,23 @@ def test_slope_guards():
         ModuliDivisor(4, rf(34), {}).slope()
     with pytest.raises(BoundaryCoefficientNonpositive):
         ModuliDivisor(4, rf(34), {0: rf(-4)}).slope()
+
+
+def test_slope_reads_distinct_deltas():
+    # slope reads each distinct coefficient once; the least one still sets
+    # the slope, and one nonpositive coefficient, shared or not, still
+    # raises with every delta_i's value in the message
+    b, g = rf(QQ(3, 2)), rf(Polynomial.variable(param("g")))
+    assert ModuliDivisor(5, rf(10), {0: rf(4), 1: b, 2: QQ(5), 3: b}).slope() == QQ(20, 3)
+    for deltas, got in (
+        ({0: rf(4), 1: rf(-1), 2: QQ(5)}, "4, 1), Fraction(-1, 1), Fraction(5, 1"),
+        ({0: b, 1: rf(0), 2: b}, "3, 2), Fraction(0, 1), Fraction(3, 2"),
+    ):
+        with pytest.raises(BoundaryCoefficientNonpositive) as err:
+            ModuliDivisor(5, rf(10), deltas).slope()
+        assert str(err.value) == (
+            "boundary coefficients must be positive, got [Fraction(%s)]" % got)
+    with pytest.raises(BoundaryCoefficientNonpositive,
+                       match="^symbolic slope needs equal boundary coefficients$"):
+        ModuliDivisor(5, rf(10), {0: g, 1: g, 2: g + 1}).slope()
+    assert ModuliDivisor(5, rf(10), {0: g, 1: g}).slope() == rf(10) / g

@@ -226,8 +226,8 @@ _values = st.one_of(
 @settings(max_examples=120, deadline=None, derandomize=True)
 @given(_values)
 def test_values_are_read_only_hash_by_value_and_pickle(clear_caches, makers):
-    """`cli._parser` is the one cache left out: an argparse parser is
-    argparse's mutable object, which only `main` reads."""
+    """`cli._parser` is the one cache left out: its parser tree and leaf
+    table hold argparse's mutable objects, which only `main` reads."""
     make_a, make_b = makers
     a = make_a()
     clear_caches()
