@@ -45,8 +45,8 @@ answer in the symbols c_iE, c_jF, as the paper states the class.
 ``to_chern_symbols`` is its inverse.
 
 Also here: projectivization of an invariant-cone class and its fixed-point
-restrictions, and the two presentations of the degenerate-pencil
-(discriminant) divisor class.
+restrictions, and the degenerate-pencil class of a pencil S in Sym^2 E,
+pushed forward once from P(S) and put in the roots of either presentation.
 """
 
 from __future__ import annotations
@@ -511,25 +511,35 @@ def to_roots(p: Polynomial, e: int, f: int) -> Polynomial:
 
 def _root_sum(var, n: int) -> Polynomial:
     """var(1) + ... + var(n)."""
-    return sum((Polynomial.variable(var(i)) for i in range(1, n + 1)), Polynomial.zero())
+    return Polynomial._make({_key(var(i)): 1 for i in range(1, n + 1)})
+
+
+def _pencil_class(e: int, c1S: Polynomial, n_beta: int = 0) -> Polynomial:
+    """Branch divisor pi_*(Z (Z + K)) of the singular members of the pencil
+    P(S) -> X, formed in c1E, c1F and c1S, then put in the roots a_1..a_e
+    and b_1..b_n_beta.  Z = e zeta + 2 c1E is the discriminant and
+    K = -2 zeta - c1S the relative canonical class, zeta = c1(O(1)).  By
+    zeta^2 = -c1S zeta - c2(S), pi_* zeta = 1 and pi_* 1 = 0 (Fulton,
+    Intersection Theory, 3.2) c2(S) drops out."""
+    if e < 2:
+        raise PreconditionViolated("need e >= 2")
+    zeta = Polynomial.variable(xi())
+    z = e * zeta + 2 * c1E()
+    zk = z * (z - 2 * zeta - c1S)
+    cls = zk.coefficient_of(xi(), 1) - c1S * zk.coefficient_of(xi(), 2)
+    return cls.substitute_poly({_cE(1): _root_sum(alpha, e), _cF(1): _root_sum(beta, n_beta)})
 
 
 def pencil_class_sub(e: int) -> Polynomial:
-    """Class of tangent 2-planes in the sub-bundle presentation:
-    (e-1)(4 sum a_i - e (g_1 + g_2))."""
-    if e < 2:
-        raise PreconditionViolated("need e >= 2")
-    return (e - 1) * (4 * _root_sum(alpha, e) - e * _root_sum(gamma_var, 2))
+    """The degenerate-pencil class in the sub-bundle presentation,
+    c1S = g_1 + g_2: (e-1)(4 sum a_i - e (g_1 + g_2))."""
+    return _pencil_class(e, _root_sum(gamma_var, 2))
 
 
 def pencil_class_quot(e: int) -> Polynomial:
-    """Quotient-bundle presentation: (e-1)(e sum b_i - (e^2+e-4) sum a_i),
-    with N = C(e+1,2) - 2 quotient roots."""
-    if e < 2:
-        raise PreconditionViolated("need e >= 2")
-    n_beta = comb(e + 1, 2) - 2
-    suma, sumb = _root_sum(alpha, e), _root_sum(beta, n_beta)
-    return (e - 1) * (e * sumb - (e * e + e - 4) * suma)
+    """Quotient-bundle presentation, c1S = (e+1) c1E - c1F with
+    N = e(e+1)/2 - 2 quotient roots b_j: (e-1)(e sum b_j - (e^2+e-4) sum a_i)."""
+    return _pencil_class(e, (e + 1) * c1E() - c1F(), e * (e + 1) // 2 - 2)
 
 
 def pencil_sub_from_quot(e: int) -> Polynomial:

@@ -12,7 +12,7 @@ from functools import cache
 from math import comb, factorial, prod
 from typing import Mapping, NamedTuple
 
-from .algebra import FrozenDict, Polynomial, QQ, RationalFunction, param
+from .algebra import FrozenDict, Polynomial, QQ, RationalFunction, alpha, beta, param
 from .grr import (
     IdentityFailed,
     TautClass,
@@ -24,7 +24,7 @@ from .grr import (
     line_bundle_ch,
     rf,
 )
-from .loci import divisorial_combination, divisorial_f
+from .loci import divisorial_combination, divisorial_f, pencil_class_quot
 from .symfunc import _comb0, a_const
 
 
@@ -500,7 +500,7 @@ def fit_calibration() -> CalibrationReport:
     # 38/6 = 2f/e, so its slope is that of the divisorial combination
     pdp = SeriesParams(r=5, s=2, a=None, g=12, d=15)
     got3 = virtual_slope_from_pushforward(pdp, cal).slope
-    want3 = QQ(373, 54)
+    want3 = dp12_slope().slope
     positive = _is_number(x) and x.constant_value() > 0
     notes = []
     if not positive:
@@ -531,7 +531,7 @@ def fit_calibration() -> CalibrationReport:
 class Dp12Result(NamedTuple):
     slope: object
     below_bound: bool
-    pencil_coefficients: tuple   # (e c1F, (e^2+e-4) c1E) at e = 6
+    pencil_coefficients: tuple   # c1F, -c1E in pencil_class_quot(6) / (e-1)
     prefactor_from_formula: int  # e - 1
     prefactor_in_application: int
     factor_two_discrepancy: bool
@@ -540,17 +540,19 @@ class Dp12Result(NamedTuple):
 def dp12_slope() -> Dp12Result:
     """Slope of the degenerate-pencil divisor in genus 12: 373/54, below
     the classical bound 6 + 12/13.  The underlying virtual class is the
-    e = 6 degenerate-pencil class (e-1)(6 c1F - 38 c1E); the application
-    uses it with an overall factor 10 instead of e-1 = 5, an overall-scale
-    discrepancy that slopes do not see.
+    e = 6 degenerate-pencil class `pencil_class_quot`(6), (e-1)(6 c1F -
+    38 c1E); the application uses it with an overall factor 10 instead of
+    e-1 = 5, an overall-scale discrepancy that slopes do not see.
     """
     e = 6
     val = QQ(373, 54)
-    bound = QQ(6) + QQ(12, 13)
+    quot = pencil_class_quot(e)
+    f_coeff, e_coeff = (quot.coefficient_of(v, 1).constant_value() // (e - 1)
+                        for v in (beta(1), alpha(1)))
     return Dp12Result(
         slope=val,
-        below_bound=val < bound,
-        pencil_coefficients=(e, e * e + e - 4),
+        below_bound=val < brill_noether_bound(12).constant_value(),
+        pencil_coefficients=(f_coeff, -e_coeff),
         prefactor_from_formula=e - 1,
         prefactor_in_application=10,
         factor_two_discrepancy=True,
@@ -584,15 +586,14 @@ def k3_rank4_class(g="g") -> TautClass:
         return _k3_rank4_symbolic()
     gg = rf(g)
     result = in_gamma_basis(_k3_rank4_combination(gg), gamma_k3(gg), pivot="kappa30")
-    expected = TautClass(
-        {
-            "lambda": (2 * gg * gg - 13 * gg + 9) / (gg + 1),
-            "gamma": 2 / (gg + 1),
-        }
-    )
-    if result != expected:
+    if result != k3_rank4_closed_form(gg):
         raise IdentityFailed("rank-4 class does not match its closed form")
     return result
+
+
+def k3_rank4_closed_form(g: RationalFunction) -> TautClass:
+    """The closed form that `k3_rank4_class` must reproduce."""
+    return TautClass({"lambda": (2 * g * g - 13 * g + 9) / (g + 1), "gamma": 2 / (g + 1)})
 
 
 @cache

@@ -169,12 +169,7 @@ def checks_pencil():
         _row("degenerate pencil: sub vs quotient presentation e=2..8", ok, True, ok)
     )
     q6 = loci.pencil_class_quot(6)
-    x = Polynomial.variable
-    n6 = comb(7, 2) - 2
-    want = 5 * (
-        6 * sum((x(beta(j)) for j in range(1, n6 + 1)), Polynomial.zero())
-        - 38 * sum((x(alpha(i)) for i in range(1, 7)), Polynomial.zero())
-    )
+    want = loci.to_roots(5 * (6 * loci.c1F() - 38 * loci.c1E()), 6, comb(7, 2) - 2)
     rows.append(_eq_row("degenerate pencil coefficients at e=6", q6, want))
     ok = all(
         loci.discriminant_monomial_weight(e) == loci.pencil_class_sub(e)
@@ -266,13 +261,7 @@ def checks_twists():
 
 def checks_k3():
     rows = []
-    g = rf("g")
-    want = TautClass(
-        {
-            "lambda": (2 * g * g - 13 * g + 9) / (g + 1),
-            "gamma": 2 / (g + 1),
-        }
-    )
+    want = moduli.k3_rank4_closed_form(rf("g"))
     tag = "rank-4 quadric divisor on surface moduli (sym g)"
     try:
         rows.append(_eq_row(tag, moduli.k3_rank4_class(), want))
@@ -329,14 +318,14 @@ def checks_slopes():
         _row("first-series slope: closed vs deficit form (sym l)",
              forms_agree, True, forms_agree)
     )
-    bound = QQ(6) + QQ(12, 25)
+    bound = moduli.brill_noether_bound(24).constant_value()
     v = below.constant_value()
     rows.append(_row("genus-24 slope below 6+12/25", v, "< %s" % bound, v < bound))
     dp = moduli.dp12_slope()
     rows.append(_eq_row("degenerate-pencil slope genus 12", dp.slope, QQ(373, 54)))
     rows.append(
-        _row("genus-12 slope below 6+12/13", dp.slope, "< %s" % (QQ(6) + QQ(12, 13)),
-             dp.below_bound)
+        _row("genus-12 slope below 6+12/13", dp.slope,
+             "< %s" % moduli.brill_noether_bound(12).constant_value(), dp.below_bound)
     )
     rows.append(
         _row(
@@ -355,7 +344,7 @@ def checks_slopes():
         for ser in (1, 2):
             genus = moduli.series_genus(ser, l)
             val = moduli.pelda_slope(ser, l)
-            if not val.constant_value() < QQ(6) + QQ(12, genus + 1):
+            if not val.constant_value() < moduli.brill_noether_bound(genus).constant_value():
                 bounds_ok = False
     rows.append(
         _row("series slopes below 6+12/(g+1), l=1..10", bounds_ok, True, bounds_ok)

@@ -286,6 +286,38 @@ def test_pencil_homogeneous_symmetric():
         assert quot.rename({beta(1): beta(2), beta(2): beta(1)}) == quot
 
 
+def _root_sum(var, n):
+    return Polynomial({((var(i), 1),): 1 for i in range(1, n + 1)})
+
+
+def _pencil_sub_formula(e):
+    """The sub-bundle class as a closed form in the roots:
+    (e-1)(4 sum a_i - e (g_1 + g_2))."""
+    return (e - 1) * (4 * _root_sum(alpha, e) - e * _root_sum(gamma_var, 2))
+
+
+def _pencil_quot_formula(e):
+    """The quotient-bundle class as a closed form in the roots, with
+    N = C(e+1,2) - 2 quotient roots: (e-1)(e sum b_j - (e^2+e-4) sum a_i)."""
+    sumb = _root_sum(beta, comb(e + 1, 2) - 2)
+    return (e - 1) * (e * sumb - (e * e + e - 4) * _root_sum(alpha, e))
+
+
+def test_pencil_push_forward_matches_closed_forms():
+    # the push-forward is formed in c1E and c1S and only then expanded in
+    # the roots, so the closed forms check each presentation's substitution
+    for e in range(2, 31):
+        assert pencil_class_sub(e) == _pencil_sub_formula(e)
+        assert pencil_class_quot(e) == _pencil_quot_formula(e)
+
+
+@pytest.mark.parametrize("pencil_class", [pencil_class_sub, pencil_class_quot])
+@pytest.mark.parametrize("e", [1, 0, -3])
+def test_pencil_class_needs_e_at_least_two(pencil_class, e):
+    with pytest.raises(PreconditionViolated):
+        pencil_class(e)
+
+
 def test_triple_agreement_divisorial_small():
     # the closed form is the independent reference for the sign of every
     # divisorial block
