@@ -42,7 +42,6 @@ from .grr import (
     lm_lambda_relation,
 )
 from .moduli import (
-    Calibration,
     ModuliDivisor,
     SeriesParams,
     dp12_slope,

@@ -353,10 +353,7 @@ def cmd_moduli_slope(args) -> int:
         if missing:
             raise moduli.UnsupportedParam(
                 "--custom needs --r, --s and --a; missing %s" % ", ".join(missing))
-        p = moduli.SeriesParams(
-            r=args.r, s=args.s, a=args.a,
-            g=args.r * args.s + args.s, d=args.r * args.s + args.r,
-        )
+        p = moduli.SeriesParams(r=args.r, s=args.s, a=args.a)
         rep = moduli.fit_calibration()
         res = moduli.virtual_slope_from_pushforward(p, rep.fitted)
         doc = {

@@ -232,52 +232,59 @@ def _slope_q(cls: ModuliDivisor):
 # small-slope series
 # ---------------------------------------------------------------------------
 
-class SeriesParams(namedtuple("SeriesParams", "r s a g d")):
-    """Linear-series data with vanishing Brill-Noether number: g = rs+s,
-    d = rs+r.  `a` is the quadric-rank parameter (rank bound a+2); it is
-    None for the degenerate-pencil application, which has no rank condition.
+class SeriesParams(namedtuple("SeriesParams", "r s a")):
+    """A linear series g^r_d of vanishing Brill-Noether number, fixed by
+    (r, s): g = rs+s and d = rs+r, so g - (r+1)(g-d+r) = 0.  `a` is the
+    quadric-rank parameter (rank bound a+2), a root of 2(r-1)s = a(2r-1-a);
+    for r >= 1 exactly one of its roots a and 2r-1-a gives a corank r-1-a
+    >= 0, and the other is refused.  `a` is None for the degenerate-pencil
+    application, which has no rank condition.
     """
 
     __slots__ = ()
 
-    def __new__(cls, r: int, s: int, a: int | None, g: int, d: int):
-        if g != r * s + s or d != r * s + r:
-            raise InvariantViolated("g = rs+s and d = rs+r must hold")
-        if a is not None and 2 * (r - 1) * s != a * (2 * r - 1 - a):
-            raise InvariantViolated("2(r-1)s = a(2r-1-a) must hold")
-        rho = g - (r + 1) * (g - d + r)
-        if rho != 0:
-            raise InvariantViolated("the Brill-Noether number must vanish")
-        return super().__new__(cls, r, s, a, g, d)
+    def __new__(cls, r: int, s: int, a: int | None):
+        if a is not None:
+            if 2 * (r - 1) * s != a * (2 * r - 1 - a):
+                raise InvariantViolated("2(r-1)s = a(2r-1-a) must hold")
+            if r >= 1 and a >= r:
+                raise InvariantViolated(
+                    "a = %d gives the negative corank r-1-a = %d; the other root "
+                    "of 2(r-1)s = a(2r-1-a) is a = %d" % (a, r - 1 - a, 2 * r - 1 - a))
+        return super().__new__(cls, r, s, a)
+
+    @property
+    def g(self):
+        return self.r * self.s + self.s
+
+    @property
+    def d(self):
+        return self.r * self.s + self.r
+
+
+def _series_rsa(series: int, ell) -> tuple:
+    """(r, s, a) of the two infinite families of quadric-rank divisors at
+    ell, an int or a rational function."""
+    if series == 1:
+        return 9 * ell - 2, 4 * ell - 1, 6 * ell - 2
+    if series == 2:
+        return 8 * ell + 3, 3 * ell + 1, 4 * ell + 1
+    raise UnsupportedParam("series must be 1 or 2")
 
 
 def series_params(series: int, ell: int) -> SeriesParams:
-    """The two infinite families of quadric-rank divisors:
-    series 1 lives in genus (4l-1)(9l-1), series 2 in genus 4(3l+1)(2l+1)."""
+    """The series at an int ell >= 1."""
     if ell < 1:
         raise UnsupportedParam("need ell >= 1")
-    if series == 1:
-        s = 4 * ell - 1
-        r = 9 * ell - 2
-        a = 2 * (3 * ell - 1)
-    elif series == 2:
-        s = 3 * ell + 1
-        r = 8 * ell + 3
-        a = 4 * ell + 1
-    else:
-        raise UnsupportedParam("series must be 1 or 2")
-    return SeriesParams(r=r, s=s, a=a, g=r * s + s, d=r * s + r)
+    return SeriesParams(*_series_rsa(series, ell))
 
 
 def series_genus(series: int, ell):
-    """Genus of the series: (4l-1)(9l-1) for series 1, 4(3l+1)(2l+1) for
-    series 2; an int for an int ell, a rational function for a rational
+    """Genus s(r+1) of the series: (4l-1)(9l-1) for series 1, 4(3l+1)(2l+1)
+    for series 2; an int for an int ell, a rational function for a rational
     function ell."""
-    if series == 1:
-        return (4 * ell - 1) * (9 * ell - 1)
-    if series == 2:
-        return 4 * (3 * ell + 1) * (2 * ell + 1)
-    raise UnsupportedParam("series must be 1 or 2")
+    r, s, _ = _series_rsa(series, ell)
+    return s * (r + 1)
 
 
 # the integer polynomials in ell behind the series slopes, low degree first
@@ -349,8 +356,10 @@ def _series_slope(series: int, form: str) -> RationalFunction:
     return pelda_slope(series, "ell", form)
 
 
-def brill_noether_bound(g) -> RationalFunction:
-    """6 + 12/(g+1)."""
+def brill_noether_bound(g):
+    """6 + 12/(g+1): a rational at an int g, a rational function otherwise."""
+    if type(g) is int:  # not a bool: rf refuses that below
+        return QQ(6 * g + 18, g + 1)
     gg = rf(g)
     return 6 + 12 / (gg + 1)
 
@@ -365,7 +374,8 @@ class PushforwardTable(NamedTuple):
 
     Each entry is a class in lambda and delta0 carrying the overall
     positive constant beta as a formal factor.  The remaining multiplier
-    sigma_* sigma^* lambda = N lambda lives in Calibration.
+    N/beta of sigma_* sigma^* lambda = N lambda is the number
+    `virtual_slope_from_pushforward` takes.
     """
 
     params: SeriesParams
@@ -385,7 +395,7 @@ class PushforwardTable(NamedTuple):
         a_d = -beta * QQ(d, (g - 1) * (g - 2)) * (d * g - 2 * g * g + 4 * d - 3 * g + 2)
         b_l = beta * QQ(6 * d, g - 1)
         b_d = -beta * QQ(d, 2 * (g - 1))
-        den = 2 * (r + s + 1) * (r * s + s - 2) * (r * s + s - 1)
+        den = 2 * (r + s + 1) * (g - 2) * (g - 1)
         e_l = -beta * QQ(
             r
             * (r + 2)
@@ -403,19 +413,13 @@ class PushforwardTable(NamedTuple):
             ),
             den,
         )
-        e_d = beta * QQ(r * (s - 1) * (s + 1) * (r + 2) * (r + 1) * (r * s + s + 4), 6 * den)
+        e_d = beta * QQ(r * (s - 1) * (s + 1) * (r + 2) * (r + 1) * (g + 4), 6 * den)
         return PushforwardTable(
             p,
             frak_a=TautClass({"lambda": a_l, "delta0": a_d}),
             frak_b=TautClass({"lambda": b_l, "delta0": b_d}),
             c1E=TautClass({"lambda": e_l, "delta0": e_d}),
         )
-
-
-class Calibration(NamedTuple):
-    """Multiplier N/beta for sigma_* sigma^* lambda."""
-
-    n_over_beta: object
 
 
 class VirtualSlopeResult(NamedTuple):
@@ -426,13 +430,12 @@ class VirtualSlopeResult(NamedTuple):
     # effective-divisor sign (class = a lambda - b delta_0 with b > 0)
 
 
-def virtual_slope_from_pushforward(
-    p: SeriesParams, calibration: Calibration
-) -> VirtualSlopeResult:
+def virtual_slope_from_pushforward(p: SeriesParams, n_over_beta) -> VirtualSlopeResult:
     """Push the virtual quadric-rank class through the table and take the
     slope.  The class is the divisorial combination c1(F) - (2f/e) c1(E)
     at e = r+1 and f = 2d+1-g, the ranks of E and F for a g^r_d, with
-    c1(F) = sigma^* lambda - frak_b + 2 frak_a.
+    c1(F) = sigma^* lambda - frak_b + 2 frak_a and sigma^* lambda pushed
+    forward to n_over_beta * beta * lambda.
 
     The formal constant beta must cancel in the slope (BetaDidNotCancel
     otherwise).  A delta_0 coefficient with the non-effective sign is
@@ -440,7 +443,7 @@ def virtual_slope_from_pushforward(
     """
     table = PushforwardTable.build(p)
     beta = rf("beta")
-    n_lambda = TautClass.symbol("lambda", calibration.n_over_beta * beta)
+    n_lambda = TautClass.symbol("lambda", n_over_beta * beta)
     c1F = n_lambda - table.frak_b + table.frak_a.scale(2)
     cls = divisorial_combination(p.r + 1, 2 * p.d + 1 - p.g, table.c1E, c1F)
     lam, dl = cls.coefficient("lambda"), cls.coefficient("delta0")
@@ -457,7 +460,7 @@ def virtual_slope_from_pushforward(
 
 
 class CalibrationReport(NamedTuple):
-    fitted: Calibration
+    fitted: object             # the multiplier n_over_beta
     fit_target: object
     fit_point: SeriesParams
     series2_computed: object
@@ -487,19 +490,17 @@ def fit_calibration() -> CalibrationReport:
     p1 = series_params(1, 1)
     target1 = pelda_slope(1, 1)
     # solve slope(x) = target on the lambda-linear pencil
-    zero = virtual_slope_from_pushforward(p1, Calibration(0))
+    zero = virtual_slope_from_pushforward(p1, 0)
     x = target1 * (-zero.delta0) - zero.lam
-    cal = Calibration(x)
-    check1 = virtual_slope_from_pushforward(p1, cal)
+    check1 = virtual_slope_from_pushforward(p1, x)
     if check1.slope != target1:
         raise IdentityFailed("calibration fit misses its target slope %s" % target1)
     p2 = series_params(2, 1)
-    got2 = virtual_slope_from_pushforward(p2, cal).slope
+    got2 = virtual_slope_from_pushforward(p2, x).slope
     want2 = pelda_slope(2, 1)
     # the e = 6 degenerate pencil, (e-1)(6 c1F - 38 c1E): f = 19 and
     # 38/6 = 2f/e, so its slope is that of the divisorial combination
-    pdp = SeriesParams(r=5, s=2, a=None, g=12, d=15)
-    got3 = virtual_slope_from_pushforward(pdp, cal).slope
+    got3 = virtual_slope_from_pushforward(SeriesParams(r=5, s=2, a=None), x).slope
     want3 = dp12_slope().slope
     positive = _is_number(x) and x.constant_value() > 0
     notes = []
@@ -514,7 +515,7 @@ def fit_calibration() -> CalibrationReport:
         notes.append("degenerate-pencil cross-validation fails "
                      "(convention discrepancy)")
     return CalibrationReport(
-        fitted=cal,
+        fitted=x,
         fit_target=target1,
         fit_point=p1,
         series2_computed=got2,
@@ -534,7 +535,6 @@ class Dp12Result(NamedTuple):
     pencil_coefficients: tuple   # c1F, -c1E in pencil_class_quot(6) / (e-1)
     prefactor_from_formula: int  # e - 1
     prefactor_in_application: int
-    factor_two_discrepancy: bool
 
 
 def dp12_slope() -> Dp12Result:
@@ -551,11 +551,10 @@ def dp12_slope() -> Dp12Result:
                         for v in (beta(1), alpha(1)))
     return Dp12Result(
         slope=val,
-        below_bound=val < brill_noether_bound(12).constant_value(),
+        below_bound=val < brill_noether_bound(12),
         pencil_coefficients=(f_coeff, -e_coeff),
         prefactor_from_formula=e - 1,
         prefactor_in_application=10,
-        factor_two_discrepancy=True,
     )
 
 

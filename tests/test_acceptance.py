@@ -206,9 +206,7 @@ def test_criterion_10_property_suites():
     assert grr.hurwitz_twist(grr.gamma_hurwitz(k), k) == grr.gamma_hurwitz(k)
     assert grr.k3_twist(grr.gamma_k3(g), g) == grr.gamma_k3(g)
     # overall-constant cancellation in the slope machinery
-    res = moduli.virtual_slope_from_pushforward(
-        moduli.series_params(1, 1), moduli.Calibration(QQ(1))
-    )
+    res = moduli.virtual_slope_from_pushforward(moduli.series_params(1, 1), QQ(1))
     assert param("beta") not in res.slope.num.variables() | res.slope.den.variables()
     # order independence of the certificate's sum over the Grassmannian
     # fixed points J: reversing or rotating the roots a permutes the J

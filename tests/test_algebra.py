@@ -797,6 +797,15 @@ def test_an_exponent_past_its_slot_raises_and_never_wraps():
         assert Polynomial.const(3) ** 40000 == Polynomial.const(3 ** 40000)
 
 
+def test_a_function_reduces_where_it_is_formed():
+    # 2g/g is the constant 2, and g/(g+1) + 1/(g+1) is the polynomial 1
+    g = X(param("g"))
+    a = RationalFunction(2 * g, g)
+    b = RationalFunction(g, g + 1) + RationalFunction(1, g + 1)
+    assert a.is_polynomial() and a.constant_value() == 2
+    assert b == 1 and b.is_polynomial()
+
+
 # -- hash and eq agree on rational functions -----------------------------------
 
 def test_equal_rational_functions_hash_equal():

@@ -435,8 +435,8 @@ def test_calibration_fit_failure_exits_one(capsys, monkeypatch):
     # check that python -O keeps
     push = moduli.virtual_slope_from_pushforward
 
-    def missed(p, calibration):
-        res = push(p, calibration)
+    def missed(p, n_over_beta):
+        res = push(p, n_over_beta)
         return res._replace(slope=res.slope + rf(1))
 
     monkeypatch.setattr(moduli, "virtual_slope_from_pushforward", missed)
@@ -473,6 +473,21 @@ def test_hurwitz_report_is_derived_once_per_process(capsys, monkeypatch, clear_c
         assert main(argv) == 0
         assert capsys.readouterr().out == want
     assert len(calls) == 1
+
+
+def test_k3_rank4_is_derived_once_per_process(capsys):
+    # an integer genus evaluates the class derived once at the symbolic g:
+    # two genera in one process print what a fresh process prints for each
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    requests = (["k3", "rank4", "--g", "5"], ["k3", "rank4", "--g", "6"])
+    cold = [subprocess.run([sys.executable, "-m", "quadloci.cli", *argv], env=env,
+                           capture_output=True, text=True, check=True, timeout=60).stdout
+            for argv in requests]
+    for argv, want in zip(requests, cold):
+        assert main(argv) == 0
+        assert capsys.readouterr().out == want
+    assert moduli._k3_rank4_symbolic.cache_info().misses == 1
 
 
 def test_calibration_fit_is_derived_once_per_process(capsys, monkeypatch):
@@ -567,6 +582,12 @@ def test_moduli_slope_custom_names_missing_flags(capsys, given, missing):
     (["--r", "0", "--s", "0", "--a", "0"], "delta_0 coefficient vanished"),
     # e = r + 1 = 0 would put the divisorial class's 2f/e over 0
     (["--r", "-1", "--s", "1", "--a", "1"], "need e >= 1"),
+    # the invariant 2(r-1)s = a(2r-1-a) holds at both of its roots, and the
+    # one past r - 1 has a negative corank r-1-a
+    (["--r", "7", "--s", "3", "--a", "9"], "a = 9 gives the negative corank r-1-a = -3; "
+     "the other root of 2(r-1)s = a(2r-1-a) is a = 4"),
+    (["--r", "4", "--s", "2", "--a", "4"], "a = 4 gives the negative corank r-1-a = -1; "
+     "the other root of 2(r-1)s = a(2r-1-a) is a = 3"),
 ])
 def test_moduli_slope_custom_degenerate_series_exit_two(capsys, argv, message):
     code = main(["moduli", "slope", "--custom", *argv])
@@ -574,6 +595,21 @@ def test_moduli_slope_custom_degenerate_series_exit_two(capsys, argv, message):
     assert code == 2
     assert captured.out == ""
     assert captured.err == "error: %s\n" % message
+
+
+def test_import_derives_nothing():
+    """Importing the library fills no per-process cache: a derivation made
+    at import would move the import time and the order in which algebra
+    hands out variable slots."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = ("import sys; sys.path.insert(0, %r); import quadloci.cli, quadloci.verify; "
+            "print(sorted({'%%s.%%s' %% (f.__module__, f.__qualname__) "
+            "for m, mod in list(sys.modules.items()) if m.startswith('quadloci') "
+            "for f in vars(mod).values() "
+            "if hasattr(f, 'cache_info') and f.cache_info().currsize}))" % src)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True).stdout
+    assert out == "[]\n"
 
 
 def test_import_loads_neither_dataclasses_nor_inspect():

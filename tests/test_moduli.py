@@ -1,6 +1,6 @@
 import itertools
 from collections import Counter
-from math import comb
+from math import comb, isqrt
 
 import pytest
 
@@ -10,7 +10,6 @@ from quadloci.grr import TautClass, rf
 from quadloci.loci import ScalarData
 from quadloci.moduli import (
     BoundaryCoefficientNonpositive,
-    Calibration,
     IdentityFailed,
     InvariantViolated,
     KoszulClass,
@@ -135,6 +134,12 @@ def test_series_params_values():
 def test_series_genus_takes_only_the_two_series():
     assert (series_genus(1, 1), series_genus(2, 1)) == (24, 48)
     assert series_genus(2, G) == 4 * (3 * G + 1) * (2 * G + 1)
+    ell = rf("ell")
+    assert series_genus(1, ell) == (4 * ell - 1) * (9 * ell - 1)
+    assert series_genus(2, ell) == 4 * (3 * ell + 1) * (2 * ell + 1)
+    for ell in range(1, 31):
+        for series in (1, 2):
+            assert series_genus(series, ell) == series_params(series, ell).g
     for series in (0, 3):
         with pytest.raises(UnsupportedParam, match="series must be 1 or 2"):
             series_genus(series, 1)
@@ -153,10 +158,42 @@ def test_series_params_guards():
         series_params(3, 1)
     with pytest.raises(UnsupportedParam):
         series_params(1, 0)
-    with pytest.raises(InvariantViolated):
-        SeriesParams(r=7, s=3, a=3, g=24, d=28)
-    with pytest.raises(InvariantViolated):
-        SeriesParams(r=7, s=3, a=4, g=25, d=28)
+    with pytest.raises(InvariantViolated, match=r"2\(r-1\)s = a\(2r-1-a\) must hold"):
+        SeriesParams(r=7, s=3, a=3)
+    with pytest.raises(InvariantViolated, match="negative corank r-1-a = -3"):
+        SeriesParams(r=7, s=3, a=9)
+
+
+def _invariant_roots(r: int, s: int) -> list:
+    """The integer roots a of a^2 - (2r-1)a + 2(r-1)s = 0, the invariant
+    2(r-1)s = a(2r-1-a); the discriminant is odd, so each is an int."""
+    disc = (2 * r - 1) ** 2 - 8 * (r - 1) * s
+    root = isqrt(disc) if disc >= 0 else -1
+    if root * root != disc:
+        return []
+    return [(2 * r - 1 - root) // 2, (2 * r - 1 + root) // 2]
+
+
+def test_series_params_holds_the_root_of_nonnegative_corank():
+    kept = refused = 0
+    for r in range(1, 31):
+        for s in range(1, 31):
+            for a in _invariant_roots(r, s):
+                if a <= r - 1:
+                    p = SeriesParams(r, s, a)
+                    assert (p.g, p.d) == (r * s + s, r * s + r)
+                    kept += 1
+                else:
+                    with pytest.raises(InvariantViolated,
+                                       match="negative corank r-1-a = %d;" % (r - 1 - a)):
+                        SeriesParams(r, s, a)
+                    refused += 1
+    # each pair with an integer root has one on either side of r - 1/2
+    assert kept == refused > 30
+    assert SeriesParams._fields == ("r", "s", "a")
+    # _replace skips the constructor, so it checks nothing; g and d follow r
+    moved = SeriesParams(7, 3, 4)._replace(r=8)
+    assert (moved.g, moved.d) == (27, 32)
 
 
 def test_records_are_immutable_values():
@@ -170,7 +207,7 @@ def test_records_are_immutable_values():
         (kc, KoszulClass(2, rf(1), rf(QQ(1, 2)), "C(2i-1, i)"), "i"),
         (ModuliDivisor(genus=4, lam=rf(34), deltas={0: rf(4)}),
          ModuliDivisor(4, rf(34), {0: rf(4)}, ""), "genus"),
-        (SeriesParams(r=7, s=3, a=4, g=24, d=28), series_params(1, 1), "r"),
+        (SeriesParams(r=7, s=3, a=4), series_params(1, 1), "r"),
         (ScalarData(r_weights=(2, 1, 1), r_total=6), ScalarData((2, 1, 1), 6), "r_weights"),
         (CheckResult(tag="t", computed="1", expected="1", status="PASS"),
          CheckResult("t", "1", "1", "PASS", ""), "tag"),
@@ -183,10 +220,10 @@ def test_records_are_immutable_values():
         with pytest.raises(AttributeError):
             record.extra = None
     assert repr(ScalarData((2, 1, 1), 6)) == "ScalarData(r_weights=(2, 1, 1), r_total=6)"
-    assert hash(series_params(1, 1)) == hash(SeriesParams(7, 3, 4, 24, 28))
+    assert hash(series_params(1, 1)) == hash(SeriesParams(7, 3, 4))
     assert kc != kc._replace(lam=rf(2))
     with pytest.raises(InvariantViolated):
-        SeriesParams(r=7, s=3, a=4, g=25, d=29)
+        SeriesParams(r=4, s=2, a=4)
     with pytest.raises(ValueError, match="r_total must be nonzero"):
         ScalarData(r_weights=(1, 1), r_total=0)
 
@@ -231,14 +268,18 @@ def test_pelda_slope_rejects_ell_below_one():
 
 
 def test_brill_noether_bound():
-    assert q(brill_noether_bound(24)) == QQ(162, 25)
+    # a rational at an int genus, as loci.divisorial_f gives an int there
+    bound = brill_noether_bound(24)
+    assert bound == QQ(162, 25) and type(bound) is QQ
+    assert brill_noether_bound("g") == 6 + 12 / (G + 1)
+    assert str(brill_noether_bound("g")) == "(6*g + 18)/(g + 1)"
 
 
 # -- pushforward machinery --------------------------------------------------
 
 def test_beta_cancellation_and_rescale_invariance():
     p = series_params(1, 1)
-    res = virtual_slope_from_pushforward(p, Calibration(QQ(1)))
+    res = virtual_slope_from_pushforward(p, QQ(1))
     assert param("beta") not in res.slope.num.variables()
     # the class with beta divided out has the same slope
     assert res.slope == res.lam / -res.delta0
@@ -269,7 +310,6 @@ def test_dp12():
     assert d.pencil_coefficients == (6, 38)
     assert d.prefactor_from_formula == 5
     assert d.prefactor_in_application == 10
-    assert d.factor_two_discrepancy
 
 
 def test_dp12_class_matches_pencil_module():
