@@ -26,7 +26,8 @@ product term with the guard bits, so an exponent of 2^15 raises
 ExponentOverflow before a slot can carry into the next.  Slots differ
 between processes: `terms`, `str`, `leading`, `content_normalized`'s sign,
 `evaluate` and pickling decode a key to its sorted (variable, exponent)
-pairs, in their graded-lex order; `divide_exact` leads with the largest key.
+pairs, in their graded-lex order; `divide_exact` leads with the largest key,
+and the screen of a trial division sums a key's slots.
 
 Integer kernel
 --------------
@@ -38,7 +39,7 @@ sec. 4.6.1, with gcd(denominator, all numerators) = 1.  `+`, `-`, `*`,
 one `math.gcd` over the denominator and the numerators; `**` needs none, as a
 power of numerators prime to the denominator stays prime to its power.  QQ
 values appear only at the boundary: the `terms` view, `constant_value`,
-`leading`, `evaluate` and `str`.
+`leading`, `evaluate` and `str` over a denominator other than 1.
 
 `substitute_poly` is the one substitution: it puts polynomials in for
 variables at once.  Nothing substitutes rational functions; `evaluate` puts
@@ -69,10 +70,19 @@ for being rational functions.
 A rational function reduces where it is formed, by one rule, `_divided`:
 a result whose denominator divides its numerator is stored as the quotient
 over `1`.  The constructor, `*` and a sum of two functions not over `1` try
-the division; a sum (a*d + b)/d with one side over `1`, and a power d^n |
-a^n, divide only when d | a, so they skip it.  No stored denominator
-divides its numerator, and `is_polynomial`, `constant_value`,
-`as_polynomial` and `hash` read the stored pair.
+the division; a sum (a*d + b)/d with one side over `1`, a product with a
+constant (a unit over Q), and a power d^n | a^n divide only when d | a, so
+they skip it.  No stored denominator divides its numerator, and
+`is_polynomial`, `constant_value`, `as_polynomial` and `hash` read the
+stored pair.
+
+A trial division is screened first.  Evaluation at every variable = 64 is
+a ring map to Z, so if the primitive den divides num's integer numerator
+over Z (Gauss's lemma, as for `divide_exact`), den's value divides the
+numerator's; a nonzero value of den that does not divide rules the
+division out, and it is not tried.  The screen is sound because each
+value is exact: a key's total degree is the sum of its slots, read one slot
+at a time, never the key modulo 2^16 - 1, which wraps at degree 65535.
 
 Keys compared as ints are a lex monomial order, as the guard bits stop any
 carry, and under a monomial order the leading term of a product is the
@@ -260,8 +270,15 @@ def _graded(num: dict) -> list:
     the sorted pairs with earlier variables and higher exponents first."""
     out = []
     for k, c in num.items():
-        m = _decode(k)
-        out.append(((-sum(e for _, e in m), [(v, -e) for v, e in m]), m, c))
+        neg, t = [], 0
+        while k:  # the loop of `_decode`, with the exponents negated and summed
+            s = k.bit_length() - 1 & -_WIDTH
+            e = k >> s
+            neg.append((_VARS[s // _WIDTH], -e))
+            t -= e
+            k ^= e << s
+        neg.sort()
+        out.append(((t, neg), tuple([(v, -e) for v, e in neg]), c))
     return out
 
 
@@ -560,9 +577,10 @@ class Polynomial:
     def __str__(self):
         if not self._num:
             return "0"
+        d = self._den
         bits = []
         for _, m, n in sorted(_graded(self._num)):
-            c = QQ(n, self._den)
+            c = n if d == 1 else QQ(n, d)  # an int prints as QQ(n, 1) does
             mono = monomial_str(m)
             if mono:
                 if c == 1:
@@ -725,6 +743,8 @@ class RationalFunction:
             return NotImplemented
         if self.den is _ONE and other.den is _ONE:
             return RationalFunction._raw(self.num * other.num)
+        if other.den is _ONE and other.num.is_constant():  # no trial (module docstring)
+            return RationalFunction._raw(self.num * other.num, self.den)
         return RationalFunction._raw(*_divided(self.num * other.num, self.den * other.den))
 
     __rmul__ = __mul__
@@ -780,13 +800,33 @@ class RationalFunction:
 
 def _divided(num: Polynomial, den: Polynomial) -> tuple:
     """(num/den, _ONE) when den divides num, else (num, den): the one
-    reduction rule (module docstring), for a normal den."""
+    reduction rule (module docstring), for a normal den.  A division that
+    the values at every variable = 64 rule out is not tried."""
     if den is not _ONE:
+        d = _at_64(den._num)
+        if d and _at_64(num._num) % d:
+            return num, den
         try:
             return num.divide_exact(den), _ONE
         except DivisionNotExact:
             pass
     return num, den
+
+
+def _at_64(num: dict) -> int:
+    """The integer polynomial num at every variable = 64 = 2^6: a key adds
+    its numerator shifted left by 6 times its total degree, the sum of its
+    slots."""
+    total = 0
+    for k, c in num.items():
+        t = 0
+        while k:  # the loop of `_decode`, summing the exponents
+            s = k.bit_length() - 1 & -_WIDTH
+            e = k >> s
+            t += e
+            k ^= e << s
+        total += c << 6 * t
+    return total
 
 
 _set_rf_num, _set_rf_den = RationalFunction.num.__set__, RationalFunction.den.__set__
@@ -800,6 +840,21 @@ def _coerce_rf(x):
     if _is_scalar(x):
         return RationalFunction._raw(Polynomial.const(x))
     return NotImplemented
+
+
+def polynomial_in(coeffs: Sequence[int], x: Polynomial) -> Polynomial:
+    """sum_t coeffs[t] x^t for ints coeffs, low degree first.  When x is one
+    variable the keys are its powers, so the terms are put down at once;
+    any other x goes by Horner."""
+    ((k, c),) = x._num.items() if len(x._num) == 1 else ((0, 0),)
+    m = _decode(k)
+    if c == 1 == x._den and len(m) == 1 and m[0][1] == 1:  # x is one variable
+        v = m[0][0]
+        return Polynomial._make(_nonzero({_key(v, t): n for t, n in enumerate(coeffs)}))
+    out = Polynomial.zero()
+    for n in reversed(coeffs):
+        out = out * x + n
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -9,10 +9,11 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import cache
-from math import comb, factorial, prod
+from math import comb, factorial
 from typing import Mapping, NamedTuple
 
-from .algebra import FrozenDict, Polynomial, QQ, RationalFunction, alpha, beta, param
+from .algebra import (FrozenDict, Polynomial, QQ, RationalFunction, alpha, beta, param,
+                      polynomial_in)
 from .grr import (
     IdentityFailed,
     TautClass,
@@ -253,6 +254,12 @@ class SeriesParams(namedtuple("SeriesParams", "r s a")):
                     "of 2(r-1)s = a(2r-1-a) is a = %d" % (a, r - 1 - a, 2 * r - 1 - a))
         return super().__new__(cls, r, s, a)
 
+    @classmethod
+    def _make(cls, iterable):
+        """The record of the values, checked by `__new__`; `_replace`
+        builds through here."""
+        return cls(*iterable)
+
     @property
     def g(self):
         return self.r * self.s + self.s
@@ -276,7 +283,7 @@ def series_params(series: int, ell: int) -> SeriesParams:
     """The series at an int ell >= 1."""
     if ell < 1:
         raise UnsupportedParam("need ell >= 1")
-    return SeriesParams(*_series_rsa(series, ell))
+    return SeriesParams._make(_series_rsa(series, ell))
 
 
 def series_genus(series: int, ell):
@@ -618,20 +625,31 @@ def _binom_shift(c: int, cp: int, i: RationalFunction) -> RationalFunction:
     """C(2i + c, i + cp) / C(2i - 1, i) as a rational function of i.
 
     Expands the three factorial quotients as finite products of linear
-    factors, multiplied into one numerator and one denominator polynomial;
-    valid for all large integers i, hence as an identity of rational
+    factors a*i + t, convolved in ints into one numerator and one
+    denominator coefficient list, each put together as a polynomial in i
+    once; valid for all large integers i, hence as an identity of rational
     functions.
     """
-    x = i.as_polynomial()
     q = c - cp
     # (2i+c)!/(2i-1)!, i!/(i+cp)! and (i-1)!/(i+q)!: each quotient has its
-    # linear factors on one side only, so one range of each pair is empty
-    num = ([2 * x + t for t in range(c + 1)] + [x + t for t in range(cp + 1, 1)]
-           + [x + t for t in range(q + 1, 0)])
-    den = ([2 * x + t for t in range(c + 1, 0)] + [x + t for t in range(1, cp + 1)]
-           + [x + t for t in range(q + 1)])
-    one = Polynomial.const(1)
-    return RationalFunction(prod(num, start=one), prod(den, start=one))
+    # linear factors (a, t) on one side only, so one range of each pair is
+    # empty
+    num = ([(2, t) for t in range(c + 1)] + [(1, t) for t in range(cp + 1, 1)]
+           + [(1, t) for t in range(q + 1, 0)])
+    den = ([(2, t) for t in range(c + 1, 0)] + [(1, t) for t in range(1, cp + 1)]
+           + [(1, t) for t in range(q + 1)])
+    x = i.as_polynomial()
+    return RationalFunction(polynomial_in(_linear_product(num), x),
+                            polynomial_in(_linear_product(den), x))
+
+
+def _linear_product(factors) -> list:
+    """The coefficients, low degree first, of prod(a*x + t) over the
+    factors (a, t)."""
+    out = [1]
+    for a, t in factors:
+        out = [t * hi + a * lo for lo, hi in zip([0] + out, out + [0])]
+    return out
 
 
 # (j+2)^p expanded in the binomial basis C(j, t): coefficients a[p][t]

@@ -27,7 +27,9 @@ from quadloci.algebra import (
     beta,
     expand_symmetric,
     is_symmetric,
+    monomial_str,
     param,
+    polynomial_in,
     sum_fractions,
     symmetric_reduce,
     var_name,
@@ -835,3 +837,116 @@ def test_a_function_hashes_alike_in_any_terms(p, q, h):
     assert c == a and hash(c) == hash(a)
     back = pickle.loads(pickle.dumps(a))
     assert (back.num, back.den) == (a.num, a.den) and hash(back) == hash(a)
+
+
+# -- the kernels of the symbolic `k3 kosz` request against the code they replaced
+
+def _str_by_fractions(p):
+    """The rendering `Polynomial.__str__` made before it printed int
+    numerators directly: a Fraction per term, in the order of the decoded
+    sort key."""
+    if not p._num:
+        return "0"
+    rows = []
+    for k, n in p._num.items():
+        m = algebra._decode(k)
+        rows.append(((-sum(e for _, e in m), [(v, -e) for v, e in m]), m, n))
+    bits = []
+    for _, m, n in sorted(rows):
+        c = QQ(n, p._den)
+        mono = monomial_str(m)
+        if mono:
+            if c == 1:
+                bits.append(mono)
+            elif c == -1:
+                bits.append("-" + mono)
+            else:
+                bits.append("%s*%s" % (c, mono))
+        else:
+            bits.append(str(c))
+    out = bits[0]
+    for b in bits[1:]:
+        out += " - " + b[1:] if b.startswith("-") else " + " + b
+    return out
+
+
+integer_polynomials = st.dictionaries(monomials, st.integers(-50, 50), max_size=6).map(
+    Polynomial)
+
+
+@_KERNEL
+@given(st.one_of(polynomials, integer_polynomials), st.permutations(_VARS))
+def test_str_matches_the_fraction_rendering(p, order):
+    text, terms = str(p), p.terms
+    assert text == _str_by_fractions(p)
+    # the same terms under another slot order print the same
+    with _registry(order):
+        q = Polynomial(terms)
+        assert str(q) == _str_by_fractions(q) == text
+
+
+def _trial_division(num, den):
+    """`_divided` without its screen: the division tried on every pair."""
+    if den is not _ONE:
+        try:
+            return num.divide_exact(den), _ONE
+        except DivisionNotExact:
+            pass
+    return num, den
+
+
+def _past_65535():
+    """Two polynomials whose keys straddle a total degree of 65535, where
+    a key's slots summed modulo 2^16 - 1 would wrap: m has total degree
+    65536, m2 65534, and the product m*m2 131070."""
+    m = X(alpha(7)) ** 32767 * X(beta(7)) ** 32767 * X(param("z7")) ** 2
+    m2 = X(alpha(8)) ** 32767 * X(beta(8)) ** 32767
+    return m + 1, m2 + 1
+
+
+@_KERNEL
+@given(polynomials, polynomials.filter(bool), st.booleans(),
+       st.sampled_from([(0, 0), (0, 1), (0, 2), (1, 0), (2, 0), (1, 2), (2, 1)]))
+def test_screened_reduction_matches_the_trial_division(p, d, exact, big):
+    """`_divided` gives the pair a trial division gives: on random pairs,
+    on products q*r, which must divide, and with factors whose keys pass
+    total degree 65535 in the numerator, the denominator or both."""
+    factors = (Polynomial.const(1),) + _past_65535()
+    den = RationalFunction(1, d * factors[big[1]]).den  # in normal form
+    num = p * factors[big[0]] * (den if exact else 1)
+    got, want = algebra._divided(num, den), _trial_division(num, den)
+    assert got == want and (got[1] is _ONE) == (want[1] is _ONE)
+    if exact:
+        assert got == (p * factors[big[0]], _ONE)
+
+
+def test_screened_reduction_reads_each_total_degree_exactly():
+    # (m + 1)(m2 + 1) over m + 1: the values at every variable = 64 have
+    # the total degrees 131070, 65536, 65534 and 0; read modulo 65535 they
+    # would be 0, 1, 65534 and 0, and 65 would not divide the numerator's
+    m, m2 = _past_65535()
+    got = algebra._divided(m * m2, m)
+    assert got == (m2, _ONE) and got[1] is _ONE
+    assert algebra._divided(m * m2 + 1, m) == (m * m2 + 1, m)
+
+
+_POINTS = [X(param("t")), X(alpha(1)), X(alpha(1)) ** 2, 2 * X(alpha(1)),
+           QQ(1, 2) * X(alpha(1)), X(alpha(1)) + 1, X(alpha(1)) * X(beta(1)),
+           Polynomial.const(3), Polynomial.const(QQ(-2, 3)), Polynomial.zero()]
+
+
+@_KERNEL
+@given(st.lists(st.integers(-9, 9), max_size=8), st.sampled_from(_POINTS))
+def test_polynomial_in_is_the_sum_of_powers(coeffs, x):
+    want = sum((c * x ** t for t, c in enumerate(coeffs)), Polynomial.zero())
+    got = polynomial_in(coeffs, x)
+    assert (got._num, got._den) == (want._num, want._den)
+
+
+def test_polynomial_in_refuses_a_degree_past_its_slot():
+    t = X(param("t"))
+    assert polynomial_in([0] * 32767 + [1], t) == t ** 32767
+    # 2^15 sets the slot's guard bit, and 2^16 would carry past it
+    for degree in (32768, 65536):
+        with pytest.raises(ExponentOverflow):
+            polynomial_in([0] * degree + [1], t)

@@ -747,6 +747,19 @@ def test_golden_replay_byte_for_byte(monkeypatch):
     assert not differ, "\n".join(differ)
 
 
+def test_symbolic_kosz_prints_its_golden_bytes_in_a_fresh_process():
+    """Symbolic `k3 kosz` in a fresh interpreter prints its golden entry
+    byte for byte.  There i takes the first slot of the packed keys, which
+    the trial-division screen, `polynomial_in` and `str` read; slots follow
+    first use, so in the test session i sits behind other variables."""
+    entry = next(e for e in _golden() if e["argv"] == ["k3", "kosz"])
+    env = dict(os.environ, PYTHONPATH=str(make_golden.ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-m", "quadloci.cli", "k3", "kosz"], env=env,
+                          capture_output=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (entry["exit"], entry["stderr"].encode())
+    assert proc.stdout == entry["stdout"].encode()
+
+
 def test_golden_agrees_with_the_benchmark_reference():
     """The golden pins what perfbench/reference.json pins: the hash of each
     ok answer, each usage error and the verify rows.  The reference's

@@ -1,11 +1,11 @@
 import itertools
 from collections import Counter
-from math import comb, isqrt
+from math import comb, isqrt, prod
 
 import pytest
 
 from quadloci import grr, moduli
-from quadloci.algebra import Polynomial, QQ, RationalFunction, param
+from quadloci.algebra import Polynomial, QQ, RationalFunction, _ONE, param
 from quadloci.grr import TautClass, rf
 from quadloci.loci import ScalarData
 from quadloci.moduli import (
@@ -191,9 +191,13 @@ def test_series_params_holds_the_root_of_nonnegative_corank():
     # each pair with an integer root has one on either side of r - 1/2
     assert kept == refused > 30
     assert SeriesParams._fields == ("r", "s", "a")
-    # _replace skips the constructor, so it checks nothing; g and d follow r
-    moved = SeriesParams(7, 3, 4)._replace(r=8)
-    assert (moved.g, moved.d) == (27, 32)
+    # _replace and _make build through the constructor's checks
+    with pytest.raises(InvariantViolated, match=r"2\(r-1\)s = a\(2r-1-a\) must hold"):
+        SeriesParams(7, 3, 4)._replace(r=8)
+    with pytest.raises(InvariantViolated, match="negative corank r-1-a = -3;"):
+        SeriesParams._make((7, 3, 9))
+    moved = SeriesParams(7, 3, 4)._replace(r=4, s=2, a=3)
+    assert moved == SeriesParams._make((4, 2, 3)) and (moved.g, moved.d) == (10, 12)
 
 
 def test_records_are_immutable_values():
@@ -495,6 +499,37 @@ def test_kosz_alternating_sums_match_their_defining_sums():
                 expected = QQ(total, comb(2 * i - 1, i))
                 assert _at(moduli._alternating_sum(p, side, shifts), i) == expected
                 assert _at(moduli._alternating_sum(p, side, over_d), i) == expected * _at(d, i)
+
+
+def _binom_shift_by_products(c, cp, i):
+    """The construction `_binom_shift` replaced: each linear factor a
+    Polynomial, the factors multiplied one by one."""
+    x = i.as_polynomial()
+    q = c - cp
+    num = ([2 * x + t for t in range(c + 1)] + [x + t for t in range(cp + 1, 1)]
+           + [x + t for t in range(q + 1, 0)])
+    den = ([2 * x + t for t in range(c + 1, 0)] + [x + t for t in range(1, cp + 1)]
+           + [x + t for t in range(q + 1)])
+    one = Polynomial.const(1)
+    return RationalFunction(prod(num, start=one), prod(den, start=one))
+
+
+@pytest.mark.parametrize("c", range(-4, 7))
+def test_binom_shift_stores_the_pair_of_the_product_of_linear_factors(c):
+    """On all 110 keys (c, cp) with cp in -5..4, at the symbolic i and at
+    i = 1..12, the convolved coefficients store the pair (and print the
+    string) of the linear factors multiplied as polynomials; where a factor
+    of the denominator vanishes at an integer i, both raise."""
+    for cp, i in itertools.product(range(-5, 5), [I] + [rf(n) for n in range(1, 13)]):
+        try:
+            want = _binom_shift_by_products(c, cp, i)
+        except ZeroDivisionError:
+            with pytest.raises(ZeroDivisionError):
+                moduli._binom_shift(c, cp, i)
+            continue
+        got = moduli._binom_shift(c, cp, i)
+        assert (got.num, got.den) == (want.num, want.den)
+        assert (got.den is _ONE) == (want.den is _ONE) and str(got) == str(want)
 
 
 def _count_shift_keys(monkeypatch):
