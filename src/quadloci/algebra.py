@@ -73,7 +73,7 @@ over `1`.  The constructor, `*` and a sum of two functions not over `1` try
 the division; a sum (a*d + b)/d with one side over `1`, a product with a
 constant (a unit over Q), and a power d^n | a^n divide only when d | a, so
 they skip it.  No stored denominator divides its numerator, and
-`is_polynomial`, `constant_value`, `as_polynomial` and `hash` read the
+`den is _ONE`, `constant_value`, `as_polynomial` and `hash` read the
 stored pair.
 
 A trial division is screened first.  Evaluation at every variable = 64 is
@@ -692,9 +692,6 @@ class RationalFunction:
         over `_ONE`."""
         return self.num.constant_value() / self.den.constant_value()
 
-    def is_polynomial(self) -> bool:
-        return self.den is _ONE
-
     def as_polynomial(self) -> Polynomial:
         if self.den is _ONE:
             return self.num
@@ -872,7 +869,7 @@ def sum_fractions(terms: Sequence[RationalFunction]) -> Polynomial:
     total = terms[0]
     for t in terms[1:]:
         total = total + t
-    if not total.is_polynomial():
+    if total.den is not _ONE:
         raise DenominatorSurvives(
             "fraction sum is not polynomial; residual denominator %s" % total.den
         )

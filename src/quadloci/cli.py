@@ -334,11 +334,8 @@ def cmd_class_projectivize(args) -> int:
 def cmd_moduli_petri(args) -> int:
     cls = moduli.petri_class(args.g)
     coeffs = {"lambda": str(cls.lam)}
-    last = text = None
     for i, b in sorted(cls.deltas.items()):
-        if b is not last:  # petri_class shares one b: render it once
-            last, text = b, str(-b)
-        coeffs["delta%d" % i] = text
+        coeffs["delta%d" % i] = str(-b)
     doc = document(coeffs, command="moduli petri", parameters={"g": args.g},
                    slope=str(cls.slope()),
                    notes=[cls.note] if cls.note else [])

@@ -377,9 +377,6 @@ def jet_porteous_d3(k="k"):
     boundary (nodal fibers are simply degenerate for the jet evaluation):
 
         D3 = push c2( J^2(L) / V ) - D0 = 6 gamma + 24 lambda - 3 D0.
-
-    Returns (d3, intermediates) where intermediates records the pushforward
-    of c2 of the jet quotient before boundary correction.
     """
     rules, c1V = _cover_space(k)
     c1L, w, v1 = tag("c1L"), tag("c1omega"), tag("v1")
@@ -387,8 +384,7 @@ def jet_porteous_d3(k="k"):
     c2J = 3 * c1L ** 2 + 6 * c1L * w + 2 * w ** 2
     c2_quotient = c2J - c1J * v1 + v1 * v1 - tag("v2")
     pushed = rules.push_top(c2_quotient).substitute_symbol("c1V", c1V)
-    d3 = pushed - TautClass.symbol("D0")
-    return d3, {"push_c2_jet_quotient": pushed}
+    return pushed - TautClass.symbol("D0")
 
 
 def in_gamma_basis(cls: TautClass, gamma_def: TautClass, pivot: str) -> TautClass:

@@ -3,16 +3,24 @@
 Slope convention: a divisor class a*lambda - sum_i b_i delta_i has slope
 a / min_i b_i.  Classes coming from different published normalizations are
 compared through slopes only, never through raw coefficients.
+
+Values: a number is a `Fraction` (or an `int`), a class is a `Polynomial`
+or a `TautClass`, and a `RationalFunction` carries a parameter.  So an
+answer at an integer genus or index is a number, and the same function at
+a parameter name answers in rational functions of it.  Not yet:
+`TautClass` coefficients, and with them `k3_rank4_class` and
+`hurwitz_report` at an integer, hold constant rational functions.  An
+integer enters as an `int`: a float or a bool raises `TypeError`.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from functools import cache
-from math import comb, factorial
+from math import comb, factorial, prod
 from typing import Mapping, NamedTuple
 
-from .algebra import (FrozenDict, Polynomial, QQ, RationalFunction, alpha, beta, param,
+from .algebra import (FrozenDict, QQ, RationalFunction, _exact, alpha, beta, param,
                       polynomial_in)
 from .grr import (
     IdentityFailed,
@@ -45,49 +53,37 @@ class BoundaryCoefficientNonpositive(Exception):
     pass
 
 
+def _ints(*values) -> None:
+    """Refuse every value that is not an int, a bool included, with
+    TypeError."""
+    for x in values:
+        if type(x) is not int:
+            raise TypeError("%s %r is no integer; pass an int" % (type(x).__name__, x))
+
+
 class ModuliDivisor(NamedTuple):
-    """a*lambda - sum b_i delta_i with exact (possibly symbolic) coefficients.
+    """a*lambda - sum b_i delta_i.  Each b_i is a number; a is a number at
+    an integer genus and a rational function of a symbolic one.
 
     `deltas` maps boundary index -> b_i (the positive-sign convention), in
     a FrozenDict for the library's divisors.
     """
 
     genus: object
-    lam: RationalFunction
+    lam: object
     deltas: Mapping
     note: str = ""
 
-    def slope(self) -> RationalFunction:
+    def slope(self):
+        """a / min_i b_i, a number or a rational function as a is."""
         if not self.deltas:
             raise BoundaryCoefficientNonpositive("no boundary coefficient present")
-        values = list(self.deltas.values())
-        # each distinct coefficient is read once: petri_class shares one
-        distinct = {id(b): b for b in values}
-        if all(_is_number(b) for b in distinct.values()):
-            number = {key: rf(b).constant_value() for key, b in distinct.items()}
-            least = min(number.values())
-            if least <= 0:
-                raise BoundaryCoefficientNonpositive(
-                    "boundary coefficients must be positive, got %s"
-                    % [number[id(b)] for b in values]
-                )
-            return rf(self.lam) / least
-        first = rf(values[0])
-        if not all(v == first for v in distinct.values()):
+        least = min(self.deltas.values())
+        if least <= 0:
             raise BoundaryCoefficientNonpositive(
-                "symbolic slope needs equal boundary coefficients"
-            )
-        return rf(self.lam) / first
-
-
-def _is_number(x) -> bool:
-    if isinstance(x, (int, QQ)):
-        return True
-    if isinstance(x, RationalFunction):
-        return x.is_polynomial() and x.num.is_constant()
-    if isinstance(x, Polynomial):
-        return x.is_constant()
-    return False
+                "boundary coefficients must be positive, got %s"
+                % list(self.deltas.values()))
+        return self.lam / _exact(least)
 
 
 # ---------------------------------------------------------------------------
@@ -109,21 +105,23 @@ def petri_class(g) -> ModuliDivisor:
     f = 3g-3 and c1F = 13 lambda - delta, which gives
     A_g^{g-3} ((7g+6)/g lambda - delta).  For symbolic g the positive
     prefactor A_g^{g-3} (not a rational function of g) is dropped; it does
-    not affect the slope.
+    not affect the slope, and delta keeps the coefficient 1.
     """
-    if isinstance(g, int) and g < 4:
+    numeric = type(g) is int
+    if numeric and g < 4:
         raise UnsupportedParam("need g >= 4")
-    gg = g if isinstance(g, int) else rf(g)
+    gg = g if numeric else rf(g)
     cls = divisorial_combination(gg, divisorial_f(gg, gg - 3),
                                  TautClass.symbol("lambda"),
                                  C1_QUADRATIC_DIFFERENTIALS)
-    if isinstance(g, int):
+    if numeric:
         cls = cls.scale(a_const(g, g - 3))
-        b = -cls.coefficient("delta")
-        return ModuliDivisor(g, cls.coefficient("lambda"),
+        b = -cls.coefficient("delta").constant_value()
+        return ModuliDivisor(g, cls.coefficient("lambda").constant_value(),
                              FrozenDict({i: b for i in range(0, g // 2 + 1)}))
     return ModuliDivisor(
-        gg, cls.coefficient("lambda"), FrozenDict({0: -cls.coefficient("delta")}),
+        gg, cls.coefficient("lambda"),
+        FrozenDict({0: -cls.coefficient("delta").constant_value()}),
         note="prefactor A_g^(g-3) omitted for symbolic genus",
     )
 
@@ -138,6 +136,7 @@ def known_divisor(kind: str, k_or_g: int):
     kind="next_gonality" k: slope of the (k+1)-gonal divisor in genus 2k-1
                          (slope only).
     """
+    _ints(k_or_g)
     if kind == "theta":
         g = k_or_g
         if g < 3:
@@ -175,7 +174,7 @@ def known_divisor(kind: str, k_or_g: int):
         return QQ(6 * k * k + 14 * k + 3, k * (k + 1))
     else:
         raise UnsupportedParam("unknown divisor kind %r" % kind)
-    return ModuliDivisor(g, rf(lam), FrozenDict({i: rf(b) for i, b in deltas.items()}))
+    return ModuliDivisor(g, lam, FrozenDict(deltas))
 
 
 class PetriDecomposition(NamedTuple):
@@ -188,6 +187,7 @@ def petri_decomposition_report(g: int) -> PetriDecomposition:
     """Compare the rank-3 quadric divisor with its known components in
     genus 4..7 at the level of slopes (published normalizations differ, so
     coefficient-level comparison is not meaningful)."""
+    _ints(g)
     if g not in (4, 5, 6, 7):
         raise UnsupportedParam("decomposition catalog covers g = 4..7")
     comps = []
@@ -195,15 +195,15 @@ def petri_decomposition_report(g: int) -> PetriDecomposition:
         weight = QQ(4) ** (g - 1 - k)
         if k == g - 1:
             cls = known_divisor("theta", g)
-            comps.append(("theta(g=%d)" % g, weight, _slope_q(cls)))
+            comps.append(("theta(g=%d)" % g, weight, cls.slope()))
         elif g % 2 == 1 and k == (g + 1) // 2:
             # minimal pencil degree in odd genus: the gonality divisor
             cls = known_divisor("gonality", k)
-            comps.append(("gonality(k=%d)" % k, weight, _slope_q(cls)))
+            comps.append(("gonality(k=%d)" % k, weight, cls.slope()))
         elif g % 2 == 0 and k == g // 2 + 1:
             # minimal pencil degree in even genus: the branch divisor
             cls = known_divisor("branch", g // 2)
-            comps.append(("branch(k=%d)" % (g // 2), weight, _slope_q(cls)))
+            comps.append(("branch(k=%d)" % (g // 2), weight, cls.slope()))
         elif g % 2 == 1 and k == (g + 3) // 2:
             # one above the gonality: only the slope is published
             kk = (g + 1) // 2
@@ -212,8 +212,7 @@ def petri_decomposition_report(g: int) -> PetriDecomposition:
             )
         else:
             comps.append(("unknown(k=%d)" % k, weight, None))
-    petri = petri_class(g)
-    ps = _slope_q(petri)
+    ps = petri_class(g).slope()
     known_slopes = [s for _, _, s in comps if s is not None]
     hull = (
         min(known_slopes) <= ps <= max(known_slopes) if known_slopes else False
@@ -223,10 +222,6 @@ def petri_decomposition_report(g: int) -> PetriDecomposition:
         components=tuple(comps),
         slope_in_component_hull=hull,
     )
-
-
-def _slope_q(cls: ModuliDivisor):
-    return cls.slope().constant_value()
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +240,9 @@ class SeriesParams(namedtuple("SeriesParams", "r s a")):
     __slots__ = ()
 
     def __new__(cls, r: int, s: int, a: int | None):
+        _ints(r, s)
         if a is not None:
+            _ints(a)
             if 2 * (r - 1) * s != a * (2 * r - 1 - a):
                 raise InvariantViolated("2(r-1)s = a(2r-1-a) must hold")
             if r >= 1 and a >= r:
@@ -272,6 +269,7 @@ class SeriesParams(namedtuple("SeriesParams", "r s a")):
 def _series_rsa(series: int, ell) -> tuple:
     """(r, s, a) of the two infinite families of quadric-rank divisors at
     ell, an int or a rational function."""
+    _ints(series)
     if series == 1:
         return 9 * ell - 2, 4 * ell - 1, 6 * ell - 2
     if series == 2:
@@ -281,6 +279,7 @@ def _series_rsa(series: int, ell) -> tuple:
 
 def series_params(series: int, ell: int) -> SeriesParams:
     """The series at an int ell >= 1."""
+    _ints(ell)
     if ell < 1:
         raise UnsupportedParam("need ell >= 1")
     return SeriesParams._make(_series_rsa(series, ell))
@@ -289,8 +288,8 @@ def series_params(series: int, ell: int) -> SeriesParams:
 def series_genus(series: int, ell):
     """Genus s(r+1) of the series: (4l-1)(9l-1) for series 1, 4(3l+1)(2l+1)
     for series 2; an int for an int ell, a rational function for a rational
-    function ell."""
-    r, s, _ = _series_rsa(series, ell)
+    function ell (or a parameter name)."""
+    r, s, _ = _series_rsa(series, ell if type(ell) is int else rf(ell))
     return s * (r + 1)
 
 
@@ -309,9 +308,9 @@ def _at(coeffs: tuple, l: RationalFunction) -> RationalFunction:
     return total
 
 
-def pelda_slope(series: int, ell, form: str = "closed") -> RationalFunction:
-    """Slope of the quadric-rank divisor closures, as an exact rational
-    function of the series parameter.
+def pelda_slope(series: int, ell, form: str = "closed"):
+    """Slope of the quadric-rank divisor closures: a number at an int ell,
+    an exact rational function of a symbolic one.
 
     Series 1 has both a closed form a/b and a deficit form
     6 + 12/(g+1) - correction; they agree identically.  Series 2 is
@@ -319,11 +318,12 @@ def pelda_slope(series: int, ell, form: str = "closed") -> RationalFunction:
     reduction), so it ignores `form`.  An int ell evaluates the symbolic
     slope of (series, form) (`_series_slope`) at ell; any other ell is built
     at it, by Horner."""
-    if isinstance(ell, int) and ell < 1:
-        raise UnsupportedParam("need ell >= 1")
+    _ints(series)
     if type(ell) is int:  # not a bool: rf refuses that below
+        if ell < 1:
+            raise UnsupportedParam("need ell >= 1")
         slope = _series_slope(series, form if series == 1 else "closed")
-        return rf(slope.evaluate({param("ell"): ell}))
+        return slope.evaluate({param("ell"): ell})
     l = rf(ell)
     if series == 1:
         b = 2 * (9 * l - 2) * (9 * l - 1) * _at(_SER1_B6, l)
@@ -430,9 +430,9 @@ class PushforwardTable(NamedTuple):
 
 
 class VirtualSlopeResult(NamedTuple):
-    slope: RationalFunction
-    lam: RationalFunction
-    delta0: RationalFunction
+    slope: QQ
+    lam: QQ
+    delta0: QQ
     boundary_effective: bool   # True when the delta_0 coefficient has the
     # effective-divisor sign (class = a lambda - b delta_0 with b > 0)
 
@@ -442,28 +442,27 @@ def virtual_slope_from_pushforward(p: SeriesParams, n_over_beta) -> VirtualSlope
     slope.  The class is the divisorial combination c1(F) - (2f/e) c1(E)
     at e = r+1 and f = 2d+1-g, the ranks of E and F for a g^r_d, with
     c1(F) = sigma^* lambda - frak_b + 2 frak_a and sigma^* lambda pushed
-    forward to n_over_beta * beta * lambda.
+    forward to n_over_beta * beta * lambda, for a number n_over_beta.
 
-    The formal constant beta must cancel in the slope (BetaDidNotCancel
-    otherwise).  A delta_0 coefficient with the non-effective sign is
-    reported through `boundary_effective`, not raised.
+    The formal constant beta must divide out of both coefficients, and so
+    cancel in the slope (BetaDidNotCancel otherwise); the coefficients are
+    converted to numbers once, and the slope is their quotient.  A delta_0
+    coefficient with the non-effective sign is reported through
+    `boundary_effective`, not raised.
     """
     table = PushforwardTable.build(p)
     beta = rf("beta")
     n_lambda = TautClass.symbol("lambda", n_over_beta * beta)
     c1F = n_lambda - table.frak_b + table.frak_a.scale(2)
     cls = divisorial_combination(p.r + 1, 2 * p.d + 1 - p.g, table.c1E, c1F)
-    lam, dl = cls.coefficient("lambda"), cls.coefficient("delta0")
+    lam, dl = cls.coefficient("lambda") / beta, cls.coefficient("delta0") / beta
     if dl.is_zero():
         raise BoundaryCoefficientNonpositive("delta_0 coefficient vanished")
-    s = lam / (-dl)
-    if param("beta") in s.num.variables() | s.den.variables():
-        raise BetaDidNotCancel(str(s))
-    lam_red = lam / beta
-    dl_red = dl / beta
-    effective = _is_number(dl_red) and dl_red.constant_value() < 0
-    return VirtualSlopeResult(slope=s, lam=lam_red, delta0=dl_red,
-                              boundary_effective=effective)
+    if any(param("beta") in c.num.variables() | c.den.variables() for c in (lam, dl)):
+        raise BetaDidNotCancel("(%s) lambda + (%s) delta_0, over beta" % (lam, dl))
+    lam, dl = lam.constant_value(), dl.constant_value()
+    return VirtualSlopeResult(slope=lam / -dl, lam=lam, delta0=dl,
+                              boundary_effective=dl < 0)
 
 
 class CalibrationReport(NamedTuple):
@@ -509,7 +508,7 @@ def fit_calibration() -> CalibrationReport:
     # 38/6 = 2f/e, so its slope is that of the divisorial combination
     got3 = virtual_slope_from_pushforward(SeriesParams(r=5, s=2, a=None), x).slope
     want3 = dp12_slope().slope
-    positive = _is_number(x) and x.constant_value() > 0
+    positive = x > 0
     notes = []
     if not positive:
         notes.append(
@@ -621,8 +620,9 @@ def _k3_rank4_combination(g: RationalFunction) -> TautClass:
 # the middle-syzygy divisor in odd genus g = 2i+3
 # ---------------------------------------------------------------------------
 
-def _binom_shift(c: int, cp: int, i: RationalFunction) -> RationalFunction:
-    """C(2i + c, i + cp) / C(2i - 1, i) as a rational function of i.
+def _binom_shift(c: int, cp: int, i):
+    """C(2i + c, i + cp) / C(2i - 1, i) as a rational function of i, or
+    its value at an int i.
 
     Expands the three factorial quotients as finite products of linear
     factors a*i + t, convolved in ints into one numerator and one
@@ -638,6 +638,8 @@ def _binom_shift(c: int, cp: int, i: RationalFunction) -> RationalFunction:
            + [(1, t) for t in range(q + 1, 0)])
     den = ([(2, t) for t in range(c + 1, 0)] + [(1, t) for t in range(1, cp + 1)]
            + [(1, t) for t in range(q + 1)])
+    if type(i) is int:
+        return QQ(prod(a * i + t for a, t in num), prod(a * i + t for a, t in den))
     x = i.as_polynomial()
     return RationalFunction(polynomial_in(_linear_product(num), x),
                             polynomial_in(_linear_product(den), x))
@@ -695,11 +697,12 @@ def _alternating_sum(p: int, side: int, shifts: dict) -> RationalFunction:
 class KoszulClass(NamedTuple):
     """Class of the middle-syzygy divisor in genus 2i+3, in units of the
     binomial C(2i-1, i), plus an undetermined multiple of the non-globally-
-    generated locus D11."""
+    generated locus D11: numbers at an int i, rational functions of a
+    symbolic one."""
 
     i: object
-    lam: RationalFunction
-    gamma: RationalFunction
+    lam: object
+    gamma: object
     prefactor_units: str = "C(2i-1, i)"
 
 
@@ -714,16 +717,18 @@ def kosz_class(i="i") -> KoszulClass:
     each with the closed form.
     """
     ii = _koszul_index(i)
-    pre = 4 / (ii + 2)
+    pre = QQ(4) / (ii + 2)
     return KoszulClass(i=ii, lam=pre * (ii * ii - 4 * ii - 3), gamma=pre * QQ(1, 2))
 
 
-def _koszul_index(i) -> RationalFunction:
-    """i as a rational function; UnsupportedParam for an int i < 1, where
-    the genus 2i+3 carries no middle syzygy."""
-    if isinstance(i, int) and i < 1:
+def _koszul_index(i):
+    """An int i, or i as a rational function; UnsupportedParam for an int
+    i < 1, where the genus 2i+3 carries no middle syzygy."""
+    if type(i) is not int:
+        return rf(i)
+    if i < 1:
         raise UnsupportedParam("need i >= 1")
-    return rf(i)
+    return i
 
 
 def kosz_sums_over_d(i="i") -> tuple:
@@ -739,7 +744,7 @@ def kosz_sums_over_d(i="i") -> tuple:
     sums unreduced; they move to lowest terms with the canonical gcd of
     ROADMAP item 23.
     """
-    ii = _koszul_index(i)
+    ii = rf(_koszul_index(i))
     g = 2 * ii + 3
     d = ii * (ii + 1) * (ii + 2) * (ii + 3)
     used = ((0, _T_SIDE), (2, _T_SIDE)) + tuple((p, _U_SIDE) for p in range(4))
@@ -824,7 +829,7 @@ def kosz_rank(i) -> tuple:
     """(rank from the syzygy-side recursion, rank from the polynomial-side
     recursion, the closed count (i+1) C(2i+5, i+2)) -- all three agree."""
     ii = _koszul_index(i)
-    if isinstance(i, int):
+    if type(ii) is int:
         g = 2 * i + 3
         rank_g = sum(
             (-1) ** j * _comb0(g + 1, i - j) * (2 + (j + 2) ** 2 * (g - 1))
@@ -889,7 +894,7 @@ def hurwitz_report(k="k") -> HurwitzReport:
     only for the symbolic report."""
     from .grr import gamma_hurwitz, hurwitz_sheaf_chern, jet_porteous_d3
 
-    if isinstance(k, int) and k < 4:
+    if type(k) is int and k < 4:
         raise UnsupportedParam("need k >= 4")
     kk = rf(k)
     # boundary coefficients of the Hodge class at k and i = 2, from the
@@ -902,7 +907,7 @@ def hurwitz_report(k="k") -> HurwitzReport:
     published_d2 = -1 / (4 * (6 * kk - 5))
 
     canonical = TautClass({"lambda": 8, "D3": QQ(1, 6), "D0": QQ(-3, 2)})
-    d3, _ = jet_porteous_d3(k)
+    d3 = jet_porteous_d3(k)
     gam = gamma_hurwitz(kk)
     can_gamma = in_gamma_basis(
         canonical.substitute_symbol("D3", d3), gam, pivot="frak_b"

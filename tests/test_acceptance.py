@@ -9,7 +9,7 @@ are never silently absorbed.
 
 from math import comb
 
-from quadloci.algebra import Polynomial, QQ, alpha, beta, param
+from quadloci.algebra import Polynomial, QQ, alpha, beta
 from quadloci.grr import TautClass, rf
 from quadloci import grr, loci, moduli, symfunc, verify
 
@@ -102,7 +102,7 @@ def test_criterion_05_pushforward_engine():
     rep = grr.lm_lambda_relation()
     assert rep.rhs_lambda_multiple == rf(3)
     # (f) jet Porteous ramification divisor
-    d3, _ = grr.jet_porteous_d3()
+    d3 = grr.jet_porteous_d3()
     want = grr.gamma_hurwitz(k).scale(6) + TautClass({"lambda": 24, "D0": -3})
     assert d3 == want
     _report("criterion 5: six pushforward-engine identities, exact")
@@ -207,7 +207,7 @@ def test_criterion_10_property_suites():
     assert grr.k3_twist(grr.gamma_k3(g), g) == grr.gamma_k3(g)
     # overall-constant cancellation in the slope machinery
     res = moduli.virtual_slope_from_pushforward(moduli.series_params(1, 1), QQ(1))
-    assert param("beta") not in res.slope.num.variables() | res.slope.den.variables()
+    assert type(res.slope) is QQ  # a number: beta cancelled
     # order independence of the certificate's sum over the Grassmannian
     # fixed points J: reversing or rotating the roots a permutes the J
     import random

@@ -748,16 +748,23 @@ def test_golden_replay_byte_for_byte(monkeypatch):
 
 
 def test_symbolic_kosz_prints_its_golden_bytes_in_a_fresh_process():
-    """Symbolic `k3 kosz` in a fresh interpreter prints its golden entry
-    byte for byte.  There i takes the first slot of the packed keys, which
-    the trial-division screen, `polynomial_in` and `str` read; slots follow
-    first use, so in the test session i sits behind other variables."""
-    entry = next(e for e in _golden() if e["argv"] == ["k3", "kosz"])
+    """Symbolic `k3 kosz`, and four requests that print numbers, each in a
+    fresh interpreter print their golden entry byte for byte.  There the
+    first variable used takes the first slot of the packed keys, which the
+    trial-division screen, `polynomial_in` and `str` read; slots follow
+    first use, so in the test session each variable sits behind others."""
+    golden = {tuple(e["argv"]): e for e in _golden()}
     env = dict(os.environ, PYTHONPATH=str(make_golden.ROOT / "src"))
-    proc = subprocess.run([sys.executable, "-m", "quadloci.cli", "k3", "kosz"], env=env,
-                          capture_output=True, timeout=60)
-    assert (proc.returncode, proc.stderr) == (entry["exit"], entry["stderr"].encode())
-    assert proc.stdout == entry["stdout"].encode()
+    for argv in (["k3", "kosz"],
+                 ["k3", "kosz", "--i", "5"],
+                 ["moduli", "petri", "--g", "27"],
+                 ["moduli", "slope", "--series", "2", "--ell", "3", "--form", "deficit"],
+                 ["moduli", "slope", "--custom", "--r", "7", "--s", "3", "--a", "4"]):
+        entry = golden[tuple(argv)]
+        proc = subprocess.run([sys.executable, "-m", "quadloci.cli", *argv], env=env,
+                              capture_output=True, timeout=60)
+        assert (proc.returncode, proc.stderr) == (entry["exit"], entry["stderr"].encode()), argv
+        assert proc.stdout == entry["stdout"].encode(), argv
 
 
 def test_golden_agrees_with_the_benchmark_reference():
